@@ -9,16 +9,16 @@ stay put.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import DivergenceParam, posterior_divergence
+from .divergence import DivergenceParam, unified_divergence
 from .errors import KTooSmall, NotBinaryState, UnboundedExperiment
 from .experiment import (
     FiniteExperiment,
     PosteriorDistribution,
+    experiment_from_posteriors,
     posterior_distribution,
     posteriors,
 )
@@ -100,13 +100,7 @@ class SandwichRow:
         return self.d_over - self.d_under
 
 
-def sandwich_report(
-    mu: FiniteExperiment,
-    q,
-    k_list,
-    param_grid,
-    threads: int = 1,
-) -> list[SandwichRow]:
+def sandwich_report(mu: FiniteExperiment, q, k_list, param_grid) -> list[SandwichRow]:
     """Evaluate divergences of an experiment against its grid companions.
 
     The experiment must be bounded (no zero entries); for each k and each
@@ -116,26 +110,13 @@ def sandwich_report(
     if np.any(mu.probs == 0.0):
         raise UnboundedExperiment("experiment has zero entries")
     pi = posteriors(mu, q)
-
-    def rows_for(k: int) -> list[SandwichRow]:
+    d_mu = [unified_divergence(param, mu) for param in param_grid]
+    rows = []
+    for k in k_list:
         pair = coarsen(pi, k)
-        out = []
-        for param in param_grid:
-            out.append(
-                SandwichRow(
-                    k,
-                    param,
-                    posterior_divergence(param, pair.under),
-                    posterior_divergence(param, pi),
-                    posterior_divergence(param, pair.over),
-                )
-            )
-        return out
-
-    ks = list(k_list)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(rows_for, ks))
-    else:
-        chunks = [rows_for(k) for k in ks]
-    return [row for chunk in chunks for row in chunk]
+        under = experiment_from_posteriors(pair.under)
+        over = experiment_from_posteriors(pair.over)
+        for param, d in zip(param_grid, d_mu):
+            d_under, d_over = unified_divergence(param, under), unified_divergence(param, over)
+            rows.append(SandwichRow(k, param, d_under, d, d_over))
+    return rows

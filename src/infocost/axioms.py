@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -267,13 +267,6 @@ def run_suite(spec: CostSpec, profile: Optional[AxiomProfile] = None) -> list[Ax
         axioms.append(Axiom.MAXIMAL_DILUTION_CONCAVITY)
     reports = []
     for i, axiom in enumerate(axioms):
-        sub = AxiomProfile(
-            n_states=profile.n_states,
-            n_signals=profile.n_signals,
-            n_samples=profile.n_samples,
-            seed=profile.seed + 1000 * i,
-            tol=profile.tol,
-            min_prob=profile.min_prob,
-        )
+        sub = replace(profile, seed=profile.seed + 1000 * i)
         reports.append(check_axiom(spec, axiom, profile=sub))
     return reports

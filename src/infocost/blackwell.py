@@ -17,15 +17,10 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import InfoCostError, RowNotStochastic, ShapeMismatch, StateMismatch
-from .experiment import FiniteExperiment, restrict_pair
+from .experiment import FiniteExperiment, _freeze, restrict_pair
 
 DEFAULT_TOL = 1e-8
 MARGINAL_FACTOR = 100.0
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,7 +33,7 @@ class GarblingKernel:
         m = np.asarray(self.psi, dtype=float)
         if m.ndim != 2 or m.size == 0:
             raise ShapeMismatch("kernel must be a nonempty matrix")
-        if np.any(m < 0):
+        if not np.all(m >= 0):
             raise RowNotStochastic("kernel entries must be nonnegative")
         sums = m.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > 1e-9):

@@ -267,7 +267,7 @@ def _cmd_approx(args) -> int:
         raise InputProblem(f"--prior: invalid JSON: {exc}") from exc
     k_list = [int(k) for k in _parse_grid(args.k_list)]
     grid = divergence.default_param_grid(mu.n_states, args.grid, seed=args.seed)
-    rows = approx.sandwich_report(mu, prior, k_list, grid, threads=args.threads)
+    rows = approx.sandwich_report(mu, prior, k_list, grid)
     csv_rows = []
     for r in rows:
         kind = type(r.param).__name__
@@ -354,7 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-list", default="4,16,64")
     p.add_argument("--grid", type=int, default=12, help="number of divergence parameters")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_approx)
 

@@ -28,19 +28,8 @@ from .divergence import (
     param_to_json,
     unified_divergence,
 )
-from .errors import (
-    BadCostSpec,
-    DimensionMismatch,
-    NoSecondDerivative,
-    PriorNotFullSupport,
-    TransformDomain,
-)
-from .experiment import FiniteExperiment, posteriors
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+from .errors import BadCostSpec, DimensionMismatch, NoSecondDerivative, TransformDomain
+from .experiment import FiniteExperiment, _check_prior, _freeze, posteriors
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +214,7 @@ class RenyiLogTransform:
     alpha_max: float
 
     def __post_init__(self):
-        if self.lam < 0:
+        if not (self.lam >= 0):
             raise BadCostSpec("lam must be nonnegative")
         if not (0.0 < self.alpha_max < 1.0):
             raise BadCostSpec("alpha_max must lie in (0, 1)")
@@ -263,16 +252,10 @@ def apply_transform(transform: TransformSpec, x: float) -> float:
 def _check_beta(b: np.ndarray) -> None:
     if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] < 2:
         raise BadCostSpec("beta must be a square matrix of size >= 2")
-    if np.any(b < 0):
+    if not np.all(b >= 0):
         raise BadCostSpec("beta must be nonnegative")
     if np.any(np.abs(np.diag(b)) > 0):
         raise BadCostSpec("beta must have a zero diagonal")
-
-
-def _check_prior(q: np.ndarray) -> np.ndarray:
-    if q.ndim != 1 or q.shape[0] < 2 or np.any(q <= 0) or abs(q.sum() - 1.0) > 1e-9:
-        raise PriorNotFullSupport("prior must be strictly positive and sum to 1")
-    return q
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,7 +295,7 @@ class RenyiCost:
     param: InteriorParam
 
     def __post_init__(self):
-        if self.lam < 0:
+        if not (self.lam >= 0):
             raise BadCostSpec("lam must be nonnegative")
         if not isinstance(self.param, InteriorParam) or not self.param.is_nonnegative():
             raise BadCostSpec(
@@ -355,8 +338,7 @@ class PosteriorSeparableCost:
     potential: PotentialSpec
 
     def __post_init__(self):
-        q = _check_prior(np.asarray(self.prior, dtype=float))
-        object.__setattr__(self, "prior", _freeze(q.copy()))
+        object.__setattr__(self, "prior", _freeze(_check_prior(self.prior).copy()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,8 +350,7 @@ class ConvexPSCost:
     transform: TransformSpec
 
     def __post_init__(self):
-        q = _check_prior(np.asarray(self.prior, dtype=float))
-        object.__setattr__(self, "prior", _freeze(q.copy()))
+        object.__setattr__(self, "prior", _freeze(_check_prior(self.prior).copy()))
 
 
 CostSpec = Union[KLCost, MaxKLCost, RenyiCost, MaxRenyiCost, PosteriorSeparableCost, ConvexPSCost]

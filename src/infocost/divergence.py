@@ -28,14 +28,14 @@ from .errors import (
     StateMismatch,
     TOutOfRange,
 )
-from .experiment import FiniteExperiment, PosteriorDistribution
+from .experiment import (
+    FiniteExperiment,
+    PosteriorDistribution,
+    _freeze,
+    experiment_from_posteriors,
+)
 
 PARAM_SUM_TOL = 1e-12
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +90,11 @@ class WeightedKLParam:
             raise BadPsi("beta must be a vector of length >= 2")
         if not (0 <= self.pivot < b.shape[0]):
             raise BadPsi(f"pivot {self.pivot} out of range")
-        if np.any(b < 0):
+        if not np.all(b >= 0):
             raise BadPsi("beta must be nonnegative")
         if abs(b[self.pivot]) > PARAM_SUM_TOL:
             raise BadPsi("beta must vanish at the pivot")
-        if abs(b.sum() - 1.0) > PARAM_SUM_TOL:
+        if not (abs(b.sum() - 1.0) <= PARAM_SUM_TOL):
             raise BadPsi(f"beta must sum to 1, got {b.sum()!r}")
         object.__setattr__(self, "beta", _freeze(b.copy()))
 
@@ -117,7 +117,7 @@ class SupParam:
         p = np.asarray(self.psi, dtype=float)
         if p.ndim != 1 or p.shape[0] < 2:
             raise BadPsi("psi must be a vector of length >= 2")
-        if abs(p.sum()) > PARAM_SUM_TOL:
+        if not (abs(p.sum()) <= PARAM_SUM_TOL):
             raise BadPsi(f"psi must sum to 0, got {p.sum()!r}")
         ones = np.flatnonzero(np.abs(p - 1.0) <= PARAM_SUM_TOL)
         if ones.shape[0] != 1:
@@ -150,7 +150,7 @@ class DivergenceMeasure:
         if not atoms:
             raise BadPsi("a divergence measure needs at least one atom")
         for w, p in atoms:
-            if w < 0:
+            if not (w >= 0):
                 raise BadPsi("atom weights must be nonnegative")
             if not isinstance(p, (InteriorParam, WeightedKLParam, SupParam)):
                 raise BadPsi(f"unknown divergence parameter {p!r}")
@@ -159,10 +159,6 @@ class DivergenceMeasure:
     @property
     def n_states(self) -> int:
         return self.atoms[0][1].n_states
-
-
-def param_n_states(param: DivergenceParam) -> int:
-    return param.n_states
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +309,20 @@ def unified_divergence(param: DivergenceParam, mu: FiniteExperiment) -> float:
     raise BadPsi(f"unknown divergence parameter {param!r}")
 
 
+def _direction(psi, mu: FiniteExperiment) -> SupParam:
+    sup = psi if isinstance(psi, SupParam) else SupParam(np.asarray(psi, float))
+    if sup.n_states != mu.n_states:
+        raise StateMismatch(f"psi length {sup.n_states} vs {mu.n_states} states")
+    return sup
+
+
+def _exponents(gamma: float, sup: SupParam) -> np.ndarray:
+    """The exponent vector e_pivot + (gamma - 1) psi."""
+    alpha = np.zeros(sup.n_states)
+    alpha[sup.pivot] = 1.0
+    return alpha + (gamma - 1.0) * sup.psi
+
+
 def generalized_divergence(gamma: float, psi, mu: FiniteExperiment) -> float:
     """Evaluate the (gamma, psi) parameterization of the divergence family.
 
@@ -321,9 +331,7 @@ def generalized_divergence(gamma: float, psi, mu: FiniteExperiment) -> float:
     +inf the sup branch, and otherwise the exponent vector e_k + (gamma-1)psi
     is evaluated as an extended divergence.
     """
-    sup = psi if isinstance(psi, SupParam) else SupParam(np.asarray(psi, float))
-    if sup.n_states != mu.n_states:
-        raise StateMismatch(f"psi length {sup.n_states} vs {mu.n_states} states")
+    sup = _direction(psi, mu)
     if math.isnan(gamma) or gamma < 1.0 / mu.n_states:
         raise GammaOutOfRange(f"gamma must be >= 1/{mu.n_states}, got {gamma!r}")
     if math.isinf(gamma):
@@ -333,11 +341,7 @@ def generalized_divergence(gamma: float, psi, mu: FiniteExperiment) -> float:
         beta = -sup.psi.copy()
         beta[k] = 0.0
         return _weighted_kl(mu, k, beta)
-    k = sup.pivot
-    alpha = np.zeros(sup.n_states)
-    alpha[k] = 1.0
-    alpha = alpha + (gamma - 1.0) * sup.psi
-    return extended_divergence(InteriorParam(alpha), mu)
+    return extended_divergence(InteriorParam(_exponents(gamma, sup)), mu)
 
 
 def diluted_power_divergence(mu: FiniteExperiment, k: int, gamma: float, psi) -> float:
@@ -347,17 +351,12 @@ def diluted_power_divergence(mu: FiniteExperiment, k: int, gamma: float, psi) ->
     e_pivot + (gamma-1) psi, so the 1/(gamma-1) prefactor matches the general
     evaluator on the explicitly constructed experiment.
     """
-    sup = psi if isinstance(psi, SupParam) else SupParam(np.asarray(psi, float))
-    if sup.n_states != mu.n_states:
-        raise StateMismatch(f"psi length {sup.n_states} vs {mu.n_states} states")
-    if math.isinf(gamma) or gamma == 1.0 or gamma < 1.0 / mu.n_states:
+    sup = _direction(psi, mu)
+    if math.isinf(gamma) or gamma == 1.0 or not (gamma >= 1.0 / mu.n_states):
         raise GammaOutOfRange(f"gamma must be finite, != 1, >= 1/{mu.n_states}")
     if k < 1:
         raise GammaOutOfRange(f"k must be a positive integer, got {k}")
-    pivot = sup.pivot
-    alpha = np.zeros(sup.n_states)
-    alpha[pivot] = 1.0
-    alpha = alpha + (gamma - 1.0) * sup.psi
+    alpha = _exponents(gamma, sup)
     if abs(alpha.max() - gamma) > 1e-12:
         raise BadPsi("gamma must equal the largest exponent of the induced alpha")
     total = hellinger_sum(mu, alpha)
@@ -380,52 +379,32 @@ def posterior_divergence(param: DivergenceParam, pd: PosteriorDistribution) -> f
     Agrees with :func:`unified_divergence` on the experiment inducing ``pd``,
     for any full-support prior.
     """
-    if param.n_states != pd.n_states:
-        raise StateMismatch(f"parameter is {param.n_states}-state, beliefs {pd.n_states}")
-    ratios = pd.posteriors / pd.prior[None, :]
-    if isinstance(param, InteriorParam):
-        a = param.alpha
-        logv = _signal_log_products(ratios.T, a)
-        if np.any(np.isposinf(logv)):
-            return math.inf
-        keep = np.isfinite(logv)
-        total = float(np.sum(pd.weights[keep] * np.exp(logv[keep])))
-        prefactor = 1.0 / (a.max() - 1.0)
-        if total == 0.0:
-            return math.inf if prefactor < 0 else 0.0
-        total = min(total, 1.0) if prefactor < 0 else max(total, 1.0)
-        return prefactor * math.log(total)
-    if isinstance(param, WeightedKLParam):
-        i = param.pivot
-        total = 0.0
-        for j in range(pd.n_states):
-            bj = param.beta[j]
-            if j == i or bj == 0.0:
-                continue
-            pi, pj = pd.posteriors[:, i], pd.posteriors[:, j]
-            pos = (pd.weights > 0) & (pi > 0)
-            if np.any(pj[pos] == 0.0):
-                return math.inf
-            term = np.sum(
-                pd.weights[pos]
-                * (pi[pos] / pd.prior[i])
-                * (np.log(pi[pos]) - np.log(pj[pos]))
-            )
-            const = math.log(pd.prior[i]) - math.log(pd.prior[j])
-            total += bj * (float(term) - const)
-        return total
-    if isinstance(param, SupParam):
-        vals = _signal_log_products(ratios.T, param.psi)
-        vals = vals[pd.weights > 0]
-        if vals.size == 0:
-            return 0.0
-        return max(float(np.max(vals)), 0.0)
-    raise BadPsi(f"unknown divergence parameter {param!r}")
+    return unified_divergence(param, experiment_from_posteriors(pd))
 
 
 # ---------------------------------------------------------------------------
 # binary-state summary measures
 # ---------------------------------------------------------------------------
+
+
+def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
+    """Golden-section search on a unimodal f: (argmax, max) over [lo, hi]."""
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
 
 
 def _chernoff_objective(mu: FiniteExperiment, t: float) -> float:
@@ -457,22 +436,8 @@ def chernoff_information(mu: FiniteExperiment) -> float:
         return math.inf
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = _chernoff_objective(mu, c), _chernoff_objective(mu, d)
-    while b - a > 1e-10:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = _chernoff_objective(mu, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = _chernoff_objective(mu, d)
-    t_star = (a + b) / 2.0
-    return max(_chernoff_objective(mu, t_star), float(np.max(vals)))
+    _, value = _golden_max(lambda t: _chernoff_objective(mu, t), lo, hi)
+    return max(value, float(np.max(vals)))
 
 
 def privacy_loss(mu: FiniteExperiment) -> float:

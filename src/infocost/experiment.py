@@ -36,6 +36,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_prior(prior) -> np.ndarray:
+    """Validate a full-support prior vector; NaN entries fail the checks."""
+    q = np.asarray(prior, dtype=float)
+    if q.ndim != 1 or q.shape[0] < 2 or not (np.all(q > 0) and abs(q.sum() - 1.0) <= ROW_SUM_TOL):
+        raise PriorNotFullSupport("prior must be strictly positive and sum to 1")
+    return q
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteExperiment:
     """A family of signal distributions, one per state.
@@ -88,7 +96,7 @@ def new_experiment(probs) -> FiniteExperiment:
         raise RowNotStochastic("probs must be a nonempty rectangular matrix")
     if arr.shape[0] < 2:
         raise TooFewStates(f"need at least 2 states, got {arr.shape[0]}")
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):
         raise NegativeEntry("signal probabilities must be nonnegative")
     sums = arr.sum(axis=1)
     bad = np.abs(sums - 1.0) > ROW_SUM_TOL
@@ -183,18 +191,16 @@ class PosteriorDistribution:
 
 def posterior_distribution(prior, posteriors, weights) -> PosteriorDistribution:
     """Validated constructor for :class:`PosteriorDistribution`."""
-    q = np.asarray(prior, dtype=float)
+    q = _check_prior(prior)
     p = np.asarray(posteriors, dtype=float)
     w = np.asarray(weights, dtype=float)
-    if np.any(q <= 0) or abs(q.sum() - 1.0) > ROW_SUM_TOL:
-        raise PriorNotFullSupport("prior must be strictly positive and sum to 1")
     if p.ndim != 2 or p.shape[0] != w.shape[0] or p.shape[1] != q.shape[0]:
         raise StateMismatch("posterior matrix and weights have inconsistent shapes")
-    if np.any(p < -1e-12) or np.any(np.abs(p.sum(axis=1) - 1.0) > ROW_SUM_TOL):
+    if not (np.all(p >= -1e-12) and np.all(np.abs(p.sum(axis=1) - 1.0) <= ROW_SUM_TOL)):
         raise RowNotStochastic("each posterior must lie in the simplex")
-    if np.any(w < 0) or abs(w.sum() - 1.0) > ROW_SUM_TOL:
+    if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= ROW_SUM_TOL):
         raise RowNotStochastic("atom weights must be nonnegative and sum to 1")
-    if np.max(np.abs(w @ p - q)) > BAYES_TOL:
+    if not (np.max(np.abs(w @ p - q)) <= BAYES_TOL):
         raise RowNotStochastic("atoms are not Bayes plausible for the prior")
     return PosteriorDistribution(_freeze(q.copy()), _freeze(np.clip(p, 0.0, None)), _freeze(w.copy()))
 
@@ -208,8 +214,7 @@ def posteriors(mu: FiniteExperiment, q) -> PosteriorDistribution:
     qv = np.asarray(q, dtype=float)
     if qv.shape != (mu.n_states,):
         raise StateMismatch(f"prior length {qv.shape} vs {mu.n_states} states")
-    if np.any(qv <= 0) or abs(qv.sum() - 1.0) > ROW_SUM_TOL:
-        raise PriorNotFullSupport("prior must be strictly positive and sum to 1")
+    _check_prior(qv)
     marginal = qv @ mu.probs
     keep = marginal > 0
     post = (qv[:, None] * mu.probs[:, keep]) / marginal[keep]

@@ -16,10 +16,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cost import CostSpec, MaxRenyiCost, eval_cost, spec_n_states
-from .divergence import DivergenceMeasure, InteriorParam
-from .errors import DimensionMismatch, NoRootInBracket, PriorNotFullSupport, TOutOfRange
-from .experiment import FiniteExperiment
+from .cost import (
+    ConvexPSCost,
+    CostSpec,
+    MaxRenyiCost,
+    PosteriorSeparableCost,
+    eval_cost,
+    spec_n_states,
+)
+from .divergence import DivergenceMeasure, InteriorParam, _golden_max
+from .errors import DimensionMismatch, NoRootInBracket, TOutOfRange
+from .experiment import FiniteExperiment, _check_prior
 
 GRAD_CLIP = 1e8
 
@@ -37,10 +44,8 @@ class RIProblem:
     utilities: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.prior, dtype=float)
+        q = _check_prior(self.prior)
         u = np.asarray(self.utilities, dtype=float)
-        if q.ndim != 1 or np.any(q <= 0) or abs(q.sum() - 1.0) > 1e-9:
-            raise PriorNotFullSupport("prior must be strictly positive and sum to 1")
         if u.ndim != 2 or u.shape[1] != q.shape[0] or not np.all(np.isfinite(u)):
             raise DimensionMismatch("utilities must be a finite matrix actions x states")
         q.setflags(write=False)
@@ -183,6 +188,9 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
         raise DimensionMismatch(
             f"spec is {spec_n_states(spec)}-state, problem has {problem.n_states}"
         )
+    if isinstance(spec, (PosteriorSeparableCost, ConvexPSCost)):
+        if np.max(np.abs(spec.prior - problem.prior)) > 1e-12:
+            raise DimensionMismatch("the cost's prior differs from the problem's prior")
     n, m = problem.n_states, problem.n_actions
     objective, gradient = _objective_factory(problem, spec)
 
@@ -250,7 +258,7 @@ class SymmetricInstance:
     def __post_init__(self):
         if not (self.v > self.w > 0):
             raise DimensionMismatch(f"need v > w > 0, got v={self.v}, w={self.w}")
-        if self.lam <= 0:
+        if not (self.lam > 0):
             raise DimensionMismatch("lam must be positive")
         if not (0.0 < self.t < 1.0):
             raise TOutOfRange(f"order must lie in (0, 1), got {self.t!r}")
@@ -302,22 +310,23 @@ def symmetric_value_dalpha(inst: SymmetricInstance, a: float, pi: float) -> floa
     return inst.v * pi - inst.w + inst.lam / (1.0 - inst.t) * (h - 1.0) / ((1.0 - a) + a * h)
 
 
+def _mixing_kernel_dpi(t: float, pi: float) -> float:
+    """Derivative of the mixing kernel in pi, for pi in (0, 1)."""
+    y = (1.0 - pi) / pi
+    z = pi / (1.0 - pi)
+    return t * y ** (1.0 - t) + (1.0 - t) * y**t - (1.0 - t) * z**t - t * z ** (1.0 - t)
+
+
 def symmetric_value_dpi(inst: SymmetricInstance, a: float, pi: float) -> float:
     """Closed-form partial derivative of the symmetric objective in pi."""
     t = inst.t
-    y = (1.0 - pi) / pi
-    z = pi / (1.0 - pi)
-    num = t * y ** (1.0 - t) + (1.0 - t) * y**t - (1.0 - t) * z**t - t * z ** (1.0 - t)
     h = _mixing_kernel(t, pi)
-    return inst.v * a + a * inst.lam / (1.0 - t) * num / ((1.0 - a) + a * h)
+    return inst.v * a + a * inst.lam / (1.0 - t) * _mixing_kernel_dpi(t, pi) / ((1.0 - a) + a * h)
 
 
 def _foc(inst: SymmetricInstance, pi: float) -> float:
     t = inst.t
-    y = (1.0 - pi) / pi
-    z = pi / (1.0 - pi)
-    num = t * y ** (1.0 - t) + (1.0 - t) * y**t - (1.0 - t) * z**t - t * z ** (1.0 - t)
-    return inst.v + inst.lam / (1.0 - t) * num / _mixing_kernel(t, pi)
+    return inst.v + inst.lam / (1.0 - t) * _mixing_kernel_dpi(t, pi) / _mixing_kernel(t, pi)
 
 
 def foc_root(inst: SymmetricInstance) -> float:
@@ -346,25 +355,6 @@ def foc_root(inst: SymmetricInstance) -> float:
 # ---------------------------------------------------------------------------
 # claim-style region scans
 # ---------------------------------------------------------------------------
-
-
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
 
 
 def maximize_symmetric_value(inst: SymmetricInstance) -> tuple[float, float, float]:

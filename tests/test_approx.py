@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import infocost as ic
 from infocost.errors import KTooSmall, NotBinaryState, UnboundedExperiment
@@ -106,10 +108,21 @@ class TestSandwichReport:
         with pytest.raises(UnboundedExperiment):
             ic.sandwich_report(mu, [0.5, 0.5], [4], ic.default_param_grid(2, 4, seed=0))
 
-    def test_threads_agree(self):
-        grid = ic.default_param_grid(2, 6, seed=3)
-        a = ic.sandwich_report(SYM75, [0.5, 0.5], [4, 8], grid, threads=1)
-        b = ic.sandwich_report(SYM75, [0.5, 0.5], [4, 8], grid, threads=2)
-        assert [(r.k, r.d_under, r.d_mu, r.d_over) for r in a] == [
-            (r.k, r.d_under, r.d_mu, r.d_over) for r in b
-        ]
+    @given(st.integers(0, 10_000), st.integers(2, 64), st.floats(0.1, 0.9))
+    @settings(max_examples=60, deadline=None)
+    def test_sandwich_properties(self, seed, n_signals, prior1):
+        # k = 2 puts spread atoms at beliefs 0 and 1, so KL and sup values of
+        # the spread are infinite; the nested grids make every gap monotone
+        mu = ic.random_experiment(2, n_signals, seed=seed, min_prob=0.1 / n_signals)
+        grid = ic.default_param_grid(2, 12)
+        ks = (2, 4, 16, 64)
+        rows = ic.sandwich_report(mu, [1.0 - prior1, prior1], ks, grid)
+        assert len(rows) == len(ks) * len(grid)
+        for row in rows:
+            assert row.d_under <= row.d_mu + 1e-9
+            assert row.d_mu <= row.d_over + 1e-9
+            assert row.d_mu == ic.unified_divergence(row.param, mu)
+        for j in range(len(grid)):
+            gaps = [rows[i * len(grid) + j].gap for i in range(len(ks))]
+            for coarse, fine in zip(gaps, gaps[1:]):
+                assert fine <= coarse + 1e-9

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 import infocost as ic
 from infocost.errors import (
+    BadAlpha,
+    BadCostSpec,
+    BadPsi,
+    DimensionMismatch,
     EqualStates,
+    GammaOutOfRange,
     InfeasibleFloor,
     NegativeEntry,
     PriorNotFullSupport,
@@ -230,3 +235,60 @@ class TestRandomExperiment:
         prod = ic.product(mu, nu)
         assert np.max(np.abs(mix.probs.sum(axis=1) - 1.0)) < 1e-12
         assert np.max(np.abs(prod.probs.sum(axis=1) - 1.0)) < 1e-12
+
+
+NAN = float("nan")
+HALF = ic.InteriorParam([0.5, 0.5])
+
+
+NAN_CASES = {
+    "new_experiment": (lambda: ic.new_experiment([[NAN, 0.5], [0.5, 0.5]]), NegativeEntry),
+    "posterior_weights": (
+        lambda: ic.posterior_distribution([0.5, 0.5], SYM75, [NAN, 0.5]),
+        RowNotStochastic,
+    ),
+    "posterior_prior": (
+        lambda: ic.posterior_distribution([NAN, 0.5], SYM75, [0.5, 0.5]),
+        PriorNotFullSupport,
+    ),
+    "posterior_beliefs": (
+        lambda: ic.posterior_distribution([0.5, 0.5], [[NAN, 0.25], [0.25, 0.75]], [0.5, 0.5]),
+        RowNotStochastic,
+    ),
+    "posteriors_prior": (
+        lambda: ic.posteriors(ic.new_experiment(SYM75), [NAN, 0.5]),
+        PriorNotFullSupport,
+    ),
+    "ps_cost_prior": (
+        lambda: ic.PosteriorSeparableCost([NAN, 0.5], ic.ShannonEntropy()),
+        PriorNotFullSupport,
+    ),
+    "convex_ps_prior": (
+        lambda: ic.ConvexPSCost([NAN, 0.5], ic.ShannonEntropy(), ic.IdentityTransform()),
+        PriorNotFullSupport,
+    ),
+    "ri_problem_prior": (
+        lambda: ic.RIProblem([NAN, 0.5], [[1.0, 0.0], [0.0, 1.0]]),
+        PriorNotFullSupport,
+    ),
+    "kl_cost_beta": (lambda: ic.KLCost([[0.0, NAN], [1.0, 0.0]]), BadCostSpec),
+    "renyi_cost_lam": (lambda: ic.RenyiCost(NAN, HALF), BadCostSpec),
+    "renyi_log_lam": (lambda: ic.RenyiLogTransform(NAN, 0.5), BadCostSpec),
+    "interior_param": (lambda: ic.InteriorParam([NAN, 0.5]), BadAlpha),
+    "weighted_kl_param": (lambda: ic.WeightedKLParam(0, [0.0, NAN]), BadPsi),
+    "sup_param": (lambda: ic.SupParam([1.0, NAN]), BadPsi),
+    "measure_weight": (lambda: ic.DivergenceMeasure(((NAN, HALF),)), BadPsi),
+    "garbling_kernel": (lambda: ic.GarblingKernel([[NAN, 0.5], [0.5, 0.5]]), RowNotStochastic),
+    "symmetric_lam": (lambda: ic.SymmetricInstance(8.0, 4.0, NAN, 0.5), DimensionMismatch),
+    "diluted_gamma": (
+        lambda: ic.diluted_power_divergence(ic.new_experiment(SYM75), 2, NAN, [1.0, -1.0]),
+        GammaOutOfRange,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NAN_CASES)
+def test_constructors_reject_nan(case):
+    build, error = NAN_CASES[case]
+    with pytest.raises(error):
+        build()

@@ -135,6 +135,15 @@ class TestSolver:
         with pytest.raises(DimensionMismatch):
             ic.solve(ic.matching_problem(2.0, 1.0), spec)
 
+    def test_prior_mismatch(self):
+        problem = ic.matching_problem(8.0, 3.0)
+        for spec in (
+            ic.PosteriorSeparableCost(np.array([0.9, 0.1]), ic.ShannonEntropy()),
+            ic.ConvexPSCost(np.array([0.9, 0.1]), ic.ShannonEntropy(), ic.IdentityTransform()),
+        ):
+            with pytest.raises(DimensionMismatch):
+                ic.solve(problem, spec, ic.SolveOptions(starts=1, max_iter=1))
+
 
 class TestClaim1Region:
     def test_band_and_corners_at_v8(self):
