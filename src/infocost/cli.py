@@ -169,17 +169,7 @@ def _cmd_axioms(args) -> int:
         tol=args.tol,
     )
     reports = axioms.run_suite(spec, profile)
-    payload = [
-        {
-            "axiom": r.axiom,
-            "samples": r.samples,
-            "worst_violation": r.worst_violation,
-            "passed": r.passed,
-            "witness": r.witness,
-        }
-        for r in reports
-    ]
-    _emit_json(payload, args.out)
+    _emit_json([json.loads(r.to_json()) for r in reports], args.out)
     return EXIT_OK
 
 

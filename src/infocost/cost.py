@@ -436,6 +436,140 @@ def eval_cost(spec: CostSpec, mu: FiniteExperiment) -> float:
     raise BadCostSpec(f"unknown cost specification {spec!r}")
 
 
+# ---------------------------------------------------------------------------
+# batched evaluation
+# ---------------------------------------------------------------------------
+
+# NumPy sums fewer than 8 terms strictly left to right (pairwise summation
+# starts at 8), so below this length a sum with the scalar path's dropped
+# terms replaced by zeros rounds exactly like the scalar sum over kept terms.
+_EXACT_SUM_TERMS = 8
+
+
+def _pair_kls(probs: np.ndarray) -> np.ndarray:
+    """kl[b, i, j] = _kl_raw(probs[b, i], probs[b, j]) for every state pair."""
+    p, q = probs[:, :, None, :], probs[:, None, :, :]
+    pos = p > 0
+    logs = np.log(probs)
+    terms = np.where(pos, p * (logs[:, :, None, :] - logs[:, None, :, :]), 0.0)
+    return np.where(np.any(pos & (q == 0.0), axis=-1), math.inf, terms.sum(axis=-1))
+
+
+def _weighted_totals(terms, rows: int) -> np.ndarray:
+    """Sum of w * d over (w, d[rows]) terms in order; inf in a row once any of
+    its d is infinite, where the scalar loops return early."""
+    total = np.zeros(rows)
+    hit = np.zeros(rows, dtype=bool)
+    for w, d in terms:
+        hit |= np.isinf(d)
+        total = total + w * d
+    return np.where(hit, math.inf, total)
+
+
+def _kl_forms(beta: np.ndarray, kl: np.ndarray) -> np.ndarray:
+    """_kl_form over a stack, from its pair divergences."""
+    terms = ((beta[i, j], kl[:, i, j]) for i, j in zip(*np.nonzero(beta)))
+    return _weighted_totals(terms, kl.shape[0])
+
+
+def _hellinger_sums(alpha: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """divergence.hellinger_sum over a stack.  Each row takes the branch the
+    scalar path takes; the zero-convention one runs only if some row has a zero."""
+    logs = np.log(probs)
+    positive = np.all(probs > 0.0, axis=(1, 2))
+    direct = np.exp(alpha @ logs).sum(axis=-1)
+    if positive.all():
+        return direct
+    active = alpha != 0.0
+    contrib = alpha[active, None] * logs[:, active, :]
+    logv = np.where(np.isfinite(contrib), contrib, 0.0).sum(axis=1)
+    logv[np.any(contrib == math.inf, axis=1)] = math.inf
+    logv[np.any(contrib == -math.inf, axis=1)] = -math.inf
+    zeros = np.where(np.isfinite(logv), np.exp(logv), 0.0).sum(axis=-1)
+    zeros[np.any(logv == math.inf, axis=-1)] = math.inf
+    return np.where(positive, direct, zeros)
+
+
+def _extended_divergences(alpha: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """divergence.extended_divergence over a stack."""
+    total = _hellinger_sums(alpha, probs)
+    prefactor = 1.0 / (alpha.max() - 1.0)
+    out = np.empty_like(total)
+    zero, inf = total == 0.0, np.isinf(total)
+    out[zero] = math.inf if prefactor < 0 else 0.0
+    out[inf] = math.inf if prefactor > 0 else 0.0
+    rest = ~(zero | inf)
+    clamped = np.minimum(total[rest], 1.0) if prefactor < 0 else np.maximum(total[rest], 1.0)
+    # math.log, as in the scalar path: NumPy's vector log can differ in the last bit
+    out[rest] = [prefactor * math.log(t) for t in clamped.tolist()]
+    return out
+
+
+def _measure_integrals(measure: DivergenceMeasure, probs: np.ndarray) -> np.ndarray:
+    """_measure_integral over a stack, for a measure of interior atoms."""
+    terms = ((w, _extended_divergences(p.alpha, probs)) for w, p in measure.atoms if w != 0.0)
+    return _weighted_totals(terms, probs.shape[0])
+
+
+def _shannon_ps_values(prior: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """_ps_value with the Shannon potential over a stack; dropped atoms add zero."""
+    marginal = prior @ probs
+    keep = marginal > 0
+    post = prior[None, :, None] * probs / marginal[:, None, :]
+    v = np.where(post > 0, post * np.log(post), 0.0).sum(axis=1)
+    hit = np.any(keep & np.isinf(v), axis=1)
+    total = np.where(keep, marginal * v, 0.0).sum(axis=1)
+    return np.where(hit, math.inf, total - potential_value(ShannonEntropy(), prior, prior))
+
+
+def _running_max(values: list) -> np.ndarray:
+    """Python's max() per row: the first value, replaced only by a larger one."""
+    out = values[0]
+    for v in values[1:]:
+        out = np.where(v > out, v, out)
+    return out
+
+
+def _batched_costs(spec: CostSpec, probs: np.ndarray) -> Optional[np.ndarray]:
+    if isinstance(spec, (KLCost, MaxKLCost)):
+        kl = _pair_kls(probs)
+        betas = (spec.beta,) if isinstance(spec, KLCost) else spec.betas
+        return _running_max([_kl_forms(b, kl) for b in betas])
+    if isinstance(spec, RenyiCost):
+        if spec.lam == 0.0:
+            return np.zeros(probs.shape[0])
+        return spec.lam * _extended_divergences(spec.param.alpha, probs)
+    if isinstance(spec, MaxRenyiCost) and all(
+        isinstance(p, InteriorParam) for m in spec.measures for _, p in m.atoms
+    ):
+        return _running_max([_measure_integrals(m, probs) for m in spec.measures])
+    if isinstance(spec, PosteriorSeparableCost) and isinstance(spec.potential, ShannonEntropy):
+        return _shannon_ps_values(spec.prior, probs)
+    return None
+
+
+def eval_costs(spec: CostSpec, probs) -> np.ndarray:
+    """Evaluate a cost specification on a stack of matrices ``probs[B, n, s]``.
+
+    Entry b equals ``eval_cost(spec, FiniteExperiment(probs[b]))`` exactly,
+    including inf, NaN and matrices whose rows are not stochastic.  Weighted-KL
+    sums, interior Rényi atoms and the Shannon posterior-separable cost take
+    one NumPy pass over the stack when it has fewer than 8 states and signals;
+    everything else is evaluated matrix by matrix.
+    """
+    probs = np.asarray(probs, dtype=float)
+    n = spec_n_states(spec)
+    if probs.ndim != 3 or probs.shape[1] != n:
+        raise DimensionMismatch(f"spec is {n}-state, stack has shape {probs.shape}")
+    out = None
+    if max(probs.shape[1:]) < _EXACT_SUM_TERMS:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = _batched_costs(spec, probs)
+    if out is None:
+        out = np.array([eval_cost(spec, FiniteExperiment(p)) for p in probs], dtype=float)
+    return out
+
+
 def renyi_cost_as_transform_check(
     lam: float, alpha, q, mu: FiniteExperiment
 ) -> tuple[float, float]:

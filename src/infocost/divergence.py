@@ -354,8 +354,8 @@ def diluted_power_divergence(mu: FiniteExperiment, k: int, gamma: float, psi) ->
     sup = _direction(psi, mu)
     if math.isinf(gamma) or gamma == 1.0 or not (gamma >= 1.0 / mu.n_states):
         raise GammaOutOfRange(f"gamma must be finite, != 1, >= 1/{mu.n_states}")
-    if k < 1:
-        raise GammaOutOfRange(f"k must be a positive integer, got {k}")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise GammaOutOfRange(f"k must be a positive integer, got {k!r}")
     alpha = _exponents(gamma, sup)
     if abs(alpha.max() - gamma) > 1e-12:
         raise BadPsi("gamma must equal the largest exponent of the induced alpha")

@@ -3,8 +3,11 @@
 The solver maximizes over stochastic choice functions (one signal per action)
 by multi-start projected-gradient ascent with finite-difference cost
 gradients, so any cost specification, including non-differentiable maxima and
-custom potentials, is supported.  A binary symmetric matching instance admits
-a two-parameter closed form used as an independent cross-check.
+custom potentials, is supported.  Each gradient is one batched cost pass
+(:func:`infocost.cost.eval_costs`) over the stack of perturbed choice
+matrices, and each step projects all rows onto the simplex at once.  A binary
+symmetric matching instance admits a two-parameter closed form used as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -22,11 +25,12 @@ from .cost import (
     MaxRenyiCost,
     PosteriorSeparableCost,
     eval_cost,
+    eval_costs,
     spec_n_states,
 )
 from .divergence import DivergenceMeasure, InteriorParam, _golden_max
 from .errors import DimensionMismatch, NoRootInBracket, TOutOfRange
-from .experiment import FiniteExperiment, _check_prior
+from .experiment import FiniteExperiment, _check_prior, _freeze
 
 GRAD_CLIP = 1e8
 
@@ -48,10 +52,8 @@ class RIProblem:
         u = np.asarray(self.utilities, dtype=float)
         if u.ndim != 2 or u.shape[1] != q.shape[0] or not np.all(np.isfinite(u)):
             raise DimensionMismatch("utilities must be a finite matrix actions x states")
-        q.setflags(write=False)
-        u.setflags(write=False)
-        object.__setattr__(self, "prior", q)
-        object.__setattr__(self, "utilities", u)
+        object.__setattr__(self, "prior", _freeze(q.copy()))
+        object.__setattr__(self, "utilities", _freeze(u.copy()))
 
     @property
     def n_states(self) -> int:
@@ -87,19 +89,16 @@ class SolveOptions:
 # ---------------------------------------------------------------------------
 
 
-def _project_row(y: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, y.shape[0] + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[rho - 1] / rho
-    return np.clip(y - theta, 0.0, None)
-
-
 def _project_rows(m: np.ndarray) -> np.ndarray:
-    return np.vstack([_project_row(row) for row in m])
+    """Euclidean projection of every row onto the probability simplex at once
+    (sort-based; Duchi, Shalev-Shwartz, Singer & Chandra 2008)."""
+    u = np.sort(m, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    idx = np.arange(1, m.shape[1] + 1)
+    # rho: the last sorted position that stays positive after the shift
+    rho = m.shape[1] - np.argmax((u - css / idx > 0)[:, ::-1], axis=1)
+    theta = css[np.arange(m.shape[0]), rho - 1] / rho
+    return np.clip(m - theta[:, None], 0.0, None)
 
 
 def _objective_factory(problem: RIProblem, spec: CostSpec):
@@ -115,23 +114,25 @@ def _objective_factory(problem: RIProblem, spec: CostSpec):
         return expected_utility(p) - c
 
     def gradient(p: np.ndarray, h: float) -> np.ndarray:
-        g = qu.T.copy()  # analytic expected-utility part
-        for i in range(p.shape[0]):
-            for a in range(p.shape[1]):
-                x = p[i, a]
-                lo, hi = max(x - h, 0.0), x + h
-                work = p.copy()
-                work[i, a] = hi
-                c_hi = eval_cost(spec, FiniteExperiment(work))
-                work[i, a] = lo
-                c_lo = eval_cost(spec, FiniteExperiment(work))
-                if math.isfinite(c_hi) and math.isfinite(c_lo):
-                    g[i, a] -= (c_hi - c_lo) / (hi - lo)
-                elif math.isinf(c_hi):
-                    g[i, a] = -GRAD_CLIP  # stepping up hits an infinite cost
-                else:
-                    g[i, a] = GRAD_CLIP
-        return np.clip(g, -GRAD_CLIP, GRAD_CLIP)
+        # stack row k moves entry k of p up to x + h, row nm + k down to max(x - h, 0)
+        n, m = p.shape
+        x = p.ravel()
+        hi, lo = x + h, np.maximum(x - h, 0.0)
+        stack = np.tile(x, (2, x.size, 1))
+        k = np.arange(x.size)
+        stack[0, k, k] = hi
+        stack[1, k, k] = lo
+        costs = eval_costs(spec, stack.reshape(2 * x.size, n, m))
+        c_hi, c_lo = costs[: x.size], costs[x.size :]
+        with np.errstate(invalid="ignore"):
+            slope = (c_hi - c_lo) / (hi - lo)
+        # a non-finite pair clips: infinite one step up pushes the entry down, else up
+        g = np.where(
+            np.isfinite(c_hi) & np.isfinite(c_lo),
+            qu.T.ravel() - slope,  # analytic expected-utility part minus the cost slope
+            np.where(np.isinf(c_hi), -GRAD_CLIP, GRAD_CLIP),
+        )
+        return np.clip(g.reshape(n, m), -GRAD_CLIP, GRAD_CLIP)
 
     return objective, gradient
 

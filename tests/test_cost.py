@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import infocost as ic
 from infocost.errors import BadCostSpec, DimensionMismatch, NoSecondDerivative, TransformDomain
@@ -110,6 +112,8 @@ class TestEvalCost:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             ic.eval_cost(kl_spec(), ic.uninformative(3, 2))
+        with pytest.raises(DimensionMismatch):
+            ic.eval_costs(kl_spec(), np.full((1, 3, 2), 0.5))
 
     def test_cost_rejects_exponents_above_one(self):
         with pytest.raises(BadCostSpec):
@@ -118,6 +122,78 @@ class TestEvalCost:
             ic.MaxRenyiCost(
                 (ic.DivergenceMeasure(((1.0, ic.InteriorParam(np.array([2.0, -1.0]))),)),)
             )
+
+
+def batched_specs(rng, n):
+    """One specification per family that eval_costs evaluates in one pass."""
+    prior = 0.2 / n + 0.8 * rng.dirichlet(np.ones(n))
+    betas = rng.uniform(0.1, 1.0, size=(2, n, n)) * (1.0 - np.eye(n))
+    betas[1, 0, 1] = 0.0
+    alphas = rng.dirichlet(np.ones(n), size=2)
+    if n > 2:
+        alphas[1, 0] = 0.0  # a zero exponent drops its state from the product
+        alphas[1] /= alphas[1].sum()
+    a, b = ic.InteriorParam(alphas[0]), ic.InteriorParam(alphas[1])
+    return {
+        "kl": ic.KLCost(betas[0]),
+        "max_kl": ic.MaxKLCost(tuple(betas)),
+        "renyi": ic.RenyiCost(0.7, a),
+        "max_renyi": ic.MaxRenyiCost(
+            (ic.DivergenceMeasure(((0.5, a), (0.0, b), (0.5, b))), ic.DivergenceMeasure(((1.0, b),)))
+        ),
+        "shannon": ic.PosteriorSeparableCost(prior, ic.ShannonEntropy()),
+    }
+
+
+def perturbed_stack(rng, b, n, s):
+    """Choice matrices as the solver's gradient makes them: entries moved up by
+    1e-6 or down to max(x - 1e-6, 0), off the simplex, with exact zeros."""
+    probs = rng.dirichlet(np.ones(s), size=(b, n))
+    probs[rng.random(probs.shape) < 0.25] = 0.0
+    step = rng.choice([0.0, 1e-6, -1e-6], size=probs.shape, p=[0.8, 0.1, 0.1])
+    return np.maximum(probs + step, 0.0)
+
+
+def scalar_costs(spec, probs):
+    return [ic.eval_cost(spec, ic.FiniteExperiment(p)) for p in probs]
+
+
+class TestEvalCosts:
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from(["kl", "max_kl", "renyi", "max_renyi", "shannon"]),
+        st.integers(2, 4),
+        st.integers(2, 6),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_batched_families_match_scalar_path(self, seed, family, n, s, b):
+        rng = np.random.default_rng(seed)
+        spec = batched_specs(rng, n)[family]
+        probs = perturbed_stack(rng, b, n, s)
+        np.testing.assert_array_equal(ic.eval_costs(spec, probs), scalar_costs(spec, probs))
+
+    def test_infinite_rows(self):
+        probs = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5], [0.5, 0.5]]])
+        for spec in batched_specs(np.random.default_rng(0), 2).values():
+            got = ic.eval_costs(spec, probs)
+            np.testing.assert_array_equal(got, scalar_costs(spec, probs))
+            assert got[0] == math.inf or isinstance(spec, ic.PosteriorSeparableCost)
+
+    def test_other_specs_go_through_the_scalar_loop(self):
+        rng = np.random.default_rng(4)
+        probs = perturbed_stack(rng, 4, 2, 3)
+        sup = ic.SupParam(np.array([1.0, -1.0]))
+        specs = [
+            ic.PosteriorSeparableCost(np.array([0.4, 0.6]), ic.CustomPotential(lambda p, q: float(np.sum(p * p)))),
+            ic.MaxRenyiCost((ic.DivergenceMeasure(((0.5, sup), (0.5, ic.InteriorParam(np.array([0.3, 0.7]))))),)),
+            ic.PosteriorSeparableCost(np.array([0.4, 0.6]), ic.Tsallis(1.5)),
+        ]
+        for spec in specs:
+            np.testing.assert_array_equal(ic.eval_costs(spec, probs), scalar_costs(spec, probs))
+        wide = perturbed_stack(rng, 3, 2, 9)  # 8 or more signals: summed as the scalar path sums
+        spec = kl_spec(0.5, 1.5)
+        np.testing.assert_array_equal(ic.eval_costs(spec, wide), scalar_costs(spec, wide))
 
 
 class TestPosteriorSeparable:

@@ -248,6 +248,15 @@ class TestDilutedPower:
         assert all(a > b for a, b in zip(low, low[1:])) and low[-1] < 0.05
         assert all(a < b for a, b in zip(high, high[1:])) and high[-1] > high[0]
 
+    def test_k_must_be_a_positive_integer(self):
+        psi = [1.0, -1.0]
+        for k in (2.5, 2.0, 0, -1, np.float64(3.0)):
+            with pytest.raises(GammaOutOfRange):
+                ic.diluted_power_divergence(SYM75, k, 0.6, psi)
+        assert ic.diluted_power_divergence(SYM75, np.int64(3), 0.6, psi) == (
+            ic.diluted_power_divergence(SYM75, 3, 0.6, psi)
+        )
+
 
 class TestChernoffAndPrivacy:
     def test_uninformative_zero(self):

@@ -7,7 +7,14 @@ import pytest
 
 import infocost as ic
 from infocost.errors import DimensionMismatch, NoRootInBracket
-from infocost.ri_solver import _foc, _golden_max, _mixing_kernel
+from infocost.ri_solver import (
+    GRAD_CLIP,
+    _foc,
+    _golden_max,
+    _mixing_kernel,
+    _objective_factory,
+    _project_rows,
+)
 
 
 def inst(v=8.0, w=4.0, lam=1.0, t=0.5):
@@ -143,6 +150,81 @@ class TestSolver:
         ):
             with pytest.raises(DimensionMismatch):
                 ic.solve(problem, spec, ic.SolveOptions(starts=1, max_iter=1))
+
+
+    def test_problem_leaves_caller_arrays_writable(self):
+        q, u = np.array([0.5, 0.5]), np.array([[1.0, 0.0], [0.0, 1.0]])
+        problem = ic.RIProblem(q, u)
+        q[0], u[0, 0] = 0.4, 2.0
+        assert problem.prior[0] == 0.5 and problem.utilities[0, 0] == 1.0
+        assert not problem.prior.flags.writeable and not problem.utilities.flags.writeable
+
+
+def reference_projection(m):
+    """Row-by-row sort-based simplex projection."""
+    rows = []
+    for y in m:
+        u = np.sort(y)[::-1]
+        css = np.cumsum(u) - 1.0
+        idx = np.arange(1, y.shape[0] + 1)
+        rho = idx[u - css / idx > 0][-1]
+        rows.append(np.clip(y - css[rho - 1] / rho, 0.0, None))
+    return np.vstack(rows)
+
+
+def reference_gradient(problem, spec, p, h):
+    """Per-entry finite differences, one scalar eval_cost per perturbed matrix."""
+    g = (problem.prior[None, :] * problem.utilities).T.copy()
+    for i in range(p.shape[0]):
+        for a in range(p.shape[1]):
+            x = p[i, a]
+            lo, hi = max(x - h, 0.0), x + h
+            work = p.copy()
+            work[i, a] = hi
+            c_hi = ic.eval_cost(spec, ic.FiniteExperiment(work))
+            work[i, a] = lo
+            c_lo = ic.eval_cost(spec, ic.FiniteExperiment(work))
+            if math.isfinite(c_hi) and math.isfinite(c_lo):
+                g[i, a] -= (c_hi - c_lo) / (hi - lo)
+            elif math.isinf(c_hi):
+                g[i, a] = -GRAD_CLIP
+            else:
+                g[i, a] = GRAD_CLIP
+    return np.clip(g, -GRAD_CLIP, GRAD_CLIP)
+
+
+class TestSolverSteps:
+    def test_projection_matches_row_reference(self):
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            k, m = rng.integers(1, 6), rng.integers(2, 7)
+            y = rng.standard_normal((k, m)) * 10.0 ** rng.uniform(-3, 3)
+            for case in (y, np.round(y, 1), -np.abs(y), np.repeat(y[:, :1], m, axis=1)):
+                got = _project_rows(case)
+                np.testing.assert_array_equal(got, reference_projection(case))
+                assert np.all(got >= 0.0)
+                np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=0, atol=1e-10)
+
+    def test_batched_gradient_matches_per_entry_reference(self):
+        rng = np.random.default_rng(11)
+        matching = ic.matching_problem(8.0, 6.1)
+        three = ic.RIProblem(np.array([0.45, 0.35, 0.2]), rng.uniform(0.0, 3.0, size=(4, 3)))
+        beta = 1.0 - np.eye(3)
+        cases = [
+            (matching, ic.symmetric_renyi_cost_spec(1.0, 0.5)),
+            (matching, ic.PosteriorSeparableCost(matching.prior, ic.ShannonEntropy())),
+            (matching, ic.MaxKLCost((np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])))),
+            (matching, ic.PosteriorSeparableCost(matching.prior, ic.Tsallis(1.5))),  # scalar loop
+            (three, ic.PosteriorSeparableCost(three.prior, ic.ShannonEntropy())),
+            (three, ic.KLCost(beta)),
+        ]
+        for problem, spec in cases:
+            _, gradient = _objective_factory(problem, spec)
+            for _ in range(10):
+                p = rng.dirichlet(np.full(problem.n_actions, 0.5), size=problem.n_states)
+                p[rng.random(p.shape) < 0.2] = 0.0
+                p[rng.random(p.shape) < 0.1] = 4e-7  # the lower step clips at zero
+                np.testing.assert_array_equal(gradient(p, 1e-6), reference_gradient(problem, spec, p, 1e-6))
 
 
 class TestClaim1Region:
