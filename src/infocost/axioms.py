@@ -61,6 +61,7 @@ class AxiomProfile:
 class AxiomReport:
     axiom: str
     samples: int
+    evaluated: int
     worst_violation: float
     witness: Optional[dict]
     passed: bool
@@ -70,6 +71,7 @@ class AxiomReport:
             {
                 "axiom": self.axiom,
                 "samples": self.samples,
+                "evaluated": self.evaluated,
                 "worst_violation": self.worst_violation,
                 "passed": self.passed,
                 "witness": self.witness,
@@ -204,7 +206,9 @@ def check_axiom(
     """Sample instances of one axiom's defining relation and report the worst case.
 
     The report passes iff no sampled residual exceeds the tolerance relative
-    to max(1, |cost|).  The stored witness re-evaluates standalone through
+    to max(1, |cost|).  ``evaluated`` counts the samples that gave a residual
+    (the rest were uninformative and skipped); with none the report passes
+    without evidence.  The stored witness re-evaluates standalone through
     :func:`reevaluate_witness`.
     """
     axiom = Axiom(axiom)
@@ -218,18 +222,22 @@ def check_axiom(
     rng = np.random.default_rng(profile.seed)
     worst = -math.inf
     witness = None
+    evaluated = 0
     for _ in range(profile.n_samples):
         sample = _sample_inputs(axiom, rng, profile, n_states, profile.tol)
         res, scale = _residual(spec, axiom, sample)
         if math.isnan(res):
             continue
+        evaluated += 1
         violation = float(res / scale - profile.tol)
         if violation > worst:
             worst = violation
             witness = dict(sample, raw_residual=float(res), scale=float(scale))
     if worst == -math.inf:
         worst = -profile.tol
-    return AxiomReport(axiom.value, profile.n_samples, float(worst), witness, bool(worst <= 0.0))
+    return AxiomReport(
+        axiom.value, profile.n_samples, evaluated, float(worst), witness, bool(worst <= 0.0)
+    )
 
 
 def reevaluate_witness(spec: CostSpec, axiom: Axiom | str, witness: dict, tol: float = 1e-9) -> float:

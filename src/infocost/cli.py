@@ -38,12 +38,23 @@ def _read_file(path: str) -> str:
         raise InputProblem(f"cannot read {path}: {exc}") from exc
 
 
-def _load_experiment(path: str) -> FiniteExperiment:
-    text = _read_file(path)
+def _parse_json(text: str, what: str):
+    """Parse a JSON document; malformed text and NaN/Infinity literals are input errors."""
+
+    def reject(name: str):
+        raise InputProblem(f"{what}: {name} is not a number")
+
     try:
-        payload = json.loads(text)
+        return json.loads(text, parse_constant=reject)
+    except json.JSONDecodeError as exc:
+        raise InputProblem(f"{what}: invalid JSON: {exc}") from exc
+
+
+def _load_experiment(path: str) -> FiniteExperiment:
+    payload = _parse_json(_read_file(path), path)
+    try:
         probs = payload["probs"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputProblem(f"{path}: not a valid experiment file: {exc}") from exc
     from .experiment import new_experiment
 
@@ -51,11 +62,7 @@ def _load_experiment(path: str) -> FiniteExperiment:
 
 
 def _load_cost(path: str):
-    text = _read_file(path)
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputProblem(f"{path}: invalid JSON: {exc}") from exc
+    payload = _parse_json(_read_file(path), path)
     try:
         return cost.cost_from_json(payload)
     except (KeyError, TypeError) as exc:
@@ -63,10 +70,7 @@ def _load_cost(path: str):
 
 
 def _load_param(text: str):
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputProblem(f"--param: invalid JSON: {exc}") from exc
+    payload = _parse_json(text, "--param")
     try:
         return divergence.param_from_json(payload)
     except (KeyError, TypeError) as exc:
@@ -174,14 +178,13 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    text = _read_file(args.problem)
+    payload = _parse_json(_read_file(args.problem), args.problem)
     try:
-        payload = json.loads(text)
         problem = ri_solver.RIProblem(
             np.asarray(payload["prior"], dtype=float),
             np.asarray(payload["utilities"], dtype=float),
         )
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputProblem(f"{args.problem}: not a valid problem file: {exc}") from exc
     spec = _load_cost(args.cost)
     options = ri_solver.SolveOptions(
@@ -251,10 +254,7 @@ def _cmd_tsallis(args) -> int:
 
 def _cmd_approx(args) -> int:
     mu = _load_experiment(args.experiment)
-    try:
-        prior = np.asarray(json.loads(args.prior), dtype=float)
-    except json.JSONDecodeError as exc:
-        raise InputProblem(f"--prior: invalid JSON: {exc}") from exc
+    prior = np.asarray(_parse_json(args.prior, "--prior"), dtype=float)
     k_list = [int(k) for k in _parse_grid(args.k_list)]
     grid = divergence.default_param_grid(mu.n_states, args.grid, seed=args.seed)
     rows = approx.sandwich_report(mu, prior, k_list, grid)

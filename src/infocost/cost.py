@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -22,13 +23,12 @@ import numpy as np
 from .divergence import (
     DivergenceMeasure,
     InteriorParam,
-    _kl_raw,
     extended_divergence,
     param_from_json,
     param_to_json,
     unified_divergence,
 )
-from .errors import BadCostSpec, DimensionMismatch, NoSecondDerivative, TransformDomain
+from .errors import BadCostSpec, DimensionMismatch, NoSecondDerivative, NotADistribution, TransformDomain
 from .experiment import FiniteExperiment, _check_prior, _freeze, posteriors
 
 
@@ -234,9 +234,10 @@ def apply_transform(transform: TransformSpec, x: float) -> float:
     if isinstance(transform, IdentityTransform):
         return x
     if isinstance(transform, RenyiLogTransform):
-        if x > 1.0:
+        # a fully revealing experiment's Rényi-potential cost is 1, give or take rounding
+        if x > 1.0 + 1e-12:
             raise TransformDomain(f"argument {x!r} above the transform domain")
-        if x == 1.0:
+        if x >= 1.0:
             return math.inf
         return transform.lam / (transform.alpha_max - 1.0) * math.log(1.0 - x)
     if isinstance(transform, CustomTransform):
@@ -376,33 +377,6 @@ def spec_n_states(spec: CostSpec) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _kl_form(beta: np.ndarray, mu: FiniteExperiment) -> float:
-    total = 0.0
-    n = mu.n_states
-    for i in range(n):
-        for j in range(n):
-            bij = beta[i, j]
-            if bij == 0.0:
-                continue
-            d = _kl_raw(mu.probs[i], mu.probs[j])
-            if math.isinf(d):
-                return math.inf
-            total += bij * d
-    return total
-
-
-def _measure_integral(measure: DivergenceMeasure, mu: FiniteExperiment) -> float:
-    total = 0.0
-    for w, p in measure.atoms:
-        if w == 0.0:
-            continue
-        d = unified_divergence(p, mu)
-        if math.isinf(d):
-            return math.inf
-        total += w * d
-    return total
-
-
 def _ps_value(prior: np.ndarray, potential: PotentialSpec, mu: FiniteExperiment) -> float:
     pd = posteriors(mu, prior)
     total = 0.0
@@ -414,160 +388,103 @@ def _ps_value(prior: np.ndarray, potential: PotentialSpec, mu: FiniteExperiment)
     return total - potential_value(potential, prior, prior)
 
 
-def eval_cost(spec: CostSpec, mu: FiniteExperiment) -> float:
-    """Evaluate a cost specification on an experiment (extended real >= 0)."""
-    n = spec_n_states(spec)
-    if n != mu.n_states:
-        raise DimensionMismatch(f"spec is {n}-state, experiment has {mu.n_states}")
-    if isinstance(spec, KLCost):
-        return _kl_form(spec.beta, mu)
-    if isinstance(spec, MaxKLCost):
-        return max(_kl_form(b, mu) for b in spec.betas)
-    if isinstance(spec, RenyiCost):
-        if spec.lam == 0.0:
-            return 0.0
-        return spec.lam * extended_divergence(spec.param, mu)
-    if isinstance(spec, MaxRenyiCost):
-        return max(_measure_integral(m, mu) for m in spec.measures)
-    if isinstance(spec, PosteriorSeparableCost):
-        return _ps_value(spec.prior, spec.potential, mu)
-    if isinstance(spec, ConvexPSCost):
-        return apply_transform(spec.transform, _ps_value(spec.prior, spec.potential, mu))
-    raise BadCostSpec(f"unknown cost specification {spec!r}")
-
-
-# ---------------------------------------------------------------------------
-# batched evaluation
-# ---------------------------------------------------------------------------
-
-# NumPy sums fewer than 8 terms strictly left to right (pairwise summation
-# starts at 8), so below this length a sum with the scalar path's dropped
-# terms replaced by zeros rounds exactly like the scalar sum over kept terms.
-_EXACT_SUM_TERMS = 8
-
-
 def _pair_kls(probs: np.ndarray) -> np.ndarray:
-    """kl[b, i, j] = _kl_raw(probs[b, i], probs[b, j]) for every state pair."""
+    """kl[b, i, j] = KL(probs[b, i] || probs[b, j]) for every state pair."""
     p, q = probs[:, :, None, :], probs[:, None, :, :]
     pos = p > 0
     logs = np.log(probs)
     terms = np.where(pos, p * (logs[:, :, None, :] - logs[:, None, :, :]), 0.0)
-    return np.where(np.any(pos & (q == 0.0), axis=-1), math.inf, terms.sum(axis=-1))
-
-
-def _weighted_totals(terms, rows: int) -> np.ndarray:
-    """Sum of w * d over (w, d[rows]) terms in order; inf in a row once any of
-    its d is infinite, where the scalar loops return early."""
-    total = np.zeros(rows)
-    hit = np.zeros(rows, dtype=bool)
-    for w, d in terms:
-        hit |= np.isinf(d)
-        total = total + w * d
-    return np.where(hit, math.inf, total)
+    return np.where((pos & (q == 0.0)).any(axis=-1), math.inf, terms.sum(axis=-1))
 
 
 def _kl_forms(beta: np.ndarray, kl: np.ndarray) -> np.ndarray:
-    """_kl_form over a stack, from its pair divergences."""
-    terms = ((beta[i, j], kl[:, i, j]) for i, j in zip(*np.nonzero(beta)))
-    return _weighted_totals(terms, kl.shape[0])
-
-
-def _hellinger_sums(alpha: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """divergence.hellinger_sum over a stack.  Each row takes the branch the
-    scalar path takes; the zero-convention one runs only if some row has a zero."""
-    logs = np.log(probs)
-    positive = np.all(probs > 0.0, axis=(1, 2))
-    direct = np.exp(alpha @ logs).sum(axis=-1)
-    if positive.all():
-        return direct
-    active = alpha != 0.0
-    contrib = alpha[active, None] * logs[:, active, :]
-    logv = np.where(np.isfinite(contrib), contrib, 0.0).sum(axis=1)
-    logv[np.any(contrib == math.inf, axis=1)] = math.inf
-    logv[np.any(contrib == -math.inf, axis=1)] = -math.inf
-    zeros = np.where(np.isfinite(logv), np.exp(logv), 0.0).sum(axis=-1)
-    zeros[np.any(logv == math.inf, axis=-1)] = math.inf
-    return np.where(positive, direct, zeros)
+    """sum_ij beta_ij KL(mu_i || mu_j) over a stack, from its pair divergences."""
+    terms = (beta[i, j] * kl[:, i, j] for i, j in zip(*np.nonzero(beta)))
+    return sum(terms, np.zeros(kl.shape[0]))
 
 
 def _extended_divergences(alpha: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """divergence.extended_divergence over a stack."""
-    total = _hellinger_sums(alpha, probs)
-    prefactor = 1.0 / (alpha.max() - 1.0)
-    out = np.empty_like(total)
-    zero, inf = total == 0.0, np.isinf(total)
-    out[zero] = math.inf if prefactor < 0 else 0.0
-    out[inf] = math.inf if prefactor > 0 else 0.0
-    rest = ~(zero | inf)
-    clamped = np.minimum(total[rest], 1.0) if prefactor < 0 else np.maximum(total[rest], 1.0)
-    # math.log, as in the scalar path: NumPy's vector log can differ in the last bit
-    out[rest] = [prefactor * math.log(t) for t in clamped.tolist()]
-    return out
+    """divergence.extended_divergence over a stack, for nonnegative alpha (so
+    max(alpha) < 1).  A zero probability with a positive exponent drops its
+    signal; a zero exponent drops its state, whose entries are read as 1
+    (0 ** 0 = 1)."""
+    logs = np.log(np.where(alpha[:, None] > 0, probs, 1.0))
+    total = np.exp(alpha @ logs).sum(axis=-1)
+    # the sum is at most 1 in exact arithmetic: clamp rounding; a zero sum gives +inf
+    return 1.0 / (alpha.max() - 1.0) * np.log(np.minimum(total, 1.0))
 
 
-def _measure_integrals(measure: DivergenceMeasure, probs: np.ndarray) -> np.ndarray:
-    """_measure_integral over a stack, for a measure of interior atoms."""
-    terms = ((w, _extended_divergences(p.alpha, probs)) for w, p in measure.atoms if w != 0.0)
-    return _weighted_totals(terms, probs.shape[0])
+def _measure_integrals(measure: DivergenceMeasure, probs: np.ndarray, interior: dict) -> np.ndarray:
+    """sum_atoms w * D_param over a stack.  ``interior`` holds the divergences
+    already computed for an exponent vector, so atoms sharing one pay once."""
+
+    def divergences(p) -> np.ndarray:
+        if not isinstance(p, InteriorParam):
+            return np.array([unified_divergence(p, FiniteExperiment(m)) for m in probs])
+        key = p.alpha.tobytes()
+        if key not in interior:
+            interior[key] = _extended_divergences(p.alpha, probs)
+        return interior[key]
+
+    terms = (w * divergences(p) for w, p in measure.atoms if w != 0.0)
+    return sum(terms, np.zeros(probs.shape[0]))
 
 
-def _shannon_ps_values(prior: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """_ps_value with the Shannon potential over a stack; dropped atoms add zero."""
+def _ps_values(prior: np.ndarray, potential: PotentialSpec, probs: np.ndarray) -> np.ndarray:
+    """The posterior-separable cost over a stack: one pass for Shannon (signals
+    of zero marginal add zero), a loop over the matrices for every other potential."""
+    if not isinstance(potential, ShannonEntropy):
+        return np.array([_ps_value(prior, potential, FiniteExperiment(m)) for m in probs])
     marginal = prior @ probs
-    keep = marginal > 0
     post = prior[None, :, None] * probs / marginal[:, None, :]
     v = np.where(post > 0, post * np.log(post), 0.0).sum(axis=1)
-    hit = np.any(keep & np.isinf(v), axis=1)
-    total = np.where(keep, marginal * v, 0.0).sum(axis=1)
-    return np.where(hit, math.inf, total - potential_value(ShannonEntropy(), prior, prior))
-
-
-def _running_max(values: list) -> np.ndarray:
-    """Python's max() per row: the first value, replaced only by a larger one."""
-    out = values[0]
-    for v in values[1:]:
-        out = np.where(v > out, v, out)
-    return out
-
-
-def _batched_costs(spec: CostSpec, probs: np.ndarray) -> Optional[np.ndarray]:
-    if isinstance(spec, (KLCost, MaxKLCost)):
-        kl = _pair_kls(probs)
-        betas = (spec.beta,) if isinstance(spec, KLCost) else spec.betas
-        return _running_max([_kl_forms(b, kl) for b in betas])
-    if isinstance(spec, RenyiCost):
-        if spec.lam == 0.0:
-            return np.zeros(probs.shape[0])
-        return spec.lam * _extended_divergences(spec.param.alpha, probs)
-    if isinstance(spec, MaxRenyiCost) and all(
-        isinstance(p, InteriorParam) for m in spec.measures for _, p in m.atoms
-    ):
-        return _running_max([_measure_integrals(m, probs) for m in spec.measures])
-    if isinstance(spec, PosteriorSeparableCost) and isinstance(spec.potential, ShannonEntropy):
-        return _shannon_ps_values(spec.prior, probs)
-    return None
+    return (marginal * v).sum(axis=1) - potential_value(potential, prior, prior)
 
 
 def eval_costs(spec: CostSpec, probs) -> np.ndarray:
     """Evaluate a cost specification on a stack of matrices ``probs[B, n, s]``.
 
-    Entry b equals ``eval_cost(spec, FiniteExperiment(probs[b]))`` exactly,
-    including inf, NaN and matrices whose rows are not stochastic.  Weighted-KL
-    sums, interior Rényi atoms and the Shannon posterior-separable cost take
-    one NumPy pass over the stack when it has fewer than 8 states and signals;
-    everything else is evaluated matrix by matrix.
+    Entry b is the cost of the experiment ``probs[b]`` and depends on that
+    matrix alone, so it equals ``eval_cost(spec, FiniteExperiment(probs[b]))``
+    exactly.  Rows need not be stochastic (the solver's finite differences
+    perturb single entries), but every entry must be a nonnegative number.
+    Weighted-KL sums, interior Rényi atoms and the Shannon posterior-separable
+    cost take one NumPy pass over the stack; weighted-KL and sup atoms, other
+    potentials and transforms are applied matrix by matrix.
     """
-    probs = np.asarray(probs, dtype=float)
+    # C order for every caller: a matmul's rounding can depend on the memory layout
+    probs = np.ascontiguousarray(probs, dtype=float)
     n = spec_n_states(spec)
     if probs.ndim != 3 or probs.shape[1] != n:
         raise DimensionMismatch(f"spec is {n}-state, stack has shape {probs.shape}")
-    out = None
-    if max(probs.shape[1:]) < _EXACT_SUM_TERMS:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = _batched_costs(spec, probs)
-    if out is None:
-        out = np.array([eval_cost(spec, FiniteExperiment(p)) for p in probs], dtype=float)
-    return out
+    if not (probs >= 0).all():
+        raise NotADistribution("signal probabilities must be nonnegative numbers")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if isinstance(spec, (KLCost, MaxKLCost)):
+            kl = _pair_kls(probs)
+            betas = (spec.beta,) if isinstance(spec, KLCost) else spec.betas
+            return reduce(np.maximum, [_kl_forms(b, kl) for b in betas])
+        if isinstance(spec, RenyiCost):
+            if spec.lam == 0.0:
+                return np.zeros(probs.shape[0])
+            return spec.lam * _extended_divergences(spec.param.alpha, probs)
+        if isinstance(spec, MaxRenyiCost):
+            interior: dict = {}
+            return reduce(np.maximum, [_measure_integrals(m, probs, interior) for m in spec.measures])
+        if isinstance(spec, PosteriorSeparableCost):
+            return _ps_values(spec.prior, spec.potential, probs)
+        if isinstance(spec, ConvexPSCost):
+            values = _ps_values(spec.prior, spec.potential, probs)
+            return np.array([apply_transform(spec.transform, v) for v in values.tolist()])
+    raise BadCostSpec(f"unknown cost specification {spec!r}")
+
+
+def eval_cost(spec: CostSpec, mu: FiniteExperiment) -> float:
+    """Evaluate a cost specification on an experiment (extended real >= 0)."""
+    n = spec_n_states(spec)
+    if n != mu.n_states:
+        raise DimensionMismatch(f"spec is {n}-state, experiment has {mu.n_states}")
+    return float(eval_costs(spec, mu.probs[None])[0])
 
 
 def renyi_cost_as_transform_check(

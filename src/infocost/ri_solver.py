@@ -3,11 +3,12 @@
 The solver maximizes over stochastic choice functions (one signal per action)
 by multi-start projected-gradient ascent with finite-difference cost
 gradients, so any cost specification, including non-differentiable maxima and
-custom potentials, is supported.  Each gradient is one batched cost pass
-(:func:`infocost.cost.eval_costs`) over the stack of perturbed choice
-matrices, and each step projects all rows onto the simplex at once.  A binary
-symmetric matching instance admits a two-parameter closed form used as an
-independent cross-check.
+custom potentials, is supported.  Each gradient is one
+:func:`infocost.cost.eval_costs` pass over the stack of perturbed choice
+matrices; line-search candidates go through the same evaluator as stacks of
+one, so both see the same cost for the same matrix.  Each step projects all
+rows onto the simplex at once.  A binary symmetric matching instance admits a
+two-parameter closed form used as an independent cross-check.
 """
 
 from __future__ import annotations

@@ -74,6 +74,14 @@ class TestCheckAxiom:
         b = ic.check_axiom(maxkl_spec(), Axiom.ADDITIVITY, n_samples=100, seed=11)
         assert a == b
 
+    def test_reports_evaluated_samples(self):
+        rep = ic.check_axiom(renyi_spec(), Axiom.INDEPENDENCE, n_samples=50, seed=3)
+        assert rep.samples == 50 and 0 < rep.evaluated <= 50
+        # a zero cost ties every pair, so the ordinal check skips all samples
+        free = ic.RenyiCost(0.0, ic.InteriorParam(np.array([0.5, 0.5])))
+        rep = ic.check_axiom(free, Axiom.INDEPENDENCE, n_samples=50, seed=3)
+        assert rep.samples == 50 and rep.evaluated == 0 and rep.witness is None
+
     def test_dimension_guard(self):
         profile = ic.AxiomProfile(n_states=3)
         with pytest.raises(AxiomNotApplicable):
@@ -169,3 +177,4 @@ class TestRunSuite:
         rep = ic.check_axiom(kl_spec(), Axiom.ADDITIVITY, 50, seed=26)
         text = rep.to_json()
         assert '"axiom": "additivity"' in text
+        assert '"samples": 50, "evaluated": 50,' in text

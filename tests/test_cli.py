@@ -52,6 +52,15 @@ class TestDivergenceCommand:
         )
         assert code == 2 and err
 
+    def test_nan_literal_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"probs": [[NaN, 0.5, 0.5], [0.2, 0.3, 0.5]]}')
+        code, out, err = run(
+            capsys,
+            ["divergence", "--experiment", str(path), "--param", '{"kind":"interior","alpha":[0.5,0.5]}'],
+        )
+        assert code == 2 and not out and "NaN is not a number" in err
+
     def test_dimension_mismatch_exits_1(self, capsys, exp_file):
         code, _, err = run(
             capsys,

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import infocost as ic
-from infocost.errors import BadCostSpec, DimensionMismatch, NoSecondDerivative, TransformDomain
+from infocost.errors import (
+    BadCostSpec,
+    DimensionMismatch,
+    NoSecondDerivative,
+    NotADistribution,
+    TransformDomain,
+)
 
 SYM75 = ic.new_experiment([[0.75, 0.25], [0.25, 0.75]])
 KL_75 = 0.5 * math.log(3.0)
@@ -145,6 +151,29 @@ def batched_specs(rng, n):
     }
 
 
+def all_specs(rng, n, transform=None):
+    """batched_specs plus weighted-KL and sup atoms, the other potentials and a
+    convex transform (the Rényi one unless another is given)."""
+    specs = batched_specs(rng, n)
+    prior = specs["shannon"].prior
+    alpha = specs["renyi"].param.alpha
+    psi = np.concatenate(([1.0], np.full(n - 1, -1.0 / (n - 1))))
+    wkl = ic.WeightedKLParam(0, np.concatenate(([0.0], np.full(n - 1, 1.0 / (n - 1)))))
+    mixed = ic.DivergenceMeasure(((0.4, ic.SupParam(psi)), (0.3, wkl), (0.3, specs["renyi"].param)))
+    specs.update(
+        max_renyi_mixed=ic.MaxRenyiCost((mixed, ic.DivergenceMeasure(((1.0, wkl),)))),
+        tsallis=ic.PosteriorSeparableCost(prior, ic.Tsallis(1.5)),
+        kl_potential=ic.PosteriorSeparableCost(prior, ic.KLPotential(specs["kl"].beta)),
+        renyi_potential=ic.PosteriorSeparableCost(prior, ic.RenyiPotential(alpha)),
+        convex_ps=ic.ConvexPSCost(
+            prior,
+            ic.RenyiPotential(alpha),
+            transform or ic.RenyiLogTransform(1.3, float(alpha.max())),
+        ),
+    )
+    return specs
+
+
 def perturbed_stack(rng, b, n, s):
     """Choice matrices as the solver's gradient makes them: entries moved up by
     1e-6 or down to max(x - 1e-6, 0), off the simplex, with exact zeros."""
@@ -154,8 +183,56 @@ def perturbed_stack(rng, b, n, s):
     return np.maximum(probs + step, 0.0)
 
 
+def stochastic_stack(rng, b, n, s):
+    """Row-stochastic matrices in which about a quarter of the entries are exact zeros."""
+    probs = rng.dirichlet(np.ones(s), size=(b, n))
+    probs[rng.random(probs.shape) < 0.25] = 0.0
+    probs[np.all(probs == 0.0, axis=-1), 0] = 1.0
+    return probs / probs.sum(axis=-1, keepdims=True)
+
+
 def scalar_costs(spec, probs):
     return [ic.eval_cost(spec, ic.FiniteExperiment(p)) for p in probs]
+
+
+def kl_reference(beta, probs):
+    n = probs.shape[0]
+    return sum(
+        beta[i, j] * ic.kl(probs[i], probs[j]) for i in range(n) for j in range(n) if beta[i, j] > 0
+    )
+
+
+def renyi_reference(alpha, probs):
+    """log(sum_s prod_i p_i(s)^alpha_i) / (max alpha - 1), with 0^0 = 1."""
+    total = np.sum(np.prod(probs ** alpha[:, None], axis=0))
+    return math.log(total) / (alpha.max() - 1.0) if total > 0 else math.inf
+
+
+def mutual_information(prior, probs):
+    """sum_i q_i sum_s p_i(s) log(p_i(s) / m(s)) with m = q . p."""
+    m = prior @ probs
+    n, s = probs.shape
+    return sum(
+        prior[i] * probs[i, t] * math.log(probs[i, t] / m[t])
+        for i in range(n)
+        for t in range(s)
+        if probs[i, t] > 0
+    )
+
+
+def reference_cost(spec, probs):
+    if isinstance(spec, ic.KLCost):
+        return kl_reference(spec.beta, probs)
+    if isinstance(spec, ic.MaxKLCost):
+        return max(kl_reference(b, probs) for b in spec.betas)
+    if isinstance(spec, ic.RenyiCost):
+        return spec.lam * renyi_reference(spec.param.alpha, probs)
+    if isinstance(spec, ic.MaxRenyiCost):
+        return max(
+            sum(w * renyi_reference(p.alpha, probs) for w, p in m.atoms if w > 0)
+            for m in spec.measures
+        )
+    return mutual_information(spec.prior, probs)
 
 
 class TestEvalCosts:
@@ -163,15 +240,49 @@ class TestEvalCosts:
         st.integers(0, 10_000),
         st.sampled_from(["kl", "max_kl", "renyi", "max_renyi", "shannon"]),
         st.integers(2, 4),
-        st.integers(2, 6),
+        st.integers(2, 64),
         st.integers(1, 4),
     )
     @settings(max_examples=200, deadline=None)
-    def test_batched_families_match_scalar_path(self, seed, family, n, s, b):
+    def test_matches_independent_references(self, seed, family, n, s, b):
         rng = np.random.default_rng(seed)
         spec = batched_specs(rng, n)[family]
+        probs = stochastic_stack(rng, b, n, s)
+        got = ic.eval_costs(spec, probs)
+        for value, p in zip(got, probs):
+            ref = reference_cost(spec, p)
+            assert value == (math.inf if math.isinf(ref) else pytest.approx(ref, rel=1e-12))
+
+    @given(st.integers(0, 10_000), st.integers(2, 4), st.integers(2, 64), st.integers(1, 24))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_are_independent(self, seed, n, s, b):
+        # the solver compares gradient-stack costs with single-matrix line-search costs
+        rng = np.random.default_rng(seed)
         probs = perturbed_stack(rng, b, n, s)
-        np.testing.assert_array_equal(ic.eval_costs(spec, probs), scalar_costs(spec, probs))
+        # off-simplex rows can carry the Rényi potential's cost past the Rényi transform's domain
+        for spec in all_specs(rng, n, ic.CustomTransform(math.expm1)).values():
+            expected = scalar_costs(spec, probs)
+            np.testing.assert_array_equal(ic.eval_costs(spec, probs), expected)
+            np.testing.assert_array_equal(ic.eval_costs(spec, np.asfortranarray(probs)), expected)
+
+    @given(st.integers(0, 10_000), st.integers(2, 4), st.integers(1, 64))
+    @settings(max_examples=100, deadline=None)
+    def test_nonnegative_and_zero_when_uninformative(self, seed, n, s):
+        rng = np.random.default_rng(seed)
+        mu = ic.FiniteExperiment(stochastic_stack(rng, 1, n, s)[0])
+        flat, single = ic.uninformative(n, s), ic.uninformative(n)
+        specs = all_specs(rng, n)
+        # the Rényi forms divide by max(alpha) - 1, which scales up their rounding
+        alpha_max = max(p.alpha.max() for m in specs["max_renyi"].measures for _, p in m.atoms)
+        tol = 1e-12 / (1.0 - alpha_max)
+        for name, spec in specs.items():
+            assert ic.eval_cost(spec, mu) >= -tol, name
+            assert ic.eval_cost(spec, flat) == pytest.approx(0.0, abs=tol), name
+            if isinstance(spec, (ic.PosteriorSeparableCost, ic.ConvexPSCost)):
+                # posteriors q_i / (q . 1) round away from the prior
+                assert ic.eval_cost(spec, single) == pytest.approx(0.0, abs=tol), name
+            else:
+                assert ic.eval_cost(spec, single) == 0.0, name
 
     def test_infinite_rows(self):
         probs = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5], [0.5, 0.5]]])
@@ -180,20 +291,14 @@ class TestEvalCosts:
             np.testing.assert_array_equal(got, scalar_costs(spec, probs))
             assert got[0] == math.inf or isinstance(spec, ic.PosteriorSeparableCost)
 
-    def test_other_specs_go_through_the_scalar_loop(self):
-        rng = np.random.default_rng(4)
-        probs = perturbed_stack(rng, 4, 2, 3)
-        sup = ic.SupParam(np.array([1.0, -1.0]))
-        specs = [
-            ic.PosteriorSeparableCost(np.array([0.4, 0.6]), ic.CustomPotential(lambda p, q: float(np.sum(p * p)))),
-            ic.MaxRenyiCost((ic.DivergenceMeasure(((0.5, sup), (0.5, ic.InteriorParam(np.array([0.3, 0.7]))))),)),
-            ic.PosteriorSeparableCost(np.array([0.4, 0.6]), ic.Tsallis(1.5)),
-        ]
-        for spec in specs:
-            np.testing.assert_array_equal(ic.eval_costs(spec, probs), scalar_costs(spec, probs))
-        wide = perturbed_stack(rng, 3, 2, 9)  # 8 or more signals: summed as the scalar path sums
-        spec = kl_spec(0.5, 1.5)
-        np.testing.assert_array_equal(ic.eval_costs(spec, wide), scalar_costs(spec, wide))
+    def test_rejects_nan_and_negative_entries(self):
+        for bad in ([[math.nan, 0.5, 0.5], [0.2, 0.3, 0.5]], [[-0.1, 0.6, 0.5], [0.2, 0.3, 0.5]]):
+            probs = np.array(bad)
+            for name, spec in all_specs(np.random.default_rng(1), 2).items():
+                with pytest.raises(NotADistribution):
+                    ic.eval_cost(spec, ic.FiniteExperiment(probs))
+                with pytest.raises(NotADistribution):
+                    ic.eval_costs(spec, np.stack([np.full((2, 3), 1 / 3), probs]))
 
 
 class TestPosteriorSeparable:
@@ -256,6 +361,8 @@ class TestRenyiTransformIdentity:
 
     def test_perfectly_revealing_maps_to_infinity(self):
         assert ic.cost.apply_transform(ic.RenyiLogTransform(1.0, 0.5), 1.0) == math.inf
+        # rounding can carry a revealing experiment's potential cost just past 1
+        assert ic.cost.apply_transform(ic.RenyiLogTransform(1.0, 0.5), 1.0 + 2**-52) == math.inf
 
 
 class TestFCriterion:
