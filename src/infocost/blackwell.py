@@ -8,19 +8,28 @@ certificate whenever the verdict is positive.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import InfoCostError, RowNotStochastic, ShapeMismatch, StateMismatch
 from .experiment import FiniteExperiment, _freeze, restrict_pair
 
 DEFAULT_TOL = 1e-8
 MARGINAL_FACTOR = 100.0
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call.
+
+    SciPy is needed only by the dominance LP; importing it at module level
+    would add its load time to every use of the package.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,6 +170,8 @@ def pairwise_dominates(
         return dominates(restrict_pair(mu, i, j), restrict_pair(nu, i, j), tol)
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(check, pairs))
     else:

@@ -65,7 +65,7 @@ def _load_cost(path: str):
     payload = _parse_json(_read_file(path), path)
     try:
         return cost.cost_from_json(payload)
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise InputProblem(f"{path}: not a valid cost file: {exc}") from exc
 
 
@@ -73,7 +73,7 @@ def _load_param(text: str):
     payload = _parse_json(text, "--param")
     try:
         return divergence.param_from_json(payload)
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise InputProblem(f"--param: not a valid parameter: {exc}") from exc
 
 

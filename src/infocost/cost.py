@@ -237,7 +237,7 @@ def apply_transform(transform: TransformSpec, x: float) -> float:
         # a fully revealing experiment's Rényi-potential cost is 1, give or take rounding
         if x > 1.0 + 1e-12:
             raise TransformDomain(f"argument {x!r} above the transform domain")
-        if x >= 1.0:
+        if x >= 1.0 - 1e-12:
             return math.inf
         return transform.lam / (transform.alpha_max - 1.0) * math.log(1.0 - x)
     if isinstance(transform, CustomTransform):
@@ -441,13 +441,23 @@ def _ps_values(prior: np.ndarray, potential: PotentialSpec, probs: np.ndarray) -
     return (marginal * v).sum(axis=1) - potential_value(potential, prior, prior)
 
 
+def _transform_or_inf(transform: TransformSpec, x: float) -> float:
+    """apply_transform extended by +inf above its domain, where off-simplex
+    rows can carry the inner cost."""
+    try:
+        return apply_transform(transform, x)
+    except TransformDomain:
+        return math.inf
+
+
 def eval_costs(spec: CostSpec, probs) -> np.ndarray:
     """Evaluate a cost specification on a stack of matrices ``probs[B, n, s]``.
 
     Entry b is the cost of the experiment ``probs[b]`` and depends on that
     matrix alone, so it equals ``eval_cost(spec, FiniteExperiment(probs[b]))``
     exactly.  Rows need not be stochastic (the solver's finite differences
-    perturb single entries), but every entry must be a nonnegative number.
+    perturb single entries), but every entry must be a nonnegative number; a
+    row that carries a transform's argument above its domain costs +inf.
     Weighted-KL sums, interior Rényi atoms and the Shannon posterior-separable
     cost take one NumPy pass over the stack; weighted-KL and sup atoms, other
     potentials and transforms are applied matrix by matrix.
@@ -475,7 +485,7 @@ def eval_costs(spec: CostSpec, probs) -> np.ndarray:
             return _ps_values(spec.prior, spec.potential, probs)
         if isinstance(spec, ConvexPSCost):
             values = _ps_values(spec.prior, spec.potential, probs)
-            return np.array([apply_transform(spec.transform, v) for v in values.tolist()])
+            return np.array([_transform_or_inf(spec.transform, v) for v in values.tolist()])
     raise BadCostSpec(f"unknown cost specification {spec!r}")
 
 

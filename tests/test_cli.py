@@ -1,10 +1,16 @@
 """End-to-end command-line interface checks: payloads, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import infocost as ic
 from infocost.cli import main
@@ -61,6 +67,10 @@ class TestDivergenceCommand:
         )
         assert code == 2 and not out and "NaN is not a number" in err
 
+    def test_non_object_param_exits_2(self, capsys, exp_file):
+        code, out, err = run(capsys, ["divergence", "--experiment", exp_file, "--param", "[1]"])
+        assert code == 2 and not out and "not a valid parameter" in err
+
     def test_dimension_mismatch_exits_1(self, capsys, exp_file):
         code, _, err = run(
             capsys,
@@ -85,6 +95,12 @@ class TestCostCommand:
         code, out, _ = run(capsys, ["cost", "--experiment", exp_file, "--cost", str(cost_path)])
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(math.log(3.0), abs=1e-9)
+
+    def test_non_object_cost_exits_2(self, capsys, exp_file, tmp_path):
+        cost_path = tmp_path / "cost.json"
+        cost_path.write_text("[1]")
+        code, out, err = run(capsys, ["cost", "--experiment", exp_file, "--cost", str(cost_path)])
+        assert code == 2 and not out and "not a valid cost file" in err
 
 
 class TestDominateCommand:
@@ -186,3 +202,40 @@ class TestApproxCommand:
         lines = out1.strip().split("\r\n")
         assert lines[0] == "k,param_kind,param_value,d_under,d_mu,d_over,gap"
         assert len(lines) == 1 + 2 * 6
+
+
+def stdout_of(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    out = buf.getvalue()
+    assert code == 0 and out, argv
+    return out
+
+
+class TestByteDeterminism:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(2, 4), st.sampled_from(["kl", "shannon", "renyi"]))
+    @settings(max_examples=10, deadline=None)
+    def test_repeated_calls_print_same_bytes(self, seed, n, actions, family):
+        rng = np.random.default_rng(seed)
+        prior = rng.dirichlet(np.ones(n)) * 0.8 + 0.2 / n
+        spec = {
+            "kl": ic.KLCost(rng.uniform(0.1, 1.0, size=(n, n)) * (1.0 - np.eye(n))),
+            "shannon": ic.PosteriorSeparableCost(prior, ic.ShannonEntropy()),
+            "renyi": ic.RenyiCost(0.5, ic.InteriorParam(rng.dirichlet(np.ones(n)))),
+        }[family]
+        problem = {"prior": prior.tolist(), "utilities": rng.uniform(0.0, 2.0, size=(actions, n)).tolist()}
+        binary = 0.1 + 0.8 * rng.dirichlet(np.ones(int(rng.integers(2, 7))), size=2)
+        with tempfile.TemporaryDirectory() as d:
+            paths = {name: str(Path(d) / f"{name}.json") for name in ("cost", "problem", "binary")}
+            Path(paths["cost"]).write_text(ic.cost_to_json(spec))
+            Path(paths["problem"]).write_text(json.dumps(problem))
+            Path(paths["binary"]).write_text(json.dumps({"probs": (binary / binary.sum(axis=1, keepdims=True)).tolist()}))
+            seed_arg = str(seed % 1000)
+            for argv in (
+                ["solve", "--problem", paths["problem"], "--cost", paths["cost"], "--seed", seed_arg,
+                 "--starts", "2", "--max-iter", "30"],
+                ["axioms", "--cost", paths["cost"], "--seed", seed_arg, "--samples", "5"],
+                ["approx", "--experiment", paths["binary"], "--k-list", "4,8", "--grid", "3", "--seed", seed_arg],
+            ):
+                assert stdout_of(argv) == stdout_of(argv), argv[0]

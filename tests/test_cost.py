@@ -151,9 +151,9 @@ def batched_specs(rng, n):
     }
 
 
-def all_specs(rng, n, transform=None):
-    """batched_specs plus weighted-KL and sup atoms, the other potentials and a
-    convex transform (the Rényi one unless another is given)."""
+def all_specs(rng, n):
+    """batched_specs plus weighted-KL and sup atoms, the other potentials and
+    the Rényi convex transform."""
     specs = batched_specs(rng, n)
     prior = specs["shannon"].prior
     alpha = specs["renyi"].param.alpha
@@ -166,9 +166,7 @@ def all_specs(rng, n, transform=None):
         kl_potential=ic.PosteriorSeparableCost(prior, ic.KLPotential(specs["kl"].beta)),
         renyi_potential=ic.PosteriorSeparableCost(prior, ic.RenyiPotential(alpha)),
         convex_ps=ic.ConvexPSCost(
-            prior,
-            ic.RenyiPotential(alpha),
-            transform or ic.RenyiLogTransform(1.3, float(alpha.max())),
+            prior, ic.RenyiPotential(alpha), ic.RenyiLogTransform(1.3, float(alpha.max()))
         ),
     )
     return specs
@@ -259,8 +257,12 @@ class TestEvalCosts:
         # the solver compares gradient-stack costs with single-matrix line-search costs
         rng = np.random.default_rng(seed)
         probs = perturbed_stack(rng, b, n, s)
-        # off-simplex rows can carry the Rényi potential's cost past the Rényi transform's domain
-        for spec in all_specs(rng, n, ic.CustomTransform(math.expm1)).values():
+        specs = all_specs(rng, n)
+        renyi = specs["convex_ps"]
+        specs["convex_ps_expm1"] = ic.ConvexPSCost(
+            renyi.prior, renyi.potential, ic.CustomTransform(math.expm1)
+        )
+        for spec in specs.values():
             expected = scalar_costs(spec, probs)
             np.testing.assert_array_equal(ic.eval_costs(spec, probs), expected)
             np.testing.assert_array_equal(ic.eval_costs(spec, np.asfortranarray(probs)), expected)
@@ -284,6 +286,17 @@ class TestEvalCosts:
             else:
                 assert ic.eval_cost(spec, single) == 0.0, name
 
+    def test_row_past_transform_domain_is_infinite(self):
+        # the solver's finite differences raise an entry of a revealing policy
+        spec = ic.ConvexPSCost(
+            np.array([0.5, 0.5]), ic.RenyiPotential(np.array([0.5, 0.5])), ic.RenyiLogTransform(1.0, 0.5)
+        )
+        probs = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.75, 0.25], [0.25, 0.75]]])
+        probs[0, 0, 0] += 1e-6
+        got = ic.eval_costs(spec, probs)
+        assert got[0] == math.inf
+        assert got[1] == ic.eval_cost(spec, SYM75) == pytest.approx(RENYI_HALF_75, abs=1e-12)
+
     def test_infinite_rows(self):
         probs = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5], [0.5, 0.5]]])
         for spec in batched_specs(np.random.default_rng(0), 2).values():
@@ -299,6 +312,29 @@ class TestEvalCosts:
                     ic.eval_cost(spec, ic.FiniteExperiment(probs))
                 with pytest.raises(NotADistribution):
                     ic.eval_costs(spec, np.stack([np.full((2, 3), 1 / 3), probs]))
+
+
+class TestBlackwellMonotonicity:
+    @given(st.integers(0, 10_000), st.integers(2, 4), st.integers(1, 16), st.integers(1, 8), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_garbling_never_raises_cost(self, seed, n, s, t, permute):
+        rng = np.random.default_rng(seed)
+        mu = ic.FiniteExperiment(stochastic_stack(rng, 1, n, s)[0])
+        if permute:
+            psi = np.eye(s)[rng.permutation(s)]
+        else:
+            psi = stochastic_stack(rng, 1, s, t)[0]
+        nu = ic.garble(mu, ic.GarblingKernel(psi))
+        specs = all_specs(rng, n)
+        # the Rényi forms divide by max(alpha) - 1, which scales up their rounding
+        alpha_max = max(p.alpha.max() for m in specs["max_renyi"].measures for _, p in m.atoms)
+        tol = 1e-12 / (1.0 - alpha_max)
+        for name, spec in specs.items():
+            before, after = ic.eval_cost(spec, mu), ic.eval_cost(spec, nu)
+            slack = tol * max(1.0, abs(before))
+            assert after <= before + slack, name
+            if permute:  # mu is a garbling of nu as well
+                assert before <= after + slack, name
 
 
 class TestPosteriorSeparable:
@@ -361,8 +397,15 @@ class TestRenyiTransformIdentity:
 
     def test_perfectly_revealing_maps_to_infinity(self):
         assert ic.cost.apply_transform(ic.RenyiLogTransform(1.0, 0.5), 1.0) == math.inf
-        # rounding can carry a revealing experiment's potential cost just past 1
+        # rounding can carry a revealing experiment's potential cost just past 1, or just short of it
         assert ic.cost.apply_transform(ic.RenyiLogTransform(1.0, 0.5), 1.0 + 2**-52) == math.inf
+        assert ic.cost.apply_transform(ic.RenyiLogTransform(1.0, 0.5), 1.0 - 2**-53) == math.inf
+        revealing = ic.new_experiment([[0.63, 0.25, 0.12, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        potential = ic.RenyiPotential(np.array([0.5, 0.5]))
+        prior = np.array([0.7, 0.3])
+        assert ic.eval_cost(ic.PosteriorSeparableCost(prior, potential), revealing) < 1.0
+        spec = ic.ConvexPSCost(prior, potential, ic.RenyiLogTransform(1.0, 0.5))
+        assert ic.eval_cost(spec, revealing) == math.inf
 
 
 class TestFCriterion:
