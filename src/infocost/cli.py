@@ -61,20 +61,24 @@ def _load_experiment(path: str) -> FiniteExperiment:
     return new_experiment(probs)
 
 
-def _load_cost(path: str):
-    payload = _parse_json(_read_file(path), path)
+def _load_object(text: str, what: str, kind: str, build):
+    """Build a value from JSON text that must hold an object; any other payload,
+    a JSON string included, is an input error."""
+    payload = _parse_json(text, what)
     try:
-        return cost.cost_from_json(payload)
+        if not isinstance(payload, dict):
+            raise TypeError(f"expected a JSON object, got {type(payload).__name__}")
+        return build(payload)
     except (AttributeError, KeyError, TypeError) as exc:
-        raise InputProblem(f"{path}: not a valid cost file: {exc}") from exc
+        raise InputProblem(f"{what}: not a valid {kind}: {exc}") from exc
+
+
+def _load_cost(path: str):
+    return _load_object(_read_file(path), path, "cost file", cost.cost_from_json)
 
 
 def _load_param(text: str):
-    payload = _parse_json(text, "--param")
-    try:
-        return divergence.param_from_json(payload)
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise InputProblem(f"--param: not a valid parameter: {exc}") from exc
+    return _load_object(text, "--param", "parameter", divergence.param_from_json)
 
 
 def _jsonable(x):

@@ -23,10 +23,11 @@ import numpy as np
 from .divergence import (
     DivergenceMeasure,
     InteriorParam,
+    _divergences,
+    _kls,
+    _param_from_payload,
     extended_divergence,
-    param_from_json,
     param_to_json,
-    unified_divergence,
 )
 from .errors import BadCostSpec, DimensionMismatch, NoSecondDerivative, NotADistribution, TransformDomain
 from .experiment import FiniteExperiment, _check_prior, _freeze, posteriors
@@ -388,43 +389,22 @@ def _ps_value(prior: np.ndarray, potential: PotentialSpec, mu: FiniteExperiment)
     return total - potential_value(potential, prior, prior)
 
 
-def _pair_kls(probs: np.ndarray) -> np.ndarray:
-    """kl[b, i, j] = KL(probs[b, i] || probs[b, j]) for every state pair."""
-    p, q = probs[:, :, None, :], probs[:, None, :, :]
-    pos = p > 0
-    logs = np.log(probs)
-    terms = np.where(pos, p * (logs[:, :, None, :] - logs[:, None, :, :]), 0.0)
-    return np.where((pos & (q == 0.0)).any(axis=-1), math.inf, terms.sum(axis=-1))
-
-
 def _kl_forms(beta: np.ndarray, kl: np.ndarray) -> np.ndarray:
     """sum_ij beta_ij KL(mu_i || mu_j) over a stack, from its pair divergences."""
     terms = (beta[i, j] * kl[:, i, j] for i, j in zip(*np.nonzero(beta)))
     return sum(terms, np.zeros(kl.shape[0]))
 
 
-def _extended_divergences(alpha: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """divergence.extended_divergence over a stack, for nonnegative alpha (so
-    max(alpha) < 1).  A zero probability with a positive exponent drops its
-    signal; a zero exponent drops its state, whose entries are read as 1
-    (0 ** 0 = 1)."""
-    logs = np.log(np.where(alpha[:, None] > 0, probs, 1.0))
-    total = np.exp(alpha @ logs).sum(axis=-1)
-    # the sum is at most 1 in exact arithmetic: clamp rounding; a zero sum gives +inf
-    return 1.0 / (alpha.max() - 1.0) * np.log(np.minimum(total, 1.0))
-
-
-def _measure_integrals(measure: DivergenceMeasure, probs: np.ndarray, interior: dict) -> np.ndarray:
-    """sum_atoms w * D_param over a stack.  ``interior`` holds the divergences
-    already computed for an exponent vector, so atoms sharing one pay once."""
+def _measure_integrals(measure: DivergenceMeasure, probs: np.ndarray, priced: dict) -> np.ndarray:
+    """sum_atoms w * D_param over a stack.  ``priced`` holds the divergences
+    already computed per interior exponent vector (and per other atom), so
+    atoms sharing one pay once."""
 
     def divergences(p) -> np.ndarray:
-        if not isinstance(p, InteriorParam):
-            return np.array([unified_divergence(p, FiniteExperiment(m)) for m in probs])
-        key = p.alpha.tobytes()
-        if key not in interior:
-            interior[key] = _extended_divergences(p.alpha, probs)
-        return interior[key]
+        key = p.alpha.tobytes() if isinstance(p, InteriorParam) else id(p)
+        if key not in priced:
+            priced[key] = _divergences(p, probs)
+        return priced[key]
 
     terms = (w * divergences(p) for w, p in measure.atoms if w != 0.0)
     return sum(terms, np.zeros(probs.shape[0]))
@@ -458,9 +438,12 @@ def eval_costs(spec: CostSpec, probs) -> np.ndarray:
     exactly.  Rows need not be stochastic (the solver's finite differences
     perturb single entries), but every entry must be a nonnegative number; a
     row that carries a transform's argument above its domain costs +inf.
-    Weighted-KL sums, interior Rényi atoms and the Shannon posterior-separable
-    cost take one NumPy pass over the stack; weighted-KL and sup atoms, other
-    potentials and transforms are applied matrix by matrix.
+    Weighted-KL sums, every divergence atom (through the one divergence
+    kernel, ``divergence._divergences``) and the Shannon posterior-separable
+    cost take one NumPy pass over the stack; other potentials and transforms
+    are applied matrix by matrix.  The Rényi atoms read each matrix's row of
+    largest exponent as summing to 1, which off-simplex rows do not: there the
+    value differs from the literal sum by that row's excess mass.
     """
     # C order for every caller: a matmul's rounding can depend on the memory layout
     probs = np.ascontiguousarray(probs, dtype=float)
@@ -471,16 +454,16 @@ def eval_costs(spec: CostSpec, probs) -> np.ndarray:
         raise NotADistribution("signal probabilities must be nonnegative numbers")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if isinstance(spec, (KLCost, MaxKLCost)):
-            kl = _pair_kls(probs)
+            kl = _kls(probs[:, :, None], probs[:, None])
             betas = (spec.beta,) if isinstance(spec, KLCost) else spec.betas
             return reduce(np.maximum, [_kl_forms(b, kl) for b in betas])
         if isinstance(spec, RenyiCost):
             if spec.lam == 0.0:
                 return np.zeros(probs.shape[0])
-            return spec.lam * _extended_divergences(spec.param.alpha, probs)
+            return spec.lam * _divergences(spec.param, probs)
         if isinstance(spec, MaxRenyiCost):
-            interior: dict = {}
-            return reduce(np.maximum, [_measure_integrals(m, probs, interior) for m in spec.measures])
+            priced: dict = {}
+            return reduce(np.maximum, [_measure_integrals(m, probs, priced) for m in spec.measures])
         if isinstance(spec, PosteriorSeparableCost):
             return _ps_values(spec.prior, spec.potential, probs)
         if isinstance(spec, ConvexPSCost):
@@ -609,14 +592,14 @@ def cost_from_json(text: str) -> CostSpec:
     if kind == "max_kl":
         return MaxKLCost(tuple(np.asarray(b, dtype=float) for b in payload["betas"]))
     if kind == "renyi":
-        param = param_from_json(payload["param"])
+        param = _param_from_payload(payload["param"])
         if not isinstance(param, InteriorParam):
             raise BadCostSpec("renyi cost parameter must be of interior kind")
         return RenyiCost(float(payload["lambda"]), param)
     if kind == "max_renyi":
         measures = tuple(
             DivergenceMeasure(
-                tuple((float(a["weight"]), param_from_json(a["param"])) for a in m["atoms"])
+                tuple((float(a["weight"]), _param_from_payload(a["param"])) for a in m["atoms"])
             )
             for m in payload["measures"]
         )

@@ -5,6 +5,16 @@ the multi-state extension with exponent vectors on the simplex hyperplane, the
 unified three-branch parameterization, the (gamma, psi) reparameterization,
 Chernoff information, and the two-sided sup-divergence privacy measure.
 
+Every branch is evaluated by one stack kernel, ``_divergences(param,
+probs[B, n, s])``, which the cost evaluator calls on whole stacks and every
+scalar function here calls on a stack of one.  Its zero conventions:
+0 ** 0 = 1, so a zero exponent drops its state; a zero under a positive
+exponent drops its signal, and wins over a zero under a negative exponent;
+a zero under a negative exponent alone gives +inf; a zero weighted-KL weight
+drops its term, infinite or not.  The interior branch computes sum - 1 from
+differences of logs against the row of largest exponent, so its relative
+accuracy does not degrade as max(alpha) approaches 1.
+
 Infinity is a first-class return value throughout: malformed inputs raise,
 absolute-continuity failures return ``math.inf``.
 """
@@ -28,12 +38,7 @@ from .errors import (
     StateMismatch,
     TOutOfRange,
 )
-from .experiment import (
-    FiniteExperiment,
-    PosteriorDistribution,
-    _freeze,
-    experiment_from_posteriors,
-)
+from .experiment import FiniteExperiment, _freeze
 
 PARAM_SUM_TOL = 1e-12
 
@@ -162,11 +167,95 @@ class DivergenceMeasure:
 
 
 # ---------------------------------------------------------------------------
+# the divergence kernel
+# ---------------------------------------------------------------------------
+
+
+def _log_ratios(w: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row k = argmax(w) of a stack and L[b, s] = sum_{i != k} w_i log(p_i(s) / p_k(s)).
+
+    For weights summing to 0 or 1, L(s) is w . log p(s) with w_k read as the
+    rest of the sum, so no log is scaled by a weight near 1 before the
+    differences cancel.  A zero weight drops its state (0 ** 0 = 1).  A zero
+    under a negative weight alone gives +inf; a zero under a positive weight
+    gives -inf or NaN, which the callers read as that zero winning.
+    """
+    ws = w.tolist()
+    k = ws.index(max(ws))
+    pk = np.ascontiguousarray(probs[:, k])  # a strided view slows every later use
+    if 0.0 in ws:
+        active = [i for i, wi in enumerate(ws) if wi != 0.0]
+        w, probs = w[active], probs[:, active]
+    # row k's own term is w_k log(1) = 0
+    return pk, w @ np.log(probs / pk[:, None])
+
+
+def _log_sums(alpha: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """log sum_s prod_i p_i(s) ** alpha_i over a stack.
+
+    Computed as log1p(sum - 1) with sum - 1 = sum_s p_k(s) expm1(L(s)), which
+    reads row k as summing to 1, so every term is a difference from the
+    start.  A zero under a positive exponent makes the term -p_k(s) (its
+    signal drops).  Below a sum of 0.01 the difference from 1 has lost too
+    many of the sum's own digits, so there the terms p_k(s) exp(L(s)) are
+    added up directly.  The exact sum lies in [0, 1] when max(alpha) < 1 and
+    in [1, +inf] above; the clamp removes rounding past those ends.
+    """
+    pk, ratios = _log_ratios(alpha, probs)
+    excess = np.fmax(pk * np.expm1(ratios), -pk).sum(axis=-1)
+    if max(alpha.tolist()) > 1.0:
+        return np.log1p(np.maximum(excess, 0.0))
+    log_sums = np.log1p(np.minimum(excess, 0.0))
+    if min(excess.tolist()) < -0.99:
+        direct = np.fmax(pk * np.exp(ratios), 0.0).sum(axis=-1)
+        log_sums = np.where(excess < -0.99, np.log(direct), log_sums)
+    return log_sums
+
+
+def _kls(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """KL(p || q) along the last axis, broadcasting the others; +inf where p > 0 = q."""
+    pos = p > 0
+    terms = np.where(pos, p * (np.log(p) - np.log(q)), 0.0)
+    return np.where((pos & (q == 0.0)).any(axis=-1), np.inf, terms.sum(axis=-1))
+
+
+def _divergences(param: "DivergenceParam", probs: np.ndarray) -> np.ndarray:
+    """The divergence of every experiment in a stack ``probs[B, n, s]``.
+
+    The one evaluator of each branch; entry b depends on ``probs[b]`` alone.
+    Interior: log(sum) / (max(alpha) - 1), with the denominator taken as
+    -sum_{i != k} alpha_i, never as a difference from 1.  Weighted-KL: the
+    weighted KL divergences from the pivot, skipping zero weights.  Sup: the
+    largest psi . log p(s), floored at 0, where a signal with a zero under a
+    positive weight (one that never occurs, say) never wins.  Callers
+    silence floating-point warnings: zeros make infinities and NaNs on the
+    way.
+    """
+    if isinstance(param, InteriorParam):
+        others = param.alpha.tolist()
+        others.remove(max(others))
+        return _log_sums(param.alpha, probs) / -math.fsum(others)
+    if isinstance(param, WeightedKLParam):
+        on = param.beta > 0
+        kls = _kls(probs[:, param.pivot, None, :], probs[:, on])
+        return (kls * param.beta[on]).sum(axis=-1)
+    if isinstance(param, SupParam):
+        return np.fmax(np.fmax.reduce(_log_ratios(param.psi, probs)[1], axis=-1), 0.0)
+    raise BadPsi(f"unknown divergence parameter {param!r}")
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _divergence(param: "DivergenceParam", probs: np.ndarray) -> float:
+    """:func:`_divergences` on a stack of one matrix."""
+    return float(_divergences(param, probs[None])[0])
+
+
+# ---------------------------------------------------------------------------
 # pairwise divergences
 # ---------------------------------------------------------------------------
 
 
-def _check_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
+def _check_pair(p, q) -> np.ndarray:
     pv = np.asarray(p, dtype=float)
     qv = np.asarray(q, dtype=float)
     if pv.shape != qv.shape or pv.ndim != 1:
@@ -174,7 +263,7 @@ def _check_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
     for v in (pv, qv):
         if np.any(v < 0) or abs(v.sum() - 1.0) > 1e-9:
             raise NotADistribution("inputs must be probability vectors")
-    return pv, qv
+    return np.stack([pv, qv])
 
 
 def renyi(t: float, p, q) -> float:
@@ -185,70 +274,24 @@ def renyi(t: float, p, q) -> float:
     """
     if not (0.0 < t < 1.0):
         raise TOutOfRange(f"order must lie in (0, 1), got {t!r}")
-    pv, qv = _check_pair(p, q)
-    mask = (pv > 0) & (qv > 0)
-    total = float(np.sum(pv[mask] ** t * qv[mask] ** (1.0 - t)))
-    if total == 0.0:
-        return math.inf
-    return math.log(min(total, 1.0)) / (t - 1.0)  # the sum is <= 1 up to rounding
-
-
-def _kl_raw(pv: np.ndarray, qv: np.ndarray) -> float:
-    pos = pv > 0
-    if np.any(qv[pos] == 0.0):
-        return math.inf
-    return float(np.sum(pv[pos] * (np.log(pv[pos]) - np.log(qv[pos]))))
+    value = _divergence(InteriorParam(np.array([t, 1.0 - t])), _check_pair(p, q))
+    # the extended form divides by max(t, 1 - t) - 1, the order-t form by t - 1
+    return value * (min(t, 1.0 - t) / (1.0 - t))
 
 
 def kl(p, q) -> float:
     """Kullback-Leibler divergence, +inf on absolute-continuity failure."""
-    pv, qv = _check_pair(p, q)
-    return _kl_raw(pv, qv)
+    return _divergence(WeightedKLParam(0, np.array([0.0, 1.0])), _check_pair(p, q))
 
 
 def sup_divergence(p, q) -> float:
     """Log of the largest likelihood ratio p(s)/q(s) over signals with p(s) > 0."""
-    pv, qv = _check_pair(p, q)
-    pos = pv > 0
-    if np.any(qv[pos] == 0.0):
-        return math.inf
-    return float(np.max(np.log(pv[pos]) - np.log(qv[pos])))
+    return _divergence(SupParam(np.array([1.0, -1.0])), _check_pair(p, q))
 
 
 # ---------------------------------------------------------------------------
 # multi-state divergences
 # ---------------------------------------------------------------------------
-
-
-def _signal_log_products(probs: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """log prod_i probs[i, s] ** alpha[i] per signal, with zero conventions.
-
-    alpha_i = 0 contributes nothing (0**0 := 1).  A zero probability with a
-    positive exponent sends the term to 0 (log -inf) and dominates a zero with
-    a negative exponent, mirroring the 0 * log(0/0) = 0 convention of KL.
-    """
-    with np.errstate(divide="ignore"):
-        logs = np.log(probs)  # -inf where probs == 0
-    active = alpha != 0.0
-    contrib = alpha[active, None] * logs[active, :]
-    zero_wins = np.any(np.isneginf(contrib), axis=0)
-    inf_hits = np.any(np.isposinf(contrib), axis=0)
-    finite = np.where(np.isfinite(contrib), contrib, 0.0)
-    out = finite.sum(axis=0)
-    out[inf_hits] = math.inf
-    out[zero_wins] = -math.inf
-    return out
-
-
-def hellinger_sum(mu: FiniteExperiment, alpha: np.ndarray) -> float:
-    """sum_s prod_i mu_i(s) ** alpha_i with the zero conventions above."""
-    probs = mu.probs
-    if np.all(probs > 0.0):
-        return float(np.sum(np.exp(alpha @ np.log(probs))))
-    logv = _signal_log_products(probs, alpha)
-    if np.any(np.isposinf(logv)):
-        return math.inf
-    return float(np.sum(np.exp(logv[np.isfinite(logv)])))
 
 
 def extended_divergence(alpha, mu: FiniteExperiment) -> float:
@@ -260,53 +303,14 @@ def extended_divergence(alpha, mu: FiniteExperiment) -> float:
     above 1 hitting a zero entry).
     """
     param = alpha if isinstance(alpha, InteriorParam) else InteriorParam(np.asarray(alpha, float))
-    if param.n_states != mu.n_states:
-        raise StateMismatch(f"alpha length {param.n_states} vs {mu.n_states} states")
-    a = param.alpha
-    total = hellinger_sum(mu, a)
-    prefactor = 1.0 / (a.max() - 1.0)
-    if total == 0.0:
-        return math.inf if prefactor < 0 else 0.0
-    if math.isinf(total):
-        return math.inf if prefactor > 0 else 0.0
-    # the sum sits on the zero side of 1 in exact arithmetic; clamp rounding
-    total = min(total, 1.0) if prefactor < 0 else max(total, 1.0)
-    return prefactor * math.log(total)
-
-
-def _weighted_kl(mu: FiniteExperiment, pivot: int, beta: np.ndarray) -> float:
-    total = 0.0
-    for j in range(mu.n_states):
-        if j == pivot or beta[j] == 0.0:
-            continue
-        d = _kl_raw(mu.probs[pivot], mu.probs[j])
-        if math.isinf(d):
-            return math.inf
-        total += beta[j] * d
-    return total
-
-
-def _sup_psi(mu: FiniteExperiment, psi: np.ndarray) -> float:
-    vals = _signal_log_products(mu.probs, psi)
-    # signals that never occur in any state carry no likelihood information
-    occurs = mu.probs.sum(axis=0) > 0
-    vals = vals[occurs]
-    if vals.size == 0:
-        return 0.0
-    return max(float(np.max(vals)), 0.0)
+    return unified_divergence(param, mu)
 
 
 def unified_divergence(param: DivergenceParam, mu: FiniteExperiment) -> float:
     """Dispatch over the three-branch divergence parameterization."""
     if param.n_states != mu.n_states:
         raise StateMismatch(f"parameter is {param.n_states}-state, experiment {mu.n_states}")
-    if isinstance(param, InteriorParam):
-        return extended_divergence(param, mu)
-    if isinstance(param, WeightedKLParam):
-        return _weighted_kl(mu, param.pivot, param.beta)
-    if isinstance(param, SupParam):
-        return _sup_psi(mu, param.psi)
-    raise BadPsi(f"unknown divergence parameter {param!r}")
+    return _divergence(param, mu.probs)
 
 
 def _direction(psi, mu: FiniteExperiment) -> SupParam:
@@ -335,13 +339,14 @@ def generalized_divergence(gamma: float, psi, mu: FiniteExperiment) -> float:
     if math.isnan(gamma) or gamma < 1.0 / mu.n_states:
         raise GammaOutOfRange(f"gamma must be >= 1/{mu.n_states}, got {gamma!r}")
     if math.isinf(gamma):
-        return _sup_psi(mu, sup.psi)
-    if gamma == 1.0:
-        k = sup.pivot
-        beta = -sup.psi.copy()
-        beta[k] = 0.0
-        return _weighted_kl(mu, k, beta)
-    return extended_divergence(InteriorParam(_exponents(gamma, sup)), mu)
+        param = sup
+    elif gamma == 1.0:
+        beta = np.maximum(-sup.psi, 0.0)  # psi may exceed 0 by rounding off the pivot
+        beta[sup.pivot] = 0.0
+        param = WeightedKLParam(sup.pivot, beta)
+    else:
+        param = InteriorParam(_exponents(gamma, sup))
+    return _divergence(param, mu.probs)
 
 
 def diluted_power_divergence(mu: FiniteExperiment, k: int, gamma: float, psi) -> float:
@@ -349,7 +354,9 @@ def diluted_power_divergence(mu: FiniteExperiment, k: int, gamma: float, psi) ->
 
     Requires gamma not in {1, inf} and gamma equal to the largest exponent of
     e_pivot + (gamma-1) psi, so the 1/(gamma-1) prefactor matches the general
-    evaluator on the explicitly constructed experiment.
+    evaluator on the explicitly constructed experiment.  With S the Hellinger
+    sum of mu, the value is log(1 + (S**k - 1) / k) / (gamma - 1), evaluated
+    from log S without forming S.
     """
     sup = _direction(psi, mu)
     if math.isinf(gamma) or gamma == 1.0 or not (gamma >= 1.0 / mu.n_states):
@@ -359,27 +366,11 @@ def diluted_power_divergence(mu: FiniteExperiment, k: int, gamma: float, psi) ->
     alpha = _exponents(gamma, sup)
     if abs(alpha.max() - gamma) > 1e-12:
         raise BadPsi("gamma must equal the largest exponent of the induced alpha")
-    total = hellinger_sum(mu, alpha)
-    if math.isinf(total):
-        return math.inf
-    inner = (k - 1.0) / k + (total**k) / k
-    if inner == 0.0:
-        return math.inf if gamma < 1.0 else -math.inf
-    return math.log(inner) / (gamma - 1.0)
-
-
-# ---------------------------------------------------------------------------
-# posterior-form evaluation
-# ---------------------------------------------------------------------------
-
-
-def posterior_divergence(param: DivergenceParam, pd: PosteriorDistribution) -> float:
-    """Evaluate a divergence from a distribution over posterior beliefs.
-
-    Agrees with :func:`unified_divergence` on the experiment inducing ``pd``,
-    for any full-support prior.
-    """
-    return unified_divergence(param, experiment_from_posteriors(pd))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = k * _log_sums(alpha, mu.probs[None])[0]
+        # log(1 + (e**x - 1) / k); above x = 1, factor e**x out so it cannot overflow
+        inner = np.log1p(np.expm1(x) / k) if x < 1.0 else x + np.log(np.exp(-x) - np.expm1(-x) / k)
+        return float(inner / (gamma - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +486,14 @@ def param_to_json(param: DivergenceParam) -> str:
     return json.dumps(payload)
 
 
-def param_from_json(text: str) -> DivergenceParam:
-    payload = json.loads(text) if isinstance(text, str) else text
+def param_from_json(text) -> DivergenceParam:
+    """Read a parameter from JSON text or from the object it parses to."""
+    return _param_from_payload(json.loads(text) if isinstance(text, str) else text)
+
+
+def _param_from_payload(payload: dict) -> DivergenceParam:
+    if not isinstance(payload, dict):
+        raise TypeError(f"a parameter must be a JSON object, got {type(payload).__name__}")
     kind = payload.get("kind")
     if kind == "interior":
         return InteriorParam(np.asarray(payload["alpha"], dtype=float))

@@ -71,6 +71,10 @@ class TestDivergenceCommand:
         code, out, err = run(capsys, ["divergence", "--experiment", exp_file, "--param", "[1]"])
         assert code == 2 and not out and "not a valid parameter" in err
 
+    def test_json_string_param_exits_2(self, capsys, exp_file):
+        code, out, err = run(capsys, ["divergence", "--experiment", exp_file, "--param", '"abc"'])
+        assert code == 2 and not out and "not a valid parameter" in err
+
     def test_dimension_mismatch_exits_1(self, capsys, exp_file):
         code, _, err = run(
             capsys,
@@ -99,6 +103,26 @@ class TestCostCommand:
     def test_non_object_cost_exits_2(self, capsys, exp_file, tmp_path):
         cost_path = tmp_path / "cost.json"
         cost_path.write_text("[1]")
+        code, out, err = run(capsys, ["cost", "--experiment", exp_file, "--cost", str(cost_path)])
+        assert code == 2 and not out and "not a valid cost file" in err
+
+    def test_json_string_cost_exits_2(self, capsys, exp_file, tmp_path):
+        cost_path = tmp_path / "cost.json"
+        cost_path.write_text('"abc"')
+        code, out, err = run(capsys, ["cost", "--experiment", exp_file, "--cost", str(cost_path)])
+        assert code == 2 and not out and "not a valid cost file" in err
+
+    def test_cost_json_inside_a_string_exits_2(self, capsys, exp_file, tmp_path):
+        # a JSON string is not parsed a second time, even when it holds cost JSON
+        cost_path = tmp_path / "cost.json"
+        cost_path.write_text(json.dumps(ic.cost_to_json(ic.KLCost(np.array([[0.0, 1.0], [1.0, 0.0]])))))
+        code, out, err = run(capsys, ["cost", "--experiment", exp_file, "--cost", str(cost_path)])
+        assert code == 2 and not out and "not a valid cost file" in err
+
+    def test_param_json_inside_a_string_exits_2(self, capsys, exp_file, tmp_path):
+        cost_path = tmp_path / "cost.json"
+        param = json.dumps({"kind": "interior", "alpha": [0.5, 0.5]})
+        cost_path.write_text(json.dumps({"kind": "renyi", "lambda": 1.0, "param": param}))
         code, out, err = run(capsys, ["cost", "--experiment", exp_file, "--cost", str(cost_path)])
         assert code == 2 and not out and "not a valid cost file" in err
 

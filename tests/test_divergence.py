@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,16 +84,11 @@ class TestExtendedDivergence:
             assert got == pytest.approx(ic.renyi(t, SYM75.probs[0], SYM75.probs[1]), abs=1e-12)
 
     def test_merged_states_collapse_to_binary_sum(self):
-        # duplicate rows fold into one exponent; the inner sums agree exactly
+        # duplicate rows fold into one exponent, so the inner sums agree
         r = np.array([0.6, 0.4])
         r2 = np.array([0.15, 0.85])
         mu3 = ic.new_experiment([r, r, r2])
         mu2 = ic.new_experiment([r, r2])
-        from infocost.divergence import hellinger_sum
-
-        s3 = hellinger_sum(mu3, np.array([1 / 3, 1 / 3, 1 / 3]))
-        s2 = hellinger_sum(mu2, np.array([2 / 3, 1 / 3]))
-        assert s3 == pytest.approx(s2, abs=1e-15)
         # prefactors differ (1/3 vs 2/3 maxima), so divergences scale accordingly
         d3 = ic.extended_divergence([1 / 3, 1 / 3, 1 / 3], mu3)
         d2 = ic.extended_divergence([2 / 3, 1 / 3], mu2)
@@ -135,6 +131,141 @@ class TestUnified:
             assert ic.unified_divergence(again, ic.random_experiment(3, 3, 4, 0.05)) == (
                 ic.unified_divergence(param, ic.random_experiment(3, 3, 4, 0.05))
             )
+
+
+def as_cost(param):
+    """The divergence as a one-atom cost, where the cost families admit it."""
+    return ic.MaxRenyiCost((ic.DivergenceMeasure(((1.0, param),)),))
+
+
+class TestZeroConventions:
+    """Hand-computed points where a zero entry decides the value; the divergence
+    and the stack cost evaluator must agree on the same matrix."""
+
+    def check(self, param, rows, expected):
+        mu = ic.new_experiment(rows)
+        got = ic.unified_divergence(param, mu)
+        assert got == (math.inf if math.isinf(expected) else pytest.approx(expected, abs=1e-15))
+        if isinstance(param, ic.InteriorParam) and not param.is_nonnegative():
+            return  # exponents above 1 define divergences, not costs
+        specs = [as_cost(param)]
+        if isinstance(param, ic.InteriorParam):
+            specs.append(ic.RenyiCost(1.0, param))
+        for spec in specs:
+            assert ic.eval_costs(spec, mu.probs[None])[0] == got
+
+    def test_zero_exponent_reads_zero_entries_as_one(self):
+        # 0 ** 0 = 1: the third state's zero drops out with its exponent
+        alpha = ic.InteriorParam(np.array([0.6, 0.4, 0.0]))
+        rows = [[0.75, 0.25], [0.25, 0.75], [1.0, 0.0]]
+        total = 0.75**0.6 * 0.25**0.4 + 0.25**0.6 * 0.75**0.4
+        self.check(alpha, rows, math.log(total) / (0.6 - 1.0))
+
+    def test_zero_under_positive_exponent_drops_its_signal(self):
+        # the third signal never occurs in state 0: sum = 2 sqrt(1/8)
+        alpha = ic.InteriorParam(np.array([0.5, 0.5]))
+        self.check(alpha, [[0.5, 0.5, 0.0], [0.25, 0.25, 0.5]], math.log(2.0))
+
+    def test_positive_zero_beats_negative_zero(self):
+        # alpha = (2, -1): the shared zero signal adds 0 ** 2 * 0 ** -1 = 0, not +inf
+        alpha = ic.InteriorParam(np.array([2.0, -1.0]))
+        self.check(alpha, [[0.5, 0.5, 0.0], [0.25, 0.75, 0.0]], math.log(4.0 / 3.0))
+        # the sup branch: the designated state's zero beats the other's
+        psi = ic.SupParam(np.array([1.0, -1.0, 0.0]))
+        rows = [[0.5, 0.5, 0.0], [0.25, 0.75, 0.0], [0.2, 0.3, 0.5]]
+        self.check(psi, rows, math.log(2.0))
+
+    def test_negative_zero_alone_is_infinite(self):
+        rows = [[0.5, 0.5], [1.0, 0.0]]
+        self.check(ic.InteriorParam(np.array([2.0, -1.0])), rows, math.inf)
+        self.check(ic.SupParam(np.array([1.0, -1.0])), rows, math.inf)
+        self.check(ic.WeightedKLParam(0, np.array([0.0, 1.0])), rows, math.inf)
+
+    def test_disjoint_supports_are_infinite(self):
+        rows = [[1.0, 0.0], [0.0, 1.0]]
+        self.check(ic.InteriorParam(np.array([0.5, 0.5])), rows, math.inf)
+        self.check(ic.InteriorParam(np.array([0.9, 0.1])), rows, math.inf)
+
+    def test_sup_ignores_signals_that_never_occur(self):
+        psi = ic.SupParam(np.array([1.0, -1.0]))
+        self.check(psi, [[0.5, 0.5, 0.0], [0.25, 0.75, 0.0]], math.log(2.0))
+        self.check(psi, [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]], 0.0)
+
+    def test_zero_kl_weight_never_makes_nan(self):
+        # KL(row 0 || row 2) is +inf, but its weight is zero
+        rows = [[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]]
+        wkl = ic.WeightedKLParam(0, np.array([0.0, 1.0, 0.0]))
+        self.check(wkl, rows, 0.5 * math.log(4.0 / 3.0))
+        mixed = ic.DivergenceMeasure(((1.0, wkl), (0.0, ic.SupParam(np.array([1.0, 0.0, -1.0])))))
+        spec = ic.MaxRenyiCost((mixed,))
+        assert ic.eval_costs(spec, np.array([rows])) == pytest.approx([0.5 * math.log(4.0 / 3.0)], abs=1e-15)
+
+
+def exponents_near_vertex(rng, n, gap):
+    """alpha with max(alpha) = 1 - gap (gap > 0) or 1 + |gap| (gap < 0) at a random state."""
+    k = int(rng.integers(n))
+    alpha = np.zeros(n)
+    alpha[np.arange(n) != k] = gap * rng.dirichlet(np.ones(n - 1))
+    alpha[k] = 1.0 - alpha.sum()
+    return alpha
+
+
+def mp_divergence(alpha, probs):
+    """log(sum_s prod_i p_i(s) ** alpha_i) / (max(alpha) - 1) at 60 digits, on the
+    normalized rows and with the largest exponent set to 1 minus the others."""
+    k = int(np.argmax(alpha))
+    with mpmath.workdps(60):
+        rows = [[mpmath.mpf(x) for x in row] for row in probs.tolist()]
+        rows = [[x / mpmath.fsum(row) for x in row] for row in rows]
+        a = [mpmath.mpf(x) for x in alpha.tolist()]
+        a[k] = 1 - mpmath.fsum(a[:k] + a[k + 1 :])
+        total = mpmath.fsum(
+            mpmath.fprod(row[s] ** ai for row, ai in zip(rows, a)) for s in range(len(rows[0]))
+        )
+        return float(mpmath.log(total) / (a[k] - 1))
+
+
+class TestAccuracyNearTheVertices:
+    """The Rényi forms keep full relative accuracy as max(alpha) approaches 1."""
+
+    GAPS = (1e-1, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_high_precision(self, n):
+        rng = np.random.default_rng(n)
+        mus = [ic.random_experiment(n, 3 + seed % 6, seed=seed, min_prob=0.02) for seed in range(6)]
+        for gap in self.GAPS:
+            for sign in (1.0, -1.0):
+                param = ic.InteriorParam(exponents_near_vertex(rng, n, sign * gap))
+                for mu in mus:
+                    ref = mp_divergence(param.alpha, mu.probs)
+                    got = ic.unified_divergence(param, mu)
+                    assert abs(got - ref) <= 1e-13 * abs(ref), (gap, sign, got, ref)
+                    if sign > 0:  # exponents above 1 define divergences, not costs
+                        cost = ic.eval_costs(ic.RenyiCost(1.0, param), mu.probs[None])[0]
+                        assert abs(cost - ref) <= 1e-13 * abs(ref), (gap, cost, ref)
+
+    def test_keeps_small_sums_when_nearly_revealing(self):
+        # the sum of products is about 2 sqrt(eps): far below the rounding of 1 - sum
+        for eps in (1e-8, 1e-20, 1e-40):
+            mu = ic.new_experiment([[1.0 - eps, eps, 0.0], [eps, 1.0 - eps - 1e-3, 1e-3], [0.5, 0.25, 0.25]])
+            for alpha in ([0.5, 0.5, 0.0], [0.45, 0.45, 0.1], [0.9, 0.05, 0.05]):
+                param = ic.InteriorParam(np.array(alpha))
+                ref = mp_divergence(param.alpha, mu.probs)
+                got = ic.unified_divergence(param, mu)
+                cost = ic.eval_costs(ic.RenyiCost(1.0, param), mu.probs[None])[0]
+                assert abs(got - ref) <= 1e-13 * ref and cost == got, (eps, alpha, got, ref)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_exactly_zero_when_uninformative(self, n):
+        rng = np.random.default_rng(n)
+        flat = ic.uninformative(n, 13)
+        for gap in self.GAPS:
+            param = ic.InteriorParam(exponents_near_vertex(rng, n, gap))
+            assert ic.unified_divergence(param, flat) == 0.0
+            assert ic.eval_costs(ic.RenyiCost(1.0, param), flat.probs[None])[0] == 0.0
+            above = ic.InteriorParam(exponents_near_vertex(rng, n, -gap))
+            assert ic.unified_divergence(above, flat) == 0.0
 
 
 class TestAdditivityAndMonotonicity:
@@ -248,6 +379,12 @@ class TestDilutedPower:
         assert all(a > b for a, b in zip(low, low[1:])) and low[-1] < 0.05
         assert all(a < b for a, b in zip(high, high[1:])) and high[-1] > high[0]
 
+    def test_large_powers_stay_finite(self):
+        # S = 0.75**2 / 0.25 + 0.25**2 / 0.75 = 7/3; S**900 overflows a float, and
+        # log(1 + (S**k - 1) / k) = k log S - log k up to a term below 1e-300
+        value = ic.diluted_power_divergence(SYM75, 900, 2.0, np.array([1.0, -1.0]))
+        assert value == pytest.approx(900 * math.log(7.0 / 3.0) - math.log(900), rel=1e-12)
+
     def test_k_must_be_a_positive_integer(self):
         psi = [1.0, -1.0]
         for k in (2.5, 2.0, 0, -1, np.float64(3.0)):
@@ -295,11 +432,12 @@ class TestChernoffAndPrivacy:
 
 class TestPosteriorForm:
     def test_agrees_with_experiment_form(self):
+        # the experiment a posterior distribution induces carries the same divergences
         for seed in range(10):
             mu = ic.random_experiment(3, 4, seed=seed, min_prob=0.05)
             for q in ([1 / 3, 1 / 3, 1 / 3], [0.2, 0.5, 0.3]):
-                pd = ic.posteriors(mu, q)
+                induced = ic.experiment_from_posteriors(ic.posteriors(mu, q))
                 for param in ic.default_param_grid(3, 9, seed=8):
-                    assert ic.posterior_divergence(param, pd) == pytest.approx(
+                    assert ic.unified_divergence(param, induced) == pytest.approx(
                         ic.unified_divergence(param, mu), abs=1e-10
                     )
