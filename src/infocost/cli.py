@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import approx, axioms, blackwell, cost, divergence, ri_solver
-from .errors import InfoCostError
+from .errors import BadSolveOptions, InfoCostError
 from .experiment import FiniteExperiment
 
 EXIT_OK = 0
@@ -181,6 +181,14 @@ def _cmd_axioms(args) -> int:
     return EXIT_OK
 
 
+def _solve_options(**flags) -> ri_solver.SolveOptions:
+    """Solver options from flags; a value out of range is an input error."""
+    try:
+        return ri_solver.SolveOptions(**flags)
+    except BadSolveOptions as exc:
+        raise InputProblem(str(exc)) from exc
+
+
 def _cmd_solve(args) -> int:
     payload = _parse_json(_read_file(args.problem), args.problem)
     try:
@@ -191,9 +199,7 @@ def _cmd_solve(args) -> int:
     except (KeyError, TypeError) as exc:
         raise InputProblem(f"{args.problem}: not a valid problem file: {exc}") from exc
     spec = _load_cost(args.cost)
-    options = ri_solver.SolveOptions(
-        starts=args.starts, max_iter=args.max_iter, seed=args.seed
-    )
+    options = _solve_options(starts=args.starts, max_iter=args.max_iter, seed=args.seed)
     policy = ri_solver.solve(problem, spec, options)
     _emit_json(
         {
@@ -231,7 +237,7 @@ def _cmd_claim1(args) -> int:
                 ),
             ),
         ]
-        options = ri_solver.SolveOptions(starts=args.starts, seed=args.seed)
+        options = _solve_options(starts=args.starts, seed=args.seed)
         w_values = sorted({r.w for r in rows})
         sweep = ri_solver.support_comparison(specs, v_grid, w_values, options)
         csv_rows += [
@@ -320,7 +326,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True, help='JSON {"prior": [...], "utilities": [[...]]}')
     p.add_argument("--cost", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--starts", type=int, default=16)
+    p.add_argument(
+        "--starts",
+        type=int,
+        default=16,
+        help="ascents for costs with sup atoms; every other built-in cost runs one ascent",
+    )
     p.add_argument("--max-iter", type=int, default=2000)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_solve)
@@ -331,7 +342,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-grid", default="6,8,10")
     p.add_argument("--w-steps", type=int, default=12)
     p.add_argument("--compare", action="store_true", help="also sweep solver-based cost families")
-    p.add_argument("--starts", type=int, default=12)
+    p.add_argument(
+        "--starts",
+        type=int,
+        default=12,
+        help="kept for --compare; its Shannon and max-KL costs run one ascent whatever it is",
+    )
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_claim1)

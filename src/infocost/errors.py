@@ -127,3 +127,8 @@ class UnboundedExperiment(InfoCostError):
 
 class NoRootInBracket(InfoCostError):
     """The first-order condition has no sign change inside the bisection bracket."""
+
+
+class BadSolveOptions(InfoCostError):
+    """A solver option is out of range: starts and max_iter must be integers
+    >= 1, grad_eps finite and positive, support_eps in [0, 1)."""

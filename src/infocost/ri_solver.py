@@ -1,9 +1,12 @@
 """Rational-inattention problems: expected utility net of an information cost.
 
 The solver maximizes over stochastic choice functions (one signal per action)
-by multi-start projected-gradient ascent with finite-difference cost
-gradients, so any cost specification, including non-differentiable maxima and
-custom potentials, is supported.  Each gradient is one
+by projected-gradient ascent with finite-difference cost gradients, so any
+cost specification, including non-differentiable maxima and custom
+potentials, is supported.  Every built-in family except sup atoms is convex
+in the choice matrix, which makes the objective concave: those families get
+one ascent from the uniform policy, and the others several starts.  Each
+gradient is one
 :func:`infocost.cost.eval_costs` pass over the stack of perturbed choice
 matrices; line-search candidates go through the same evaluator as stacks of
 one, so both see the same cost for the same matrix.  Each step projects all
@@ -14,6 +17,7 @@ two-parameter closed form used as an independent cross-check.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -23,14 +27,19 @@ import numpy as np
 from .cost import (
     ConvexPSCost,
     CostSpec,
+    CustomPotential,
+    CustomTransform,
+    KLCost,
+    MaxKLCost,
     MaxRenyiCost,
     PosteriorSeparableCost,
+    RenyiCost,
     eval_cost,
     eval_costs,
     spec_n_states,
 )
-from .divergence import DivergenceMeasure, InteriorParam, _golden_max
-from .errors import DimensionMismatch, NoRootInBracket, TOutOfRange
+from .divergence import DivergenceMeasure, InteriorParam, SupParam, _golden_max
+from .errors import BadSolveOptions, DimensionMismatch, NoRootInBracket, TOutOfRange
 from .experiment import FiniteExperiment, _check_prior, _freeze
 
 GRAD_CLIP = 1e8
@@ -78,11 +87,26 @@ class Policy:
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """Solver effort.  ``starts`` counts the ascents of the multi-start path
+    (sup atoms and custom callables); ``max_iter`` caps each ascent's steps;
+    ``grad_eps`` is the finite-difference step; actions whose marginal is at
+    most ``support_eps`` are outside the reported support."""
+
     starts: int = 16
     max_iter: int = 2000
     grad_eps: float = 1e-6
     support_eps: float = 0.01
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("starts", "max_iter"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+                raise BadSolveOptions(f"{name} must be an integer >= 1, got {v!r}")
+        if not (isinstance(self.grad_eps, numbers.Real) and 0.0 < self.grad_eps < math.inf):
+            raise BadSolveOptions(f"grad_eps must be finite and positive, got {self.grad_eps!r}")
+        if not (isinstance(self.support_eps, numbers.Real) and 0.0 <= self.support_eps < 1.0):
+            raise BadSolveOptions(f"support_eps must lie in [0, 1), got {self.support_eps!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +200,42 @@ def _pure_policy(n_states: int, n_actions: int, a: int) -> np.ndarray:
     return p
 
 
+def _one_ascent(spec: CostSpec) -> bool:
+    """Whether the cost is convex in the choice matrix, so that the objective
+    is concave and one ascent finds its maximum.
+
+    KL is jointly convex; a nonnegative interior Rényi divergence is minus the
+    log of a concave sum over a negative constant; a posterior-separable cost
+    is a perspective of its convex potential; increasing convex transforms,
+    maxima and nonnegative mixtures keep convexity.  Cost constructors reject
+    negative interior exponents.  Sup atoms are only quasi-convex, and custom
+    potentials and transforms are convex on the caller's word alone.
+    """
+    if isinstance(spec, (KLCost, MaxKLCost, RenyiCost)):
+        return True
+    if isinstance(spec, MaxRenyiCost):
+        return not any(isinstance(p, SupParam) for m in spec.measures for _, p in m.atoms)
+    if isinstance(spec, ConvexPSCost) and isinstance(spec.transform, CustomTransform):
+        return False
+    return not isinstance(spec.potential, CustomPotential)
+
+
 def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = None) -> Policy:
     """Maximize expected utility minus cost over stochastic choice functions.
 
-    Multi-start projected-gradient ascent: the uniform policy, every pure
-    policy (also kept as exact candidates so the result never falls below a
-    constant action), near-pure interior blends, and seeded random interior
-    starts.  The best value wins; ties go to the earliest start.
+    Projected-gradient ascent from the uniform policy; every pure policy also
+    enters as an exact candidate, so the result never falls below a constant
+    action.  Specs whose objective is concave (see ``_one_ascent``: every
+    built-in family except sup atoms) run that one ascent.  Sup atoms and
+    custom potentials or transforms run ``options.starts`` ascents: the
+    uniform policy, near-pure interior blends, then seeded random interior
+    starts.  The best value wins; ties go to the earliest candidate.
+
+    A polish pass then restarts from the incumbent with one action dropped,
+    so that face optima are reached exactly instead of approached by a slow
+    crawl.  If the incumbent's ascent converged, only actions whose marginal
+    is at most ``options.support_eps`` are dropped; if it stopped at
+    ``max_iter``, every action is.
     """
     if options is None:
         options = SolveOptions()
@@ -198,11 +251,12 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
 
     uniform = np.full((n, m), 1.0 / m)
     starts = [uniform]
-    for a in range(m):
-        starts.append(0.95 * _pure_policy(n, m, a) + 0.05 * uniform)
-    rng = np.random.default_rng(options.seed)
-    while len(starts) < options.starts:
-        starts.append(rng.dirichlet(np.ones(m), size=n))
+    if not _one_ascent(spec):
+        for a in range(m):
+            starts.append(0.95 * _pure_policy(n, m, a) + 0.05 * uniform)
+        rng = np.random.default_rng(options.seed)
+        while len(starts) < options.starts:
+            starts.append(rng.dirichlet(np.ones(m), size=n))
 
     # exact pure policies enter the candidate pool without iteration
     candidates = [(_pure_policy(n, m, a), None) for a in range(m)]
@@ -217,11 +271,15 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
         if f > best_f:
             best_p, best_f, best_conv = p, f, conv
 
-    # polish: restart from the incumbent with each action dropped, so
-    # face optima are reached exactly instead of approached by a slow crawl
+    # polish: restart from the incumbent with an action dropped, so face optima
+    # are reached exactly instead of approached by a slow crawl.  Once the
+    # ascent converged, only the actions it barely uses are worth dropping.
     if m > 1:
         incumbent = best_p.copy()
-        for a in range(m):
+        faces = range(m)
+        if best_conv:
+            faces = np.flatnonzero(problem.prior @ incumbent <= options.support_eps)
+        for a in faces:
             faced = incumbent.copy()
             faced[:, a] = 0.0
             sums = faced.sum(axis=1, keepdims=True)

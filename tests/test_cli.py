@@ -263,3 +263,24 @@ class TestByteDeterminism:
                 ["approx", "--experiment", paths["binary"], "--k-list", "4,8", "--grid", "3", "--seed", seed_arg],
             ):
                 assert stdout_of(argv) == stdout_of(argv), argv[0]
+
+
+class TestSolveOptionFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--max-iter", "0"],
+            ["solve", "--max-iter", "-5"],
+            ["solve", "--starts", "0"],
+            ["claim1", "--compare", "--starts", "0"],
+        ],
+    )
+    def test_out_of_range_exits_2(self, capsys, tmp_path, argv):
+        prob_path = tmp_path / "problem.json"
+        prob_path.write_text(json.dumps({"prior": [0.5, 0.5], "utilities": [[8, 0], [0, 8], [6.1, 6.1]]}))
+        cost_path = tmp_path / "cost.json"
+        cost_path.write_text(ic.cost_to_json(ic.PosteriorSeparableCost(np.array([0.5, 0.5]), ic.ShannonEntropy())))
+        if argv[0] == "solve":
+            argv = argv + ["--problem", str(prob_path), "--cost", str(cost_path)]
+        code, out, err = run(capsys, argv + ["--seed", "0"])
+        assert code == 2 and not out and "must be an integer >= 1" in err

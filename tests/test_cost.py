@@ -320,6 +320,58 @@ class TestEvalCosts:
                     ic.eval_costs(spec, np.stack([np.full((2, 3), 1 / 3), probs]))
 
 
+def convex_specs(rng, n):
+    """all_specs without its sup atom, plus weighted-KL atoms, the identity
+    transform and a Tsallis order below 1: the families the solver runs one
+    ascent for."""
+    specs = all_specs(rng, n)
+    mixed = specs.pop("max_renyi_mixed")
+    wkl, renyi = mixed.measures[0].atoms[1][1], specs["renyi"].param
+    prior, potential = specs["shannon"].prior, specs["renyi_potential"].potential
+    specs.update(
+        max_renyi_wkl=ic.MaxRenyiCost(
+            (ic.DivergenceMeasure(((0.6, wkl), (0.4, renyi))), ic.DivergenceMeasure(((1.0, wkl),)))
+        ),
+        tsallis_low=ic.PosteriorSeparableCost(prior, ic.Tsallis(0.5)),
+        convex_ps_identity=ic.ConvexPSCost(prior, potential, ic.IdentityTransform()),
+    )
+    return specs
+
+
+class TestConvexity:
+    @given(st.integers(0, 10_000), st.integers(2, 4), st.integers(1, 16))
+    @settings(max_examples=200, deadline=None)
+    def test_midpoint_convex_along_segments(self, seed, n, s):
+        # the solver's single ascent for these families rests on this property
+        rng = np.random.default_rng(seed)
+        ends = stochastic_stack(rng, 2, n, s)
+        t = np.sort(rng.random(2))
+        x, y = ((1.0 - u) * ends[0] + u * ends[1] for u in t)
+        stack = np.stack([x, y, 0.5 * (x + y)])
+        for name, spec in convex_specs(rng, n).items():
+            cx, cy, cmid = ic.eval_costs(spec, stack)
+            avg = 0.5 * (cx + cy)
+            assert cmid <= avg + rounding_tol(spec) * max(1.0, abs(avg)), name
+
+    def test_solver_runs_one_ascent_exactly_for_the_convex_families(self):
+        from infocost.ri_solver import _one_ascent
+
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 4):
+            assert all(_one_ascent(spec) for spec in convex_specs(rng, n).values())
+            specs = all_specs(rng, n)
+            prior, mixed = specs["shannon"].prior, specs["max_renyi_mixed"]
+            sup = ic.DivergenceMeasure(((1.0, mixed.measures[0].atoms[0][1]),))
+            multi_start = [
+                mixed,
+                ic.MaxRenyiCost((sup,)),
+                ic.PosteriorSeparableCost(prior, ic.CustomPotential(lambda p, q: float(np.sum(p * p)))),
+                ic.ConvexPSCost(prior, ic.ShannonEntropy(), ic.CustomTransform(math.expm1)),
+                ic.ConvexPSCost(prior, ic.CustomPotential(lambda p, q: 0.0), ic.IdentityTransform()),
+            ]
+            assert not any(_one_ascent(spec) for spec in multi_start)
+
+
 class TestBlackwellMonotonicity:
     @given(st.integers(0, 10_000), st.integers(2, 4), st.integers(1, 16), st.integers(1, 8), st.booleans())
     @settings(max_examples=100, deadline=None)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import infocost as ic
-from infocost.errors import DimensionMismatch, NoRootInBracket
+from infocost import ri_solver
+from infocost.errors import BadSolveOptions, DimensionMismatch, NoRootInBracket
 from infocost.ri_solver import (
     GRAD_CLIP,
     _foc,
@@ -158,6 +159,94 @@ class TestSolver:
         q[0], u[0, 0] = 0.4, 2.0
         assert problem.prior[0] == 0.5 and problem.utilities[0, 0] == 1.0
         assert not problem.prior.flags.writeable and not problem.utilities.flags.writeable
+
+
+class TestSolveOptions:
+    def test_defaults_and_integer_types_accepted(self):
+        ic.SolveOptions()
+        ic.SolveOptions(starts=np.int64(1), max_iter=1, grad_eps=1e-9, support_eps=0)
+
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, True, None])
+    def test_starts(self, bad):
+        with pytest.raises(BadSolveOptions, match="starts"):
+            ic.SolveOptions(starts=bad)
+
+    @pytest.mark.parametrize("bad", [0, -5, 10.0, math.inf])
+    def test_max_iter(self, bad):
+        with pytest.raises(BadSolveOptions, match="max_iter"):
+            ic.SolveOptions(max_iter=bad)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-6, math.nan, math.inf, "1e-6"])
+    def test_grad_eps(self, bad):
+        with pytest.raises(BadSolveOptions, match="grad_eps"):
+            ic.SolveOptions(grad_eps=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.01, 1.0, math.inf])
+    def test_support_eps(self, bad):
+        with pytest.raises(BadSolveOptions, match="support_eps"):
+            ic.SolveOptions(support_eps=bad)
+
+
+@pytest.fixture
+def ascents(monkeypatch):
+    """The start of every ascent solve() runs.  Polish restarts begin on a face
+    (a zero column); every main start is interior."""
+    seen = []
+    real = ri_solver._ascend
+
+    def spy(objective, gradient, start, options):
+        seen.append(start.copy())
+        return real(objective, gradient, start, options)
+
+    monkeypatch.setattr(ri_solver, "_ascend", spy)
+    return seen
+
+
+def split(starts):
+    """(main starts, polish restarts); every polish restart follows the main starts."""
+    interior = [bool(s.min() > 0.0) for s in starts]
+    k = interior.count(True)
+    assert interior == [True] * k + [False] * (len(starts) - k)
+    return starts[:k], starts[k:]
+
+
+class TestRestarts:
+    def test_converged_interior_incumbent_runs_one_ascent(self, ascents):
+        policy = ic.solve(ic.matching_problem(8.0, 6.1), ic.symmetric_renyi_cost_spec(1.0, 0.5))
+        assert policy.converged and policy.support == (0, 1, 2)
+        assert len(ascents) == 1
+        np.testing.assert_array_equal(ascents[0], np.full((2, 3), 1.0 / 3.0))
+
+    def test_pure_incumbent_restarts_only_from_its_zero_marginal_faces(self, ascents):
+        problem = ic.matching_problem(2.0, 1.5)  # safe beats every uninformed mixture
+        spec = ic.RenyiCost(1e6, ic.InteriorParam(np.array([0.5, 0.5])))
+        policy = ic.solve(problem, spec, ic.SolveOptions(max_iter=300))
+        safe = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        np.testing.assert_array_equal(policy.choice.probs, safe)
+        main, polish = split(ascents)
+        assert len(main) == 1 and len(polish) == 2
+        for start in polish:
+            np.testing.assert_array_equal(start, safe)
+
+    def test_capped_crawl_restarts_from_every_face(self, ascents):
+        shannon = ic.PosteriorSeparableCost(np.array([0.5, 0.5]), ic.ShannonEntropy())
+        ic.solve(ic.matching_problem(8.0, 6.1), shannon, ic.SolveOptions(starts=8, max_iter=5))
+        main, polish = split(ascents)
+        assert len(main) == 1 and len(polish) == 3
+        for a, start in enumerate(polish):
+            assert np.all(start[:, a] == 0.0)
+
+    def test_starts_count_only_for_sup_atoms(self, ascents):
+        problem = ic.matching_problem(8.0, 6.1)
+        options = ic.SolveOptions(starts=8, max_iter=50)
+        ic.solve(problem, ic.symmetric_renyi_cost_spec(1.0, 0.5), options)
+        assert len(split(ascents)[0]) == 1
+        ascents.clear()
+        sup = ic.DivergenceMeasure(((1.0, ic.SupParam(np.array([1.0, -1.0]))),))
+        ic.solve(problem, ic.MaxRenyiCost((sup,)), options)
+        main = split(ascents)[0]
+        assert len(main) == 8
+        np.testing.assert_array_equal(main[0], np.full((2, 3), 1.0 / 3.0))
 
 
 def reference_projection(m):
