@@ -18,8 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .blackwell import GarblingKernel, garble, random_kernel
-from .cost import CostSpec, MaxRenyiCost, eval_cost, spec_n_states
-from .divergence import SupParam
+from .cost import CostSpec, _has_sup_atom, eval_cost, spec_n_states
 from .errors import AxiomNotApplicable
 from .experiment import (
     FiniteExperiment,
@@ -246,12 +245,6 @@ def reevaluate_witness(spec: CostSpec, axiom: Axiom | str, witness: dict, tol: f
     if math.isnan(res):
         return -tol
     return res / scale - tol
-
-
-def _has_sup_atom(spec: CostSpec) -> bool:
-    if isinstance(spec, MaxRenyiCost):
-        return any(isinstance(p, SupParam) for m in spec.measures for _, p in m.atoms)
-    return False
 
 
 SUITE_AXIOMS = (

@@ -237,7 +237,7 @@ def _cmd_claim1(args) -> int:
                 ),
             ),
         ]
-        options = _solve_options(starts=args.starts, seed=args.seed)
+        options = ri_solver.SolveOptions(seed=args.seed)
         w_values = sorted({r.w for r in rows})
         sweep = ri_solver.support_comparison(specs, v_grid, w_values, options)
         csv_rows += [
@@ -342,12 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-grid", default="6,8,10")
     p.add_argument("--w-steps", type=int, default=12)
     p.add_argument("--compare", action="store_true", help="also sweep solver-based cost families")
-    p.add_argument(
-        "--starts",
-        type=int,
-        default=12,
-        help="kept for --compare; its Shannon and max-KL costs run one ascent whatever it is",
-    )
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_claim1)

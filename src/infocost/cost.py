@@ -8,6 +8,12 @@ and increasing convex transforms of posterior-separable costs.
 Sign convention: potentials are stored convex (entropy-style concave
 potentials are negated), and the posterior-separable cost is the expected
 potential of the posterior minus the potential of the prior.
+
+Every family is priced on a stack of matrices ``probs[B, n, s]`` by
+``eval_costs``.  Divergences go through the one divergence kernel; potentials
+through ``_potentials`` and transforms through ``_transforms``, each one NumPy
+pass per built-in kind.  Only custom potentials and transforms are called
+value by value.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import numpy as np
 from .divergence import (
     DivergenceMeasure,
     InteriorParam,
+    SupParam,
     _divergences,
     _kls,
     _param_from_payload,
@@ -30,7 +37,7 @@ from .divergence import (
     param_to_json,
 )
 from .errors import BadCostSpec, DimensionMismatch, NoSecondDerivative, NotADistribution, TransformDomain
-from .experiment import FiniteExperiment, _check_prior, _freeze, posteriors
+from .experiment import FiniteExperiment, _check_prior, _freeze
 
 
 # ---------------------------------------------------------------------------
@@ -96,36 +103,34 @@ class CustomPotential:
 PotentialSpec = Union[ShannonEntropy, Tsallis, KLPotential, RenyiPotential, CustomPotential]
 
 
-def potential_value(potential: PotentialSpec, p: np.ndarray, q: np.ndarray) -> float:
-    """Evaluate the convex potential at posterior p under prior q."""
+def _potentials(potential: PotentialSpec, post: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The convex potential at every posterior of a stack ``post[..., n, s]``
+    (states on the second-to-last axis) under prior q.  Built-in potentials
+    take one NumPy pass; a custom potential is called posterior by posterior."""
     if isinstance(potential, ShannonEntropy):
-        pos = p > 0
-        return float(np.sum(p[pos] * np.log(p[pos])))
+        return np.where(post > 0, post * np.log(post), 0.0).sum(axis=-2)
     if isinstance(potential, Tsallis):
-        return (float(np.sum(p**potential.sigma)) - 1.0) / (potential.sigma - 1.0)
+        return ((post**potential.sigma).sum(axis=-2) - 1.0) / (potential.sigma - 1.0)
     if isinstance(potential, KLPotential):
-        total = 0.0
-        n = p.shape[0]
-        for i in range(n):
-            if p[i] == 0.0:
-                continue
-            ri = p[i] / q[i]
-            for j in range(n):
-                bij = potential.beta[i, j]
-                if bij == 0.0:
-                    continue
-                if p[j] == 0.0:
-                    return math.inf
-                total += bij * ri * (math.log(ri) - math.log(p[j] / q[j]))
-        return total
+        # beta_ij r_i (log r_i - log r_j), dropped where r_i = 0, +inf where r_j = 0 < r_i
+        r = np.moveaxis(post / q[:, None], -2, 0)
+        log_r = np.log(r)
+        terms = (
+            np.where(r[i] > 0, potential.beta[i, j] * r[i] * (log_r[i] - log_r[j]), 0.0)
+            for i, j in zip(*np.nonzero(potential.beta))
+        )
+        return sum(terms, np.zeros(r.shape[1:]))
     if isinstance(potential, RenyiPotential):
-        a = potential.alpha
-        active = a > 0
-        if np.any(p[active] == 0.0):
-            return 1.0
-        return 1.0 - float(np.exp(np.sum(a[active] * (np.log(p[active]) - np.log(q[active])))))
+        # elementwise products, not a matmul: a batched matmul may round one matrix
+        # of a stack differently from the same matrix alone
+        active = potential.alpha > 0
+        logs = np.log(post[..., active, :]) - np.log(q[active])[:, None]
+        return 1.0 - np.exp((potential.alpha[active][:, None] * logs).sum(axis=-2))
     if isinstance(potential, CustomPotential):
-        return float(potential.fn(p, q))
+        # the all-zero belief of a signal that never occurs is no posterior
+        beliefs = np.moveaxis(post, -2, -1).reshape(-1, q.shape[0])
+        values = [float(potential.fn(p, q)) if p.any() else 0.0 for p in beliefs]
+        return np.array(values).reshape(post.shape[:-2] + post.shape[-1:])
     raise BadCostSpec(f"unknown potential {potential!r}")
 
 
@@ -231,19 +236,28 @@ class CustomTransform:
 TransformSpec = Union[IdentityTransform, RenyiLogTransform, CustomTransform]
 
 
-def apply_transform(transform: TransformSpec, x: float) -> float:
+def _transforms(transform: TransformSpec, x: np.ndarray) -> np.ndarray:
+    """The transform at every entry of ``x[B]``.  The Rényi log maps
+    x >= 1 - 1e-12 to +inf: a fully revealing experiment's Rényi-potential
+    cost is 1 give or take rounding, and off-simplex rows of the solver's
+    finite differences carry it past 1.  A custom transform is called entry
+    by entry."""
     if isinstance(transform, IdentityTransform):
         return x
     if isinstance(transform, RenyiLogTransform):
-        # a fully revealing experiment's Rényi-potential cost is 1, give or take rounding
-        if x > 1.0 + 1e-12:
-            raise TransformDomain(f"argument {x!r} above the transform domain")
-        if x >= 1.0 - 1e-12:
-            return math.inf
-        return transform.lam / (transform.alpha_max - 1.0) * math.log(1.0 - x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scaled = transform.lam / (transform.alpha_max - 1.0) * np.log(1.0 - x)
+        return np.where(x >= 1.0 - 1e-12, math.inf, scaled)
     if isinstance(transform, CustomTransform):
-        return float(transform.fn(x))
+        return np.array([float(transform.fn(v)) for v in x.tolist()])
     raise BadCostSpec(f"unknown transform {transform!r}")
+
+
+def apply_transform(transform: TransformSpec, x: float) -> float:
+    """The transform at one argument; the Rényi log raises above its domain."""
+    if isinstance(transform, RenyiLogTransform) and x > 1.0 + 1e-12:
+        raise TransformDomain(f"argument {x!r} above the transform domain")
+    return float(_transforms(transform, np.array([x], dtype=float))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -373,20 +387,17 @@ def spec_n_states(spec: CostSpec) -> int:
     raise BadCostSpec(f"unknown cost specification {spec!r}")
 
 
+def _has_sup_atom(spec: CostSpec) -> bool:
+    """Whether a max-Rényi cost has a sup atom, the one divergence that is
+    only quasi-convex and maximally dilution concave."""
+    return isinstance(spec, MaxRenyiCost) and any(
+        isinstance(p, SupParam) for m in spec.measures for _, p in m.atoms
+    )
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
-
-
-def _ps_value(prior: np.ndarray, potential: PotentialSpec, mu: FiniteExperiment) -> float:
-    pd = posteriors(mu, prior)
-    total = 0.0
-    for a in range(pd.n_atoms):
-        v = potential_value(potential, pd.posteriors[a], prior)
-        if math.isinf(v):
-            return math.inf
-        total += pd.weights[a] * v
-    return total - potential_value(potential, prior, prior)
 
 
 def _kl_forms(beta: np.ndarray, kl: np.ndarray) -> np.ndarray:
@@ -411,23 +422,13 @@ def _measure_integrals(measure: DivergenceMeasure, probs: np.ndarray, priced: di
 
 
 def _ps_values(prior: np.ndarray, potential: PotentialSpec, probs: np.ndarray) -> np.ndarray:
-    """The posterior-separable cost over a stack: one pass for Shannon (signals
-    of zero marginal add zero), a loop over the matrices for every other potential."""
-    if not isinstance(potential, ShannonEntropy):
-        return np.array([_ps_value(prior, potential, FiniteExperiment(m)) for m in probs])
+    """The posterior-separable cost over a stack.  A signal that never occurs
+    gets the all-zero belief, where every potential is finite, so its term
+    is zero."""
     marginal = prior @ probs
-    post = prior[None, :, None] * probs / marginal[:, None, :]
-    v = np.where(post > 0, post * np.log(post), 0.0).sum(axis=1)
-    return (marginal * v).sum(axis=1) - potential_value(potential, prior, prior)
-
-
-def _transform_or_inf(transform: TransformSpec, x: float) -> float:
-    """apply_transform extended by +inf above its domain, where off-simplex
-    rows can carry the inner cost."""
-    try:
-        return apply_transform(transform, x)
-    except TransformDomain:
-        return math.inf
+    post = prior[None, :, None] * probs / np.where(marginal > 0, marginal, 1.0)[:, None, :]
+    terms = marginal * _potentials(potential, post, prior)
+    return terms.sum(axis=1) - _potentials(potential, prior[:, None], prior)[0]
 
 
 def eval_costs(spec: CostSpec, probs) -> np.ndarray:
@@ -439,11 +440,12 @@ def eval_costs(spec: CostSpec, probs) -> np.ndarray:
     perturb single entries), but every entry must be a nonnegative number; a
     row that carries a transform's argument above its domain costs +inf.
     Weighted-KL sums, every divergence atom (through the one divergence
-    kernel, ``divergence._divergences``) and the Shannon posterior-separable
-    cost take one NumPy pass over the stack; other potentials and transforms
-    are applied matrix by matrix.  The Rényi atoms read each matrix's row of
-    largest exponent as summing to 1, which off-simplex rows do not: there the
-    value differs from the literal sum by that row's excess mass.
+    kernel, ``divergence._divergences``), every built-in potential and every
+    built-in transform take one NumPy pass over the stack; custom potentials
+    are called per posterior and custom transforms per value.  The Rényi
+    atoms read each matrix's row of largest exponent as summing to 1, which
+    off-simplex rows do not: there the value differs from the literal sum by
+    that row's excess mass.
     """
     # C order for every caller: a matmul's rounding can depend on the memory layout
     probs = np.ascontiguousarray(probs, dtype=float)
@@ -467,8 +469,7 @@ def eval_costs(spec: CostSpec, probs) -> np.ndarray:
         if isinstance(spec, PosteriorSeparableCost):
             return _ps_values(spec.prior, spec.potential, probs)
         if isinstance(spec, ConvexPSCost):
-            values = _ps_values(spec.prior, spec.potential, probs)
-            return np.array([_transform_or_inf(spec.transform, v) for v in values.tolist()])
+            return _transforms(spec.transform, _ps_values(spec.prior, spec.potential, probs))
     raise BadCostSpec(f"unknown cost specification {spec!r}")
 
 

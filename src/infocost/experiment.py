@@ -63,9 +63,6 @@ class FiniteExperiment:
     def n_signals(self) -> int:
         return self.probs.shape[1]
 
-    def row(self, i: int) -> np.ndarray:
-        return self.probs[i]
-
     def to_json(self) -> str:
         payload = {
             "states": self.n_states,
@@ -180,10 +177,6 @@ class PosteriorDistribution:
     @property
     def n_states(self) -> int:
         return self.prior.shape[0]
-
-    @property
-    def n_atoms(self) -> int:
-        return self.weights.shape[0]
 
     def barycenter(self) -> np.ndarray:
         return self.weights @ self.posteriors

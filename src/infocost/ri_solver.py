@@ -34,11 +34,12 @@ from .cost import (
     MaxRenyiCost,
     PosteriorSeparableCost,
     RenyiCost,
+    _has_sup_atom,
     eval_cost,
     eval_costs,
     spec_n_states,
 )
-from .divergence import DivergenceMeasure, InteriorParam, SupParam, _golden_max
+from .divergence import DivergenceMeasure, InteriorParam, _golden_max
 from .errors import BadSolveOptions, DimensionMismatch, NoRootInBracket, TOutOfRange
 from .experiment import FiniteExperiment, _check_prior, _freeze
 
@@ -214,7 +215,7 @@ def _one_ascent(spec: CostSpec) -> bool:
     if isinstance(spec, (KLCost, MaxKLCost, RenyiCost)):
         return True
     if isinstance(spec, MaxRenyiCost):
-        return not any(isinstance(p, SupParam) for m in spec.measures for _, p in m.atoms)
+        return not _has_sup_atom(spec)
     if isinstance(spec, ConvexPSCost) and isinstance(spec.transform, CustomTransform):
         return False
     return not isinstance(spec.potential, CustomPotential)

@@ -272,7 +272,6 @@ class TestSolveOptionFlags:
             ["solve", "--max-iter", "0"],
             ["solve", "--max-iter", "-5"],
             ["solve", "--starts", "0"],
-            ["claim1", "--compare", "--starts", "0"],
         ],
     )
     def test_out_of_range_exits_2(self, capsys, tmp_path, argv):

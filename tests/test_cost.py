@@ -214,6 +214,23 @@ def renyi_reference(alpha, probs):
     return math.log(total) / (alpha.max() - 1.0) if total > 0 else math.inf
 
 
+def renyi_potential_reference(alpha, probs):
+    """1 - sum_s prod_i p_i(s)^alpha_i, with 0^0 = 1: the expected potential
+    1 - prod_i (p_i / q_i)^alpha_i of the posteriors, whose exponents sum to 1."""
+    return 1.0 - np.sum(np.prod(probs ** alpha[:, None], axis=0))
+
+
+def tsallis_reference(sigma, prior, probs):
+    """sum_s m(s) phi(posterior of s) - phi(prior), phi(p) = (sum_i p_i^sigma - 1) / (sigma - 1)."""
+
+    def phi(p):
+        return (sum(x**sigma for x in p) - 1.0) / (sigma - 1.0)
+
+    m = prior @ probs
+    signals = (t for t in range(probs.shape[1]) if m[t] > 0)
+    return sum(m[t] * phi(prior * probs[:, t] / m[t]) for t in signals) - phi(prior)
+
+
 def mutual_information(prior, probs):
     """sum_i q_i sum_s p_i(s) log(p_i(s) / m(s)) with m = q . p."""
     m = prior @ probs
@@ -238,13 +255,23 @@ def reference_cost(spec, probs):
             sum(w * renyi_reference(p.alpha, probs) for w, p in m.atoms if w > 0)
             for m in spec.measures
         )
+    if isinstance(spec, ic.ConvexPSCost):
+        return spec.transform.lam * renyi_reference(spec.potential.alpha, probs)
+    if isinstance(spec.potential, ic.Tsallis):
+        return tsallis_reference(spec.potential.sigma, spec.prior, probs)
+    if isinstance(spec.potential, ic.KLPotential):
+        return kl_reference(spec.potential.beta, probs)
+    if isinstance(spec.potential, ic.RenyiPotential):
+        return renyi_potential_reference(spec.potential.alpha, probs)
     return mutual_information(spec.prior, probs)
 
 
 class TestEvalCosts:
     @given(
         st.integers(0, 10_000),
-        st.sampled_from(["kl", "max_kl", "renyi", "max_renyi", "shannon"]),
+        st.sampled_from(
+            ["kl", "max_kl", "renyi", "max_renyi", "shannon", "tsallis", "kl_potential", "renyi_potential", "convex_ps"]
+        ),
         st.integers(2, 4),
         st.integers(2, 64),
         st.integers(1, 4),
@@ -252,12 +279,12 @@ class TestEvalCosts:
     @settings(max_examples=200, deadline=None)
     def test_matches_independent_references(self, seed, family, n, s, b):
         rng = np.random.default_rng(seed)
-        spec = batched_specs(rng, n)[family]
+        spec = all_specs(rng, n)[family]
         probs = stochastic_stack(rng, b, n, s)
         got = ic.eval_costs(spec, probs)
         for value, p in zip(got, probs):
             ref = reference_cost(spec, p)
-            assert value == (math.inf if math.isinf(ref) else pytest.approx(ref, rel=1e-12))
+            assert value == (math.inf if math.isinf(ref) else pytest.approx(ref, rel=rounding_tol(spec)))
 
     @given(st.integers(0, 10_000), st.integers(2, 4), st.integers(2, 64), st.integers(1, 24))
     @settings(max_examples=100, deadline=None)
@@ -270,6 +297,14 @@ class TestEvalCosts:
         specs["convex_ps_expm1"] = ic.ConvexPSCost(
             renyi.prior, renyi.potential, ic.CustomTransform(math.expm1)
         )
+        specs["custom_potential"] = ic.PosteriorSeparableCost(
+            renyi.prior, ic.CustomPotential(lambda p, q: float(np.sum(p * p / q)))
+        )
+        if n > 2:
+            zero_exponent = specs["max_renyi"].measures[1].atoms[0][1].alpha
+            specs["renyi_potential_zero"] = ic.PosteriorSeparableCost(
+                renyi.prior, ic.RenyiPotential(zero_exponent)
+            )
         for spec in specs.values():
             expected = scalar_costs(spec, probs)
             np.testing.assert_array_equal(ic.eval_costs(spec, probs), expected)
@@ -291,6 +326,20 @@ class TestEvalCosts:
                 assert ic.eval_cost(spec, single) == pytest.approx(0.0, abs=tol), name
             else:
                 assert ic.eval_cost(spec, single) == 0.0, name
+
+    def test_custom_potential_sees_only_posteriors(self):
+        # signal 1 never occurs; its all-zero belief is not passed to fn
+        seen = []
+
+        def chi2(p, q):
+            seen.append(p.copy())
+            return float(np.sum(p * p / q))
+
+        spec = ic.PosteriorSeparableCost(np.array([0.4, 0.6]), ic.CustomPotential(chi2))
+        probs = np.array([[[0.5, 0.0, 0.5], [0.2, 0.0, 0.8]]])
+        cost = ic.eval_costs(spec, probs)[0]
+        assert len(seen) == 3 and all(abs(p.sum() - 1.0) <= 1e-15 for p in seen)  # two posteriors, the prior
+        assert cost == pytest.approx(ic.eval_cost(spec, ic.new_experiment(probs[0][:, [0, 2]])), rel=1e-15)
 
     def test_row_past_transform_domain_is_infinite(self):
         # the solver's finite differences raise an entry of a revealing policy
