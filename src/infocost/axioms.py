@@ -32,6 +32,9 @@ from .experiment import (
 )
 
 
+MIN_PROB = 0.02  # floor of every sampled entry, which keeps log likelihood ratios bounded
+
+
 class Axiom(str, Enum):
     MIXTURE_CONVEXITY = "mixture_convexity"
     MIXTURE_LINEARITY = "mixture_linearity"
@@ -53,7 +56,6 @@ class AxiomProfile:
     n_samples: int = 200
     seed: int = 0
     tol: float = 1e-9
-    min_prob: float = 0.02
 
 
 @dataclass(frozen=True)
@@ -82,9 +84,9 @@ def _n_signals(rng: np.random.Generator, cap: int) -> int:
     return int(rng.integers(2, cap + 1)) if cap > 2 else cap
 
 
-def _draw(rng: np.random.Generator, n_states: int, cap: int, min_prob: float) -> FiniteExperiment:
+def _draw(rng: np.random.Generator, n_states: int, cap: int) -> FiniteExperiment:
     seed = int(rng.integers(0, 2**31 - 1))
-    return random_experiment(n_states, _n_signals(rng, cap), seed, min_prob)
+    return random_experiment(n_states, _n_signals(rng, cap), seed, MIN_PROB)
 
 
 def _residual(spec: CostSpec, axiom: Axiom, sample: dict) -> tuple[float, float]:
@@ -164,27 +166,25 @@ def _residual(spec: CostSpec, axiom: Axiom, sample: dict) -> tuple[float, float]
     raise AxiomNotApplicable(f"unknown axiom {axiom!r}")
 
 
-def _sample_inputs(
-    axiom: Axiom, rng: np.random.Generator, profile: AxiomProfile, n_states: int, tol: float
-) -> dict:
-    cap, mp = profile.n_signals, profile.min_prob
-    sample: dict = {"tol": tol}
+def _sample_inputs(axiom: Axiom, rng: np.random.Generator, profile: AxiomProfile) -> dict:
+    n_states, cap = profile.n_states, profile.n_signals
+    sample: dict = {"tol": profile.tol}
     if axiom in (Axiom.MIXTURE_CONVEXITY, Axiom.MIXTURE_LINEARITY, Axiom.SUB_ADDITIVITY, Axiom.ADDITIVITY):
         sample["experiments"] = [
-            _draw(rng, n_states, cap, mp).probs.tolist(),
-            _draw(rng, n_states, cap, mp).probs.tolist(),
+            _draw(rng, n_states, cap).probs.tolist(),
+            _draw(rng, n_states, cap).probs.tolist(),
         ]
         sample["weight"] = float(rng.uniform(0.1, 0.9))
     elif axiom in (Axiom.IDENTITY_ADDITIVITY,):
-        sample["experiments"] = [_draw(rng, n_states, cap, mp).probs.tolist()]
+        sample["experiments"] = [_draw(rng, n_states, cap).probs.tolist()]
     elif axiom in (Axiom.DILUTION_LINEARITY, Axiom.MAXIMAL_DILUTION_CONCAVITY):
-        sample["experiments"] = [_draw(rng, n_states, cap, mp).probs.tolist()]
+        sample["experiments"] = [_draw(rng, n_states, cap).probs.tolist()]
         sample["weight"] = float(rng.uniform(0.1, 0.9))
     elif axiom is Axiom.INDEPENDENCE:
-        sample["experiments"] = [_draw(rng, n_states, cap, mp).probs.tolist() for _ in range(3)]
+        sample["experiments"] = [_draw(rng, n_states, cap).probs.tolist() for _ in range(3)]
         sample["weight"] = float(rng.uniform(0.1, 0.9))
     elif axiom is Axiom.BLACKWELL_MONOTONICITY:
-        mu = _draw(rng, n_states, cap, mp)
+        mu = _draw(rng, n_states, cap)
         sample["experiments"] = [mu.probs.tolist()]
         cols = _n_signals(rng, cap)
         kernel = random_kernel(mu.n_signals, cols, int(rng.integers(0, 2**31 - 1)))
@@ -223,7 +223,7 @@ def check_axiom(
     witness = None
     evaluated = 0
     for _ in range(profile.n_samples):
-        sample = _sample_inputs(axiom, rng, profile, n_states, profile.tol)
+        sample = _sample_inputs(axiom, rng, profile)
         res, scale = _residual(spec, axiom, sample)
         if math.isnan(res):
             continue

@@ -106,27 +106,22 @@ def dominates(mu: FiniteExperiment, nu: FiniteExperiment, tol: float = DEFAULT_T
     c = np.zeros(nvar)
     c[-1] = 1.0
 
+    # kernel entry psi[s, t] is variable s * nt + t
+    src = np.arange(ns)
     a_eq = np.zeros((ns, nvar))
-    for s in range(ns):
-        a_eq[s, s * nt : (s + 1) * nt] = 1.0
+    a_eq[src[:, None], src[:, None] * nt + np.arange(nt)] = 1.0
     b_eq = np.ones(ns)
 
-    n_match = mu.n_states * nt
-    a_ub = np.zeros((2 * n_match, nvar))
-    b_ub = np.zeros(2 * n_match)
-    row = 0
-    for i in range(mu.n_states):
-        for t in range(nt):
-            coeffs = np.zeros(nvar)
-            coeffs[np.arange(ns) * nt + t] = mu.probs[i]
-            coeffs[-1] = -1.0
-            a_ub[row] = coeffs
-            b_ub[row] = nu.probs[i, t]
-            coeffs2 = -coeffs
-            coeffs2[-1] = -1.0
-            a_ub[row + 1] = coeffs2
-            b_ub[row + 1] = -nu.probs[i, t]
-            row += 2
+    # rows (i, t, +) and (i, t, -): +-(sum_s psi[s, t] mu_i(s) - nu_i(t)) <= eps;
+    # the minus rows are negated copies of the plus rows, zeros included
+    i, t, s = np.ix_(np.arange(mu.n_states), np.arange(nt), src)
+    a_ub = np.zeros((mu.n_states, nt, 2, nvar))
+    a_ub[:, :, 1] = -0.0
+    a_ub[i, t, 0, s * nt + t] = mu.probs[i, s]
+    a_ub[i, t, 1, s * nt + t] = -mu.probs[i, s]
+    a_ub[..., -1] = -1.0
+    a_ub = a_ub.reshape(-1, nvar)
+    b_ub = np.stack([nu.probs, -nu.probs], -1).ravel()
 
     bounds = [(0.0, 1.0)] * (ns * nt) + [(0.0, None)]
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")

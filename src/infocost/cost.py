@@ -346,6 +346,15 @@ class MaxRenyiCost:
                     raise BadCostSpec("all atoms must share the state count")
 
 
+def _init_ps(cost) -> None:
+    """Freeze a posterior-separable cost's prior and price its potential there
+    once, for ``_ps_values`` (a custom potential is called at construction)."""
+    q = _freeze(_check_prior(cost.prior).copy())
+    object.__setattr__(cost, "prior", q)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        object.__setattr__(cost, "_prior_potential", _potentials(cost.potential, q[:, None], q)[0])
+
+
 @dataclass(frozen=True, eq=False)
 class PosteriorSeparableCost:
     """Expected convex potential of the posterior minus potential of the prior."""
@@ -354,7 +363,7 @@ class PosteriorSeparableCost:
     potential: PotentialSpec
 
     def __post_init__(self):
-        object.__setattr__(self, "prior", _freeze(_check_prior(self.prior).copy()))
+        _init_ps(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,7 +375,7 @@ class ConvexPSCost:
     transform: TransformSpec
 
     def __post_init__(self):
-        object.__setattr__(self, "prior", _freeze(_check_prior(self.prior).copy()))
+        _init_ps(self)
 
 
 CostSpec = Union[KLCost, MaxKLCost, RenyiCost, MaxRenyiCost, PosteriorSeparableCost, ConvexPSCost]
@@ -421,14 +430,15 @@ def _measure_integrals(measure: DivergenceMeasure, probs: np.ndarray, priced: di
     return sum(terms, np.zeros(probs.shape[0]))
 
 
-def _ps_values(prior: np.ndarray, potential: PotentialSpec, probs: np.ndarray) -> np.ndarray:
+def _ps_values(spec: Union[PosteriorSeparableCost, ConvexPSCost], probs: np.ndarray) -> np.ndarray:
     """The posterior-separable cost over a stack.  A signal that never occurs
     gets the all-zero belief, where every potential is finite, so its term
     is zero."""
+    prior = spec.prior
     marginal = prior @ probs
     post = prior[None, :, None] * probs / np.where(marginal > 0, marginal, 1.0)[:, None, :]
-    terms = marginal * _potentials(potential, post, prior)
-    return terms.sum(axis=1) - _potentials(potential, prior[:, None], prior)[0]
+    terms = marginal * _potentials(spec.potential, post, prior)
+    return terms.sum(axis=1) - spec._prior_potential
 
 
 def eval_costs(spec: CostSpec, probs) -> np.ndarray:
@@ -467,9 +477,9 @@ def eval_costs(spec: CostSpec, probs) -> np.ndarray:
             priced: dict = {}
             return reduce(np.maximum, [_measure_integrals(m, probs, priced) for m in spec.measures])
         if isinstance(spec, PosteriorSeparableCost):
-            return _ps_values(spec.prior, spec.potential, probs)
+            return _ps_values(spec, probs)
         if isinstance(spec, ConvexPSCost):
-            return _transforms(spec.transform, _ps_values(spec.prior, spec.potential, probs))
+            return _transforms(spec.transform, _ps_values(spec, probs))
     raise BadCostSpec(f"unknown cost specification {spec!r}")
 
 

@@ -399,16 +399,9 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, flo
 
 
 def _chernoff_objective(mu: FiniteExperiment, t: float) -> float:
-    p0, p1 = mu.probs[0], mu.probs[1]
-    pos = p0 > 0
-    with np.errstate(divide="ignore"):
-        logs = t * np.log(p0[pos]) + (1.0 - t) * np.log(p1[pos])
-    if 1.0 - t == 0.0:  # 0 ** 0 := 1 at the right endpoint
-        logs = np.where(np.isnan(logs), t * np.log(p0[pos]), logs)
-    total = float(np.sum(np.exp(logs[~np.isneginf(logs)])))
-    if total == 0.0:
-        return math.inf
-    return -math.log(total)
+    """-log sum_s mu_0(s)^t mu_1(s)^(1-t), with the kernel's zero conventions."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return float(-_log_sums(np.array([t, 1.0 - t]), mu.probs[None])[0])
 
 
 def chernoff_information(mu: FiniteExperiment) -> float:

@@ -130,5 +130,4 @@ class NoRootInBracket(InfoCostError):
 
 
 class BadSolveOptions(InfoCostError):
-    """A solver option is out of range: starts and max_iter must be integers
-    >= 1, grad_eps finite and positive, support_eps in [0, 1)."""
+    """A solver option is out of range: starts and max_iter must be integers >= 1."""

@@ -35,7 +35,6 @@ from .cost import (
     PosteriorSeparableCost,
     RenyiCost,
     _has_sup_atom,
-    eval_cost,
     eval_costs,
     spec_n_states,
 )
@@ -44,6 +43,8 @@ from .errors import BadSolveOptions, DimensionMismatch, NoRootInBracket, TOutOfR
 from .experiment import FiniteExperiment, _check_prior, _freeze
 
 GRAD_CLIP = 1e8
+GRAD_EPS = 1e-6  # finite-difference step of the cost gradient
+SUPPORT_EPS = 0.01  # an action whose marginal is at most this is outside the support
 
 
 # ---------------------------------------------------------------------------
@@ -77,26 +78,23 @@ class RIProblem:
 
 @dataclass(frozen=True)
 class Policy:
-    """A stochastic choice function with its achieved objective value."""
+    """A stochastic choice function with its achieved objective value; the
+    support lists the actions whose marginal exceeds ``SUPPORT_EPS``."""
 
     choice: FiniteExperiment
     value: float
     support: tuple
     converged: bool
-    support_eps: float
 
 
 @dataclass(frozen=True)
 class SolveOptions:
     """Solver effort.  ``starts`` counts the ascents of the multi-start path
-    (sup atoms and custom callables); ``max_iter`` caps each ascent's steps;
-    ``grad_eps`` is the finite-difference step; actions whose marginal is at
-    most ``support_eps`` are outside the reported support."""
+    (sup atoms and custom callables), ``max_iter`` caps each ascent's steps
+    and ``seed`` draws the random starts of that path."""
 
     starts: int = 16
     max_iter: int = 2000
-    grad_eps: float = 1e-6
-    support_eps: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
@@ -104,10 +102,6 @@ class SolveOptions:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
                 raise BadSolveOptions(f"{name} must be an integer >= 1, got {v!r}")
-        if not (isinstance(self.grad_eps, numbers.Real) and 0.0 < self.grad_eps < math.inf):
-            raise BadSolveOptions(f"grad_eps must be finite and positive, got {self.grad_eps!r}")
-        if not (isinstance(self.support_eps, numbers.Real) and 0.0 <= self.support_eps < 1.0):
-            raise BadSolveOptions(f"support_eps must lie in [0, 1), got {self.support_eps!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +124,9 @@ def _project_rows(m: np.ndarray) -> np.ndarray:
 def _objective_factory(problem: RIProblem, spec: CostSpec):
     qu = problem.prior[None, :] * problem.utilities  # [a, theta] weighted payoffs
 
-    def expected_utility(p: np.ndarray) -> float:
-        return float(np.sum(qu.T * p))
-
     def objective(p: np.ndarray) -> float:
-        c = eval_cost(spec, FiniteExperiment(p))
-        if math.isinf(c):
-            return -math.inf
-        return expected_utility(p) - c
+        # a +inf cost gives -inf
+        return float(np.sum(qu.T * p)) - float(eval_costs(spec, p[None])[0])
 
     def gradient(p: np.ndarray, h: float) -> np.ndarray:
         # stack row k moves entry k of p up to x + h, row nm + k down to max(x - h, 0)
@@ -172,7 +161,7 @@ def _ascend(objective, gradient, start: np.ndarray, options: SolveOptions) -> tu
     window: deque = deque([f], maxlen=51)
     converged = False
     for _ in range(options.max_iter):
-        g = gradient(p, options.grad_eps)
+        g = gradient(p, GRAD_EPS)
         s = step
         accepted = False
         margin = 1e-13 * max(1.0, abs(f))
@@ -235,8 +224,9 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
     A polish pass then restarts from the incumbent with one action dropped,
     so that face optima are reached exactly instead of approached by a slow
     crawl.  If the incumbent's ascent converged, only actions whose marginal
-    is at most ``options.support_eps`` are dropped; if it stopped at
-    ``max_iter``, every action is.
+    is at most ``SUPPORT_EPS`` are dropped; if it stopped at
+    ``max_iter``, every action is.  Cost gradients take finite differences
+    of step ``GRAD_EPS``.
     """
     if options is None:
         options = SolveOptions()
@@ -279,7 +269,7 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
         incumbent = best_p.copy()
         faces = range(m)
         if best_conv:
-            faces = np.flatnonzero(problem.prior @ incumbent <= options.support_eps)
+            faces = np.flatnonzero(problem.prior @ incumbent <= SUPPORT_EPS)
         for a in faces:
             faced = incumbent.copy()
             faced[:, a] = 0.0
@@ -298,8 +288,8 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
     value = objective(probs)
     probs.setflags(write=False)
     marginals = problem.prior @ probs
-    support = tuple(int(a) for a in np.flatnonzero(marginals > options.support_eps))
-    return Policy(FiniteExperiment(probs), value, support, best_conv, options.support_eps)
+    support = tuple(int(a) for a in np.flatnonzero(marginals > SUPPORT_EPS))
+    return Policy(FiniteExperiment(probs), value, support, best_conv)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +463,7 @@ def claim1_region(
     t: float,
     v_grid: Sequence[float],
     w_steps: int,
-    support_eps: float = 0.01,
+    support_eps: float = SUPPORT_EPS,
 ) -> list[Claim1Row]:
     """Scan payoffs for the band where the optimal symmetric policy uses all
     three actions.

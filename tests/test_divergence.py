@@ -406,10 +406,28 @@ class TestChernoffAndPrivacy:
         assert ic.chernoff_information(SYM75) == pytest.approx(0.5 * RENYI_HALF_75, abs=1e-9)
 
     def test_bounded_by_both_kl_directions(self):
-        for seed in range(100):
-            mu = ic.random_experiment(2, 3, seed=seed, min_prob=0.02)
+        # zero entries included, where the value must not depend on which state is row 0
+        rng = np.random.default_rng(5)
+        zeroed = []
+        while len(zeroed) < 60:
+            m = rng.dirichlet(np.ones(4), size=2) * (rng.random((2, 4)) > 0.3)
+            if m.sum(axis=1).all():
+                zeroed.append(ic.new_experiment(m / m.sum(axis=1, keepdims=True)))
+        randoms = [ic.random_experiment(2, 3, seed=seed, min_prob=0.02) for seed in range(100)]
+        for mu in randoms + zeroed:
             bound = min(ic.kl(mu.probs[0], mu.probs[1]), ic.kl(mu.probs[1], mu.probs[0]))
-            assert ic.chernoff_information(mu) <= bound + 1e-9
+            value = ic.chernoff_information(mu)
+            assert value <= bound + 1e-9
+            swapped = ic.new_experiment(mu.probs[::-1])
+            assert ic.chernoff_information(swapped) == pytest.approx(value, rel=1e-8, abs=1e-8)
+
+    def test_zero_entry_hand_value(self):
+        # sum_s mu_0^t mu_1^(1-t) is 2^(t-1) for t in (0, 1] and +inf for t < 0,
+        # so the supremum log 2 is approached as t -> 0+ (the swap mirrors it at 1)
+        for rows in ([[1.0, 0.0], [0.5, 0.5]], [[0.5, 0.5], [1.0, 0.0]]):
+            assert ic.chernoff_information(ic.new_experiment(rows)) == pytest.approx(
+                math.log(2.0), abs=1e-9
+            )
 
     def test_privacy_values(self):
         assert ic.privacy_loss(SYM75) == pytest.approx(math.log(3.0), abs=1e-12)

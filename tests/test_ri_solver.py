@@ -164,7 +164,7 @@ class TestSolver:
 class TestSolveOptions:
     def test_defaults_and_integer_types_accepted(self):
         ic.SolveOptions()
-        ic.SolveOptions(starts=np.int64(1), max_iter=1, grad_eps=1e-9, support_eps=0)
+        ic.SolveOptions(starts=np.int64(1), max_iter=1)
 
     @pytest.mark.parametrize("bad", [0, -1, 1.5, True, None])
     def test_starts(self, bad):
@@ -175,16 +175,6 @@ class TestSolveOptions:
     def test_max_iter(self, bad):
         with pytest.raises(BadSolveOptions, match="max_iter"):
             ic.SolveOptions(max_iter=bad)
-
-    @pytest.mark.parametrize("bad", [0.0, -1e-6, math.nan, math.inf, "1e-6"])
-    def test_grad_eps(self, bad):
-        with pytest.raises(BadSolveOptions, match="grad_eps"):
-            ic.SolveOptions(grad_eps=bad)
-
-    @pytest.mark.parametrize("bad", [math.nan, -0.01, 1.0, math.inf])
-    def test_support_eps(self, bad):
-        with pytest.raises(BadSolveOptions, match="support_eps"):
-            ic.SolveOptions(support_eps=bad)
 
 
 @pytest.fixture
