@@ -285,6 +285,14 @@ def _cmd_approx(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer (argparse exits 2 otherwise)."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="infocost",
@@ -315,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("axioms", help="run the randomized axiom suite for a cost file")
     p.add_argument("--cost", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--signals", type=int, default=3)
     p.add_argument("--tol", type=float, default=1e-9)
@@ -325,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a rational-inattention problem")
     p.add_argument("--problem", required=True, help='JSON {"prior": [...], "utilities": [[...]]}')
     p.add_argument("--cost", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument(
         "--starts",
         type=int,
@@ -342,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-grid", default="6,8,10")
     p.add_argument("--w-steps", type=int, default=12)
     p.add_argument("--compare", action="store_true", help="also sweep solver-based cost families")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_claim1)
 
@@ -357,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior", default="[0.5, 0.5]")
     p.add_argument("--k-list", default="4,16,64")
     p.add_argument("--grid", type=int, default=12, help="number of divergence parameters")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_approx)
 

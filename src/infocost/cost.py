@@ -30,6 +30,7 @@ from .divergence import (
     DivergenceMeasure,
     InteriorParam,
     SupParam,
+    WeightedKLParam,
     _divergences,
     _kls,
     _param_from_payload,
@@ -489,6 +490,85 @@ def eval_cost(spec: CostSpec, mu: FiniteExperiment) -> float:
     if n != mu.n_states:
         raise DimensionMismatch(f"spec is {n}-state, experiment has {mu.n_states}")
     return float(eval_costs(spec, mu.probs[None])[0])
+
+
+# ---------------------------------------------------------------------------
+# gradients
+# ---------------------------------------------------------------------------
+
+
+def _kl_gradient(beta: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The gradient of sum_ij beta_ij KL(mu_i || mu_j) in the entries of p[n, s]."""
+    log_p = np.log(p)
+    grad = np.zeros_like(p)
+    for i, j in zip(*np.nonzero(beta)):
+        grad[i] += beta[i, j] * (log_p[i] - log_p[j] + 1.0)
+        grad[j] -= beta[i, j] * p[i] / p[j]
+    return grad
+
+
+def _atoms_gradient(atoms, p: np.ndarray) -> np.ndarray:
+    """The gradient of sum w * D_param over (w, param) atoms, interior or weighted-KL.
+
+    Interior: D = log S / -sum_{i != k} alpha_i with S = sum_s T(s) and
+    T(s) = prod_i p_i(s) ** alpha_i, so row i is alpha_i T / (p_i S) over
+    the same denominator; a zero exponent leaves its row out of T.
+    """
+    grad = np.zeros_like(p)
+    for w, param in atoms:
+        if w == 0.0:
+            continue
+        if isinstance(param, WeightedKLParam):
+            beta = np.zeros((p.shape[0], p.shape[0]))
+            beta[param.pivot] = param.beta
+            grad += w * _kl_gradient(beta, p)
+            continue
+        others = param.alpha.tolist()
+        on = param.alpha > 0 if 0.0 in others else slice(None)
+        others.remove(max(others))  # the denominator is -sum_{i != k} alpha_i
+        alpha, p_on = param.alpha[on, None], p[on]
+        t = np.exp((alpha * np.log(p_on)).sum(axis=0))
+        grad[on] += (w / (t.sum() * -math.fsum(others)) * alpha) * t / p_on
+    return grad
+
+
+def _tied(members: tuple, values: list) -> list:
+    """The members of a maximum whose values lie within 1e-12 (relative) of it."""
+    top = max(values)
+    return [m for m, v in zip(members, values) if v >= top - 1e-12 * abs(top)]
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _cost_gradient(spec: CostSpec, p: np.ndarray) -> Optional[np.ndarray]:
+    """dC/dp for one choice matrix p[n, s] with a finite cost, or None where
+    no closed form is coded: sup atoms, custom callables, the Tsallis,
+    KL-potential and Rényi-potential potentials, and transformed costs.
+
+    Entries are exact where p > 0; a zero entry may carry -inf or NaN.  A
+    maximum gets the mean gradient of its members within 1e-12 (relative)
+    of the top, which is the gradient where one member leads and a
+    subgradient at a tie.  The Rényi atoms' row k is differentiated as
+    written, while ``eval_costs`` reads it as summing to 1, so off the
+    simplex the two differ by a constant along that row.
+    """
+    if isinstance(spec, (KLCost, MaxKLCost)):
+        betas = (spec.beta,) if isinstance(spec, KLCost) else spec.betas
+        if len(betas) > 1:
+            kl = _kls(p[None, :, None], p[None, None])
+            betas = _tied(betas, [_kl_forms(b, kl)[0] for b in betas])
+        return sum(_kl_gradient(b, p) for b in betas) / len(betas)
+    if isinstance(spec, RenyiCost):
+        return _atoms_gradient(((spec.lam, spec.param),), p)
+    if isinstance(spec, MaxRenyiCost) and not _has_sup_atom(spec):
+        measures = spec.measures
+        if len(measures) > 1:
+            priced: dict = {}
+            measures = _tied(measures, [_measure_integrals(m, p[None], priced)[0] for m in measures])
+        return sum(_atoms_gradient(m.atoms, p) for m in measures) / len(measures)
+    if isinstance(spec, PosteriorSeparableCost) and isinstance(spec.potential, ShannonEntropy):
+        q = spec.prior[:, None]
+        return q * np.log(q * p / (spec.prior @ p))
+    return None
 
 
 def renyi_cost_as_transform_check(

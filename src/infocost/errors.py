@@ -130,4 +130,5 @@ class NoRootInBracket(InfoCostError):
 
 
 class BadSolveOptions(InfoCostError):
-    """A solver option is out of range: starts and max_iter must be integers >= 1."""
+    """A solver option is out of range: starts and max_iter must be integers
+    >= 1, and seed an integer >= 0."""

@@ -1,17 +1,17 @@
 """Rational-inattention problems: expected utility net of an information cost.
 
 The solver maximizes over stochastic choice functions (one signal per action)
-by projected-gradient ascent with finite-difference cost gradients, so any
-cost specification, including non-differentiable maxima and custom
-potentials, is supported.  Every built-in family except sup atoms is convex
-in the choice matrix, which makes the objective concave: those families get
-one ascent from the uniform policy, and the others several starts.  Each
-gradient is one
+by entropic mirror (exponentiated-gradient) ascent on the rows, so iterates
+need no projection.  KL, interior Rényi and Shannon costs, and their
+maxima, have analytic gradients (``cost._cost_gradient``); for a Shannon
+cost a unit step is the Blahut-Arimoto / logit update.  Every other cost,
+custom callables and sup atoms included, takes finite differences: one
 :func:`infocost.cost.eval_costs` pass over the stack of perturbed choice
-matrices; line-search candidates go through the same evaluator as stacks of
-one, so both see the same cost for the same matrix.  Each step projects all
-rows onto the simplex at once.  A binary symmetric matching instance admits a
-two-parameter closed form used as an independent cross-check.
+matrices.  Every built-in family except sup atoms is convex in the choice
+matrix, which makes the objective concave: those families get one ascent
+from the uniform policy, and the others several starts.  A binary symmetric
+matching instance admits a two-parameter closed form used as an independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .cost import (
     MaxRenyiCost,
     PosteriorSeparableCost,
     RenyiCost,
+    _cost_gradient,
     _has_sup_atom,
     eval_costs,
     spec_n_states,
@@ -98,27 +99,15 @@ class SolveOptions:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("starts", "max_iter"):
+        for name, low in (("starts", 1), ("max_iter", 1), ("seed", 0)):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
-                raise BadSolveOptions(f"{name} must be an integer >= 1, got {v!r}")
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
+                raise BadSolveOptions(f"{name} must be an integer >= {low}, got {v!r}")
 
 
 # ---------------------------------------------------------------------------
-# projected-gradient solver
+# mirror-ascent solver
 # ---------------------------------------------------------------------------
-
-
-def _project_rows(m: np.ndarray) -> np.ndarray:
-    """Euclidean projection of every row onto the probability simplex at once
-    (sort-based; Duchi, Shalev-Shwartz, Singer & Chandra 2008)."""
-    u = np.sort(m, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    idx = np.arange(1, m.shape[1] + 1)
-    # rho: the last sorted position that stays positive after the shift
-    rho = m.shape[1] - np.argmax((u - css / idx > 0)[:, ::-1], axis=1)
-    theta = css[np.arange(m.shape[0]), rho - 1] / rho
-    return np.clip(m - theta[:, None], 0.0, None)
 
 
 def _objective_factory(problem: RIProblem, spec: CostSpec):
@@ -152,36 +141,41 @@ def _objective_factory(problem: RIProblem, spec: CostSpec):
     return objective, gradient
 
 
-def _ascend(objective, gradient, start: np.ndarray, options: SolveOptions) -> tuple[np.ndarray, float, bool]:
+def _ascend(objective, gradient, prior, start: np.ndarray, options: SolveOptions) -> tuple[np.ndarray, float, bool]:
+    """Entropic mirror ascent: each step multiplies row x of p by exp(s * g)
+    and renormalizes, with g the objective gradient over q_x, so a zero entry
+    stays zero.  It stops on a Frank-Wolfe gap within the acceptance margin
+    (which bounds f* - f on p's face when f is concave), on no improving step
+    at any scale, or on 50 steps that gain less than 1e-10."""
     p = start.copy()
     f = objective(p)
     if not math.isfinite(f):
         return p, f, True
     step = 0.5
     window: deque = deque([f], maxlen=51)
-    converged = False
     for _ in range(options.max_iter):
-        g = gradient(p, GRAD_EPS)
-        s = step
-        accepted = False
+        on = p > 0
+        g = np.where(on, gradient(p) / prior[:, None], -np.inf)
+        g -= g.max(axis=1, keepdims=True)
         margin = 1e-13 * max(1.0, abs(f))
+        if -float(prior @ (p * np.where(on, g, 0.0)).sum(axis=1)) <= margin:
+            return p, f, True
+        s = step
         for _ in range(40):
-            cand = _project_rows(p + s * g)
+            cand = p * np.exp(s * g)
+            cand /= cand.sum(axis=1, keepdims=True)
             fc = objective(cand)
             if fc > f + margin:
                 p, f = cand, fc
                 step = min(s * 1.5, 100.0)
-                accepted = True
                 break
             s *= 0.5
-        if not accepted:
-            converged = True  # no improving step at any scale
-            break
+        else:
+            return p, f, True
         window.append(f)
         if len(window) == window.maxlen and f - window[0] < 1e-10:
-            converged = True
-            break
-    return p, f, converged
+            return p, f, True
+    return p, f, False
 
 
 def _pure_policy(n_states: int, n_actions: int, a: int) -> np.ndarray:
@@ -213,7 +207,7 @@ def _one_ascent(spec: CostSpec) -> bool:
 def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = None) -> Policy:
     """Maximize expected utility minus cost over stochastic choice functions.
 
-    Projected-gradient ascent from the uniform policy; every pure policy also
+    Entropic mirror ascent from the uniform policy; every pure policy also
     enters as an exact candidate, so the result never falls below a constant
     action.  Specs whose objective is concave (see ``_one_ascent``: every
     built-in family except sup atoms) run that one ascent.  Sup atoms and
@@ -225,8 +219,8 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
     so that face optima are reached exactly instead of approached by a slow
     crawl.  If the incumbent's ascent converged, only actions whose marginal
     is at most ``SUPPORT_EPS`` are dropped; if it stopped at
-    ``max_iter``, every action is.  Cost gradients take finite differences
-    of step ``GRAD_EPS``.
+    ``max_iter``, every action is.  Costs without an analytic gradient
+    take finite differences of step ``GRAD_EPS``.
     """
     if options is None:
         options = SolveOptions()
@@ -238,7 +232,12 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
         if np.max(np.abs(spec.prior - problem.prior)) > 1e-12:
             raise DimensionMismatch("the cost's prior differs from the problem's prior")
     n, m = problem.n_states, problem.n_actions
-    objective, gradient = _objective_factory(problem, spec)
+    objective, fd_gradient = _objective_factory(problem, spec)
+    qu_t = (problem.prior[None, :] * problem.utilities).T
+
+    def gradient(p: np.ndarray) -> np.ndarray:
+        dcost = _cost_gradient(spec, p)
+        return fd_gradient(p, GRAD_EPS) if dcost is None else qu_t - dcost
 
     uniform = np.full((n, m), 1.0 / m)
     starts = [uniform]
@@ -258,7 +257,7 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
         if run is None:
             p, f, conv = p0, objective(p0), True
         else:
-            p, f, conv = _ascend(objective, gradient, p0, options)
+            p, f, conv = _ascend(objective, gradient, problem.prior, p0, options)
         if f > best_f:
             best_p, best_f, best_conv = p, f, conv
 
@@ -280,7 +279,7 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
                 faced[dead, a] = 0.0
                 sums = faced.sum(axis=1, keepdims=True)
             faced /= sums
-            p, f, conv = _ascend(objective, gradient, faced, options)
+            p, f, conv = _ascend(objective, gradient, problem.prior, faced, options)
             if f > best_f:
                 best_p, best_f, best_conv = p, f, conv
 

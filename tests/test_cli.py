@@ -283,3 +283,22 @@ class TestSolveOptionFlags:
             argv = argv + ["--problem", str(prob_path), "--cost", str(cost_path)]
         code, out, err = run(capsys, argv + ["--seed", "0"])
         assert code == 2 and not out and "must be an integer >= 1" in err
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("verb", ["solve", "axioms", "approx", "claim1"])
+    def test_negative_seed_exits_2(self, capsys, tmp_path, exp_file, verb):
+        prob_path = tmp_path / "problem.json"
+        prob_path.write_text(json.dumps({"prior": [0.5, 0.5], "utilities": [[8, 0], [0, 8], [6.1, 6.1]]}))
+        cost_path = tmp_path / "cost.json"  # a sup atom: solve draws random starts from the seed
+        sup = ic.DivergenceMeasure(((1.0, ic.SupParam(np.array([1.0, -1.0]))),))
+        cost_path.write_text(ic.cost_to_json(ic.MaxRenyiCost((sup,))))
+        argv = {
+            "solve": ["solve", "--problem", str(prob_path), "--cost", str(cost_path)],
+            "axioms": ["axioms", "--cost", str(cost_path)],
+            "approx": ["approx", "--experiment", exp_file],
+            "claim1": ["claim1"],
+        }[verb]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "-1"])
+        assert exc.value.code == 2 and "non-negative" in capsys.readouterr().err

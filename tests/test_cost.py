@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import infocost as ic
+from infocost.cost import _cost_gradient
 from infocost.errors import (
     BadCostSpec,
     DimensionMismatch,
@@ -419,6 +420,49 @@ class TestConvexity:
                 ic.ConvexPSCost(prior, ic.CustomPotential(lambda p, q: 0.0), ic.IdentityTransform()),
             ]
             assert not any(_one_ascent(spec) for spec in multi_start)
+
+
+def max_members(spec):
+    """The costs a maximum takes its maximum over (the spec itself otherwise)."""
+    if isinstance(spec, ic.MaxKLCost):
+        return [ic.KLCost(b) for b in spec.betas]
+    if isinstance(spec, ic.MaxRenyiCost):
+        return [ic.MaxRenyiCost((m,)) for m in spec.measures]
+    return [spec]
+
+
+class TestCostGradient:
+    WITH_GRADIENT = {"kl", "max_kl", "renyi", "max_renyi", "max_renyi_wkl", "shannon"}
+
+    @given(st.integers(0, 10_000), st.integers(2, 4), st.integers(2, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_central_differences(self, seed, n, s):
+        # eval_costs reads a Rényi atom's row k as summing to 1, so off the simplex
+        # it differs by a constant along that row: compare within rows only
+        rng = np.random.default_rng(seed)
+        p = 0.05 / s + 0.95 * rng.dirichlet(np.ones(s), size=n)
+        h = 1e-6
+        steps = h * np.eye(n * s).reshape(n * s, n, s)
+        up, down = p + steps, p - steps
+        specs = all_specs(rng, n) | convex_specs(rng, n)
+        assert {name for name, spec in specs.items() if _cost_gradient(spec, p) is not None} == self.WITH_GRADIENT
+        for name in self.WITH_GRADIENT:
+            spec = specs[name]
+            values = sorted(ic.eval_costs(member, p[None])[0] for member in max_members(spec))
+            if len(values) > 1 and values[-1] - values[-2] < 1e-4:
+                continue  # a near tie: the differences straddle the kink of the maximum
+            fd = ((ic.eval_costs(spec, up) - ic.eval_costs(spec, down)) / (2.0 * h)).reshape(n, s)
+            grad = _cost_gradient(spec, p)
+            centred = [x - x.mean(axis=1, keepdims=True) for x in (grad, fd)]
+            np.testing.assert_allclose(*centred, rtol=0, atol=1e-6, err_msg=name)
+
+    def test_tie_takes_the_mean_of_the_tied_gradients(self):
+        betas = (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]]))
+        p = np.array([[0.6, 0.3, 0.1], [0.3, 0.6, 0.1]])  # KL(mu_0 || mu_1) = KL(mu_1 || mu_0)
+        members = [_cost_gradient(ic.KLCost(b), p) for b in betas]
+        assert not np.allclose(members[0], members[1])
+        mean = 0.5 * (members[0] + members[1])
+        np.testing.assert_allclose(_cost_gradient(ic.MaxKLCost(betas), p), mean, rtol=1e-15)
 
 
 class TestBlackwellMonotonicity:

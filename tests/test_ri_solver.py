@@ -7,6 +7,7 @@ import pytest
 
 import infocost as ic
 from infocost import ri_solver
+from infocost.cost import _cost_gradient
 from infocost.errors import BadSolveOptions, DimensionMismatch, NoRootInBracket
 from infocost.ri_solver import (
     GRAD_CLIP,
@@ -14,7 +15,6 @@ from infocost.ri_solver import (
     _golden_max,
     _mixing_kernel,
     _objective_factory,
-    _project_rows,
 )
 
 
@@ -153,6 +153,20 @@ class TestSolver:
                 ic.solve(problem, spec, ic.SolveOptions(starts=1, max_iter=1))
 
 
+    def test_safe_style_three_state_problem_reaches_blahut_arimoto(self):
+        prior = np.array([0.45, 0.35, 0.2])
+        utilities = np.array([[3.0, 1.0, 0.0], [0.0, 3.0, 1.0], [1.0, 0.0, 3.0], [2.15, 2.15, 2.15]])
+        spec = ic.PosteriorSeparableCost(prior, ic.ShannonEntropy())
+        policy = ic.solve(ic.RIProblem(prior, utilities), spec, ic.SolveOptions(starts=1))
+        # Blahut-Arimoto on the action marginal: log max_a c(a) bounds V* - V(marginal)
+        e, marginal = np.exp(utilities), np.full(4, 0.25)
+        c = e @ (prior / (marginal @ e))
+        while math.log(c.max()) > 1e-13:
+            marginal = marginal * c / (marginal @ c)
+            c = e @ (prior / (marginal @ e))
+        assert policy.value == pytest.approx(float(prior @ np.log(marginal @ e)), abs=1e-8)
+        assert policy.converged and policy.support == (0, 1, 3)
+
     def test_problem_leaves_caller_arrays_writable(self):
         q, u = np.array([0.5, 0.5]), np.array([[1.0, 0.0], [0.0, 1.0]])
         problem = ic.RIProblem(q, u)
@@ -176,6 +190,11 @@ class TestSolveOptions:
         with pytest.raises(BadSolveOptions, match="max_iter"):
             ic.SolveOptions(max_iter=bad)
 
+    @pytest.mark.parametrize("bad", [-1, 1.5, True, None, np.float64(3.0)])
+    def test_seed(self, bad):
+        with pytest.raises(BadSolveOptions, match="seed"):
+            ic.SolveOptions(seed=bad)
+
 
 @pytest.fixture
 def ascents(monkeypatch):
@@ -184,9 +203,9 @@ def ascents(monkeypatch):
     seen = []
     real = ri_solver._ascend
 
-    def spy(objective, gradient, start, options):
+    def spy(objective, gradient, prior, start, options):
         seen.append(start.copy())
-        return real(objective, gradient, start, options)
+        return real(objective, gradient, prior, start, options)
 
     monkeypatch.setattr(ri_solver, "_ascend", spy)
     return seen
@@ -239,18 +258,6 @@ class TestRestarts:
         np.testing.assert_array_equal(main[0], np.full((2, 3), 1.0 / 3.0))
 
 
-def reference_projection(m):
-    """Row-by-row sort-based simplex projection."""
-    rows = []
-    for y in m:
-        u = np.sort(y)[::-1]
-        css = np.cumsum(u) - 1.0
-        idx = np.arange(1, y.shape[0] + 1)
-        rho = idx[u - css / idx > 0][-1]
-        rows.append(np.clip(y - css[rho - 1] / rho, 0.0, None))
-    return np.vstack(rows)
-
-
 def reference_gradient(problem, spec, p, h):
     """Per-entry finite differences, one scalar eval_cost per perturbed matrix."""
     g = (problem.prior[None, :] * problem.utilities).T.copy()
@@ -273,17 +280,6 @@ def reference_gradient(problem, spec, p, h):
 
 
 class TestSolverSteps:
-    def test_projection_matches_row_reference(self):
-        rng = np.random.default_rng(3)
-        for _ in range(300):
-            k, m = rng.integers(1, 6), rng.integers(2, 7)
-            y = rng.standard_normal((k, m)) * 10.0 ** rng.uniform(-3, 3)
-            for case in (y, np.round(y, 1), -np.abs(y), np.repeat(y[:, :1], m, axis=1)):
-                got = _project_rows(case)
-                np.testing.assert_array_equal(got, reference_projection(case))
-                assert np.all(got >= 0.0)
-                np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=0, atol=1e-10)
-
     def test_batched_gradient_matches_per_entry_reference(self):
         rng = np.random.default_rng(11)
         matching = ic.matching_problem(8.0, 6.1)
@@ -304,6 +300,22 @@ class TestSolverSteps:
                 p[rng.random(p.shape) < 0.2] = 0.0
                 p[rng.random(p.shape) < 0.1] = 4e-7  # the lower step clips at zero
                 np.testing.assert_array_equal(gradient(p, 1e-6), reference_gradient(problem, spec, p, 1e-6))
+
+
+    def test_unit_mirror_step_on_shannon_is_the_logit_update(self):
+        # a step of size 1 on u(a, x) - dC/dp(x, a) / q_x gives p(a|x) ~ P(a) exp(u(a, x))
+        rng = np.random.default_rng(4)
+        for n, m in ((2, 3), (3, 4), (4, 2), (3, 5)):
+            prior = rng.dirichlet(np.ones(n))
+            utilities = rng.uniform(0.0, 3.0, size=(m, n))
+            p = rng.dirichlet(np.ones(m), size=n)
+            spec = ic.PosteriorSeparableCost(prior, ic.ShannonEntropy())
+            g = utilities.T - _cost_gradient(spec, p) / prior[:, None]
+            step = p * np.exp(g - g.max(axis=1, keepdims=True))
+            logit = (prior @ p) * np.exp(utilities.T)
+            np.testing.assert_allclose(
+                step / step.sum(axis=1, keepdims=True), logit / logit.sum(axis=1, keepdims=True), rtol=0, atol=1e-14
+            )
 
 
 class TestClaim1Region:
