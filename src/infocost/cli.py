@@ -285,12 +285,15 @@ def _cmd_approx(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _seed(text: str) -> int:
-    """A --seed value: a non-negative integer (argparse exits 2 otherwise)."""
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return seed
+def _at_least(low: int):
+    """The argparse type of an integer flag with a lower bound (argparse exits 2 below it)."""
+
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return int(text)
+
+    return integer
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -323,9 +326,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("axioms", help="run the randomized axiom suite for a cost file")
     p.add_argument("--cost", required=True)
-    p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--signals", type=int, default=3)
+    p.add_argument("--seed", type=_at_least(0), required=True)
+    p.add_argument("--samples", type=_at_least(1), default=200)
+    p.add_argument("--signals", type=_at_least(1), default=3)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_axioms)
@@ -333,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a rational-inattention problem")
     p.add_argument("--problem", required=True, help='JSON {"prior": [...], "utilities": [[...]]}')
     p.add_argument("--cost", required=True)
-    p.add_argument("--seed", type=_seed, required=True)
+    p.add_argument("--seed", type=_at_least(0), required=True)
     p.add_argument(
         "--starts",
         type=int,
@@ -348,15 +351,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=0.5)
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--v-grid", default="6,8,10")
-    p.add_argument("--w-steps", type=int, default=12)
+    p.add_argument("--w-steps", type=_at_least(1), default=12)
     p.add_argument("--compare", action="store_true", help="also sweep solver-based cost families")
-    p.add_argument("--seed", type=_seed, required=True)
+    p.add_argument("--seed", type=_at_least(0), required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_claim1)
 
     p = sub.add_parser("tsallis", help="sub-additivity check for the generalized entropy")
     p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--grid-size", type=int, default=2001)
+    p.add_argument("--grid-size", type=_at_least(3), default=2001)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_tsallis)
 
@@ -364,8 +367,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment", required=True)
     p.add_argument("--prior", default="[0.5, 0.5]")
     p.add_argument("--k-list", default="4,16,64")
-    p.add_argument("--grid", type=int, default=12, help="number of divergence parameters")
-    p.add_argument("--seed", type=_seed, required=True)
+    p.add_argument("--grid", type=_at_least(1), default=12, help="number of divergence parameters")
+    p.add_argument("--seed", type=_at_least(0), required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_approx)
 

@@ -33,6 +33,7 @@ from .divergence import (
     WeightedKLParam,
     _divergences,
     _kls,
+    _log_ratios,
     _param_from_payload,
     extended_divergence,
     param_to_json,
@@ -240,9 +241,8 @@ TransformSpec = Union[IdentityTransform, RenyiLogTransform, CustomTransform]
 def _transforms(transform: TransformSpec, x: np.ndarray) -> np.ndarray:
     """The transform at every entry of ``x[B]``.  The Rényi log maps
     x >= 1 - 1e-12 to +inf: a fully revealing experiment's Rényi-potential
-    cost is 1 give or take rounding, and off-simplex rows of the solver's
-    finite differences carry it past 1.  A custom transform is called entry
-    by entry."""
+    cost is 1 give or take rounding, and a row off the simplex can carry it
+    past 1.  A custom transform is called entry by entry."""
     if isinstance(transform, IdentityTransform):
         return x
     if isinstance(transform, RenyiLogTransform):
@@ -447,9 +447,9 @@ def eval_costs(spec: CostSpec, probs) -> np.ndarray:
 
     Entry b is the cost of the experiment ``probs[b]`` and depends on that
     matrix alone, so it equals ``eval_cost(spec, FiniteExperiment(probs[b]))``
-    exactly.  Rows need not be stochastic (the solver's finite differences
-    perturb single entries), but every entry must be a nonnegative number; a
-    row that carries a transform's argument above its domain costs +inf.
+    exactly.  Rows need not be stochastic, but every entry must be a
+    nonnegative number; a row that carries a transform's argument above its
+    domain costs +inf.
     Weighted-KL sums, every divergence atom (through the one divergence
     kernel, ``divergence._divergences``), every built-in potential and every
     built-in transform take one NumPy pass over the stack; custom potentials
@@ -507,16 +507,46 @@ def _kl_gradient(beta: np.ndarray, p: np.ndarray) -> np.ndarray:
     return grad
 
 
+def _potential_slopes(potential: PotentialSpec, post: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Phi(g) + grad Phi(g) . (e_x - g) at row x, column a, for the posteriors
+    g = ``post[:, a]``; a custom potential takes a one-sided difference along
+    the chord from g toward e_x, which stays on the simplex."""
+    if isinstance(potential, ShannonEntropy):
+        return np.log(post)
+    if isinstance(potential, Tsallis):
+        s = potential.sigma
+        return (s * post ** (s - 1.0) - 1.0) / (s - 1.0) - (post**s).sum(axis=0)
+    phi = _potentials(potential, post, q)
+    if isinstance(potential, CustomPotential):
+        # a signal that never occurs keeps its all-zero belief, which fn never sees
+        chord = np.where(post.any(axis=0), post + 1e-8 * (np.eye(q.shape[0])[:, :, None] - post), 0.0)
+        return phi + (_potentials(potential, chord, q) - phi) / 1e-8
+    if isinstance(potential, KLPotential):
+        grad = _kl_gradient(potential.beta, post / q[:, None]) / q[:, None]
+    else:  # Rényi: grad Phi = (Phi - 1) alpha / g
+        grad = (phi - 1.0) * potential.alpha[:, None] / post
+    return phi + grad - np.where(post > 0, post * grad, 0.0).sum(axis=0)
+
+
 def _atoms_gradient(atoms, p: np.ndarray) -> np.ndarray:
-    """The gradient of sum w * D_param over (w, param) atoms, interior or weighted-KL.
+    """The gradient of sum w * D_param over (w, param) atoms.
 
     Interior: D = log S / -sum_{i != k} alpha_i with S = sum_s T(s) and
     T(s) = prod_i p_i(s) ** alpha_i, so row i is alpha_i T / (p_i S) over
-    the same denominator; a zero exponent leaves its row out of T.
+    the same denominator; a zero exponent leaves its row out of T.  Sup:
+    D = max(0, max_s psi . log p(s)) has the subgradient psi / p(s*) at the
+    argmax signals s* (their mean where tied), and 0 where the floor wins.
     """
     grad = np.zeros_like(p)
     for w, param in atoms:
         if w == 0.0:
+            continue
+        if isinstance(param, SupParam):
+            ratios = _log_ratios(param.psi, p[None])[1][0]
+            top = np.fmax.reduce(ratios)
+            if top > 0:
+                at = ratios >= top * (1.0 - 1e-12)
+                grad[:, at] += w / at.sum() * param.psi[:, None] / p[:, at]
             continue
         if isinstance(param, WeightedKLParam):
             beta = np.zeros((p.shape[0], p.shape[0]))
@@ -539,17 +569,16 @@ def _tied(members: tuple, values: list) -> list:
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _cost_gradient(spec: CostSpec, p: np.ndarray) -> Optional[np.ndarray]:
-    """dC/dp for one choice matrix p[n, s] with a finite cost, or None where
-    no closed form is coded: sup atoms, custom callables, the Tsallis,
-    KL-potential and Rényi-potential potentials, and transformed costs.
+def _cost_gradient(spec: CostSpec, p: np.ndarray) -> np.ndarray:
+    """dC/dp for one choice matrix p[n, s] with a finite cost.
 
-    Entries are exact where p > 0; a zero entry may carry -inf or NaN.  A
-    maximum gets the mean gradient of its members within 1e-12 (relative)
-    of the top, which is the gradient where one member leads and a
-    subgradient at a tie.  The Rényi atoms' row k is differentiated as
-    written, while ``eval_costs`` reads it as summing to 1, so off the
-    simplex the two differ by a constant along that row.
+    Exact where p > 0, up to the difference step of a custom potential or
+    transform; a zero entry may carry -inf or NaN.  A maximum gets the mean
+    gradient of its members within 1e-12 (relative) of the top: a
+    subgradient at a tie.  A posterior-separable cost has dC/dp(x, a) = q_x
+    times ``_potential_slopes`` at (x, a).  The Rényi atoms' row k is
+    differentiated as written, while ``eval_costs`` reads it as summing to
+    1: off the simplex the two differ by a constant along that row.
     """
     if isinstance(spec, (KLCost, MaxKLCost)):
         betas = (spec.beta,) if isinstance(spec, KLCost) else spec.betas
@@ -559,16 +588,23 @@ def _cost_gradient(spec: CostSpec, p: np.ndarray) -> Optional[np.ndarray]:
         return sum(_kl_gradient(b, p) for b in betas) / len(betas)
     if isinstance(spec, RenyiCost):
         return _atoms_gradient(((spec.lam, spec.param),), p)
-    if isinstance(spec, MaxRenyiCost) and not _has_sup_atom(spec):
+    if isinstance(spec, MaxRenyiCost):
         measures = spec.measures
         if len(measures) > 1:
             priced: dict = {}
             measures = _tied(measures, [_measure_integrals(m, p[None], priced)[0] for m in measures])
         return sum(_atoms_gradient(m.atoms, p) for m in measures) / len(measures)
-    if isinstance(spec, PosteriorSeparableCost) and isinstance(spec.potential, ShannonEntropy):
-        q = spec.prior[:, None]
-        return q * np.log(q * p / (spec.prior @ p))
-    return None
+    q = spec.prior
+    marginal = q @ p
+    post = q[:, None] * p / np.where(marginal > 0, marginal, 1.0)
+    grad = q[:, None] * _potential_slopes(spec.potential, post, q)
+    if isinstance(spec, ConvexPSCost) and not isinstance(spec.transform, IdentityTransform):
+        # the chain rule, with c' central differences for a custom transform
+        t, x = spec.transform, _ps_values(spec, p[None])[0]
+        if isinstance(t, RenyiLogTransform):
+            return grad * t.lam / ((1.0 - t.alpha_max) * (1.0 - x))
+        return grad * (t.fn(x + 1e-6) - t.fn(x - 1e-6)) / 2e-6
+    return grad
 
 
 def renyi_cost_as_transform_check(

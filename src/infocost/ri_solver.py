@@ -2,16 +2,13 @@
 
 The solver maximizes over stochastic choice functions (one signal per action)
 by entropic mirror (exponentiated-gradient) ascent on the rows, so iterates
-need no projection.  KL, interior Rényi and Shannon costs, and their
-maxima, have analytic gradients (``cost._cost_gradient``); for a Shannon
-cost a unit step is the Blahut-Arimoto / logit update.  Every other cost,
-custom callables and sup atoms included, takes finite differences: one
-:func:`infocost.cost.eval_costs` pass over the stack of perturbed choice
-matrices.  Every built-in family except sup atoms is convex in the choice
-matrix, which makes the objective concave: those families get one ascent
-from the uniform policy, and the others several starts.  A binary symmetric
-matching instance admits a two-parameter closed form used as an independent
-cross-check.
+need no projection and every matrix it prices is on the simplex.  Every cost
+has a gradient (``cost._cost_gradient``); for a Shannon cost a unit step is
+the Blahut-Arimoto / logit update.  Every built-in family except sup atoms
+is convex in the choice matrix, which makes the objective concave: those
+families get one ascent from the uniform policy, and the others several
+starts.  A binary symmetric matching instance admits a two-parameter closed
+form used as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -43,8 +40,6 @@ from .divergence import DivergenceMeasure, InteriorParam, _golden_max
 from .errors import BadSolveOptions, DimensionMismatch, NoRootInBracket, TOutOfRange
 from .experiment import FiniteExperiment, _check_prior, _freeze
 
-GRAD_CLIP = 1e8
-GRAD_EPS = 1e-6  # finite-difference step of the cost gradient
 SUPPORT_EPS = 0.01  # an action whose marginal is at most this is outside the support
 
 
@@ -117,26 +112,8 @@ def _objective_factory(problem: RIProblem, spec: CostSpec):
         # a +inf cost gives -inf
         return float(np.sum(qu.T * p)) - float(eval_costs(spec, p[None])[0])
 
-    def gradient(p: np.ndarray, h: float) -> np.ndarray:
-        # stack row k moves entry k of p up to x + h, row nm + k down to max(x - h, 0)
-        n, m = p.shape
-        x = p.ravel()
-        hi, lo = x + h, np.maximum(x - h, 0.0)
-        stack = np.tile(x, (2, x.size, 1))
-        k = np.arange(x.size)
-        stack[0, k, k] = hi
-        stack[1, k, k] = lo
-        costs = eval_costs(spec, stack.reshape(2 * x.size, n, m))
-        c_hi, c_lo = costs[: x.size], costs[x.size :]
-        with np.errstate(invalid="ignore"):
-            slope = (c_hi - c_lo) / (hi - lo)
-        # a non-finite pair clips: infinite one step up pushes the entry down, else up
-        g = np.where(
-            np.isfinite(c_hi) & np.isfinite(c_lo),
-            qu.T.ravel() - slope,  # analytic expected-utility part minus the cost slope
-            np.where(np.isinf(c_hi), -GRAD_CLIP, GRAD_CLIP),
-        )
-        return np.clip(g.reshape(n, m), -GRAD_CLIP, GRAD_CLIP)
+    def gradient(p: np.ndarray) -> np.ndarray:
+        return qu.T - _cost_gradient(spec, p)
 
     return objective, gradient
 
@@ -154,8 +131,9 @@ def _ascend(objective, gradient, prior, start: np.ndarray, options: SolveOptions
     step = 0.5
     window: deque = deque([f], maxlen=51)
     for _ in range(options.max_iter):
-        on = p > 0
-        g = np.where(on, gradient(p) / prior[:, None], -np.inf)
+        g = gradient(p) / prior[:, None]
+        on = (p > 0) & np.isfinite(g)  # a slope lost to underflow drops its entry
+        g = np.where(on, g, -np.inf)
         g -= g.max(axis=1, keepdims=True)
         margin = 1e-13 * max(1.0, abs(f))
         if -float(prior @ (p * np.where(on, g, 0.0)).sum(axis=1)) <= margin:
@@ -219,8 +197,7 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
     so that face optima are reached exactly instead of approached by a slow
     crawl.  If the incumbent's ascent converged, only actions whose marginal
     is at most ``SUPPORT_EPS`` are dropped; if it stopped at
-    ``max_iter``, every action is.  Costs without an analytic gradient
-    take finite differences of step ``GRAD_EPS``.
+    ``max_iter``, every action is.
     """
     if options is None:
         options = SolveOptions()
@@ -232,13 +209,7 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
         if np.max(np.abs(spec.prior - problem.prior)) > 1e-12:
             raise DimensionMismatch("the cost's prior differs from the problem's prior")
     n, m = problem.n_states, problem.n_actions
-    objective, fd_gradient = _objective_factory(problem, spec)
-    qu_t = (problem.prior[None, :] * problem.utilities).T
-
-    def gradient(p: np.ndarray) -> np.ndarray:
-        dcost = _cost_gradient(spec, p)
-        return fd_gradient(p, GRAD_EPS) if dcost is None else qu_t - dcost
-
+    objective, gradient = _objective_factory(problem, spec)
     uniform = np.full((n, m), 1.0 / m)
     starts = [uniform]
     if not _one_ascent(spec):

@@ -301,4 +301,30 @@ class TestSeedFlag:
         }[verb]
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--seed", "-1"])
-        assert exc.value.code == 2 and "non-negative" in capsys.readouterr().err
+        assert exc.value.code == 2 and "must be an integer >= 0" in capsys.readouterr().err
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize(
+        "verb, flag, value, low",
+        [
+            ("axioms", "--samples", "-1", 1),
+            ("axioms", "--signals", "0", 1),
+            ("approx", "--grid", "-1", 1),
+            ("claim1", "--w-steps", "-2", 1),
+            ("tsallis", "--grid-size", "-3", 3),
+            ("tsallis", "--grid-size", "2", 3),
+        ],
+    )
+    def test_below_lower_bound_exits_2(self, capsys, tmp_path, exp_file, verb, flag, value, low):
+        cost_path = tmp_path / "cost.json"
+        cost_path.write_text(ic.cost_to_json(ic.KLCost(np.array([[0.0, 1.0], [1.0, 0.0]]))))
+        argv = {
+            "axioms": ["axioms", "--cost", str(cost_path), "--seed", "0"],
+            "approx": ["approx", "--experiment", exp_file, "--seed", "0"],
+            "claim1": ["claim1", "--seed", "0"],
+            "tsallis": ["tsallis", "--sigma", "2"],
+        }[verb]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2 and f"must be an integer >= {low}" in capsys.readouterr().err

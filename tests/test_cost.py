@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import infocost as ic
@@ -182,8 +182,8 @@ def rounding_tol(spec):
 
 
 def perturbed_stack(rng, b, n, s):
-    """Choice matrices as the solver's gradient makes them: entries moved up by
-    1e-6 or down to max(x - 1e-6, 0), off the simplex, with exact zeros."""
+    """Matrices off the simplex, which eval_costs accepts: entries moved up by
+    1e-6 or down to max(x - 1e-6, 0), with exact zeros."""
     probs = rng.dirichlet(np.ones(s), size=(b, n))
     probs[rng.random(probs.shape) < 0.25] = 0.0
     step = rng.choice([0.0, 1e-6, -1e-6], size=probs.shape, p=[0.8, 0.1, 0.1])
@@ -290,7 +290,7 @@ class TestEvalCosts:
     @given(st.integers(0, 10_000), st.integers(2, 4), st.integers(2, 64), st.integers(1, 24))
     @settings(max_examples=100, deadline=None)
     def test_rows_are_independent(self, seed, n, s, b):
-        # the solver compares gradient-stack costs with single-matrix line-search costs
+        # a stack prices each matrix as it would be priced alone
         rng = np.random.default_rng(seed)
         probs = perturbed_stack(rng, b, n, s)
         specs = all_specs(rng, n)
@@ -343,7 +343,7 @@ class TestEvalCosts:
         assert cost == pytest.approx(ic.eval_cost(spec, ic.new_experiment(probs[0][:, [0, 2]])), rel=1e-15)
 
     def test_row_past_transform_domain_is_infinite(self):
-        # the solver's finite differences raise an entry of a revealing policy
+        # one entry of a revealing policy raised off the simplex
         spec = ic.ConvexPSCost(
             np.array([0.5, 0.5]), ic.RenyiPotential(np.array([0.5, 0.5])), ic.RenyiLogTransform(1.0, 0.5)
         )
@@ -422,39 +422,66 @@ class TestConvexity:
             assert not any(_one_ascent(spec) for spec in multi_start)
 
 
-def max_members(spec):
-    """The costs a maximum takes its maximum over (the spec itself otherwise)."""
+def max_pieces(spec, p):
+    """The values at p of the pieces of each maximum in the cost: its members,
+    and every sup atom's floor at 0 and psi . log p(s) per signal."""
     if isinstance(spec, ic.MaxKLCost):
-        return [ic.KLCost(b) for b in spec.betas]
+        members = [ic.KLCost(b) for b in spec.betas]
+    elif isinstance(spec, ic.MaxRenyiCost):
+        members = [ic.MaxRenyiCost((m,)) for m in spec.measures]
+    else:
+        members = [spec]
+    pieces = [[ic.eval_costs(member, p[None])[0] for member in members]]
     if isinstance(spec, ic.MaxRenyiCost):
-        return [ic.MaxRenyiCost((m,)) for m in spec.measures]
-    return [spec]
+        sups = (a for m in spec.measures for _, a in m.atoms if isinstance(a, ic.SupParam))
+        pieces += [[0.0, *(a.psi @ np.log(p))] for a in sups]
+    return pieces
+
+
+def gradient_specs(rng, n):
+    """Every family with a gradient: all_specs, convex_specs, a custom potential
+    and a custom transform."""
+    specs = all_specs(rng, n) | convex_specs(rng, n)
+    prior = specs["shannon"].prior
+    specs.update(
+        custom_potential=ic.PosteriorSeparableCost(prior, ic.CustomPotential(lambda p, q: float(np.sum(p * p / q)))),
+        custom_transform=ic.ConvexPSCost(prior, ic.ShannonEntropy(), ic.CustomTransform(math.expm1)),
+    )
+    return specs
+
+
+def check_gradient(seed, n, s):
+    """_cost_gradient against fourth-order central differences of eval_costs
+    (step 1e-5) along the directions +h at signal a, -h at signal 0 of one
+    row, which stay on the simplex.  A maximum within 1e-2 of a kink is
+    skipped: there the differences straddle it.  The Rényi log scales up its
+    argument's rounding by lam / (1 - alpha_max), past what differences
+    resolve, so it is differenced as the Rényi cost it equals (criterion 5)."""
+    rng = np.random.default_rng(seed)
+    p = 0.05 / s + 0.95 * rng.dirichlet(np.ones(s), size=n)
+    steps = np.zeros((n, s - 1, n, s))
+    rows = np.arange(n)
+    steps[rows, :, rows, 1:] = np.eye(s - 1)
+    steps[rows, :, rows, 0] = -1.0
+    steps = 1e-5 * steps.reshape(-1, n, s)
+    for name, spec in gradient_specs(rng, n).items():
+        if any(len(v) > 1 and np.diff(sorted(v))[-1] < 1e-2 for v in max_pieces(spec, p)):
+            continue
+        priced = spec
+        if isinstance(spec, ic.ConvexPSCost) and isinstance(spec.transform, ic.RenyiLogTransform):
+            priced = ic.RenyiCost(spec.transform.lam, ic.InteriorParam(spec.potential.alpha))
+        c = [ic.eval_costs(priced, p + k * steps) for k in (-2, -1, 1, 2)]
+        fd = (8.0 * (c[2] - c[1]) - (c[3] - c[0])) / 12e-5
+        slopes = (_cost_gradient(spec, p) * steps).sum(axis=(1, 2)) / 1e-5
+        np.testing.assert_allclose(slopes, fd, rtol=0, atol=1e-6, err_msg=name)
 
 
 class TestCostGradient:
-    WITH_GRADIENT = {"kl", "max_kl", "renyi", "max_renyi", "max_renyi_wkl", "shannon"}
-
     @given(st.integers(0, 10_000), st.integers(2, 4), st.integers(2, 5))
+    @example(seed=2728, n=2, s=2)  # a step off the simplex once halved this reference
     @settings(max_examples=100, deadline=None)
     def test_matches_central_differences(self, seed, n, s):
-        # eval_costs reads a Rényi atom's row k as summing to 1, so off the simplex
-        # it differs by a constant along that row: compare within rows only
-        rng = np.random.default_rng(seed)
-        p = 0.05 / s + 0.95 * rng.dirichlet(np.ones(s), size=n)
-        h = 1e-6
-        steps = h * np.eye(n * s).reshape(n * s, n, s)
-        up, down = p + steps, p - steps
-        specs = all_specs(rng, n) | convex_specs(rng, n)
-        assert {name for name, spec in specs.items() if _cost_gradient(spec, p) is not None} == self.WITH_GRADIENT
-        for name in self.WITH_GRADIENT:
-            spec = specs[name]
-            values = sorted(ic.eval_costs(member, p[None])[0] for member in max_members(spec))
-            if len(values) > 1 and values[-1] - values[-2] < 1e-4:
-                continue  # a near tie: the differences straddle the kink of the maximum
-            fd = ((ic.eval_costs(spec, up) - ic.eval_costs(spec, down)) / (2.0 * h)).reshape(n, s)
-            grad = _cost_gradient(spec, p)
-            centred = [x - x.mean(axis=1, keepdims=True) for x in (grad, fd)]
-            np.testing.assert_allclose(*centred, rtol=0, atol=1e-6, err_msg=name)
+        check_gradient(seed, n, s)
 
     def test_tie_takes_the_mean_of_the_tied_gradients(self):
         betas = (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]]))
@@ -463,6 +490,36 @@ class TestCostGradient:
         assert not np.allclose(members[0], members[1])
         mean = 0.5 * (members[0] + members[1])
         np.testing.assert_allclose(_cost_gradient(ic.MaxKLCost(betas), p), mean, rtol=1e-15)
+
+    def test_identities_carry_over_to_gradients(self):
+        # KLPotential(beta) is KLCost(beta) at every prior.  The Rényi log of a
+        # Rényi-potential cost is the Rényi cost (criterion 5) on the simplex, so
+        # there the two gradients agree up to a constant along each row.
+        rng = np.random.default_rng(6)
+        for n, s in [(2, 2), (2, 3), (3, 4), (4, 2), (4, 5)] * 4:
+            prior = 0.2 / n + 0.8 * rng.dirichlet(np.ones(n))
+            beta = rng.uniform(0.1, 1.0, (n, n)) * (1.0 - np.eye(n))
+            alpha = rng.dirichlet(np.ones(n))
+            p = 0.05 / s + 0.95 * rng.dirichlet(np.ones(s), size=n)
+            kl_potential = _cost_gradient(ic.PosteriorSeparableCost(prior, ic.KLPotential(beta)), p)
+            np.testing.assert_allclose(kl_potential, _cost_gradient(ic.KLCost(beta), p), rtol=0, atol=1e-12)
+            composed = ic.ConvexPSCost(prior, ic.RenyiPotential(alpha), ic.RenyiLogTransform(1.3, float(alpha.max())))
+            direct = ic.RenyiCost(1.3, ic.InteriorParam(alpha))
+            grads = (_cost_gradient(composed, p), _cost_gradient(direct, p))
+            centred = [g - g.mean(axis=1, keepdims=True) for g in grads]
+            scale = max(1.0, float(np.abs(centred[1]).max()))
+            np.testing.assert_allclose(*centred, rtol=0, atol=rounding_tol(composed) * scale)
+
+    def test_sup_atom_subgradient_by_hand(self):
+        sup = ic.MaxRenyiCost((ic.DivergenceMeasure(((0.5, ic.SupParam(np.array([1.0, -1.0]))),)),))
+        # psi . log p(s) is log 3, 0, log(1/5): signal 0 alone wins, so 0.5 psi / p(0) there
+        p = np.array([[0.6, 0.3, 0.1], [0.2, 0.3, 0.5]])
+        np.testing.assert_allclose(_cost_gradient(sup, p), [[0.5 / 0.6, 0.0, 0.0], [-2.5, 0.0, 0.0]], rtol=1e-15)
+        # log 2 at signals 0 and 1: the mean of their two subgradients
+        p = np.array([[0.4, 0.4, 0.2], [0.2, 0.2, 0.6]])
+        np.testing.assert_allclose(_cost_gradient(sup, p), [[0.625, 0.625, 0.0], [-1.25, -1.25, 0.0]], rtol=1e-15)
+        # uninformative: every psi . log p(s) is 0, so the floor at 0 wins
+        np.testing.assert_array_equal(_cost_gradient(sup, np.full((2, 3), 1.0 / 3.0)), np.zeros((2, 3)))
 
 
 class TestBlackwellMonotonicity:

@@ -9,13 +9,7 @@ import infocost as ic
 from infocost import ri_solver
 from infocost.cost import _cost_gradient
 from infocost.errors import BadSolveOptions, DimensionMismatch, NoRootInBracket
-from infocost.ri_solver import (
-    GRAD_CLIP,
-    _foc,
-    _golden_max,
-    _mixing_kernel,
-    _objective_factory,
-)
+from infocost.ri_solver import _foc, _golden_max, _mixing_kernel
 
 
 def inst(v=8.0, w=4.0, lam=1.0, t=0.5):
@@ -258,49 +252,85 @@ class TestRestarts:
         np.testing.assert_array_equal(main[0], np.full((2, 3), 1.0 / 3.0))
 
 
-def reference_gradient(problem, spec, p, h):
-    """Per-entry finite differences, one scalar eval_cost per perturbed matrix."""
-    g = (problem.prior[None, :] * problem.utilities).T.copy()
-    for i in range(p.shape[0]):
-        for a in range(p.shape[1]):
-            x = p[i, a]
-            lo, hi = max(x - h, 0.0), x + h
-            work = p.copy()
-            work[i, a] = hi
-            c_hi = ic.eval_cost(spec, ic.FiniteExperiment(work))
-            work[i, a] = lo
-            c_lo = ic.eval_cost(spec, ic.FiniteExperiment(work))
-            if math.isfinite(c_hi) and math.isfinite(c_lo):
-                g[i, a] -= (c_hi - c_lo) / (hi - lo)
-            elif math.isinf(c_hi):
-                g[i, a] = -GRAD_CLIP
-            else:
-                g[i, a] = GRAD_CLIP
-    return np.clip(g, -GRAD_CLIP, GRAD_CLIP)
+def chi2(p, q):
+    """A custom potential that fails when it is called off the simplex."""
+    assert abs(p.sum() - 1.0) <= 1e-12
+    return float(np.sum(p * p / q))
+
+
+def every_family(prior):
+    """One cost of every family for a 2-state prior, sup atoms and custom callables included."""
+    alpha = np.array([0.7, 0.3])
+    beta = np.array([[0.0, 1.0], [0.5, 0.0]])
+    sup = ic.SupParam(np.array([1.0, -1.0]))
+    renyi = ic.InteriorParam(alpha)
+    mixed = ic.DivergenceMeasure(((0.5, renyi), (0.5, ic.WeightedKLParam(1, np.array([1.0, 0.0])))))
+    return {
+        "kl": ic.KLCost(beta),
+        "max_kl": ic.MaxKLCost((beta, beta.T)),
+        "renyi": ic.RenyiCost(1.0, renyi),
+        "max_renyi": ic.MaxRenyiCost((mixed, ic.symmetric_renyi_cost_spec(1.0, 0.5).measures[0])),
+        "sup": ic.MaxRenyiCost((ic.DivergenceMeasure(((0.4, sup), (0.6, renyi))),)),
+        "shannon": ic.PosteriorSeparableCost(prior, ic.ShannonEntropy()),
+        "tsallis": ic.PosteriorSeparableCost(prior, ic.Tsallis(0.5)),
+        "kl_potential": ic.PosteriorSeparableCost(prior, ic.KLPotential(beta)),
+        "renyi_potential": ic.PosteriorSeparableCost(prior, ic.RenyiPotential(alpha)),
+        "convex_ps": ic.ConvexPSCost(prior, ic.RenyiPotential(alpha), ic.RenyiLogTransform(1.0, 0.7)),
+        "custom_potential": ic.PosteriorSeparableCost(prior, ic.CustomPotential(chi2)),
+        "custom_transform": ic.ConvexPSCost(prior, ic.ShannonEntropy(), ic.CustomTransform(math.expm1)),
+    }
 
 
 class TestSolverSteps:
-    def test_batched_gradient_matches_per_entry_reference(self):
-        rng = np.random.default_rng(11)
-        matching = ic.matching_problem(8.0, 6.1)
-        three = ic.RIProblem(np.array([0.45, 0.35, 0.2]), rng.uniform(0.0, 3.0, size=(4, 3)))
-        beta = 1.0 - np.eye(3)
-        cases = [
-            (matching, ic.symmetric_renyi_cost_spec(1.0, 0.5)),
-            (matching, ic.PosteriorSeparableCost(matching.prior, ic.ShannonEntropy())),
-            (matching, ic.MaxKLCost((np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])))),
-            (matching, ic.PosteriorSeparableCost(matching.prior, ic.Tsallis(1.5))),  # scalar loop
-            (three, ic.PosteriorSeparableCost(three.prior, ic.ShannonEntropy())),
-            (three, ic.KLCost(beta)),
-        ]
-        for problem, spec in cases:
-            _, gradient = _objective_factory(problem, spec)
-            for _ in range(10):
-                p = rng.dirichlet(np.full(problem.n_actions, 0.5), size=problem.n_states)
-                p[rng.random(p.shape) < 0.2] = 0.0
-                p[rng.random(p.shape) < 0.1] = 4e-7  # the lower step clips at zero
-                np.testing.assert_array_equal(gradient(p, 1e-6), reference_gradient(problem, spec, p, 1e-6))
+    def test_solver_prices_only_stochastic_matrices(self, monkeypatch):
+        sums = []
+        real = ri_solver.eval_costs
 
+        def spy(spec, probs):
+            sums.append(np.asarray(probs).sum(axis=-1))
+            return real(spec, probs)
+
+        monkeypatch.setattr(ri_solver, "eval_costs", spy)
+        problem = ic.matching_problem(8.0, 6.1)
+        for name, spec in every_family(problem.prior).items():
+            sums.clear()
+            ic.solve(problem, spec, ic.SolveOptions(starts=4, max_iter=200))
+            assert sums, name
+            assert max(float(np.max(np.abs(s - 1.0))) for s in sums) <= 1e-12, name
+
+    def test_identical_costs_solve_alike(self):
+        # KLPotential(beta) is KLCost(beta), and the Rényi log of a Rényi-potential
+        # cost is the Rényi cost (criterion 5), at every prior
+        rng = np.random.default_rng(5)
+        random = ic.RIProblem(rng.dirichlet(np.ones(3)), rng.uniform(0.0, 3.0, (4, 3)))
+        for problem in (ic.matching_problem(8.0, 6.1), random):
+            q, n = problem.prior, problem.n_states
+            beta = rng.uniform(0.1, 0.5, (n, n)) * (1.0 - np.eye(n))
+            alpha = rng.dirichlet(np.ones(n))
+            pairs = [
+                (ic.PosteriorSeparableCost(q, ic.KLPotential(beta)), ic.KLCost(beta)),
+                (
+                    ic.ConvexPSCost(q, ic.RenyiPotential(alpha), ic.RenyiLogTransform(0.5, float(alpha.max()))),
+                    ic.RenyiCost(0.5, ic.InteriorParam(alpha)),
+                ),
+            ]
+            for composed, direct in pairs:
+                a, b = ic.solve(problem, composed), ic.solve(problem, direct)
+                assert len(b.support) == 2  # an interior optimum, not a pure action
+                assert a.value == pytest.approx(b.value, abs=1e-9)
+
+    def test_slope_lost_to_underflow_drops_its_entry(self):
+        # the ascent drives action 2 to about 1e-323, where q_x p(x, a) underflows to
+        # a zero posterior and the Rényi-potential slope is NaN at a positive entry
+        prior = np.array([0.69629159, 0.10449871, 0.1992097])
+        utilities = np.array([[2.33260225, 2.14822389, 2.74614036], [2.58118095, 2.75471289, 0.0797632],
+                              [1.311744, 1.45483298, 0.19546259], [0.01687815, 2.49186431, 2.94990673]])
+        alpha = np.array([0.25718382, 0.63436087, 0.10845531])
+        problem = ic.RIProblem(prior / prior.sum(), utilities)
+        alpha /= alpha.sum()
+        composed = ic.ConvexPSCost(problem.prior, ic.RenyiPotential(alpha), ic.RenyiLogTransform(0.8, alpha.max()))
+        direct = ic.solve(problem, ic.RenyiCost(0.8, ic.InteriorParam(alpha)))
+        assert ic.solve(problem, composed).value == pytest.approx(direct.value, abs=1e-12)
 
     def test_unit_mirror_step_on_shannon_is_the_logit_update(self):
         # a step of size 1 on u(a, x) - dC/dp(x, a) / q_x gives p(a|x) ~ P(a) exp(u(a, x))
