@@ -213,11 +213,16 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str, kind=float) -> list:
+    """A comma-separated list of at least one finite number of the given kind."""
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
+        values = [kind(x) for x in text.split(",") if x.strip()]
+        finite = all(math.isfinite(x) for x in values)
+    except (ValueError, OverflowError) as exc:  # an int past the float range overflows
         raise InputProblem(f"bad grid {text!r}: {exc}") from exc
+    if not values or not finite:
+        raise InputProblem(f"bad grid {text!r}: need one or more finite numbers")
+    return values
 
 
 def _cmd_claim1(args) -> int:
@@ -265,7 +270,7 @@ def _cmd_tsallis(args) -> int:
 def _cmd_approx(args) -> int:
     mu = _load_experiment(args.experiment)
     prior = np.asarray(_parse_json(args.prior, "--prior"), dtype=float)
-    k_list = [int(k) for k in _parse_grid(args.k_list)]
+    k_list = _parse_grid(args.k_list, int)
     grid = divergence.default_param_grid(mu.n_states, args.grid, seed=args.seed)
     rows = approx.sandwich_report(mu, prior, k_list, grid)
     csv_rows = []

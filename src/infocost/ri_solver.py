@@ -277,6 +277,8 @@ class SymmetricInstance:
     t: float
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.v, self.w, self.lam)):
+            raise DimensionMismatch(f"v, w and lam must be finite, got {self.v}, {self.w}, {self.lam}")
         if not (self.v > self.w > 0):
             raise DimensionMismatch(f"need v > w > 0, got v={self.v}, w={self.w}")
         if not (self.lam > 0):
@@ -338,13 +340,6 @@ def _mixing_kernel_dpi(t: float, pi: float) -> float:
     return t * y ** (1.0 - t) + (1.0 - t) * y**t - (1.0 - t) * z**t - t * z ** (1.0 - t)
 
 
-def symmetric_value_dpi(inst: SymmetricInstance, a: float, pi: float) -> float:
-    """Closed-form partial derivative of the symmetric objective in pi."""
-    t = inst.t
-    h = _mixing_kernel(t, pi)
-    return inst.v * a + a * inst.lam / (1.0 - t) * _mixing_kernel_dpi(t, pi) / ((1.0 - a) + a * h)
-
-
 def _foc(inst: SymmetricInstance, pi: float) -> float:
     t = inst.t
     return inst.v + inst.lam / (1.0 - t) * _mixing_kernel_dpi(t, pi) / _mixing_kernel(t, pi)
@@ -378,32 +373,50 @@ def foc_root(inst: SymmetricInstance) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _learning_weight(inst: SymmetricInstance, pi: float) -> tuple[float, float]:
+    """(a*, slope) at accuracy pi: slope = v pi - w - L (1 - h) is the objective's
+    derivative in a at a = 0, and a* = slope / ((v pi - w) (1 - h)) its maximizer
+    over a in [0, 1]."""
+    spread = 1.0 - _mixing_kernel(inst.t, pi)
+    slope = inst.v * pi - inst.w - inst.lam / (1.0 - inst.t) * spread
+    if slope <= 0.0:
+        return 0.0, slope
+    if spread <= 0.0:
+        return 1.0, slope
+    return min(slope / ((inst.v * pi - inst.w) * spread), 1.0), slope
+
+
 def maximize_symmetric_value(inst: SymmetricInstance) -> tuple[float, float, float]:
     """Maximize the symmetric objective over [0, 1]^2.
 
-    Nested golden-section: the inner accuracy search uses concavity in pi;
-    the outer search over the learning weight is bracketed by a coarse scan.
-    Returns (a_star, pi_star, value).
+    With L = lam / (1 - t) and h = h(pi) the mixing kernel, the objective is
+    concave in a, with stationary point a*(pi) = (1 - L (1 - h) / (v pi - w)) / (1 - h)
+    clipped to [0, 1]: zero when v pi <= w, and one at h = 1 (pi = 1/2) when
+    v / 2 > w.  In x = a pi, y = a (1 - pi) the product a h is the concave,
+    1-homogeneous x^t y^(1-t) + y^t x^(1-t), so the objective is jointly concave
+    in (x, y), and the profile g(pi) = f(a*(pi), pi) is quasi-concave: its
+    superlevel sets are images of convex sets under the linear-fractional map
+    pi = x / (x + y).  g is flat at w where a* = 0; there the search reads
+    w + slope instead, which is concave in pi and climbs towards the accuracies
+    where learning pays.  That key has no plateau, so a 64-point scan of
+    [max(1/2, w / v), 1] brackets its maximum for a golden-section search to
+    1e-12 in pi.  Returns (a_star, pi_star, value), and (0, 1/2, w) when no
+    accuracy beats the safe action.
     """
 
-    def inner(a: float) -> tuple[float, float]:
-        if a == 0.0:
-            return 0.5, symmetric_value(inst, 0.0, 0.5)
-        return _golden_max(lambda pi: symmetric_value(inst, a, pi), 0.0, 1.0)
+    def key(pi: float) -> float:
+        a, slope = _learning_weight(inst, pi)
+        return symmetric_value(inst, a, pi) if slope > 0.0 else inst.w + slope
 
-    grid = np.linspace(0.0, 1.0, 41)
-    vals = [inner(a)[1] for a in grid]
+    grid = np.linspace(max(0.5, inst.w / inst.v), 1.0, 64).tolist()
+    vals = [key(pi) for pi in grid]
     best = int(np.argmax(vals))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-    a_star, _ = _golden_max(lambda a: inner(a)[1], lo, hi, tol=1e-9)
-    candidates = [a_star, 0.0, 1.0]
-    best_a, best_pi, best_v = None, None, -math.inf
-    for a in candidates:
-        pi, val = inner(a)
-        if val > best_v:
-            best_a, best_pi, best_v = a, pi, val
-    return best_a, best_pi, best_v
+    pi_star, value = _golden_max(key, grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)], tol=1e-12)
+    if vals[best] > value:
+        pi_star, value = grid[best], vals[best]
+    if not value > inst.w:
+        return 0.0, 0.5, inst.w
+    return _learning_weight(inst, pi_star)[0], pi_star, value
 
 
 @dataclass(frozen=True)

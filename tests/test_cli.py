@@ -328,3 +328,26 @@ class TestCountFlags:
         with pytest.raises(SystemExit) as exc:
             main(argv + [flag, value])
         assert exc.value.code == 2 and f"must be an integer >= {low}" in capsys.readouterr().err
+
+
+class TestListFlags:
+    @pytest.mark.parametrize(
+        "verb, flag, value",
+        [
+            ("approx", "--k-list", "nan"),
+            ("approx", "--k-list", "inf"),
+            ("approx", "--k-list", "4.7"),
+            ("approx", "--k-list", ","),
+            ("approx", "--k-list", "1" + "0" * 400),
+            ("claim1", "--v-grid", ","),
+            ("claim1", "--v-grid", "nan"),
+            ("claim1", "--v-grid", "8,inf"),
+        ],
+    )
+    def test_bad_list_exits_2_and_prints_nothing(self, capsys, exp_file, verb, flag, value):
+        argv = {
+            "approx": ["approx", "--experiment", exp_file, "--grid", "2", "--seed", "0"],
+            "claim1": ["claim1", "--w-steps", "2", "--seed", "0"],
+        }[verb]
+        code, out, err = run(capsys, argv + [flag, value])
+        assert code == 2 and out == "" and "bad grid" in err

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import infocost as ic
 from infocost import ri_solver
@@ -33,9 +35,7 @@ class TestSymmetricValue:
             a = float(rng.uniform(0.05, 0.95))
             pi = float(rng.uniform(0.05, 0.95))
             da = (ic.symmetric_value(it, a + h, pi) - ic.symmetric_value(it, a - h, pi)) / (2 * h)
-            dpi = (ic.symmetric_value(it, a, pi + h) - ic.symmetric_value(it, a, pi - h)) / (2 * h)
             assert ic.symmetric_value_dalpha(it, a, pi) == pytest.approx(da, abs=1e-6)
-            assert ic.symmetric_value_dpi(it, a, pi) == pytest.approx(dpi, abs=1e-6)
 
     def test_concave_in_each_argument(self):
         it = inst(v=8.0, w=5.0)
@@ -75,6 +75,110 @@ class TestFocRoot:
         # resolution of the bracket: the sign check fails honestly
         with pytest.raises(NoRootInBracket):
             ic.foc_root(ic.SymmetricInstance(1e18, 1.0, 1e-3, 0.5))
+
+
+def nested_reference(it):
+    """The nested golden-section search that maximize_symmetric_value replaced:
+    an inner search over the accuracy at each learning weight, and an outer
+    search over the weight bracketed by a 41-point scan.  (a, pi, value)."""
+
+    def inner(a):
+        if a == 0.0:
+            return 0.5, ic.symmetric_value(it, 0.0, 0.5)
+        return _golden_max(lambda pi: ic.symmetric_value(it, a, pi), 0.0, 1.0)
+
+    grid = np.linspace(0.0, 1.0, 41)
+    vals = [inner(a)[1] for a in grid]
+    best = int(np.argmax(vals))
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
+    a_star, _ = _golden_max(lambda a: inner(a)[1], lo, hi, tol=1e-9)
+    best_a, best_pi, best_v = None, None, -math.inf
+    for a in (a_star, 0.0, 1.0):
+        pi, val = inner(a)
+        if val > best_v:
+            best_a, best_pi, best_v = a, pi, val
+    return best_a, best_pi, best_v
+
+
+def grid_max(it, n=201):
+    """Largest symmetric objective on an n x n grid of (a, pi) in [0, 1]^2."""
+    a = np.linspace(0.0, 1.0, n)[:, None]
+    pi = np.linspace(0.0, 1.0, n)[None, :]
+    t = it.t
+    h = pi**t * (1.0 - pi) ** (1.0 - t) + (1.0 - pi) ** t * pi ** (1.0 - t)
+    with np.errstate(divide="ignore"):
+        vals = it.v * a * pi + it.w * (1.0 - a) + it.lam / (1.0 - t) * np.log((1.0 - a) + a * h)
+    return float(vals.max())
+
+
+def benchmark_cells():
+    """The edge, inside and above cells of the benchmark's Rényi solves: v drawn
+    from the seed, w placed in units of the all-actions band at lam = 1, t = 1/2."""
+    cells = []
+    for seed in (20250901, 7):
+        v = float(np.random.default_rng(seed).uniform(7.9, 8.1))
+        pi = ((v - 2.0) + math.sqrt(v * v + 4.0)) / (2.0 * v)
+        h = 2.0 * math.sqrt(pi * (1.0 - pi))
+        w_lo, w_hi = v * pi + 2.0 * (1.0 - 1.0 / h), v * pi + 2.0 * (h - 1.0)
+        for cell, pos in (("edge", 0.1), ("inside", 0.5), ("above", 4.0)):
+            cells.append(pytest.param(v, w_lo + pos * (w_hi - w_lo), 1.0, 0.5, id=f"{cell}-{seed}"))
+    return cells
+
+
+def check_against_reference(it):
+    a, pi, value = ic.maximize_symmetric_value(it)
+    ref = nested_reference(it)[2]
+    assert value >= ref - 1e-12 * max(1.0, abs(ref))
+    assert value >= grid_max(it) - 1e-12 * max(1.0, abs(value))
+    assert value == pytest.approx(ic.symmetric_value(it, a, pi), rel=1e-15, abs=1e-15)
+    if 0.0 < a < 1.0:  # an interior learning weight is stationary
+        assert abs(ic.symmetric_value_dalpha(it, a, pi)) <= 1e-9 * max(1.0, it.v)
+    return a, pi, value
+
+
+class TestMaximizeSymmetricValue:
+    @pytest.mark.parametrize(
+        "v, w, lam, t",
+        [
+            pytest.param(8.0, 8.0 * (1.0 - 1e-9), 1e-9, 0.5, id="gain-only-above-1-1e-9"),
+            pytest.param(2.0, 1.998, 1e-3, 0.5, id="gain-band-narrower-than-the-scan"),
+            pytest.param(0.5, 0.005, 100.0, 0.9, id="flat-profile"),
+            pytest.param(8.0, 6.1, 100.0, 0.9, id="prohibitive-cost"),
+            pytest.param(8.0, 3.0, 1.0, 0.5, id="w-below-v/2"),
+            pytest.param(8.0, 6.1, 1.0, 0.5, id="band"),
+            pytest.param(7.0, 3.0, 1.2, 0.6, id="t-0.6"),
+            *benchmark_cells(),
+        ],
+    )
+    def test_never_below_the_nested_search(self, v, w, lam, t):
+        check_against_reference(ic.SymmetricInstance(v, w, lam, t))
+
+    @given(
+        st.floats(-1.0, 3.0),
+        st.floats(1e-3, 1.0 - 1e-9),
+        st.floats(-9.0, 2.0),
+        st.floats(0.05, 0.95),
+    )
+    @example(math.log10(2.0), 0.999, -3.0, 0.5)
+    @settings(max_examples=100, deadline=None)
+    def test_property_never_below_the_nested_search_or_a_grid(self, log_v, ratio, log_lam, t):
+        v = 10.0**log_v
+        check_against_reference(ic.SymmetricInstance(v, ratio * v, 10.0**log_lam, t))
+
+    def test_corners(self):
+        # w < v/2: full learning at a coin flip already beats the safe action
+        a, pi, value = ic.maximize_symmetric_value(inst(v=8.0, w=3.0))
+        assert a == 1.0 and 0.5 < pi < 1.0 and value > 4.0
+        # a prohibitive cost: the safe action, reported as (0, 1/2, w)
+        assert ic.maximize_symmetric_value(inst(v=8.0, w=6.1, lam=100.0, t=0.9)) == (0.0, 0.5, 6.1)
+
+    @pytest.mark.parametrize(
+        "v, w, lam",
+        [(math.inf, 1.0, 1.0), (8.0, 4.0, math.inf), (math.nan, 4.0, 1.0), (8.0, math.nan, 1.0), (8.0, -math.inf, 1.0)],
+    )
+    def test_instance_rejects_non_finite_input(self, v, w, lam):
+        with pytest.raises(DimensionMismatch):
+            ic.SymmetricInstance(v, w, lam, 0.5)
 
 
 class TestSolver:
