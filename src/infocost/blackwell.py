@@ -8,6 +8,7 @@ certificate whenever the verdict is positive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -100,6 +101,8 @@ def dominates(mu: FiniteExperiment, nu: FiniteExperiment, tol: float = DEFAULT_T
     """
     if mu.n_states != nu.n_states:
         raise StateMismatch(f"{mu.n_states} states vs {nu.n_states}")
+    if not (0 <= tol < math.inf):
+        raise InfoCostError(f"tol must be finite and nonnegative, got {tol!r}")
     ns, nt = mu.n_signals, nu.n_signals
     nvar = ns * nt + 1  # kernel entries plus the violation bound
 

@@ -50,27 +50,25 @@ def _parse_json(text: str, what: str):
         raise InputProblem(f"{what}: invalid JSON: {exc}") from exc
 
 
-def _load_experiment(path: str) -> FiniteExperiment:
-    payload = _parse_json(_read_file(path), path)
-    try:
-        probs = payload["probs"]
-    except (KeyError, TypeError) as exc:
-        raise InputProblem(f"{path}: not a valid experiment file: {exc}") from exc
-    from .experiment import new_experiment
-
-    return new_experiment(probs)
-
-
-def _load_object(text: str, what: str, kind: str, build):
-    """Build a value from JSON text that must hold an object; any other payload,
-    a JSON string included, is an input error."""
+def _load_object(text: str, what: str, kind: str, build, shape: type = dict):
+    """Build a value from JSON text that must hold an object (an array, with
+    ``shape=list``).  Any other payload, a JSON string included, is an input
+    error, and so is a ValueError that is no InfoCostError: NumPy's, on a
+    ragged or non-numeric array."""
     payload = _parse_json(text, what)
     try:
-        if not isinstance(payload, dict):
-            raise TypeError(f"expected a JSON object, got {type(payload).__name__}")
+        if not isinstance(payload, shape):
+            expected = "an object" if shape is dict else "an array"
+            raise TypeError(f"expected {expected}, got {type(payload).__name__}")
         return build(payload)
-    except (AttributeError, KeyError, TypeError) as exc:
+    except InfoCostError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputProblem(f"{what}: not a valid {kind}: {exc}") from exc
+
+
+def _load_experiment(path: str) -> FiniteExperiment:
+    return _load_object(_read_file(path), path, "experiment file", FiniteExperiment.from_json)
 
 
 def _load_cost(path: str):
@@ -190,14 +188,9 @@ def _solve_options(**flags) -> ri_solver.SolveOptions:
 
 
 def _cmd_solve(args) -> int:
-    payload = _parse_json(_read_file(args.problem), args.problem)
-    try:
-        problem = ri_solver.RIProblem(
-            np.asarray(payload["prior"], dtype=float),
-            np.asarray(payload["utilities"], dtype=float),
-        )
-    except (KeyError, TypeError) as exc:
-        raise InputProblem(f"{args.problem}: not a valid problem file: {exc}") from exc
+    problem = _load_object(
+        _read_file(args.problem), args.problem, "problem file", lambda p: ri_solver.RIProblem(p["prior"], p["utilities"])
+    )
     spec = _load_cost(args.cost)
     options = _solve_options(starts=args.starts, max_iter=args.max_iter, seed=args.seed)
     policy = ri_solver.solve(problem, spec, options)
@@ -213,20 +206,21 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _parse_grid(text: str, kind=float) -> list:
-    """A comma-separated list of at least one finite number of the given kind."""
+def _parse_grid(text: str, above: float, kind=float) -> list:
+    """A comma-separated list of at least one finite number of the given kind,
+    each above the given bound."""
     try:
         values = [kind(x) for x in text.split(",") if x.strip()]
-        finite = all(math.isfinite(x) for x in values)
+        in_range = all(math.isfinite(x) and x > above for x in values)
     except (ValueError, OverflowError) as exc:  # an int past the float range overflows
         raise InputProblem(f"bad grid {text!r}: {exc}") from exc
-    if not values or not finite:
-        raise InputProblem(f"bad grid {text!r}: need one or more finite numbers")
+    if not values or not in_range:
+        raise InputProblem(f"bad grid {text!r}: need one or more finite numbers above {above}")
     return values
 
 
 def _cmd_claim1(args) -> int:
-    v_grid = _parse_grid(args.v_grid)
+    v_grid = _parse_grid(args.v_grid, above=0)
     rows = ri_solver.claim1_region(args.lam, args.t, v_grid, args.w_steps)
     csv_rows = [
         [_fmt(r.v), _fmt(r.w), "renyi_symmetric_closed_form", r.support_size, _fmt(r.value), _fmt(r.alpha), _fmt(r.pi)]
@@ -269,16 +263,15 @@ def _cmd_tsallis(args) -> int:
 
 def _cmd_approx(args) -> int:
     mu = _load_experiment(args.experiment)
-    prior = np.asarray(_parse_json(args.prior, "--prior"), dtype=float)
-    k_list = _parse_grid(args.k_list, int)
+    prior = _load_object(args.prior, "--prior", "prior", lambda p: np.asarray(p, dtype=float), shape=list)
+    k_list = _parse_grid(args.k_list, above=1, kind=int)
     grid = divergence.default_param_grid(mu.n_states, args.grid, seed=args.seed)
     rows = approx.sandwich_report(mu, prior, k_list, grid)
-    csv_rows = []
-    for r in rows:
-        kind = type(r.param).__name__
-        csv_rows.append(
-            [r.k, kind, divergence.param_to_json(r.param), _fmt(r.d_under), _fmt(r.d_mu), _fmt(r.d_over), _fmt(r.gap)]
-        )
+    # every k repeats the grid: encode each parameter once
+    columns = {id(p): [type(p).__name__, divergence.param_to_json(p)] for p in grid}
+    csv_rows = [
+        [r.k, *columns[id(r.param)], _fmt(r.d_under), _fmt(r.d_mu), _fmt(r.d_over), _fmt(r.gap)] for r in rows
+    ]
     _emit_csv(
         ["k", "param_kind", "param_value", "d_under", "d_mu", "d_over", "gap"], csv_rows, args.out
     )
@@ -290,15 +283,18 @@ def _cmd_approx(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _at_least(low: int):
-    """The argparse type of an integer flag with a lower bound (argparse exits 2 below it)."""
+def _at_least(low, kind=int):
+    """The argparse type of a finite integer (or float) flag with a lower bound;
+    argparse exits 2 below it and, for a float, at NaN or an infinity."""
 
-    def integer(text: str) -> int:
-        if int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
-        return int(text)
+    def number(text: str):
+        value = kind(text)
+        if not (low <= value < math.inf):
+            noun = "an integer" if kind is int else "a finite number"
+            raise argparse.ArgumentTypeError(f"must be {noun} >= {low}, got {text!r}")
+        return value
 
-    return integer
+    return number
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -323,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dominate", help="test Blackwell dominance; emits a kernel certificate")
     p.add_argument("--experiment", required=True)
     p.add_argument("--experiment2", required=True)
-    p.add_argument("--tol", type=float, default=blackwell.DEFAULT_TOL)
+    p.add_argument("--tol", type=_at_least(0.0, float), default=blackwell.DEFAULT_TOL)
     p.add_argument("--pairwise", action="store_true", help="check every two-state restriction")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None)
@@ -334,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_at_least(0), required=True)
     p.add_argument("--samples", type=_at_least(1), default=200)
     p.add_argument("--signals", type=_at_least(1), default=3)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_at_least(0.0, float), default=1e-9)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_axioms)
 

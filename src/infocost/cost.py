@@ -27,16 +27,17 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .divergence import (
+    PARAM_KINDS,
     DivergenceMeasure,
     InteriorParam,
     SupParam,
     WeightedKLParam,
     _divergences,
+    _from_payload,
     _kls,
     _log_ratios,
-    _param_from_payload,
+    _to_payload,
     extended_divergence,
-    param_to_json,
 )
 from .errors import BadCostSpec, DimensionMismatch, NoSecondDerivative, NotADistribution, TransformDomain
 from .experiment import FiniteExperiment, _check_prior, _freeze
@@ -59,8 +60,8 @@ class Tsallis:
     sigma: float
 
     def __post_init__(self):
-        if not (self.sigma > 0) or self.sigma == 1.0:
-            raise BadCostSpec(f"sigma must be positive and != 1, got {self.sigma!r}")
+        if not (0 < self.sigma < math.inf) or self.sigma == 1.0:
+            raise BadCostSpec(f"sigma must be finite, positive and != 1, got {self.sigma!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,8 +223,8 @@ class RenyiLogTransform:
     alpha_max: float
 
     def __post_init__(self):
-        if not (self.lam >= 0):
-            raise BadCostSpec("lam must be nonnegative")
+        if not (0 <= self.lam < math.inf):
+            raise BadCostSpec(f"lam must be finite and nonnegative, got {self.lam!r}")
         if not (0.0 < self.alpha_max < 1.0):
             raise BadCostSpec("alpha_max must lie in (0, 1)")
 
@@ -269,8 +270,8 @@ def apply_transform(transform: TransformSpec, x: float) -> float:
 def _check_beta(b: np.ndarray) -> None:
     if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] < 2:
         raise BadCostSpec("beta must be a square matrix of size >= 2")
-    if not np.all(b >= 0):
-        raise BadCostSpec("beta must be nonnegative")
+    if not np.all((b >= 0) & (b < math.inf)):
+        raise BadCostSpec("beta must be finite and nonnegative")
     if np.any(np.abs(np.diag(b)) > 0):
         raise BadCostSpec("beta must have a zero diagonal")
 
@@ -312,8 +313,8 @@ class RenyiCost:
     param: InteriorParam
 
     def __post_init__(self):
-        if not (self.lam >= 0):
-            raise BadCostSpec("lam must be nonnegative")
+        if not (0 <= self.lam < math.inf):
+            raise BadCostSpec(f"lam must be finite and nonnegative, got {self.lam!r}")
         if not isinstance(self.param, InteriorParam) or not self.param.is_nonnegative():
             raise BadCostSpec(
                 "the scaled-divergence cost requires a nonnegative interior exponent vector"
@@ -632,114 +633,33 @@ def renyi_cost_as_transform_check(
 # ---------------------------------------------------------------------------
 
 
-def _potential_to_payload(p: PotentialSpec) -> dict:
-    if isinstance(p, ShannonEntropy):
-        return {"kind": "shannon"}
-    if isinstance(p, Tsallis):
-        return {"kind": "tsallis", "sigma": p.sigma}
-    if isinstance(p, KLPotential):
-        return {"kind": "kl_potential", "beta": p.beta.tolist()}
-    if isinstance(p, RenyiPotential):
-        return {"kind": "renyi_potential", "alpha": p.alpha.tolist()}
-    raise BadCostSpec("custom potentials are construction-time only, not serializable")
-
-
-def _potential_from_payload(payload: dict) -> PotentialSpec:
-    kind = payload.get("kind")
-    if kind == "shannon":
-        return ShannonEntropy()
-    if kind == "tsallis":
-        return Tsallis(float(payload["sigma"]))
-    if kind == "kl_potential":
-        return KLPotential(np.asarray(payload["beta"], dtype=float))
-    if kind == "renyi_potential":
-        return RenyiPotential(np.asarray(payload["alpha"], dtype=float))
-    raise BadCostSpec(f"unknown potential kind {kind!r}")
-
-
-def _transform_to_payload(t: TransformSpec) -> dict:
-    if isinstance(t, IdentityTransform):
-        return {"kind": "identity"}
-    if isinstance(t, RenyiLogTransform):
-        return {"kind": "renyi_log", "lambda": t.lam, "alpha_max": t.alpha_max}
-    raise BadCostSpec("custom transforms are construction-time only, not serializable")
-
-
-def _transform_from_payload(payload: dict) -> TransformSpec:
-    kind = payload.get("kind")
-    if kind == "identity":
-        return IdentityTransform()
-    if kind == "renyi_log":
-        return RenyiLogTransform(float(payload["lambda"]), float(payload["alpha_max"]))
-    raise BadCostSpec(f"unknown transform kind {kind!r}")
+COST_KINDS = {
+    "kl": KLCost,
+    "max_kl": MaxKLCost,
+    "renyi": RenyiCost,
+    "max_renyi": MaxRenyiCost,
+    "posterior_separable": PosteriorSeparableCost,
+    "convex_ps": ConvexPSCost,
+}
+# the kind -> class table of each field that holds a nested specification;
+# custom potentials and transforms are construction-time only, not serializable
+_NESTED_KINDS = {
+    "param": PARAM_KINDS,
+    "potential": {
+        "shannon": ShannonEntropy,
+        "tsallis": Tsallis,
+        "kl_potential": KLPotential,
+        "renyi_potential": RenyiPotential,
+    },
+    "transform": {"identity": IdentityTransform, "renyi_log": RenyiLogTransform},
+}
 
 
 def cost_to_json(spec: CostSpec) -> str:
-    if isinstance(spec, KLCost):
-        payload = {"kind": "kl", "beta": spec.beta.tolist()}
-    elif isinstance(spec, MaxKLCost):
-        payload = {"kind": "max_kl", "betas": [b.tolist() for b in spec.betas]}
-    elif isinstance(spec, RenyiCost):
-        payload = {
-            "kind": "renyi",
-            "lambda": spec.lam,
-            "param": json.loads(param_to_json(spec.param)),
-        }
-    elif isinstance(spec, MaxRenyiCost):
-        payload = {
-            "kind": "max_renyi",
-            "measures": [
-                {"atoms": [{"weight": w, "param": json.loads(param_to_json(p))} for w, p in m.atoms]}
-                for m in spec.measures
-            ],
-        }
-    elif isinstance(spec, PosteriorSeparableCost):
-        payload = {
-            "kind": "posterior_separable",
-            "prior": spec.prior.tolist(),
-            "potential": _potential_to_payload(spec.potential),
-        }
-    elif isinstance(spec, ConvexPSCost):
-        payload = {
-            "kind": "convex_ps",
-            "prior": spec.prior.tolist(),
-            "potential": _potential_to_payload(spec.potential),
-            "transform": _transform_to_payload(spec.transform),
-        }
-    else:
-        raise BadCostSpec(f"unknown cost specification {spec!r}")
-    return json.dumps(payload)
+    return json.dumps(_to_payload(spec, COST_KINDS, BadCostSpec, _NESTED_KINDS))
 
 
-def cost_from_json(text: str) -> CostSpec:
+def cost_from_json(text) -> CostSpec:
+    """Read a cost specification from JSON text or from the object it parses to."""
     payload = json.loads(text) if isinstance(text, str) else text
-    kind = payload.get("kind")
-    if kind == "kl":
-        return KLCost(np.asarray(payload["beta"], dtype=float))
-    if kind == "max_kl":
-        return MaxKLCost(tuple(np.asarray(b, dtype=float) for b in payload["betas"]))
-    if kind == "renyi":
-        param = _param_from_payload(payload["param"])
-        if not isinstance(param, InteriorParam):
-            raise BadCostSpec("renyi cost parameter must be of interior kind")
-        return RenyiCost(float(payload["lambda"]), param)
-    if kind == "max_renyi":
-        measures = tuple(
-            DivergenceMeasure(
-                tuple((float(a["weight"]), _param_from_payload(a["param"])) for a in m["atoms"])
-            )
-            for m in payload["measures"]
-        )
-        return MaxRenyiCost(measures)
-    if kind == "posterior_separable":
-        return PosteriorSeparableCost(
-            np.asarray(payload["prior"], dtype=float),
-            _potential_from_payload(payload["potential"]),
-        )
-    if kind == "convex_ps":
-        return ConvexPSCost(
-            np.asarray(payload["prior"], dtype=float),
-            _potential_from_payload(payload["potential"]),
-            _transform_from_payload(payload["transform"]),
-        )
-    raise BadCostSpec(f"unknown cost kind {kind!r}")
+    return _from_payload(payload, COST_KINDS, BadCostSpec, _NESTED_KINDS)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -93,6 +93,8 @@ class WeightedKLParam:
         b = np.asarray(self.beta, dtype=float)
         if b.ndim != 1 or b.shape[0] < 2:
             raise BadPsi("beta must be a vector of length >= 2")
+        if isinstance(self.pivot, bool) or not isinstance(self.pivot, (int, np.integer)):
+            raise BadPsi(f"pivot must be an integer, got {self.pivot!r}")
         if not (0 <= self.pivot < b.shape[0]):
             raise BadPsi(f"pivot {self.pivot} out of range")
         if not np.all(b >= 0):
@@ -101,6 +103,7 @@ class WeightedKLParam:
             raise BadPsi("beta must vanish at the pivot")
         if not (abs(b.sum() - 1.0) <= PARAM_SUM_TOL):
             raise BadPsi(f"beta must sum to 1, got {b.sum()!r}")
+        object.__setattr__(self, "pivot", int(self.pivot))  # a NumPy integer is no JSON number
         object.__setattr__(self, "beta", _freeze(b.copy()))
 
     @property
@@ -155,8 +158,8 @@ class DivergenceMeasure:
         if not atoms:
             raise BadPsi("a divergence measure needs at least one atom")
         for w, p in atoms:
-            if not (w >= 0):
-                raise BadPsi("atom weights must be nonnegative")
+            if not (0 <= w < math.inf):
+                raise BadPsi(f"atom weights must be finite and nonnegative, got {w!r}")
             if not isinstance(p, (InteriorParam, WeightedKLParam, SupParam)):
                 raise BadPsi(f"unknown divergence parameter {p!r}")
         object.__setattr__(self, "atoms", atoms)
@@ -467,31 +470,66 @@ def default_param_grid(n_states: int, count: int, seed: int = 0) -> list[Diverge
     return params[:count]
 
 
+PARAM_KINDS = {"interior": InteriorParam, "kl": WeightedKLParam, "sup": SupParam}
+_JSON_KEYS = {"lam": "lambda"}  # the one field whose JSON key is not its name
+
+
+def _to_payload(spec, kinds: dict, error: type, nested: dict) -> dict:
+    """The JSON object of a specification: its kind in the kind -> class table
+    ``kinds``, then its fields in order.  A field named in ``nested`` holds a
+    specification of the role that table serves; ``measures`` holds divergence
+    measures, each ``{"atoms": [{"weight", "param"}]}``; arrays and tuples of
+    arrays become lists.  A class with no kind (a custom callable) raises
+    ``error``."""
+    kind = next((k for k, cls in kinds.items() if type(spec) is cls), None)
+    if kind is None:
+        raise error(f"{type(spec).__name__} has no JSON form")
+    payload = {"kind": kind}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if f.name in nested:
+            value = _to_payload(value, nested[f.name], error, nested)
+        elif f.name == "measures":
+            value = [
+                {"atoms": [{"weight": w, "param": _to_payload(p, PARAM_KINDS, error, {})} for w, p in m.atoms]}
+                for m in value
+            ]
+        elif isinstance(value, (tuple, np.ndarray)):
+            value = np.asarray(value).tolist()
+        payload[_JSON_KEYS.get(f.name, f.name)] = value
+    return payload
+
+
+def _from_payload(payload, kinds: dict, error: type, nested: dict):
+    """The specification a JSON object describes, read as :func:`_to_payload`
+    writes it.  Every other value goes to the constructor unchanged, which
+    validates it.  A payload that is not an object, a JSON string included,
+    raises TypeError, and an unknown kind raises ``error``."""
+    if not isinstance(payload, dict):
+        raise TypeError(f"expected a JSON object, got {type(payload).__name__}")
+    cls = kinds.get(payload.get("kind"))
+    if cls is None:
+        raise error(f"unknown kind {payload.get('kind')!r}")
+    values = []
+    for f in fields(cls):
+        value = payload[_JSON_KEYS.get(f.name, f.name)]
+        if f.name in nested:
+            value = _from_payload(value, nested[f.name], error, nested)
+        elif f.name == "measures":
+            value = tuple(
+                DivergenceMeasure(
+                    tuple((a["weight"], _from_payload(a["param"], PARAM_KINDS, error, {})) for a in m["atoms"])
+                )
+                for m in value
+            )
+        values.append(value)
+    return cls(*values)
+
+
 def param_to_json(param: DivergenceParam) -> str:
-    if isinstance(param, InteriorParam):
-        payload = {"kind": "interior", "alpha": param.alpha.tolist()}
-    elif isinstance(param, WeightedKLParam):
-        payload = {"kind": "kl", "pivot": param.pivot, "beta": param.beta.tolist()}
-    elif isinstance(param, SupParam):
-        payload = {"kind": "sup", "psi": param.psi.tolist()}
-    else:
-        raise BadPsi(f"unknown divergence parameter {param!r}")
-    return json.dumps(payload)
+    return json.dumps(_to_payload(param, PARAM_KINDS, BadPsi, {}))
 
 
 def param_from_json(text) -> DivergenceParam:
     """Read a parameter from JSON text or from the object it parses to."""
-    return _param_from_payload(json.loads(text) if isinstance(text, str) else text)
-
-
-def _param_from_payload(payload: dict) -> DivergenceParam:
-    if not isinstance(payload, dict):
-        raise TypeError(f"a parameter must be a JSON object, got {type(payload).__name__}")
-    kind = payload.get("kind")
-    if kind == "interior":
-        return InteriorParam(np.asarray(payload["alpha"], dtype=float))
-    if kind == "kl":
-        return WeightedKLParam(int(payload["pivot"]), np.asarray(payload["beta"], dtype=float))
-    if kind == "sup":
-        return SupParam(np.asarray(payload["psi"], dtype=float))
-    raise BadPsi(f"unknown parameter kind {kind!r}")
+    return _from_payload(json.loads(text) if isinstance(text, str) else text, PARAM_KINDS, BadPsi, {})

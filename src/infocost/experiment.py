@@ -72,8 +72,10 @@ class FiniteExperiment:
         return json.dumps(payload)
 
     @staticmethod
-    def from_json(text: str) -> "FiniteExperiment":
-        payload = json.loads(text)
+    def from_json(text) -> "FiniteExperiment":
+        """Read an experiment from JSON text or from the object it parses to;
+        a declared ``states`` or ``signals`` must match ``probs``."""
+        payload = json.loads(text) if isinstance(text, str) else text
         mu = new_experiment(payload["probs"])
         if payload.get("states", mu.n_states) != mu.n_states:
             raise StateMismatch("declared state count does not match the matrix")

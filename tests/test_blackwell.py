@@ -1,10 +1,12 @@
 """Garbling, dominance feasibility, and the pairwise order."""
 
+import math
+
 import numpy as np
 import pytest
 
 import infocost as ic
-from infocost.errors import RowNotStochastic, ShapeMismatch, StateMismatch
+from infocost.errors import InfoCostError, RowNotStochastic, ShapeMismatch, StateMismatch
 
 SYM75 = ic.new_experiment([[0.75, 0.25], [0.25, 0.75]])
 
@@ -54,6 +56,13 @@ class TestDominates:
     def test_state_mismatch(self):
         with pytest.raises(StateMismatch):
             ic.dominates(SYM75, ic.uninformative(3, 2))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(InfoCostError):
+            ic.dominates(SYM75, SYM75, tol=tol)
+        with pytest.raises(InfoCostError):
+            ic.pairwise_dominates(SYM75, SYM75, tol=tol)
 
     def test_divergence_coherence(self):
         grid = ic.default_param_grid(2, 25, seed=5)

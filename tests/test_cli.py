@@ -119,6 +119,13 @@ class TestCostCommand:
         code, out, err = run(capsys, ["cost", "--experiment", exp_file, "--cost", str(cost_path)])
         assert code == 2 and not out and "not a valid cost file" in err
 
+    def test_string_scale_exits_2(self, capsys, exp_file, tmp_path):
+        # a scale reaches the constructor as written, not through float()
+        cost_path = tmp_path / "cost.json"
+        cost_path.write_text(json.dumps({"kind": "renyi", "lambda": "0.5", "param": {"kind": "interior", "alpha": [0.5, 0.5]}}))
+        code, out, err = run(capsys, ["cost", "--experiment", exp_file, "--cost", str(cost_path)])
+        assert code == 2 and not out and "not a valid cost file" in err
+
     def test_param_json_inside_a_string_exits_2(self, capsys, exp_file, tmp_path):
         cost_path = tmp_path / "cost.json"
         param = json.dumps({"kind": "interior", "alpha": [0.5, 0.5]})
@@ -314,6 +321,11 @@ class TestCountFlags:
             ("claim1", "--w-steps", "-2", 1),
             ("tsallis", "--grid-size", "-3", 3),
             ("tsallis", "--grid-size", "2", 3),
+            ("dominate", "--tol", "nan", 0.0),
+            ("dominate", "--tol", "inf", 0.0),
+            ("dominate", "--tol", "-0.5", 0.0),
+            ("axioms", "--tol", "1e400", 0.0),
+            ("axioms", "--tol", "nan", 0.0),
         ],
     )
     def test_below_lower_bound_exits_2(self, capsys, tmp_path, exp_file, verb, flag, value, low):
@@ -324,10 +336,12 @@ class TestCountFlags:
             "approx": ["approx", "--experiment", exp_file, "--seed", "0"],
             "claim1": ["claim1", "--seed", "0"],
             "tsallis": ["tsallis", "--sigma", "2"],
+            "dominate": ["dominate", "--experiment", exp_file, "--experiment2", exp_file],
         }[verb]
         with pytest.raises(SystemExit) as exc:
             main(argv + [flag, value])
-        assert exc.value.code == 2 and f"must be an integer >= {low}" in capsys.readouterr().err
+        noun = "a finite number" if isinstance(low, float) else "an integer"
+        assert exc.value.code == 2 and f"must be {noun} >= {low}" in capsys.readouterr().err
 
 
 class TestListFlags:
@@ -339,7 +353,12 @@ class TestListFlags:
             ("approx", "--k-list", "4.7"),
             ("approx", "--k-list", ","),
             ("approx", "--k-list", "1" + "0" * 400),
+            ("approx", "--k-list", "0"),
+            ("approx", "--k-list", "1"),
+            ("approx", "--k-list", "4,-1"),
             ("claim1", "--v-grid", ","),
+            ("claim1", "--v-grid", "-1"),
+            ("claim1", "--v-grid", "8,0"),
             ("claim1", "--v-grid", "nan"),
             ("claim1", "--v-grid", "8,inf"),
         ],
@@ -351,3 +370,64 @@ class TestListFlags:
         }[verb]
         code, out, err = run(capsys, argv + [flag, value])
         assert code == 2 and out == "" and "bad grid" in err
+
+
+class TestInputFiles:
+    """Experiment, problem and prior JSON go through one loader: a malformed
+    array is an input error, and a declared shape must match the matrix."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"probs": [[0.5, 0.5], [0.5]]},
+            {"probs": [["a", 0.5], [0.5, 0.5]]},
+            {"probs": "x"},
+            {"prob": [[0.5, 0.5], [0.5, 0.5]]},
+            [[0.5, 0.5], [0.5, 0.5]],
+        ],
+    )
+    def test_malformed_experiment_exits_2(self, capsys, tmp_path, payload):
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(
+            capsys,
+            ["divergence", "--experiment", str(path), "--param", '{"kind":"interior","alpha":[0.5,0.5]}'],
+        )
+        assert code == 2 and not out and "not a valid experiment file" in err
+
+    @pytest.mark.parametrize("declared", [{"states": 3}, {"signals": 3}])
+    def test_declared_shape_must_match(self, capsys, tmp_path, declared):
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps({**SYM75, **declared}))
+        code, out, err = run(
+            capsys,
+            ["divergence", "--experiment", str(path), "--param", '{"kind":"interior","alpha":[0.5,0.5]}'],
+        )
+        assert code == 1 and not out and "declared" in err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"prior": [0.5, 0.5], "utilities": [[8, 0], [0]]},
+            {"prior": [0.5, 0.5], "utilities": [[8, "x"], [0, 8]]},
+            {"prior": [0.5, [0.5]], "utilities": [[8, 0], [0, 8]]},
+            {"prior": [0.5, 0.5]},
+        ],
+    )
+    def test_malformed_problem_exits_2(self, capsys, tmp_path, payload):
+        prob_path = tmp_path / "problem.json"
+        prob_path.write_text(json.dumps(payload))
+        cost_path = tmp_path / "cost.json"
+        cost_path.write_text(ic.cost_to_json(ic.PosteriorSeparableCost(np.array([0.5, 0.5]), ic.ShannonEntropy())))
+        code, out, err = run(capsys, ["solve", "--problem", str(prob_path), "--cost", str(cost_path), "--seed", "0"])
+        assert code == 2 and not out and "not a valid problem file" in err
+
+    @pytest.mark.parametrize("prior", ['"x"', '[0.5, "x"]', '{"prior": [0.5, 0.5]}', "[[0.5], 0.5]"])
+    def test_malformed_prior_exits_2(self, capsys, exp_file, prior):
+        code, out, err = run(capsys, ["approx", "--experiment", exp_file, "--prior", prior, "--seed", "0"])
+        assert code == 2 and not out and "not a valid prior" in err
+
+    def test_fractional_pivot_is_rejected(self, capsys, exp_file):
+        param = '{"kind":"kl","pivot":1.9,"beta":[1,0]}'
+        code, out, err = run(capsys, ["divergence", "--experiment", exp_file, "--param", param])
+        assert code == 1 and not out and "pivot must be an integer" in err

@@ -1,6 +1,8 @@
 """Cost families: evaluation, potential/transform identities, convexity checks."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import infocost as ic
 from infocost.cost import _cost_gradient
 from infocost.errors import (
     BadCostSpec,
+    BadPsi,
     DimensionMismatch,
     NoSecondDerivative,
     NotADistribution,
@@ -665,6 +668,26 @@ class TestSubadditivityCheck:
             assert (lhs <= 0) == convex
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ic.RenyiCost(math.inf, ic.InteriorParam(np.array([0.5, 0.5]))),
+        lambda: ic.RenyiLogTransform(math.inf, 0.5),
+        lambda: ic.Tsallis(math.inf),
+        lambda: ic.KLCost(np.array([[0.0, math.inf], [1.0, 0.0]])),
+        lambda: ic.MaxKLCost((np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0, 1.0], [math.inf, 0.0]]))),
+        lambda: ic.KLPotential(np.array([[0.0, math.inf], [1.0, 0.0]])),
+        lambda: ic.DivergenceMeasure(((math.inf, ic.InteriorParam(np.array([0.5, 0.5]))),)),
+        lambda: ic.RenyiCost(math.nan, ic.InteriorParam(np.array([0.5, 0.5]))),
+        lambda: ic.DivergenceMeasure(((math.nan, ic.InteriorParam(np.array([0.5, 0.5]))),)),
+    ],
+)
+def test_constructors_reject_non_finite_scales(build):
+    # an infinite scale would cost NaN (Tsallis: 0) on an uninformative experiment
+    with pytest.raises((BadCostSpec, BadPsi)):
+        build()
+
+
 class TestSerialization:
     def test_round_trips(self):
         specs = [
@@ -690,3 +713,90 @@ class TestSerialization:
         )
         with pytest.raises(BadCostSpec):
             ic.cost_to_json(spec)
+
+    def test_custom_transform_not_serializable(self):
+        spec = ic.ConvexPSCost(np.array([0.5, 0.5]), ic.ShannonEntropy(), ic.CustomTransform(lambda x: x * x))
+        with pytest.raises(BadCostSpec):
+            ic.cost_to_json(spec)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "nope"},
+            {"kind": "posterior_separable", "prior": [0.5, 0.5], "potential": {"kind": "nope"}},
+            {"kind": "convex_ps", "prior": [0.5, 0.5], "potential": {"kind": "shannon"}, "transform": {"kind": "nope"}},
+            # a potential is no cost, though both are tagged objects
+            {"kind": "shannon"},
+        ],
+    )
+    def test_unknown_kind(self, payload):
+        with pytest.raises(BadCostSpec):
+            ic.cost_from_json(payload)
+
+    def test_nested_json_string_is_not_parsed(self):
+        param = json.dumps({"kind": "interior", "alpha": [0.5, 0.5]})
+        with pytest.raises(TypeError):
+            ic.cost_from_json({"kind": "renyi", "lambda": 1.0, "param": param})
+
+    def test_golden_text(self):
+        # the exact text of one specification of every cost, potential and transform kind
+        interior = ic.InteriorParam(np.array([0.25, 0.75]))
+        kl_param = ic.WeightedKLParam(1, np.array([1.0, 0.0]))
+        sup = ic.SupParam(np.array([1.0, -1.0]))
+        prior = np.array([0.3, 0.7])
+        half = np.array([0.5, 0.5])
+        specs = [
+            ic.KLCost(np.array([[0.0, 0.5], [1.5, 0.0]])),
+            ic.MaxKLCost((np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [2.0, 0.0]]))),
+            ic.RenyiCost(2.0, interior),
+            ic.MaxRenyiCost(
+                (ic.DivergenceMeasure(((0.5, interior), (0.25, kl_param))), ic.DivergenceMeasure(((1.0, sup),)))
+            ),
+            ic.PosteriorSeparableCost(prior, ic.ShannonEntropy()),
+            ic.PosteriorSeparableCost(prior, ic.Tsallis(2.5)),
+            ic.PosteriorSeparableCost(prior, ic.KLPotential(np.array([[0.0, 1.0], [0.5, 0.0]]))),
+            ic.PosteriorSeparableCost(prior, ic.RenyiPotential(np.array([0.4, 0.6]))),
+            ic.ConvexPSCost(half, ic.ShannonEntropy(), ic.IdentityTransform()),
+            ic.ConvexPSCost(half, ic.RenyiPotential(half), ic.RenyiLogTransform(1.5, 0.5)),
+        ]
+        assert [ic.cost_to_json(spec) for spec in specs] == [
+            '{"kind": "kl", "beta": [[0.0, 0.5], [1.5, 0.0]]}',
+            '{"kind": "max_kl", "betas": [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]}',
+            '{"kind": "renyi", "lambda": 2.0, "param": {"kind": "interior", "alpha": [0.25, 0.75]}}',
+            '{"kind": "max_renyi", "measures": [{"atoms": [{"weight": 0.5, "param": {"kind": "interior", "alpha": [0.25, 0.75]}}, {"weight": 0.25, "param": {"kind": "kl", "pivot": 1, "beta": [1.0, 0.0]}}]}, {"atoms": [{"weight": 1.0, "param": {"kind": "sup", "psi": [1.0, -1.0]}}]}]}',
+            '{"kind": "posterior_separable", "prior": [0.3, 0.7], "potential": {"kind": "shannon"}}',
+            '{"kind": "posterior_separable", "prior": [0.3, 0.7], "potential": {"kind": "tsallis", "sigma": 2.5}}',
+            '{"kind": "posterior_separable", "prior": [0.3, 0.7], "potential": {"kind": "kl_potential", "beta": [[0.0, 1.0], [0.5, 0.0]]}}',
+            '{"kind": "posterior_separable", "prior": [0.3, 0.7], "potential": {"kind": "renyi_potential", "alpha": [0.4, 0.6]}}',
+            '{"kind": "convex_ps", "prior": [0.5, 0.5], "potential": {"kind": "shannon"}, "transform": {"kind": "identity"}}',
+            '{"kind": "convex_ps", "prior": [0.5, 0.5], "potential": {"kind": "renyi_potential", "alpha": [0.5, 0.5]}, "transform": {"kind": "renyi_log", "lambda": 1.5, "alpha_max": 0.5}}',
+        ]
+        for spec in specs:
+            assert ic.cost_to_json(ic.cost_from_json(ic.cost_to_json(spec))) == ic.cost_to_json(spec)
+
+    def test_readme_examples_round_trip(self):
+        # every JSON example of the README's file-format section decodes and
+        # re-encodes to an equal payload
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### File formats", 1)[1].split("\n## ", 1)[0]
+        params, costs = section.split("```json")[1:3]
+        experiment = json.loads(section.split("Experiment: `", 1)[1].split("`", 1)[0])
+        assert json.loads(ic.FiniteExperiment.from_json(experiment).to_json()) == experiment
+        for block, decode, encode, count in (
+            (params, ic.param_from_json, ic.param_to_json, 3),
+            (costs, ic.cost_from_json, ic.cost_to_json, 6),
+        ):
+            payloads = json_objects(block.split("```", 1)[0])
+            assert len(payloads) == count
+            for payload in payloads:
+                assert json.loads(encode(decode(payload))) == payload
+
+
+def json_objects(text: str) -> list:
+    """The JSON objects written one after another in a text."""
+    decoder, objects, i = json.JSONDecoder(), [], 0
+    while text[i:].strip():
+        i += len(text[i:]) - len(text[i:].lstrip())
+        payload, i = decoder.raw_decode(text, i)
+        objects.append(payload)
+    return objects

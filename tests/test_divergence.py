@@ -132,6 +132,43 @@ class TestUnified:
                 ic.unified_divergence(param, ic.random_experiment(3, 3, 4, 0.05))
             )
 
+    def test_param_json_golden_text(self):
+        params = [
+            ic.InteriorParam(np.array([0.25, 0.75])),
+            ic.WeightedKLParam(1, np.array([1.0, 0.0])),
+            ic.SupParam(np.array([1.0, -1.0])),
+        ] + ic.default_param_grid(3, 6, seed=0)
+        assert [ic.param_to_json(p) for p in params] == [
+            '{"kind": "interior", "alpha": [0.25, 0.75]}',
+            '{"kind": "kl", "pivot": 1, "beta": [1.0, 0.0]}',
+            '{"kind": "sup", "psi": [1.0, -1.0]}',
+            '{"kind": "interior", "alpha": [0.3333333333333333, 0.3333333333333333, 0.3333333333333333]}',
+            '{"kind": "interior", "alpha": [0.39546198954297845, 0.5930180594914135, 0.011519950965607977]}',
+            '{"kind": "kl", "pivot": 2, "beta": [0.0041065446691540605, 0.9958934553308461, 0.0]}',
+            '{"kind": "sup", "psi": [-0.7075857981849016, 1.0, -0.2924142018150983]}',
+            '{"kind": "interior", "alpha": [0.07843342413702581, 0.29250598732691274, 0.6290605885360614]}',
+            '{"kind": "kl", "pivot": 2, "beta": [0.9996083146075878, 0.0003916853924121879, 0.0]}',
+        ]
+
+    def test_param_json_unknown_kind(self):
+        with pytest.raises(BadPsi):
+            ic.param_from_json('{"kind": "shannon"}')
+        with pytest.raises(BadPsi):
+            ic.param_to_json(ic.DivergenceMeasure(((1.0, ic.SupParam(np.array([1.0, -1.0]))),)))
+
+    @pytest.mark.parametrize("pivot", [1.9, 1.0, True, "1", None])
+    def test_pivot_must_be_an_integer(self, pivot):
+        # a pivot is never truncated: 1.9 does not read as 1
+        with pytest.raises(BadPsi):
+            ic.WeightedKLParam(pivot, np.array([1.0, 0.0]))
+        with pytest.raises(BadPsi):
+            ic.param_from_json({"kind": "kl", "pivot": pivot, "beta": [1, 0]})
+
+    def test_numpy_integer_pivot(self):
+        param = ic.WeightedKLParam(np.int64(1), np.array([1.0, 0.0]))
+        assert ic.unified_divergence(param, SYM75) == pytest.approx(KL_75, abs=1e-12)
+        assert ic.param_to_json(param) == '{"kind": "kl", "pivot": 1, "beta": [1.0, 0.0]}'
+
 
 def as_cost(param):
     """The divergence as a one-atom cost, where the cost families admit it."""
