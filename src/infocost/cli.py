@@ -14,6 +14,7 @@ import io
 import json
 import math
 import sys
+from typing import Optional
 
 import numpy as np
 
@@ -297,6 +298,21 @@ def _at_least(low, kind=int):
     return number
 
 
+def _inside(low: float, high: float = math.inf, other_than: Optional[float] = None):
+    """The argparse type of a finite float flag strictly between low and high,
+    optionally excluding one value; argparse exits 2 on any other."""
+    bounds = f"> {low}" if high == math.inf else f"in ({low}, {high})"
+    excluded = "" if other_than is None else f" other than {other_than}"
+
+    def number(text: str):
+        value = float(text)
+        if not (low < value < high and math.isfinite(value)) or value == other_than:
+            raise argparse.ArgumentTypeError(f"must be a finite number {bounds}{excluded}, got {text!r}")
+        return value
+
+    return number
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="infocost",
@@ -349,8 +365,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("claim1", help="scan the all-actions band of the symmetric matching problem")
-    p.add_argument("--t", type=float, default=0.5)
-    p.add_argument("--lam", type=float, default=1.0)
+    p.add_argument("--t", type=_inside(0.0, 1.0), default=0.5)
+    p.add_argument("--lam", type=_inside(0.0), default=1.0)
     p.add_argument("--v-grid", default="6,8,10")
     p.add_argument("--w-steps", type=_at_least(1), default=12)
     p.add_argument("--compare", action="store_true", help="also sweep solver-based cost families")
@@ -359,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_claim1)
 
     p = sub.add_parser("tsallis", help="sub-additivity check for the generalized entropy")
-    p.add_argument("--sigma", type=float, required=True)
+    p.add_argument("--sigma", type=_inside(0.0, other_than=1.0), required=True)
     p.add_argument("--grid-size", type=_at_least(3), default=2001)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_tsallis)

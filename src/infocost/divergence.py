@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Union
 
@@ -154,6 +155,9 @@ class DivergenceMeasure:
     atoms: tuple
 
     def __post_init__(self):
+        for w, _ in self.atoms:
+            if isinstance(w, bool) or not isinstance(w, numbers.Real):
+                raise TypeError(f"atom weights must be real numbers, got {w!r}")
         atoms = tuple((float(w), p) for w, p in self.atoms)
         if not atoms:
             raise BadPsi("a divergence measure needs at least one atom")

@@ -1,21 +1,22 @@
 """Rational-inattention problems: expected utility net of an information cost.
 
-The solver maximizes over stochastic choice functions (one signal per action)
-by entropic mirror (exponentiated-gradient) ascent on the rows, so iterates
-need no projection and every matrix it prices is on the simplex.  Every cost
-has a gradient (``cost._cost_gradient``); for a Shannon cost a unit step is
-the Blahut-Arimoto / logit update.  Every built-in family except sup atoms
-is convex in the choice matrix, which makes the objective concave: those
-families get one ascent from the uniform policy, and the others several
-starts.  A binary symmetric matching instance admits a two-parameter closed
-form used as an independent cross-check.
+The solver maximizes over stochastic choice functions (one signal per action).
+Each ascent takes entropic mirror (exponentiated-gradient) steps on the rows
+until the support settles, then a BFGS endgame on the row logits of the
+positive entries; both keep every matrix it prices on the simplex without a
+projection.  Every cost has a gradient (``cost._cost_gradient``); for a
+Shannon cost a unit mirror step is the Blahut-Arimoto / logit update.  The
+endgame is NumPy only, so solving loads no SciPy.  Every built-in family
+except sup atoms is convex in the choice matrix, which makes the objective
+concave: those families get one ascent from the uniform policy, and the
+others several starts.  A binary symmetric matching instance admits a
+two-parameter closed form used as an independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -41,6 +42,8 @@ from .errors import BadSolveOptions, DimensionMismatch, NoRootInBracket, TOutOfR
 from .experiment import FiniteExperiment, _check_prior, _freeze
 
 SUPPORT_EPS = 0.01  # an action whose marginal is at most this is outside the support
+HANDOFF = 10  # mirror steps with an unchanged support before the BFGS endgame
+BACKTRACKS = 40  # step halvings a line search tries
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +78,10 @@ class RIProblem:
 @dataclass(frozen=True)
 class Policy:
     """A stochastic choice function with its achieved objective value; the
-    support lists the actions whose marginal exceeds ``SUPPORT_EPS``."""
+    support lists the actions whose marginal exceeds ``SUPPORT_EPS``.
+    ``converged`` is False when the winning ascent ran out of ``max_iter``
+    steps before its stop test fired, True otherwise (an exact pure policy
+    included)."""
 
     choice: FiniteExperiment
     value: float
@@ -101,7 +107,7 @@ class SolveOptions:
 
 
 # ---------------------------------------------------------------------------
-# mirror-ascent solver
+# solver: mirror steps, then a BFGS endgame
 # ---------------------------------------------------------------------------
 
 
@@ -118,41 +124,167 @@ def _objective_factory(problem: RIProblem, spec: CostSpec):
     return objective, gradient
 
 
+def _support(prior: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return prior @ p > SUPPORT_EPS
+
+
+def _face_gap(p: np.ndarray, grad: np.ndarray, on: np.ndarray) -> float:
+    """Frank-Wolfe gap on p's face: the sum over the entries ``on`` of
+    p (max_b G(x, b) - G(x, a)), with G = df/dp.  It bounds f* - f on that
+    face when f is concave."""
+    top = np.where(on, grad, -np.inf).max(axis=1, keepdims=True)
+    return float(np.sum(p * np.where(on, top - grad, 0.0)))
+
+
+def _mirror_step(objective, prior, p, f, grad, on, step: float, margin: float):
+    """The first of the steps s = step, step/2, ... that gains more than the
+    margin, as (candidate, value, s), or None once ``BACKTRACKS`` steps
+    failed or a step's linear bound G . (candidate - p) falls to the margin:
+    for concave f that bounds the gain, and it shrinks with s.  Row x of p is
+    multiplied by exp(s g) and renormalized, with g the objective gradient
+    over q_x."""
+    g = grad / prior[:, None]
+    g = np.where(on, g - np.where(on, g, -np.inf).max(axis=1, keepdims=True), 0.0)
+    linear = np.where(on, grad, 0.0)
+    s = step
+    for _ in range(BACKTRACKS):
+        cand = np.where(on, p * np.exp(s * g), 0.0)
+        cand /= cand.sum(axis=1, keepdims=True)
+        if not float(np.sum(linear * (cand - p))) > margin:
+            break
+        fc = objective(cand)
+        if fc > f + margin:
+            return cand, fc, s
+        s *= 0.5
+    return None
+
+
+def _logit_slope(p: np.ndarray, grad: np.ndarray, on: np.ndarray) -> np.ndarray:
+    """df/dz on the entries ``on``, for p the row softmax of the logits z:
+    p (G - sum_a p G) row by row.  An entry whose slope is not finite counts
+    as flat."""
+    ok = on & np.isfinite(grad)
+    grad = np.where(ok, grad, 0.0)
+    return np.where(ok, p * (grad - np.sum(p * grad, axis=1, keepdims=True)), 0.0)[on]
+
+
+class _LogitBFGS:
+    """BFGS on the row logits z of p's entries ``on``: p = softmax(z) row by
+    row, every other entry zero (Nocedal & Wright, ch. 6).
+
+    The gradient is ``_logit_slope``, and H approximates the inverse Hessian
+    of -f in z.  H starts as the mirror metric s / (q_x p), so the first step
+    is a mirror step of size s, and is rescaled by the first curvature pair.
+    A line search starts from twice the last accepted length, at most the
+    full step, and halves it until the gain clears the Armijo test."""
+
+    def __init__(self, prior: np.ndarray, p: np.ndarray, grad: np.ndarray, on: np.ndarray, step: float):
+        self.on, self.z, self.logits = on, np.log(p[on]), np.full(p.shape, -np.inf)
+        self.metric = step / np.maximum((prior[:, None] * p)[on], np.finfo(float).tiny)
+        self.dz, self.h, self.s, self.a = _logit_slope(p, grad, on), None, None, 1.0
+        support = _support(prior, p)
+        self.kept, self.leaving = on & support, bool(np.any(on[:, ~support]))
+
+    def _point(self, z: np.ndarray) -> np.ndarray:
+        self.logits[self.on] = z
+        e = np.exp(self.logits - self.logits.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    def step(self, objective, f: float, margin: float):
+        """(candidate, value, None) for an accepted step, or None once the
+        step's predicted gain falls to the margin or ``BACKTRACKS`` halvings
+        failed."""
+        with np.errstate(over="ignore", invalid="ignore"):  # a direction past the float range restarts H
+            d = self.h @ self.dz if self.h is not None else None
+            if d is None or not float(self.dz @ d) > 0.0:
+                self.h, d = None, self.metric * self.dz
+            slope, a = float(self.dz @ d), self.a
+        for _ in range(BACKTRACKS):
+            if not a * slope > margin:
+                return None
+            cand = self._point(self.z + a * d)
+            fc = objective(cand)
+            if fc > f + 1e-4 * a * slope:
+                break
+            a *= 0.5
+        else:
+            return None
+        # a full step that gains near its linear prediction is no Newton step
+        # on a quadratic but a ray: along a kink, or towards the face without
+        # the actions that left the support.  Double it while that gains and
+        # no entry of a support action halves (its logit slope would vanish
+        # with it, and logit steps could not regrow it).
+        ratio = (fc - f) / (a * slope)
+        if a >= 1.0 and (ratio >= 0.9 or ratio >= 0.7 and self.leaving):
+            for _ in range(BACKTRACKS):
+                longer = self._point(self.z + 2.0 * a * d)
+                if np.any(longer[self.kept] < 0.5 * cand[self.kept]):
+                    break
+                fl = objective(longer)
+                if not fl > fc + margin:
+                    break
+                a, cand, fc = 2.0 * a, longer, fl
+        self.s, self.a = a * d, min(2.0 * a, 1.0)
+        return cand, fc, None
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def update(self, p: np.ndarray, grad: np.ndarray) -> None:
+        """Move to the accepted step's p, with its gradient."""
+        dz = _logit_slope(p, grad, self.on)
+        s, y = self.s, self.dz - dz  # y: the change in the gradient of -f
+        sy = float(s @ y)
+        if sy > 1e-12 * math.sqrt(float(s @ s) * float(y @ y)):
+            if self.h is None:
+                self.h = np.diag(self.metric * (sy / float(y @ (self.metric * y))))
+            r, hy = 1.0 / sy, self.h @ y
+            self.h += (r * r * float(y @ hy) + r) * np.outer(s, s) - r * (np.outer(hy, s) + np.outer(s, hy))
+        self.z, self.dz = self.z + s, dz
+
+
 def _ascend(objective, gradient, prior, start: np.ndarray, options: SolveOptions) -> tuple[np.ndarray, float, bool]:
-    """Entropic mirror ascent: each step multiplies row x of p by exp(s * g)
-    and renormalizes, with g the objective gradient over q_x, so a zero entry
-    stays zero.  It stops on a Frank-Wolfe gap within the acceptance margin
-    (which bounds f* - f on p's face when f is concave), on no improving step
-    at any scale, or on 50 steps that gain less than 1e-10."""
+    """Mirror steps until the support settles, then a BFGS endgame on its logits.
+
+    A mirror step (``_mirror_step``) keeps zero entries at zero.  The
+    support is the set of actions whose marginal exceeds ``SUPPORT_EPS``.
+    Once it has held for ``HANDOFF`` steps, or no mirror step gains the
+    acceptance margin, ``_LogitBFGS`` steps take over on p's positive
+    entries.  If the support changes, mirror steps resume, since they reach
+    a face far faster than logit steps.
+
+    The ascent stops on a Frank-Wolfe gap within the margin, or when no step
+    improves.  It reports False only when ``max_iter`` steps ran out first."""
     p = start.copy()
     f = objective(p)
     if not math.isfinite(f):
         return p, f, True
-    step = 0.5
-    window: deque = deque([f], maxlen=51)
+    step, steady, endgame = 0.5, 0, None
+    support = _support(prior, p)
+    grad = gradient(p)
     for _ in range(options.max_iter):
-        g = gradient(p) / prior[:, None]
-        on = (p > 0) & np.isfinite(g)  # a slope lost to underflow drops its entry
-        g = np.where(on, g, -np.inf)
-        g -= g.max(axis=1, keepdims=True)
+        on = (p > 0) & np.isfinite(grad)  # a slope lost to underflow drops its entry
         margin = 1e-13 * max(1.0, abs(f))
-        if -float(prior @ (p * np.where(on, g, 0.0)).sum(axis=1)) <= margin:
+        if _face_gap(p, grad, on) <= margin:
             return p, f, True
-        s = step
-        for _ in range(40):
-            cand = p * np.exp(s * g)
-            cand /= cand.sum(axis=1, keepdims=True)
-            fc = objective(cand)
-            if fc > f + margin:
-                p, f = cand, fc
-                step = min(s * 1.5, 100.0)
-                break
-            s *= 0.5
+        mirror = endgame is None and steady < HANDOFF
+        found = _mirror_step(objective, prior, p, f, grad, on, step, margin) if mirror else None
+        if found is None:
+            if endgame is None:
+                endgame = _LogitBFGS(prior, p, grad, on, step)
+            found = endgame.step(objective, f, margin)
+            if found is None:
+                return p, f, True
+        cand, fc, s = found
+        if s is not None:
+            step = min(s * 1.5, 100.0)
+        grad_c = gradient(cand)
+        if endgame is not None:
+            endgame.update(cand, grad_c)
+        p, f, grad = cand, fc, grad_c
+        used = _support(prior, p)
+        if np.array_equal(used, support):
+            steady += 1
         else:
-            return p, f, True
-        window.append(f)
-        if len(window) == window.maxlen and f - window[0] < 1e-10:
-            return p, f, True
+            support, steady, endgame = used, 0, None
     return p, f, False
 
 
@@ -160,6 +292,17 @@ def _pure_policy(n_states: int, n_actions: int, a: int) -> np.ndarray:
     p = np.zeros((n_states, n_actions))
     p[:, a] = 1.0
     return p
+
+
+def _face_start(p: np.ndarray, a: int) -> np.ndarray:
+    """p with action a dropped and each row renormalized; a row that used only
+    a becomes uniform over the other actions."""
+    faced = p.copy()
+    faced[:, a] = 0.0
+    dead = faced.sum(axis=1) == 0.0
+    faced[dead] = 1.0
+    faced[dead, a] = 0.0
+    return faced / faced.sum(axis=1, keepdims=True)
 
 
 def _one_ascent(spec: CostSpec) -> bool:
@@ -185,7 +328,8 @@ def _one_ascent(spec: CostSpec) -> bool:
 def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = None) -> Policy:
     """Maximize expected utility minus cost over stochastic choice functions.
 
-    Entropic mirror ascent from the uniform policy; every pure policy also
+    One ascent (``_ascend``: mirror steps, then a BFGS endgame on the
+    support's logits) from the uniform policy; every pure policy also
     enters as an exact candidate, so the result never falls below a constant
     action.  Specs whose objective is concave (see ``_one_ascent``: every
     built-in family except sup atoms) run that one ascent.  Sup atoms and
@@ -196,8 +340,9 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
     A polish pass then restarts from the incumbent with one action dropped,
     so that face optima are reached exactly instead of approached by a slow
     crawl.  If the incumbent's ascent converged, only actions whose marginal
-    is at most ``SUPPORT_EPS`` are dropped; if it stopped at
-    ``max_iter``, every action is.
+    is at most ``SUPPORT_EPS`` are dropped, and those whose face starts above
+    the incumbent (on a flat objective the endgame cannot climb to a face
+    optimum); if it stopped at ``max_iter``, every action is.
     """
     if options is None:
         options = SolveOptions()
@@ -234,25 +379,18 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
 
     # polish: restart from the incumbent with an action dropped, so face optima
     # are reached exactly instead of approached by a slow crawl.  Once the
-    # ascent converged, only the actions it barely uses are worth dropping.
+    # ascent converged, only the actions it barely uses are worth dropping,
+    # and those whose face starts above it (a flat objective that the
+    # endgame cannot climb to its face).
     if m > 1:
-        incumbent = best_p.copy()
-        faces = range(m)
-        if best_conv:
-            faces = np.flatnonzero(problem.prior @ incumbent <= SUPPORT_EPS)
-        for a in faces:
-            faced = incumbent.copy()
-            faced[:, a] = 0.0
-            sums = faced.sum(axis=1, keepdims=True)
-            dead = sums[:, 0] == 0.0
-            if np.any(dead):
-                faced[dead, :] = 1.0 / (m - 1)
-                faced[dead, a] = 0.0
-                sums = faced.sum(axis=1, keepdims=True)
-            faced /= sums
-            p, f, conv = _ascend(objective, gradient, problem.prior, faced, options)
-            if f > best_f:
-                best_p, best_f, best_conv = p, f, conv
+        incumbent, incumbent_f = best_p.copy(), best_f
+        used = problem.prior @ incumbent
+        for a in range(m):
+            faced = _face_start(incumbent, a)
+            if not best_conv or used[a] <= SUPPORT_EPS or objective(faced) > incumbent_f:
+                p, f, conv = _ascend(objective, gradient, problem.prior, faced, options)
+                if f > best_f:
+                    best_p, best_f, best_conv = p, f, conv
 
     probs = best_p / best_p.sum(axis=1, keepdims=True)
     value = objective(probs)

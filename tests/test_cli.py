@@ -126,6 +126,15 @@ class TestCostCommand:
         code, out, err = run(capsys, ["cost", "--experiment", exp_file, "--cost", str(cost_path)])
         assert code == 2 and not out and "not a valid cost file" in err
 
+    @pytest.mark.parametrize("weight", ["0.5", True])
+    def test_non_numeric_atom_weight_exits_2(self, capsys, exp_file, tmp_path, weight):
+        # an atom weight is a real number, like every other scale in a cost file
+        cost_path = tmp_path / "cost.json"
+        atom = {"weight": weight, "param": {"kind": "interior", "alpha": [0.5, 0.5]}}
+        cost_path.write_text(json.dumps({"kind": "max_renyi", "measures": [{"atoms": [atom]}]}))
+        code, out, err = run(capsys, ["cost", "--experiment", exp_file, "--cost", str(cost_path)])
+        assert code == 2 and not out and "not a valid cost file" in err
+
     def test_param_json_inside_a_string_exits_2(self, capsys, exp_file, tmp_path):
         cost_path = tmp_path / "cost.json"
         param = json.dumps({"kind": "interior", "alpha": [0.5, 0.5]})
@@ -342,6 +351,45 @@ class TestCountFlags:
             main(argv + [flag, value])
         noun = "a finite number" if isinstance(low, float) else "an integer"
         assert exc.value.code == 2 and f"must be {noun} >= {low}" in capsys.readouterr().err
+
+
+class TestRangeFlags:
+    """Scale and order flags with open ranges are input errors outside them."""
+
+    @pytest.mark.parametrize(
+        "verb, flag, value, bounds",
+        [
+            ("claim1", "--t", "1.5", "in (0.0, 1.0)"),
+            ("claim1", "--t", "1", "in (0.0, 1.0)"),
+            ("claim1", "--t", "0", "in (0.0, 1.0)"),
+            ("claim1", "--t", "nan", "in (0.0, 1.0)"),
+            ("claim1", "--lam", "-1", "> 0.0"),
+            ("claim1", "--lam", "0", "> 0.0"),
+            ("claim1", "--lam", "nan", "> 0.0"),
+            ("claim1", "--lam", "inf", "> 0.0"),
+            ("tsallis", "--sigma", "-1", "> 0.0 other than 1.0"),
+            ("tsallis", "--sigma", "0", "> 0.0 other than 1.0"),
+            ("tsallis", "--sigma", "1", "> 0.0 other than 1.0"),
+            ("tsallis", "--sigma", "nan", "> 0.0 other than 1.0"),
+            ("tsallis", "--sigma", "inf", "> 0.0 other than 1.0"),
+        ],
+    )
+    def test_out_of_range_exits_2(self, capsys, verb, flag, value, bounds):
+        argv = {"claim1": ["claim1", "--seed", "0", "--w-steps", "2"], "tsallis": ["tsallis", "--grid-size", "5"]}[verb]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2 and f"must be a finite number {bounds}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["claim1", "--seed", "0", "--w-steps", "2", "--v-grid", "8", "--t", "0.3", "--lam", "1e-3"],
+            ["tsallis", "--grid-size", "5", "--sigma", "0.5"],
+        ],
+    )
+    def test_in_range_runs(self, capsys, argv):
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and out
 
 
 class TestListFlags:

@@ -496,3 +496,16 @@ class TestPosteriorForm:
                     assert ic.unified_divergence(param, induced) == pytest.approx(
                         ic.unified_divergence(param, mu), abs=1e-10
                     )
+
+
+@pytest.mark.parametrize("weight", ["0.5", True, None, [0.5]])
+def test_measure_rejects_non_numeric_weights(weight):
+    # a weight is used as written: a string or a bool is not coerced by float()
+    with pytest.raises(TypeError, match="real numbers"):
+        ic.DivergenceMeasure(((weight, ic.InteriorParam(np.array([0.5, 0.5]))),))
+
+
+def test_measure_accepts_numpy_and_integer_weights():
+    half = ic.InteriorParam(np.array([0.5, 0.5]))
+    measure = ic.DivergenceMeasure(((np.float64(0.25), half), (1, half), (np.int64(2), half)))
+    assert [w for w, _ in measure.atoms] == [0.25, 1.0, 2.0]

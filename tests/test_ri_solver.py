@@ -1,5 +1,6 @@
 """Solver, closed-form symmetric machinery, and the all-actions band."""
 
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import infocost as ic
 from infocost import ri_solver
+from infocost.cli import main
 from infocost.cost import _cost_gradient
 from infocost.errors import BadSolveOptions, DimensionMismatch, NoRootInBracket
 from infocost.ri_solver import _foc, _golden_max, _mixing_kernel
@@ -354,6 +356,88 @@ class TestRestarts:
         main = split(ascents)[0]
         assert len(main) == 8
         np.testing.assert_array_equal(main[0], np.full((2, 3), 1.0 / 3.0))
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Objective and gradient calls of every solve(), counted by wrapping both."""
+    seen = {"objective": 0, "gradient": 0}
+    real = ri_solver._objective_factory
+
+    def factory(problem, spec):
+        objective, gradient = real(problem, spec)
+
+        def counted_objective(p):
+            seen["objective"] += 1
+            return objective(p)
+
+        def counted_gradient(p):
+            seen["gradient"] += 1
+            return gradient(p)
+
+        return counted_objective, counted_gradient
+
+    monkeypatch.setattr(ri_solver, "_objective_factory", factory)
+    return seen
+
+
+def matching_cells():
+    """The benchmark's order-1/2 Rényi edge and inside cells (lam = 1, t = 1/2)."""
+    return [c for c in benchmark_cells() if not c.id.startswith("above")]
+
+
+class TestEndgame:
+    """Mirror steps find the support; BFGS on its logits finishes the ascent."""
+
+    @pytest.mark.parametrize("v, w, lam, t", matching_cells())
+    def test_renyi_matching_cells_reach_the_closed_form(self, v, w, lam, t):
+        spec = ic.symmetric_renyi_cost_spec(lam, t)
+        policy = ic.solve(ic.matching_problem(v, w), spec, ic.SolveOptions(starts=1, max_iter=2000))
+        ref = ic.maximize_symmetric_value(ic.SymmetricInstance(v, w, lam, t))[2]
+        assert abs(policy.value - ref) <= 1e-12
+        assert policy.converged and policy.support == (0, 1, 2)
+
+    def test_renyi_edge_cell_call_budget(self, calls):
+        # counts are deterministic; the budget is about twice what the ascent needs
+        v, w, lam, t = matching_cells()[0].values
+        ic.solve(ic.matching_problem(v, w), ic.symmetric_renyi_cost_spec(lam, t), ic.SolveOptions(starts=1, max_iter=2000))
+        assert calls["objective"] <= 80 and calls["gradient"] <= 50, calls
+
+    def test_flat_objective_reaches_its_face(self):
+        # the whole gain over playing safe is 2.5e-7, and it lies on the face
+        # without the safe action: learning weight 1
+        problem = ic.matching_problem(2.0, 1.0)
+        spec = ic.RenyiCost(1e6, ic.InteriorParam(np.array([0.5, 0.5])))
+        policy = ic.solve(problem, spec, ic.SolveOptions(starts=6, max_iter=300))
+        ref = ic.maximize_symmetric_value(ic.SymmetricInstance(2.0, 1.0, 1e6, 0.5))[2]
+        assert abs(policy.value - ref) <= 1e-9
+        assert policy.support == (0, 1)
+
+    def test_kl_cost_matches_its_posterior_separable_form(self):
+        rng = np.random.default_rng(5)
+        q, u = rng.dirichlet(np.ones(3)), rng.uniform(0.0, 3.0, (4, 3))
+        rng.uniform(0.2, 1.0, (2, 2)), rng.dirichlet(np.ones(2))  # two discarded draws fix beta
+        beta = rng.uniform(0.2, 1.0, (3, 3)) * (1.0 - np.eye(3))
+        problem = ic.RIProblem(q, u)
+        direct = ic.solve(problem, ic.KLCost(beta))
+        composed = ic.solve(problem, ic.PosteriorSeparableCost(q, ic.KLPotential(beta)))
+        assert abs(direct.value - composed.value) <= 1e-12
+
+    def test_exhausted_endgame_is_not_converged(self, capsys, tmp_path):
+        v, w, lam, t = matching_cells()[0].values
+        spec = ic.symmetric_renyi_cost_spec(lam, t)
+        max_iter = ri_solver.HANDOFF + 3  # the mirror steps hand over, and BFGS runs out
+        policy = ic.solve(ic.matching_problem(v, w), spec, ic.SolveOptions(starts=1, max_iter=max_iter))
+        assert not policy.converged
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({"prior": [0.5, 0.5], "utilities": [[v, 0.0], [0.0, v], [w, w]]}))
+        cost = tmp_path / "cost.json"
+        cost.write_text(ic.cost_to_json(spec))
+        argv = ["solve", "--problem", str(problem), "--cost", str(cost), "--seed", "0", "--starts", "1"]
+        assert main(argv + ["--max-iter", str(max_iter)]) == 0
+        assert json.loads(capsys.readouterr().out)["converged"] is False
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["converged"] is True
 
 
 def chi2(p, q):

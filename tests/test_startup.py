@@ -67,6 +67,8 @@ def files(tmp_path):
         "binary": write("binary.json", json.dumps({"probs": [[0.75, 0.25], [0.25, 0.75]]})),
         "kl": write("kl.json", ic.cost_to_json(ic.KLCost(np.array([[0.0, 1.0], [1.0, 0.0]])))),
         "problem": write("problem.json", json.dumps({"prior": [0.5, 0.5], "utilities": [[2, 0], [0, 2], [1, 1]]})),
+        "matching": write("matching.json", json.dumps({"prior": [0.5, 0.5], "utilities": [[8, 0], [0, 8], [6.1, 6.1]]})),
+        "renyi": write("renyi.json", ic.cost_to_json(ic.symmetric_renyi_cost_spec(1.0, 0.5))),
     }
 
 
@@ -75,6 +77,8 @@ def test_non_lp_verbs_leave_scipy_unloaded(capsys, files):
         ["cost", "--experiment", files["binary"], "--cost", files["kl"]],
         ["solve", "--problem", files["problem"], "--cost", files["kl"], "--seed", "0",
          "--starts", "1", "--max-iter", "5"],
+        # an interior optimum: the ascent hands over to its BFGS endgame
+        ["solve", "--problem", files["matching"], "--cost", files["renyi"], "--seed", "0", "--starts", "1"],
         ["axioms", "--cost", files["kl"], "--seed", "0", "--samples", "2"],
         ["divergence", "--experiment", files["binary"], "--param", '{"kind":"kl","pivot":0,"beta":[0,1]}'],
         ["approx", "--experiment", files["binary"], "--k-list", "4", "--grid", "2", "--seed", "0"],
