@@ -498,9 +498,9 @@ def eval_cost(spec: CostSpec, mu: FiniteExperiment) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _kl_gradient(beta: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The gradient of sum_ij beta_ij KL(mu_i || mu_j) in the entries of p[n, s]."""
-    log_p = np.log(p)
+def _kl_gradient(beta: np.ndarray, p: np.ndarray, log_p: np.ndarray) -> np.ndarray:
+    """The gradient of sum_ij beta_ij KL(mu_i || mu_j) in the entries of p[n, s],
+    given log_p = log(p)."""
     grad = np.zeros_like(p)
     for i, j in zip(*np.nonzero(beta)):
         grad[i] += beta[i, j] * (log_p[i] - log_p[j] + 1.0)
@@ -523,7 +523,8 @@ def _potential_slopes(potential: PotentialSpec, post: np.ndarray, q: np.ndarray)
         chord = np.where(post.any(axis=0), post + 1e-8 * (np.eye(q.shape[0])[:, :, None] - post), 0.0)
         return phi + (_potentials(potential, chord, q) - phi) / 1e-8
     if isinstance(potential, KLPotential):
-        grad = _kl_gradient(potential.beta, post / q[:, None]) / q[:, None]
+        r = post / q[:, None]
+        grad = _kl_gradient(potential.beta, r, np.log(r)) / q[:, None]
     else:  # Rényi: grad Phi = (Phi - 1) alpha / g
         grad = (phi - 1.0) * potential.alpha[:, None] / post
     return phi + grad - np.where(post > 0, post * grad, 0.0).sum(axis=0)
@@ -552,7 +553,7 @@ def _atoms_gradient(atoms, p: np.ndarray) -> np.ndarray:
         if isinstance(param, WeightedKLParam):
             beta = np.zeros((p.shape[0], p.shape[0]))
             beta[param.pivot] = param.beta
-            grad += w * _kl_gradient(beta, p)
+            grad += w * _kl_gradient(beta, p, np.log(p))
             continue
         others = param.alpha.tolist()
         on = param.alpha > 0 if 0.0 in others else slice(None)
@@ -583,10 +584,12 @@ def _cost_gradient(spec: CostSpec, p: np.ndarray) -> np.ndarray:
     """
     if isinstance(spec, (KLCost, MaxKLCost)):
         betas = (spec.beta,) if isinstance(spec, KLCost) else spec.betas
+        log_p = np.log(p)
         if len(betas) > 1:
-            kl = _kls(p[None, :, None], p[None, None])
-            betas = _tied(betas, [_kl_forms(b, kl)[0] for b in betas])
-        return sum(_kl_gradient(b, p) for b in betas) / len(betas)
+            # the pair KLs from the same logs; a finite cost has no p_i > 0 = p_j
+            kl = np.where(p[:, None] > 0, p[:, None] * (log_p[:, None] - log_p[None]), 0.0).sum(axis=-1)
+            betas = _tied(betas, [_kl_forms(b, kl[None])[0] for b in betas])
+        return sum(_kl_gradient(b, p, log_p) for b in betas) / len(betas)
     if isinstance(spec, RenyiCost):
         return _atoms_gradient(((spec.lam, spec.param),), p)
     if isinstance(spec, MaxRenyiCost):

@@ -9,8 +9,11 @@ Shannon cost a unit mirror step is the Blahut-Arimoto / logit update.  The
 endgame is NumPy only, so solving loads no SciPy.  Every built-in family
 except sup atoms is convex in the choice matrix, which makes the objective
 concave: those families get one ascent from the uniform policy, and the
-others several starts.  A binary symmetric matching instance admits a
-two-parameter closed form used as an independent cross-check.
+others several starts.  For them, on two states, the best pure policy is
+first tested against a Frank-Wolfe duality bound taken next to it; when the
+bound is within the ascent's margin the ascent is skipped.  A binary
+symmetric matching instance admits a two-parameter closed form used as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .errors import BadSolveOptions, DimensionMismatch, NoRootInBracket, TOutOfR
 from .experiment import FiniteExperiment, _check_prior, _freeze
 
 SUPPORT_EPS = 0.01  # an action whose marginal is at most this is outside the support
+CERTIFY_STEP = 1e-7  # how far from a pure policy the certificate's point lies
 HANDOFF = 10  # mirror steps with an unchanged support before the BFGS endgame
 BACKTRACKS = 40  # step halvings a line search tries
 
@@ -81,12 +85,14 @@ class Policy:
     support lists the actions whose marginal exceeds ``SUPPORT_EPS``.
     ``converged`` is False when the winning ascent ran out of ``max_iter``
     steps before its stop test fired, True otherwise (an exact pure policy
-    included)."""
+    included).  ``upper_bound`` is the certificate's bound on the optimal
+    value when a pure policy was certified without an ascent, else None."""
 
     choice: FiniteExperiment
     value: float
     support: tuple
     converged: bool
+    upper_bound: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -325,6 +331,93 @@ def _one_ascent(spec: CostSpec) -> bool:
     return not isinstance(spec.potential, CustomPotential)
 
 
+def _bounding_costs(spec: CostSpec) -> list:
+    """The costs whose bounds may certify a pure policy under ``spec``: the
+    spec itself, or for a maximum of several members their mean, then each
+    member alone.  Each lies below the maximum and is 0 with it on every
+    uninformative experiment, so its value at a pure policy is the maximum's
+    and its optimum bounds the maximum's optimum from above."""
+    if isinstance(spec, MaxKLCost) and len(spec.betas) > 1:
+        return [KLCost(np.mean(spec.betas, axis=0))] + [KLCost(b) for b in spec.betas]
+    if isinstance(spec, MaxRenyiCost) and len(spec.measures) > 1:
+        k = len(spec.measures)
+        mean = DivergenceMeasure(tuple((w / k, p) for m in spec.measures for w, p in m.atoms))
+        return [MaxRenyiCost((m,)) for m in (mean, *spec.measures)]
+    return [spec]
+
+
+def _certify_pure(problem: RIProblem, spec: CostSpec, a: int, f_a: float) -> Optional[float]:
+    """An upper bound on the optimal value within the ascent's margin of f_a,
+    the value of pure action a, or None.  The objective must be concave.
+
+    For a concave f, f(p) plus the Frank-Wolfe gap over all entries bounds
+    f* at any p.  The certificate takes p = p_a + t sum_b D_b, with
+    t = ``CERTIFY_STEP``: D_b moves d_b(x) from action a to action b in each
+    row x, for a direction d_b in the state simplex.  The cost is 0 on every
+    uninformative experiment and, near p_a, 1-homogeneous in the mass moved,
+    so when each d_b maximizes the slope of f along D_b the bound's first-order
+    terms cancel (Euler's identity) and it is tight to O(t^2).  It then
+    certifies p_a whenever p_a is optimal with some slack.  A maximum of
+    costs is bounded through ``_bounding_costs``.
+
+    Two states only: d_b = (s, 1 - s) is picked on a 64-point grid of s in
+    (0, 1), refined by 33 points around its best, each priced as one stack
+    over every b.  A point that beats f_a by more than the margin shows that
+    the bound cannot hold.  Three or more states, and a single action, are
+    not certified.
+    """
+    if problem.n_states != 2 or problem.n_actions == 1:
+        return None
+    margin = 1e-13 * max(1.0, abs(f_a))
+    for cost in _bounding_costs(spec):
+        bound = _vertex_bound(problem, cost, a, margin)
+        if bound <= f_a + margin:
+            return bound
+    return None
+
+
+def _vertex_bound(problem: RIProblem, cost: CostSpec, a: int, margin: float) -> float:
+    """``_certify_pure``'s bound under one cost of a 2-state problem, or +inf
+    once a grid point gains more than the margin over pure action a."""
+    m = problem.n_actions
+    pure = _pure_policy(2, m, a)
+    others = np.array([b for b in range(m) if b != a], dtype=int)
+    gain = problem.prior * (problem.utilities - problem.utilities[a])  # [b, x]: q_x (u_b(x) - u_a(x))
+
+    def gains(s: np.ndarray) -> np.ndarray:
+        """f - f_a at p_a with t (s, 1 - s) moved to action b, for each row b of s."""
+        k, per = s.shape
+        bs = np.repeat(others, per)
+        d = CERTIFY_STEP * np.stack([s.ravel(), 1.0 - s.ravel()], axis=1)
+        p = np.repeat(pure[None], k * per, axis=0)
+        rows = np.arange(k * per)
+        p[rows, :, bs] = d
+        p[rows, :, a] = 1.0 - d
+        return (np.sum(gain[bs] * d, axis=1) - eval_costs(cost, p)).reshape(k, per)
+
+    nodes = (np.arange(64) + 0.5) / 64
+    grid = np.tile(nodes, (len(others), 1))
+    coarse = gains(grid)
+    if not np.all(coarse <= margin):
+        return math.inf
+    edges = np.concatenate([[0.0], nodes, [1.0]])  # node i lies between edges[i] and edges[i + 2]
+    i = coarse.argmax(axis=1)
+    fine = edges[i, None] + (edges[i + 2] - edges[i])[:, None] * np.linspace(0.0, 1.0, 35)[1:-1]
+    s, values = np.hstack([grid, fine]), np.hstack([coarse, gains(fine)])
+    if not np.all(values <= margin):
+        return math.inf
+    best = s[np.arange(len(others)), values.argmax(axis=1)]
+    d = CERTIFY_STEP * np.stack([best, 1.0 - best])  # [x, b]
+    p = pure.copy()
+    p[:, others] = d
+    p[:, a] = 1.0 - d.sum(axis=1)
+    objective, gradient = _objective_factory(problem, cost)
+    grad = gradient(p)
+    if not np.all(np.isfinite(grad)):  # the gap needs every entry's slope
+        return math.inf
+    return objective(p) + _face_gap(p, grad, np.ones(p.shape, dtype=bool))
+
+
 def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = None) -> Policy:
     """Maximize expected utility minus cost over stochastic choice functions.
 
@@ -336,6 +429,13 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
     custom potentials or transforms run ``options.starts`` ascents: the
     uniform policy, near-pure interior blends, then seeded random interior
     starts.  The best value wins; ties go to the earliest candidate.
+
+    Before any ascent on a concave objective, ``_certify_pure`` tries to
+    certify the first best pure policy: f(p) plus the Frank-Wolfe gap at a
+    point p next to it bounds the optimum, and if that bound is within the
+    ascent's margin (1e-13 max(1, |f|)) the pure policy is returned, with
+    the bound as ``upper_bound`` and no ascent or polish.  Two-state
+    problems only; a failed certificate costs time, never value.
 
     A polish pass then restarts from the incumbent with one action dropped,
     so that face optima are reached exactly instead of approached by a slow
@@ -355,25 +455,26 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
             raise DimensionMismatch("the cost's prior differs from the problem's prior")
     n, m = problem.n_states, problem.n_actions
     objective, gradient = _objective_factory(problem, spec)
+    # exact pure policies are the first candidates; the first best one leads
+    pure = [objective(_pure_policy(n, m, a)) for a in range(m)]
+    a = pure.index(max(pure))
+    best_p, best_f, best_conv = _pure_policy(n, m, a), pure[a], True
+    concave = _one_ascent(spec)
+    if concave:
+        bound = _certify_pure(problem, spec, a, best_f)
+        if bound is not None:
+            return _policy(problem, objective, best_p, True, bound)
+
     uniform = np.full((n, m), 1.0 / m)
     starts = [uniform]
-    if not _one_ascent(spec):
-        for a in range(m):
-            starts.append(0.95 * _pure_policy(n, m, a) + 0.05 * uniform)
+    if not concave:
+        for b in range(m):
+            starts.append(0.95 * _pure_policy(n, m, b) + 0.05 * uniform)
         rng = np.random.default_rng(options.seed)
         while len(starts) < options.starts:
             starts.append(rng.dirichlet(np.ones(m), size=n))
-
-    # exact pure policies enter the candidate pool without iteration
-    candidates = [(_pure_policy(n, m, a), None) for a in range(m)]
-    candidates += [(s, True) for s in starts[: options.starts]]
-
-    best_p, best_f, best_conv = None, -math.inf, True
-    for p0, run in candidates:
-        if run is None:
-            p, f, conv = p0, objective(p0), True
-        else:
-            p, f, conv = _ascend(objective, gradient, problem.prior, p0, options)
+    for p0 in starts[: options.starts]:
+        p, f, conv = _ascend(objective, gradient, problem.prior, p0, options)
         if f > best_f:
             best_p, best_f, best_conv = p, f, conv
 
@@ -391,13 +492,16 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
                 p, f, conv = _ascend(objective, gradient, problem.prior, faced, options)
                 if f > best_f:
                     best_p, best_f, best_conv = p, f, conv
+    return _policy(problem, objective, best_p, best_conv)
 
-    probs = best_p / best_p.sum(axis=1, keepdims=True)
+
+def _policy(problem: RIProblem, objective, p: np.ndarray, converged: bool, bound: Optional[float] = None) -> Policy:
+    probs = p / p.sum(axis=1, keepdims=True)
     value = objective(probs)
     probs.setflags(write=False)
     marginals = problem.prior @ probs
     support = tuple(int(a) for a in np.flatnonzero(marginals > SUPPORT_EPS))
-    return Policy(FiniteExperiment(probs), value, support, best_conv)
+    return Policy(FiniteExperiment(probs), value, support, converged, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -328,10 +328,12 @@ class TestRestarts:
 
     def test_pure_incumbent_restarts_only_from_its_zero_marginal_faces(self, ascents):
         problem = ic.matching_problem(2.0, 1.5)  # safe beats every uninformed mixture
+        # at lam = 1e6 the certificate's O(t^2) term exceeds its margin, so the ascent runs
         spec = ic.RenyiCost(1e6, ic.InteriorParam(np.array([0.5, 0.5])))
         policy = ic.solve(problem, spec, ic.SolveOptions(max_iter=300))
         safe = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
         np.testing.assert_array_equal(policy.choice.probs, safe)
+        assert policy.upper_bound is None
         main, polish = split(ascents)
         assert len(main) == 1 and len(polish) == 2
         for start in polish:
@@ -467,6 +469,88 @@ def every_family(prior):
         "custom_potential": ic.PosteriorSeparableCost(prior, ic.CustomPotential(chi2)),
         "custom_transform": ic.ConvexPSCost(prior, ic.ShannonEntropy(), ic.CustomTransform(math.expm1)),
     }
+
+
+BENCHMARK_COSTS = {
+    "shannon": ic.PosteriorSeparableCost(np.array([0.5, 0.5]), ic.ShannonEntropy()),
+    "max_kl": ic.MaxKLCost((np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]]))),
+    "renyi": ic.symmetric_renyi_cost_spec(1.0, 0.5),
+}
+
+
+def vertex_cells():
+    """The benchmark's cells whose optimum is the pure safe action: max-KL on
+    the edge and inside cells, and every family above the band."""
+    return [
+        pytest.param(family, *c.values[:2], id=f"{family}-{c.id}")
+        for c in benchmark_cells()
+        for family in BENCHMARK_COSTS
+        if c.id.startswith("above") or family == "max_kl"
+    ]
+
+
+class TestPureCertificate:
+    """A pure policy certified before any ascent is returned without one."""
+
+    @pytest.mark.parametrize("family, v, w", vertex_cells())
+    def test_vertex_cells_run_no_ascent(self, family, v, w, ascents, calls):
+        policy = ic.solve(ic.matching_problem(v, w), BENCHMARK_COSTS[family], ic.SolveOptions(starts=1))
+        np.testing.assert_array_equal(policy.choice.probs, [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        assert policy.value == w and policy.converged and policy.support == (2,)
+        assert abs(policy.upper_bound - w) <= 1e-13 * w  # a bound on the optimum, up to rounding
+        assert ascents == []
+        # the three pure values, the certificate's point and the reported value
+        assert calls == {"objective": 5, "gradient": 1}
+
+    @given(
+        st.integers(2, 4),
+        st.floats(0.05, 0.95),
+        st.lists(st.floats(0.0, 2.0), min_size=8, max_size=8),
+    )
+    # max-KL learns here, while a cost above it (the sum of its members) plays safe
+    @example(3, 0.5, [2.0, 0.0, 0.0, 2.0, 1.05, 1.05, 0.0, 0.0])
+    @settings(max_examples=40, deadline=None)
+    def test_property_no_ascent_beats_a_certified_pure_policy(self, m, q0, payoffs):
+        problem = ic.RIProblem(np.array([q0, 1.0 - q0]), np.reshape(payoffs[: 2 * m], (m, 2)))
+        for name, spec in every_family(problem.prior).items():
+            if not ri_solver._one_ascent(spec):
+                continue
+            objective, gradient = ri_solver._objective_factory(problem, spec)
+            pure = [objective(ri_solver._pure_policy(2, m, a)) for a in range(m)]
+            a = pure.index(max(pure))
+            bound = ri_solver._certify_pure(problem, spec, a, pure[a])
+            if bound is None:
+                continue
+            margin = 1e-13 * max(1.0, abs(pure[a]))
+            uniform = np.full((2, m), 1.0 / m)
+            f = ri_solver._ascend(objective, gradient, problem.prior, uniform, ic.SolveOptions())[1]
+            assert f <= pure[a] + margin, name
+            assert abs(bound - pure[a]) <= margin, name
+
+    def test_only_concave_families_try_the_certificate(self, monkeypatch):
+        tried = []
+        real = ri_solver._certify_pure
+
+        def spy(problem, spec, a, f_a):
+            tried.append(spec)
+            return real(problem, spec, a, f_a)
+
+        monkeypatch.setattr(ri_solver, "_certify_pure", spy)
+        problem = ic.matching_problem(8.0, 7.9)  # playing safe is optimal for every family
+        options = ic.SolveOptions(starts=2, max_iter=50)
+        for name, spec in every_family(problem.prior).items():
+            tried.clear()
+            policy = ic.solve(problem, spec, options)
+            if name in ("sup", "custom_potential", "custom_transform"):
+                assert tried == [] and policy.upper_bound is None, name
+            else:
+                assert tried == [spec] and policy.upper_bound is not None, name
+
+    def test_three_states_are_not_certified(self, ascents):
+        prior = np.array([0.3, 0.3, 0.4])
+        utilities = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.9, 0.9, 0.9]])
+        policy = ic.solve(ic.RIProblem(prior, utilities), ic.PosteriorSeparableCost(prior, ic.ShannonEntropy()))
+        assert policy.support == (2,) and policy.upper_bound is None and len(ascents) >= 1
 
 
 class TestSolverSteps:

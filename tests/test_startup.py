@@ -69,6 +69,9 @@ def files(tmp_path):
         "problem": write("problem.json", json.dumps({"prior": [0.5, 0.5], "utilities": [[2, 0], [0, 2], [1, 1]]})),
         "matching": write("matching.json", json.dumps({"prior": [0.5, 0.5], "utilities": [[8, 0], [0, 8], [6.1, 6.1]]})),
         "renyi": write("renyi.json", ic.cost_to_json(ic.symmetric_renyi_cost_spec(1.0, 0.5))),
+        "above": write("above.json", json.dumps({"prior": [0.5, 0.5], "utilities": [[8, 0], [0, 8], [7.7, 7.7]]})),
+        "max_kl": write("max_kl.json", ic.cost_to_json(ic.MaxKLCost((np.array([[0.0, 1.0], [0.0, 0.0]]),
+                                                                    np.array([[0.0, 0.0], [1.0, 0.0]]))))),
     }
 
 
@@ -79,6 +82,8 @@ def test_non_lp_verbs_leave_scipy_unloaded(capsys, files):
          "--starts", "1", "--max-iter", "5"],
         # an interior optimum: the ascent hands over to its BFGS endgame
         ["solve", "--problem", files["matching"], "--cost", files["renyi"], "--seed", "0", "--starts", "1"],
+        # the pure safe action, certified before any ascent
+        ["solve", "--problem", files["above"], "--cost", files["max_kl"], "--seed", "0", "--starts", "1"],
         ["axioms", "--cost", files["kl"], "--seed", "0", "--samples", "2"],
         ["divergence", "--experiment", files["binary"], "--param", '{"kind":"kl","pivot":0,"beta":[0,1]}'],
         ["approx", "--experiment", files["binary"], "--k-list", "4", "--grid", "2", "--seed", "0"],
