@@ -9,6 +9,7 @@ certificate whenever the verdict is positive.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -96,37 +97,42 @@ def dominates(mu: FiniteExperiment, nu: FiniteExperiment, tol: float = DEFAULT_T
     Solves min eps over row-stochastic kernels psi subject to
     |sum_s psi[s, t] mu_i(s) - nu_i(t)| <= eps for every state and target
     signal.  Verdicts whose best eps lies in (tol, 100 tol] carry a marginal
-    flag instead of being silently decided.  No dimension limit is enforced;
-    the intended envelope is up to ~64 signals per experiment.
+    flag instead of being silently decided.  The constraints are passed as
+    sparse rows: a matching row holds the nonzero mu_i(s) of one kernel
+    column plus eps (at most ns + 1 entries), a row-sum row one kernel row.
+    No dimension limit is enforced; the intended envelope is up to ~64
+    signals per experiment.
     """
     if mu.n_states != nu.n_states:
         raise StateMismatch(f"{mu.n_states} states vs {nu.n_states}")
     if not (0 <= tol < math.inf):
         raise InfoCostError(f"tol must be finite and nonnegative, got {tol!r}")
-    ns, nt = mu.n_signals, nu.n_signals
-    nvar = ns * nt + 1  # kernel entries plus the violation bound
+    from scipy.sparse import csr_array
 
-    c = np.zeros(nvar)
+    n, ns, nt = mu.n_states, mu.n_signals, nu.n_signals
+    nk = ns * nt  # kernel entry psi[s, t] is variable s * nt + t, eps is variable nk
+
+    c = np.zeros(nk + 1)
     c[-1] = 1.0
 
-    # kernel entry psi[s, t] is variable s * nt + t
-    src = np.arange(ns)
-    a_eq = np.zeros((ns, nvar))
-    a_eq[src[:, None], src[:, None] * nt + np.arange(nt)] = 1.0
+    # row s: sum_t psi[s, t] = 1
+    a_eq = csr_array((np.ones(nk), np.arange(nk), np.arange(0, nk + 1, nt)), shape=(ns, nk + 1))
     b_eq = np.ones(ns)
 
-    # rows (i, t, +) and (i, t, -): +-(sum_s psi[s, t] mu_i(s) - nu_i(t)) <= eps;
-    # the minus rows are negated copies of the plus rows, zeros included
-    i, t, s = np.ix_(np.arange(mu.n_states), np.arange(nt), src)
-    a_ub = np.zeros((mu.n_states, nt, 2, nvar))
-    a_ub[:, :, 1] = -0.0
-    a_ub[i, t, 0, s * nt + t] = mu.probs[i, s]
-    a_ub[i, t, 1, s * nt + t] = -mu.probs[i, s]
-    a_ub[..., -1] = -1.0
-    a_ub = a_ub.reshape(-1, nvar)
+    # rows (i, t, +) and (i, t, -): +-(sum_s psi[s, t] mu_i(s) - nu_i(t)) <= eps,
+    # each holding column t of psi and then eps
+    cols = np.empty((nt, ns + 1), dtype=np.intp)
+    cols[:, :ns] = np.arange(0, nk, nt) + np.arange(nt)[:, None]
+    cols[:, ns] = nk
+    vals = np.concatenate([np.stack([mu.probs, -mu.probs], 1), np.full((n, 2, 1), -1.0)], -1)
+    data = np.repeat(vals, nt, axis=0).ravel()
+    indices = np.tile(np.repeat(cols, 2, axis=0), (n, 1)).ravel()
+    a_ub = csr_array((data, indices, np.arange(0, data.size + 1, ns + 1)), shape=(2 * n * nt, nk + 1))
+    a_ub.eliminate_zeros()  # as a dense matrix would lose them
     b_ub = np.stack([nu.probs, -nu.probs], -1).ravel()
 
-    bounds = [(0.0, 1.0)] * (ns * nt) + [(0.0, None)]
+    bounds = np.tile([0.0, 1.0], (nk + 1, 1))
+    bounds[-1, 1] = math.inf
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
     if not res.success:
         raise InfoCostError(f"feasibility solve failed: {res.message}")
@@ -158,26 +164,38 @@ def pairwise_dominates(
     Strictly stronger than plain dominance for three or more states: a pair
     of experiments can be pairwise dominant while no single kernel works for
     all states at once.
+
+    Pairs are checked in `itertools.combinations` order and the call stops
+    at the first pair that does not dominate; that pair is `failing_pair`.
+    `max_violation` is the worst over the pairs solved, the failing one
+    included.  With `threads` > 1 the pairs' LPs run on that many threads
+    and the result is the same; LPs not yet started when a pair fails are
+    dropped.
     """
     if mu.n_states != nu.n_states:
         raise StateMismatch(f"{mu.n_states} states vs {nu.n_states}")
+    if not isinstance(threads, numbers.Integral) or isinstance(threads, bool) or threads < 1:
+        raise InfoCostError(f"threads must be an integer >= 1, got {threads!r}")
     pairs = list(combinations(range(mu.n_states), 2))
 
     def check(pair: tuple[int, int]) -> DominanceResult:
         i, j = pair
         return dominates(restrict_pair(mu, i, j), restrict_pair(nu, i, j), tol)
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    def first_failure(results) -> PairwiseResult:
+        worst = 0.0
+        for pair, res in zip(pairs, results):
+            worst = max(worst, res.max_violation)
+            if not res.dominates:
+                return PairwiseResult(False, pair, worst)
+        return PairwiseResult(True, None, worst)
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(check, pairs))
-    else:
-        results = [check(p) for p in pairs]
+    if threads == 1:
+        return first_failure(map(check, pairs))
+    from concurrent.futures import ThreadPoolExecutor
 
-    worst = 0.0
-    for pair, res in zip(pairs, results):
-        worst = max(worst, res.max_violation)
-        if not res.dominates:
-            return PairwiseResult(False, pair, worst)
-    return PairwiseResult(True, None, worst)
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        return first_failure(pool.map(check, pairs))
+    finally:
+        pool.shutdown(cancel_futures=True)

@@ -337,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment2", required=True)
     p.add_argument("--tol", type=_at_least(0.0, float), default=blackwell.DEFAULT_TOL)
     p.add_argument("--pairwise", action="store_true", help="check every two-state restriction")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_at_least(1), default=1, help="solve the pairwise LPs on this many threads")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_dominate)
 

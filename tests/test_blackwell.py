@@ -1,14 +1,52 @@
 """Garbling, dominance feasibility, and the pairwise order."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import infocost as ic
+from infocost import blackwell
 from infocost.errors import InfoCostError, RowNotStochastic, ShapeMismatch, StateMismatch
 
 SYM75 = ic.new_experiment([[0.75, 0.25], [0.25, 0.75]])
+# pairwise dominant, but not Blackwell dominant (see test_pairwise_but_not_blackwell_witness)
+WITNESS_MU = ic.new_experiment([[0.9, 0.1], [0.5, 0.5], [0.1, 0.9]])
+WITNESS_NU = ic.new_experiment([[0.7, 0.3], [0.52, 0.48], [0.3, 0.7]])
+# pairs (0, 1) and (0, 2) dominate, pair (0, 3) does not
+LATE_FAIL_MU = ic.new_experiment([[0.9, 0.1], [0.1, 0.9], [0.5, 0.5], [0.5, 0.5]])
+LATE_FAIL_NU = ic.new_experiment([[0.8, 0.2], [0.2, 0.8], [0.6, 0.4], [0.3, 0.7]])
+
+
+def dense_constraints(mu, nu):
+    """The dominance LP's constraint matrices built densely, as a reference."""
+    ns, nt = mu.n_signals, nu.n_signals
+    nvar = ns * nt + 1
+    src = np.arange(ns)
+    a_eq = np.zeros((ns, nvar))
+    a_eq[src[:, None], src[:, None] * nt + np.arange(nt)] = 1.0
+    i, t, s = np.ix_(np.arange(mu.n_states), np.arange(nt), src)
+    a_ub = np.zeros((mu.n_states, nt, 2, nvar))
+    a_ub[i, t, 0, s * nt + t] = mu.probs[i, s]
+    a_ub[i, t, 1, s * nt + t] = -mu.probs[i, s]
+    a_ub[..., -1] = -1.0
+    return a_ub.reshape(-1, nvar), a_eq
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Every blackwell.linprog call as (args, kwargs, result)."""
+    calls = []
+    original = blackwell.linprog
+
+    def spy(*args, **kwargs):
+        res = original(*args, **kwargs)
+        calls.append((args, kwargs, res))
+        return res
+
+    monkeypatch.setattr(blackwell, "linprog", spy)
+    return calls
 
 
 class TestGarble:
@@ -38,6 +76,9 @@ class TestDominates:
 
     def test_dominates_uninformative(self):
         assert ic.dominates(SYM75, ic.uninformative(2, 3)).dominates
+        # a zero in the source and a one-signal target: the sparse rows lose an entry
+        with_zero = ic.new_experiment([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
+        assert ic.dominates(with_zero, ic.uninformative(2, 1)).dominates
 
     def test_uninformative_cannot_dominate(self):
         res = ic.dominates(ic.uninformative(2, 3), SYM75)
@@ -56,6 +97,34 @@ class TestDominates:
     def test_state_mismatch(self):
         with pytest.raises(StateMismatch):
             ic.dominates(SYM75, ic.uninformative(3, 2))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_sparse_rows_match_the_dense_model(self, lp_calls, seed):
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng(seed)
+        n, ns, nt = 2 + seed % 4, 8 + 2 * seed, 24 - 2 * seed
+        probs = rng.dirichlet(np.ones(ns), size=n)
+        probs[0, seed % ns] = 0.0  # a zero entry, which the dense model drops
+        mu = ic.new_experiment(probs / probs.sum(axis=1, keepdims=True))
+        nu = ic.garble(mu, ic.random_kernel(ns, nt, seed=seed))
+        for source, target in ((mu, nu), (nu, mu)):
+            res = ic.dominates(source, target)
+            (c,), kwargs, sparse = lp_calls.pop()
+            a_ub, a_eq = dense_constraints(source, target)
+            assert kwargs["A_ub"].nnz <= a_ub.shape[0] * (source.n_signals + 1)
+            assert np.all(kwargs["A_ub"].data != 0)  # no stored zeros, as in the dense model
+            assert np.array_equal(kwargs["A_ub"].toarray(), a_ub)
+            assert np.array_equal(kwargs["A_eq"].toarray(), a_eq)
+            nk = source.n_signals * target.n_signals
+            dense = linprog(c, A_ub=a_ub, b_ub=kwargs["b_ub"], A_eq=a_eq, b_eq=kwargs["b_eq"],
+                            bounds=[(0.0, 1.0)] * nk + [(0.0, None)], method="highs")
+            assert dense.x.tobytes() == sparse.x.tobytes()
+            assert res.max_violation == dense.x[-1]
+            assert res.dominates == (source is mu)
+            if res.dominates:
+                psi = np.clip(dense.x[:-1].reshape(source.n_signals, -1), 0.0, None)
+                assert res.certificate.psi.tobytes() == ic.GarblingKernel(psi).psi.tobytes()
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
     def test_tolerance_must_be_finite_and_nonnegative(self, tol):
@@ -104,16 +173,14 @@ class TestPairwise:
         # two-signal experiments are ordered pairwise by per-pair affine maps,
         # but a single kernel needs all three (state, target) points collinear;
         # these were found by a slope search and are deliberately non-collinear
-        mu = ic.new_experiment([[0.9, 0.1], [0.5, 0.5], [0.1, 0.9]])
-        nu = ic.new_experiment([[0.7, 0.3], [0.52, 0.48], [0.3, 0.7]])
+        mu, nu = WITNESS_MU, WITNESS_NU
         pw = ic.pairwise_dominates(mu, nu)
         full = ic.dominates(mu, nu)
         assert pw.dominates
         assert not full.dominates and not full.marginal
 
     def test_pairwise_coherence_on_restrictions(self):
-        mu = ic.new_experiment([[0.9, 0.1], [0.5, 0.5], [0.1, 0.9]])
-        nu = ic.new_experiment([[0.7, 0.3], [0.52, 0.48], [0.3, 0.7]])
+        mu, nu = WITNESS_MU, WITNESS_NU
         assert ic.pairwise_dominates(mu, nu).dominates
         for i in range(3):
             for j in range(i + 1, 3):
@@ -129,9 +196,26 @@ class TestPairwise:
         res = ic.pairwise_dominates(mu, nu)
         assert not res.dominates and res.failing_pair is not None
 
+    @pytest.mark.parametrize(
+        "mu, nu, solved",
+        [(WITNESS_NU, WITNESS_MU, 1), (LATE_FAIL_MU, LATE_FAIL_NU, 3), (WITNESS_MU, WITNESS_NU, 3)],
+    )
+    def test_stops_at_the_first_failing_pair(self, lp_calls, mu, nu, solved):
+        res = ic.pairwise_dominates(mu, nu)
+        assert len(lp_calls) == solved
+        assert res.max_violation == max([0.0] + [call[2].x[-1] for call in lp_calls])
+        if res.dominates:
+            assert res.failing_pair is None
+        else:
+            pairs = list(itertools.combinations(range(mu.n_states), 2))
+            assert res.failing_pair == pairs[solved - 1]
+            assert not ic.dominates(*(ic.restrict_pair(e, *res.failing_pair) for e in (mu, nu))).dominates
+
     def test_threads_agree(self):
-        mu = ic.new_experiment([[0.9, 0.1], [0.5, 0.5], [0.1, 0.9]])
-        nu = ic.new_experiment([[0.7, 0.3], [0.52, 0.48], [0.3, 0.7]])
-        a = ic.pairwise_dominates(mu, nu, threads=1)
-        b = ic.pairwise_dominates(mu, nu, threads=3)
-        assert a.dominates == b.dominates
+        for mu, nu in ((WITNESS_NU, WITNESS_MU), (LATE_FAIL_MU, LATE_FAIL_NU), (WITNESS_MU, WITNESS_NU)):
+            assert ic.pairwise_dominates(mu, nu, threads=1) == ic.pairwise_dominates(mu, nu, threads=3)
+
+    @pytest.mark.parametrize("threads", [0, -5, 1.5, 2.0, True, "2"])
+    def test_threads_must_be_a_positive_integer(self, threads):
+        with pytest.raises(InfoCostError, match="threads"):
+            ic.pairwise_dominates(WITNESS_MU, WITNESS_NU, threads=threads)

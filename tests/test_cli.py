@@ -333,6 +333,8 @@ class TestCountFlags:
             ("dominate", "--tol", "nan", 0.0),
             ("dominate", "--tol", "inf", 0.0),
             ("dominate", "--tol", "-0.5", 0.0),
+            ("dominate", "--threads", "0", 1),
+            ("dominate", "--threads", "-5", 1),
             ("axioms", "--tol", "1e400", 0.0),
             ("axioms", "--tol", "nan", 0.0),
         ],
