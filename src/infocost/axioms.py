@@ -5,34 +5,46 @@ inequality of an axiom, and reports the worst violation found together with a
 witness that reproduces it standalone.  Equality axioms are judged relative
 to max(1, |cost|); near-ties are skipped in the ordinal independence test
 rather than adjudicated.
+
+A check runs in blocks of ``BLOCK`` samples and in three steps: draw every
+sample of the block from the seeded stream, validate and renormalize the
+drawn matrices one equal-shape stack at a time, then build each sample's
+derived experiments (mixtures, products, garblings, ...) and price every
+equal-shape stack of them with one :func:`eval_costs` call.  Each value
+equals the cost of that experiment evaluated alone.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from itertools import islice
+from typing import Callable, Optional
 
 import numpy as np
 
 from .blackwell import GarblingKernel, garble, random_kernel
-from .cost import CostSpec, _has_sup_atom, eval_cost, spec_n_states
-from .errors import AxiomNotApplicable
+from .cost import CostSpec, _has_sup_atom, eval_costs, spec_n_states
+from .errors import AxiomNotApplicable, BadAxiomProfile
 from .experiment import (
     FiniteExperiment,
+    _freeze,
     dilute,
     mixture,
     new_experiment,
+    normalized_rows,
     power,
     product,
-    random_experiment,
+    random_probs,
     uninformative,
 )
 
 
 MIN_PROB = 0.02  # floor of every sampled entry, which keeps log likelihood ratios bounded
+BLOCK = 1024  # samples drawn and priced together, so memory does not grow with n_samples
 
 
 class Axiom(str, Enum):
@@ -49,13 +61,30 @@ class Axiom(str, Enum):
 
 @dataclass(frozen=True)
 class AxiomProfile:
-    """Sampling profile: dimensions, sample count, seed, and tolerance."""
+    """Sampling profile: dimensions, sample count, seed, and tolerance.
+
+    ``n_signals`` caps the signals of each sampled experiment; it must stay
+    below ``1 / MIN_PROB`` so the entry floor is feasible.
+    """
 
     n_states: int = 2
     n_signals: int = 3
     n_samples: int = 200
     seed: int = 0
     tol: float = 1e-9
+
+    def __post_init__(self):
+        for name, low in (("n_states", 2), ("n_signals", 1), ("n_samples", 1)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
+                raise BadAxiomProfile(f"{name} must be an integer >= {low}, got {v!r}")
+        if MIN_PROB * self.n_signals >= 1.0:
+            raise BadAxiomProfile(
+                f"n_signals must be below {1.0 / MIN_PROB:g}, the most that fit the entry floor {MIN_PROB}, "
+                f"got {self.n_signals}"
+            )
+        if not (isinstance(self.tol, numbers.Real) and 0.0 <= self.tol < math.inf):
+            raise BadAxiomProfile(f"tol must be finite and nonnegative, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -80,118 +109,134 @@ class AxiomReport:
         )
 
 
+# experiments drawn per sample, and whether a mixture weight is drawn after them
+_INPUTS = {
+    Axiom.MIXTURE_CONVEXITY: (2, True),
+    Axiom.MIXTURE_LINEARITY: (2, True),
+    Axiom.SUB_ADDITIVITY: (2, True),
+    Axiom.ADDITIVITY: (2, True),
+    Axiom.IDENTITY_ADDITIVITY: (1, False),
+    Axiom.DILUTION_LINEARITY: (1, True),
+    Axiom.MAXIMAL_DILUTION_CONCAVITY: (1, True),
+    Axiom.INDEPENDENCE: (3, True),
+    Axiom.BLACKWELL_MONOTONICITY: (1, False),
+}
+
+
 def _n_signals(rng: np.random.Generator, cap: int) -> int:
     return int(rng.integers(2, cap + 1)) if cap > 2 else cap
 
 
-def _draw(rng: np.random.Generator, n_states: int, cap: int) -> FiniteExperiment:
+def _draw(rng: np.random.Generator, n_states: int, cap: int) -> np.ndarray:
     seed = int(rng.integers(0, 2**31 - 1))
-    return random_experiment(n_states, _n_signals(rng, cap), seed, MIN_PROB)
-
-
-def _residual(spec: CostSpec, axiom: Axiom, sample: dict) -> tuple[float, float]:
-    """Signed violation and its scale for one sampled instance.
-
-    Positive residuals are violations; equality axioms use the absolute
-    deviation.  Returns (nan, scale) when the sample is uninformative for the
-    axiom (near-ties in the ordinal test, non-finite values).
-    """
-    exps = [new_experiment(m) for m in sample["experiments"]]
-    a = sample.get("weight")
-    if axiom in (Axiom.MIXTURE_CONVEXITY, Axiom.MIXTURE_LINEARITY):
-        mu, nu = exps
-        c_mix = eval_cost(spec, mixture(mu, nu, a))
-        cm, cn = eval_cost(spec, mu), eval_cost(spec, nu)
-        rhs = a * cm + (1.0 - a) * cn
-        scale = max(1.0, abs(cm), abs(cn), abs(rhs))
-        if not all(map(math.isfinite, (c_mix, cm, cn))):
-            return math.nan, scale
-        diff = c_mix - rhs
-        return (diff if axiom is Axiom.MIXTURE_CONVEXITY else abs(diff)), scale
-    if axiom in (Axiom.SUB_ADDITIVITY, Axiom.ADDITIVITY):
-        mu, nu = exps
-        c_prod = eval_cost(spec, product(mu, nu))
-        cm, cn = eval_cost(spec, mu), eval_cost(spec, nu)
-        scale = max(1.0, abs(cm), abs(cn), abs(cm + cn))
-        if not all(map(math.isfinite, (c_prod, cm, cn))):
-            return math.nan, scale
-        diff = c_prod - (cm + cn)
-        return (diff if axiom is Axiom.SUB_ADDITIVITY else abs(diff)), scale
-    if axiom is Axiom.IDENTITY_ADDITIVITY:
-        (mu,) = exps
-        cm = eval_cost(spec, mu)
-        worst, scale = -math.inf, max(1.0, abs(cm))
-        if not math.isfinite(cm):
-            return math.nan, scale
-        for k in (2, 3):
-            ck = eval_cost(spec, power(mu, k))
-            if not math.isfinite(ck):
-                return math.nan, scale
-            scale = max(scale, abs(ck))
-            worst = max(worst, abs(ck - k * cm))
-        return worst, scale
-    if axiom in (Axiom.DILUTION_LINEARITY, Axiom.MAXIMAL_DILUTION_CONCAVITY):
-        (mu,) = exps
-        cm = eval_cost(spec, mu)
-        c_dil = eval_cost(spec, dilute(mu, a))
-        c_phi = eval_cost(spec, uninformative(mu.n_states))
-        scale = max(1.0, abs(cm))
-        if not all(map(math.isfinite, (cm, c_dil, c_phi))):
-            return math.nan, scale
-        if axiom is Axiom.DILUTION_LINEARITY:
-            return abs(c_dil - (a * cm + (1.0 - a) * c_phi)), scale
-        return abs(c_dil - cm), scale
-    if axiom is Axiom.INDEPENDENCE:
-        mu, mu2, nu = exps
-        cm, cm2 = eval_cost(spec, mu), eval_cost(spec, mu2)
-        scale = max(1.0, abs(cm), abs(cm2))
-        if not all(map(math.isfinite, (cm, cm2))):
-            return math.nan, scale
-        delta = cm - cm2
-        if abs(delta) <= 10.0 * sample["tol"] * scale:
-            return math.nan, scale  # sign of a near-zero difference is meaningless
-        d_mix = eval_cost(spec, mixture(mu, nu, a)) - eval_cost(spec, mixture(mu2, nu, a))
-        if not math.isfinite(d_mix):
-            return math.nan, scale
-        return -math.copysign(1.0, delta) * d_mix, scale
-    if axiom is Axiom.BLACKWELL_MONOTONICITY:
-        (mu,) = exps
-        kernel = GarblingKernel(np.asarray(sample["kernel"], dtype=float))
-        nu = garble(mu, kernel)
-        cm, cn = eval_cost(spec, mu), eval_cost(spec, nu)
-        scale = max(1.0, abs(cm))
-        if not all(map(math.isfinite, (cm, cn))):
-            return math.nan, scale
-        return cn - cm, scale
-    raise AxiomNotApplicable(f"unknown axiom {axiom!r}")
+    return random_probs(n_states, _n_signals(rng, cap), seed, MIN_PROB)
 
 
 def _sample_inputs(axiom: Axiom, rng: np.random.Generator, profile: AxiomProfile) -> dict:
-    n_states, cap = profile.n_states, profile.n_signals
-    sample: dict = {"tol": profile.tol}
-    if axiom in (Axiom.MIXTURE_CONVEXITY, Axiom.MIXTURE_LINEARITY, Axiom.SUB_ADDITIVITY, Axiom.ADDITIVITY):
-        sample["experiments"] = [
-            _draw(rng, n_states, cap).probs.tolist(),
-            _draw(rng, n_states, cap).probs.tolist(),
-        ]
+    """Draw one sample; its ``experiments`` are raw floored draws until :func:`_build`."""
+    count, weighted = _INPUTS[axiom]
+    sample: dict = {
+        "tol": profile.tol,
+        "experiments": [_draw(rng, profile.n_states, profile.n_signals) for _ in range(count)],
+    }
+    if weighted:
         sample["weight"] = float(rng.uniform(0.1, 0.9))
-    elif axiom in (Axiom.IDENTITY_ADDITIVITY,):
-        sample["experiments"] = [_draw(rng, n_states, cap).probs.tolist()]
-    elif axiom in (Axiom.DILUTION_LINEARITY, Axiom.MAXIMAL_DILUTION_CONCAVITY):
-        sample["experiments"] = [_draw(rng, n_states, cap).probs.tolist()]
-        sample["weight"] = float(rng.uniform(0.1, 0.9))
-    elif axiom is Axiom.INDEPENDENCE:
-        sample["experiments"] = [_draw(rng, n_states, cap).probs.tolist() for _ in range(3)]
-        sample["weight"] = float(rng.uniform(0.1, 0.9))
-    elif axiom is Axiom.BLACKWELL_MONOTONICITY:
-        mu = _draw(rng, n_states, cap)
-        sample["experiments"] = [mu.probs.tolist()]
-        cols = _n_signals(rng, cap)
-        kernel = random_kernel(mu.n_signals, cols, int(rng.integers(0, 2**31 - 1)))
-        sample["kernel"] = kernel.psi.tolist()
-    else:
-        raise AxiomNotApplicable(f"unknown axiom {axiom!r}")
+    if axiom is Axiom.BLACKWELL_MONOTONICITY:
+        rows, cols = sample["experiments"][0].shape[1], _n_signals(rng, profile.n_signals)
+        sample["kernel"] = random_kernel(rows, cols, int(rng.integers(0, 2**31 - 1))).psi.tolist()
     return sample
+
+
+def _stacked(fn: Callable[[np.ndarray], object], mats: list) -> list:
+    """Apply ``fn`` to each equal-shape stack ``[B, ...]`` of ``mats``; entry i
+    of the result is fn's entry for ``mats[i]``."""
+    groups: dict = {}
+    for i, m in enumerate(mats):
+        groups.setdefault(m.shape, []).append(i)
+    out: list = [None] * len(mats)
+    for idx in groups.values():
+        for i, value in zip(idx, fn(np.stack([mats[i] for i in idx]))):
+            out[i] = value
+    return out
+
+
+def _build(samples: list[dict]) -> list[list[FiniteExperiment]]:
+    """Validate and renormalize every drawn matrix twice, as :func:`new_experiment`
+    would: a sample's ``experiments`` become the once-normalized matrices a
+    witness stores, and the returned experiments hold them normalized again,
+    which is what :func:`reevaluate_witness` rebuilds from the witness."""
+    once = _stacked(normalized_rows, [m for s in samples for m in s["experiments"]])
+    twice = iter(_stacked(lambda stack: _freeze(normalized_rows(stack)), once))
+    rows = iter(once)
+    built = []
+    for s in samples:
+        s["experiments"] = list(islice(rows, len(s["experiments"])))
+        built.append([FiniteExperiment(m) for m in islice(twice, len(s["experiments"]))])
+    return built
+
+
+def _derived(axiom: Axiom, sample: dict, exps: list[FiniteExperiment]) -> list[FiniteExperiment]:
+    """The experiments whose costs decide one sample, in the order :func:`_combine` reads them."""
+    a = sample.get("weight")
+    if axiom in (Axiom.MIXTURE_CONVEXITY, Axiom.MIXTURE_LINEARITY):
+        mu, nu = exps
+        return [mixture(mu, nu, a), mu, nu]
+    if axiom in (Axiom.SUB_ADDITIVITY, Axiom.ADDITIVITY):
+        mu, nu = exps
+        return [product(mu, nu), mu, nu]
+    if axiom is Axiom.IDENTITY_ADDITIVITY:
+        (mu,) = exps
+        return [mu, power(mu, 2), power(mu, 3)]
+    if axiom in (Axiom.DILUTION_LINEARITY, Axiom.MAXIMAL_DILUTION_CONCAVITY):
+        (mu,) = exps
+        return [mu, dilute(mu, a), uninformative(mu.n_states)]
+    if axiom is Axiom.INDEPENDENCE:
+        mu, mu2, nu = exps
+        return [mu, mu2, mixture(mu, nu, a), mixture(mu2, nu, a)]
+    (mu,) = exps  # Blackwell monotonicity
+    return [mu, garble(mu, GarblingKernel(np.asarray(sample["kernel"], dtype=float)))]
+
+
+def _combine(axiom: Axiom, sample: dict, costs: list[float]) -> tuple[float, float]:
+    """Signed violation and its scale for one sample, from the costs of its
+    :func:`_derived` experiments.
+
+    Positive residuals are violations; equality axioms use the absolute
+    deviation.  Returns (nan, nan) when the sample is uninformative for the
+    axiom (a non-finite cost, or a near-tie in the ordinal test).
+    """
+    if not all(map(math.isfinite, costs)):
+        return math.nan, math.nan
+    a = sample.get("weight")
+    if axiom in (Axiom.MIXTURE_CONVEXITY, Axiom.MIXTURE_LINEARITY, Axiom.SUB_ADDITIVITY, Axiom.ADDITIVITY):
+        c_joint, cm, cn = costs
+        mixed = axiom in (Axiom.MIXTURE_CONVEXITY, Axiom.MIXTURE_LINEARITY)
+        rhs = a * cm + (1.0 - a) * cn if mixed else cm + cn
+        diff = c_joint - rhs
+        scale = max(1.0, abs(cm), abs(cn), abs(rhs))
+        return (diff if axiom in (Axiom.MIXTURE_CONVEXITY, Axiom.SUB_ADDITIVITY) else abs(diff)), scale
+    if axiom is Axiom.IDENTITY_ADDITIVITY:
+        cm, c2, c3 = costs
+        return max(abs(c2 - 2 * cm), abs(c3 - 3 * cm)), max(1.0, abs(cm), abs(c2), abs(c3))
+    if axiom in (Axiom.DILUTION_LINEARITY, Axiom.MAXIMAL_DILUTION_CONCAVITY):
+        cm, c_dil, c_phi = costs
+        if axiom is Axiom.DILUTION_LINEARITY:
+            return abs(c_dil - (a * cm + (1.0 - a) * c_phi)), max(1.0, abs(cm))
+        return abs(c_dil - cm), max(1.0, abs(cm))
+    if axiom is Axiom.INDEPENDENCE:
+        cm, cm2, c_mix, c_mix2 = costs
+        scale = max(1.0, abs(cm), abs(cm2))
+        delta = cm - cm2
+        if abs(delta) <= 10.0 * sample["tol"] * scale:
+            return math.nan, math.nan  # sign of a near-zero difference is meaningless
+        return -math.copysign(1.0, delta) * (c_mix - c_mix2), scale
+    cm, cn = costs  # Blackwell monotonicity
+    return cn - cm, max(1.0, abs(cm))
+
+
+def _price(spec: CostSpec, exps: list[FiniteExperiment]) -> list[float]:
+    """The cost of each experiment, one :func:`eval_costs` call per equal-shape stack."""
+    return _stacked(lambda stack: eval_costs(spec, stack).tolist(), [e.probs for e in exps])
 
 
 def check_axiom(
@@ -209,6 +254,10 @@ def check_axiom(
     (the rest were uninformative and skipped); with none the report passes
     without evidence.  The stored witness re-evaluates standalone through
     :func:`reevaluate_witness`.
+
+    Samples are drawn first, ``BLOCK`` at a time, and their experiments are
+    priced in equal-shape stacks; every value equals the one a sample
+    evaluated on its own gives, so the report does not depend on ``BLOCK``.
     """
     axiom = Axiom(axiom)
     n_states = spec_n_states(spec)
@@ -222,16 +271,24 @@ def check_axiom(
     worst = -math.inf
     witness = None
     evaluated = 0
-    for _ in range(profile.n_samples):
-        sample = _sample_inputs(axiom, rng, profile)
-        res, scale = _residual(spec, axiom, sample)
-        if math.isnan(res):
-            continue
-        evaluated += 1
-        violation = float(res / scale - profile.tol)
-        if violation > worst:
-            worst = violation
-            witness = dict(sample, raw_residual=float(res), scale=float(scale))
+    for start in range(0, profile.n_samples, BLOCK):
+        samples = [_sample_inputs(axiom, rng, profile) for _ in range(min(BLOCK, profile.n_samples - start))]
+        derived = [_derived(axiom, s, exps) for s, exps in zip(samples, _build(samples))]
+        costs = iter(_price(spec, [e for d in derived for e in d]))
+        for sample, d in zip(samples, derived):
+            res, scale = _combine(axiom, sample, list(islice(costs, len(d))))
+            if math.isnan(res):
+                continue
+            evaluated += 1
+            violation = float(res / scale - profile.tol)
+            if violation > worst:
+                worst = violation
+                witness = dict(
+                    sample,
+                    experiments=[m.tolist() for m in sample["experiments"]],
+                    raw_residual=float(res),
+                    scale=float(scale),
+                )
     if worst == -math.inf:
         worst = -profile.tol
     return AxiomReport(
@@ -241,7 +298,10 @@ def check_axiom(
 
 def reevaluate_witness(spec: CostSpec, axiom: Axiom | str, witness: dict, tol: float = 1e-9) -> float:
     """Recompute the violation of a stored witness from its raw matrices."""
-    res, scale = _residual(spec, Axiom(axiom), dict(witness, tol=tol))
+    axiom = Axiom(axiom)
+    sample = dict(witness, tol=tol)
+    exps = [new_experiment(m) for m in witness["experiments"]]
+    res, scale = _combine(axiom, sample, _price(spec, _derived(axiom, sample, exps)))
     if math.isnan(res):
         return -tol
     return res / scale - tol

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import approx, axioms, blackwell, cost, divergence, ri_solver
-from .errors import BadSolveOptions, InfoCostError
+from .errors import BadAxiomProfile, BadSolveOptions, InfoCostError
 from .experiment import FiniteExperiment
 
 EXIT_OK = 0
@@ -146,10 +146,12 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_dominate(args) -> int:
+    if args.threads is not None and not args.pairwise:
+        raise InputProblem("--threads applies only with --pairwise")
     mu = _load_experiment(args.experiment)
     nu = _load_experiment(args.experiment2)
     if args.pairwise:
-        res = blackwell.pairwise_dominates(mu, nu, tol=args.tol, threads=args.threads)
+        res = blackwell.pairwise_dominates(mu, nu, tol=args.tol, threads=args.threads or 1)
         payload = {
             "dominates": res.dominates,
             "failing_pair": list(res.failing_pair) if res.failing_pair else None,
@@ -168,13 +170,16 @@ def _cmd_dominate(args) -> int:
 
 def _cmd_axioms(args) -> int:
     spec = _load_cost(args.cost)
-    profile = axioms.AxiomProfile(
-        n_states=cost.spec_n_states(spec),
-        n_signals=args.signals,
-        n_samples=args.samples,
-        seed=args.seed,
-        tol=args.tol,
-    )
+    try:
+        profile = axioms.AxiomProfile(
+            n_states=cost.spec_n_states(spec),
+            n_signals=args.signals,
+            n_samples=args.samples,
+            seed=args.seed,
+            tol=args.tol,
+        )
+    except BadAxiomProfile as exc:
+        raise InputProblem(str(exc)) from exc
     reports = axioms.run_suite(spec, profile)
     _emit_json([json.loads(r.to_json()) for r in reports], args.out)
     return EXIT_OK
@@ -337,7 +342,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment2", required=True)
     p.add_argument("--tol", type=_at_least(0.0, float), default=blackwell.DEFAULT_TOL)
     p.add_argument("--pairwise", action="store_true", help="check every two-state restriction")
-    p.add_argument("--threads", type=_at_least(1), default=1, help="solve the pairwise LPs on this many threads")
+    p.add_argument(
+        "--threads", type=_at_least(1), default=None, help="solve the pairwise LPs on this many threads (default 1)"
+    )
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_dominate)
 

@@ -109,6 +109,11 @@ class AxiomNotApplicable(InfoCostError):
     """The requested axiom cannot be checked against this specification."""
 
 
+class BadAxiomProfile(InfoCostError):
+    """A sampling profile is out of range: n_states must be an integer >= 2,
+    n_samples >= 1, n_signals in [1, 1/MIN_PROB), and tol finite and >= 0."""
+
+
 # --- approximation ---------------------------------------------------------------
 
 class NotBinaryState(InfoCostError):

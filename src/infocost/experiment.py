@@ -95,14 +95,21 @@ def new_experiment(probs) -> FiniteExperiment:
         raise RowNotStochastic("probs must be a nonempty rectangular matrix")
     if arr.shape[0] < 2:
         raise TooFewStates(f"need at least 2 states, got {arr.shape[0]}")
+    return FiniteExperiment(_freeze(normalized_rows(arr)))
+
+
+def normalized_rows(arr: np.ndarray) -> np.ndarray:
+    """Validate the rows (last axis) of an array of signal probabilities and
+    renormalize them, as :func:`new_experiment` does for one matrix; a stack
+    ``[B, n, s]`` gets, matrix by matrix, the same bits."""
     if not np.all(arr >= 0):
         raise NegativeEntry("signal probabilities must be nonnegative")
-    sums = arr.sum(axis=1)
+    sums = arr.sum(axis=-1)
     bad = np.abs(sums - 1.0) > ROW_SUM_TOL
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise RowNotStochastic(f"row {i} sums to {sums[i]!r}")
-    return FiniteExperiment(_freeze(arr / sums[:, None]))
+        raise RowNotStochastic(f"row {i} sums to {sums.flat[i]!r}")
+    return arr / sums[..., None]
 
 
 def uninformative(n_states: int, n_signals: int = 1) -> FiniteExperiment:
@@ -232,11 +239,16 @@ def random_experiment(
     All entries are at least ``min_prob``, which keeps log likelihood ratios
     bounded; min_prob * n_signals must stay below 1.
     """
+    return new_experiment(random_probs(n_states, n_signals, seed, min_prob))
+
+
+def random_probs(n_states: int, n_signals: int, seed: int, min_prob: float = 0.0) -> np.ndarray:
+    """The matrix :func:`random_experiment` validates and wraps: each row a
+    flat Dirichlet draw, floored at ``min_prob``."""
     if min_prob < 0 or min_prob * n_signals >= 1.0:
         raise InfeasibleFloor(
             f"min_prob={min_prob} infeasible for {n_signals} signals"
         )
     rng = np.random.default_rng(seed)
     raw = rng.dirichlet(np.ones(n_signals), size=n_states)
-    probs = min_prob + (1.0 - min_prob * n_signals) * raw
-    return new_experiment(probs)
+    return min_prob + (1.0 - min_prob * n_signals) * raw

@@ -1,11 +1,17 @@
 """Axiom harness: the pass/fail fingerprints of each cost family."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import infocost as ic
-from infocost.axioms import SUITE_AXIOMS, Axiom
-from infocost.errors import AxiomNotApplicable
+from infocost import axioms
+from infocost.axioms import MIN_PROB, SUITE_AXIOMS, Axiom
+from infocost.errors import AxiomNotApplicable, BadAxiomProfile
 
 
 def kl_spec():
@@ -46,6 +52,165 @@ def report_for(reports, axiom):
     return next(r for r in reports if r.axiom == Axiom(axiom).value)
 
 
+FAMILIES = ("kl", "max_kl", "renyi", "max_renyi", "ps_shannon", "ps_tsallis", "ps_kl", "convex_ps")
+
+
+def family_spec(family, n, seed=0):
+    """A cost of one built-in family on n states, its parameters drawn from the seed."""
+    rng = np.random.default_rng(seed)
+
+    def beta():
+        b = rng.uniform(0.1, 1.0, size=(n, n))
+        np.fill_diagonal(b, 0.0)
+        return b
+
+    alpha = rng.dirichlet(np.ones(n))
+    prior = 0.2 / n + 0.8 * rng.dirichlet(np.ones(n))
+    if family == "kl":
+        return ic.KLCost(beta())
+    if family == "max_kl":
+        return ic.MaxKLCost((beta(), beta()))
+    if family == "renyi":
+        return ic.RenyiCost(float(rng.uniform(0.5, 1.5)), ic.InteriorParam(alpha))
+    if family == "max_renyi":
+        psi = np.concatenate([[1.0], -rng.dirichlet(np.ones(n - 1))])
+        kl_beta = np.concatenate([[0.0], rng.dirichlet(np.ones(n - 1))])
+        return ic.MaxRenyiCost(
+            (
+                ic.DivergenceMeasure(((0.6, ic.InteriorParam(alpha)), (0.4, ic.SupParam(psi)))),
+                ic.DivergenceMeasure(((1.0, ic.WeightedKLParam(0, kl_beta)),)),
+            )
+        )
+    if family == "ps_shannon":
+        return ic.PosteriorSeparableCost(prior, ic.ShannonEntropy())
+    if family == "ps_tsallis":
+        return ic.PosteriorSeparableCost(prior, ic.Tsallis(float(rng.uniform(1.5, 2.5))))
+    if family == "ps_kl":
+        return ic.PosteriorSeparableCost(prior, ic.KLPotential(beta()))
+    assert family == "convex_ps"
+    transform = ic.RenyiLogTransform(float(rng.uniform(0.5, 1.5)), float(alpha.max()))
+    return ic.ConvexPSCost(prior, ic.RenyiPotential(alpha), transform)
+
+
+# -- reference: the harness as it was before batching, one eval_cost per experiment --
+
+
+def _reference_draw(rng, n_states, cap):
+    seed = int(rng.integers(0, 2**31 - 1))
+    n_signals = int(rng.integers(2, cap + 1)) if cap > 2 else cap
+    return ic.random_experiment(n_states, n_signals, seed, MIN_PROB)
+
+
+def _reference_sample(axiom, rng, profile):
+    n_states, cap = profile.n_states, profile.n_signals
+    sample = {"tol": profile.tol}
+    if axiom in (Axiom.MIXTURE_CONVEXITY, Axiom.MIXTURE_LINEARITY, Axiom.SUB_ADDITIVITY, Axiom.ADDITIVITY):
+        sample["experiments"] = [
+            _reference_draw(rng, n_states, cap).probs.tolist(),
+            _reference_draw(rng, n_states, cap).probs.tolist(),
+        ]
+        sample["weight"] = float(rng.uniform(0.1, 0.9))
+    elif axiom is Axiom.IDENTITY_ADDITIVITY:
+        sample["experiments"] = [_reference_draw(rng, n_states, cap).probs.tolist()]
+    elif axiom in (Axiom.DILUTION_LINEARITY, Axiom.MAXIMAL_DILUTION_CONCAVITY):
+        sample["experiments"] = [_reference_draw(rng, n_states, cap).probs.tolist()]
+        sample["weight"] = float(rng.uniform(0.1, 0.9))
+    elif axiom is Axiom.INDEPENDENCE:
+        sample["experiments"] = [_reference_draw(rng, n_states, cap).probs.tolist() for _ in range(3)]
+        sample["weight"] = float(rng.uniform(0.1, 0.9))
+    else:
+        mu = _reference_draw(rng, n_states, cap)
+        sample["experiments"] = [mu.probs.tolist()]
+        cols = int(rng.integers(2, cap + 1)) if cap > 2 else cap
+        sample["kernel"] = ic.random_kernel(mu.n_signals, cols, int(rng.integers(0, 2**31 - 1))).psi.tolist()
+    return sample
+
+
+def _reference_residual(spec, axiom, sample):
+    exps = [ic.new_experiment(m) for m in sample["experiments"]]
+    a = sample.get("weight")
+    cost = lambda mu: ic.eval_cost(spec, mu)  # noqa: E731
+    if axiom in (Axiom.MIXTURE_CONVEXITY, Axiom.MIXTURE_LINEARITY):
+        mu, nu = exps
+        c_mix, cm, cn = cost(ic.mixture(mu, nu, a)), cost(mu), cost(nu)
+        rhs = a * cm + (1.0 - a) * cn
+        scale = max(1.0, abs(cm), abs(cn), abs(rhs))
+        if not all(map(math.isfinite, (c_mix, cm, cn))):
+            return math.nan, scale
+        diff = c_mix - rhs
+        return (diff if axiom is Axiom.MIXTURE_CONVEXITY else abs(diff)), scale
+    if axiom in (Axiom.SUB_ADDITIVITY, Axiom.ADDITIVITY):
+        mu, nu = exps
+        c_prod, cm, cn = cost(ic.product(mu, nu)), cost(mu), cost(nu)
+        scale = max(1.0, abs(cm), abs(cn), abs(cm + cn))
+        if not all(map(math.isfinite, (c_prod, cm, cn))):
+            return math.nan, scale
+        diff = c_prod - (cm + cn)
+        return (diff if axiom is Axiom.SUB_ADDITIVITY else abs(diff)), scale
+    if axiom is Axiom.IDENTITY_ADDITIVITY:
+        (mu,) = exps
+        cm = cost(mu)
+        worst, scale = -math.inf, max(1.0, abs(cm))
+        if not math.isfinite(cm):
+            return math.nan, scale
+        for k in (2, 3):
+            ck = cost(ic.power(mu, k))
+            if not math.isfinite(ck):
+                return math.nan, scale
+            scale = max(scale, abs(ck))
+            worst = max(worst, abs(ck - k * cm))
+        return worst, scale
+    if axiom in (Axiom.DILUTION_LINEARITY, Axiom.MAXIMAL_DILUTION_CONCAVITY):
+        (mu,) = exps
+        cm, c_dil, c_phi = cost(mu), cost(ic.dilute(mu, a)), cost(ic.uninformative(mu.n_states))
+        scale = max(1.0, abs(cm))
+        if not all(map(math.isfinite, (cm, c_dil, c_phi))):
+            return math.nan, scale
+        if axiom is Axiom.DILUTION_LINEARITY:
+            return abs(c_dil - (a * cm + (1.0 - a) * c_phi)), scale
+        return abs(c_dil - cm), scale
+    if axiom is Axiom.INDEPENDENCE:
+        mu, mu2, nu = exps
+        cm, cm2 = cost(mu), cost(mu2)
+        scale = max(1.0, abs(cm), abs(cm2))
+        if not all(map(math.isfinite, (cm, cm2))):
+            return math.nan, scale
+        delta = cm - cm2
+        if abs(delta) <= 10.0 * sample["tol"] * scale:
+            return math.nan, scale
+        d_mix = cost(ic.mixture(mu, nu, a)) - cost(ic.mixture(mu2, nu, a))
+        if not math.isfinite(d_mix):
+            return math.nan, scale
+        return -math.copysign(1.0, delta) * d_mix, scale
+    (mu,) = exps
+    nu = ic.garble(mu, ic.GarblingKernel(np.asarray(sample["kernel"], dtype=float)))
+    cm, cn = cost(mu), cost(nu)
+    scale = max(1.0, abs(cm))
+    if not all(map(math.isfinite, (cm, cn))):
+        return math.nan, scale
+    return cn - cm, scale
+
+
+def reference_check(spec, axiom, profile):
+    """check_axiom one sample at a time, pricing each experiment on its own."""
+    axiom = Axiom(axiom)
+    rng = np.random.default_rng(profile.seed)
+    worst, witness, evaluated = -math.inf, None, 0
+    for _ in range(profile.n_samples):
+        sample = _reference_sample(axiom, rng, profile)
+        res, scale = _reference_residual(spec, axiom, sample)
+        if math.isnan(res):
+            continue
+        evaluated += 1
+        violation = float(res / scale - profile.tol)
+        if violation > worst:
+            worst = violation
+            witness = dict(sample, raw_residual=float(res), scale=float(scale))
+    if worst == -math.inf:
+        worst = -profile.tol
+    return axioms.AxiomReport(axiom.value, profile.n_samples, evaluated, float(worst), witness, bool(worst <= 0.0))
+
+
 class TestCheckAxiom:
     def test_kl_mixture_linear(self):
         rep = ic.check_axiom(kl_spec(), Axiom.MIXTURE_LINEARITY, n_samples=200, seed=1)
@@ -63,7 +228,7 @@ class TestCheckAxiom:
         rep = ic.check_axiom(renyi_spec(), Axiom.MIXTURE_LINEARITY, n_samples=200, seed=4)
         assert not rep.passed and rep.worst_violation > 1e-6
         again = ic.reevaluate_witness(renyi_spec(), Axiom.MIXTURE_LINEARITY, rep.witness)
-        assert again >= 0.5 * rep.worst_violation
+        assert again == rep.worst_violation
 
     def test_renyi_still_mixture_convex(self):
         rep = ic.check_axiom(renyi_spec(), Axiom.MIXTURE_CONVEXITY, n_samples=200, seed=5)
@@ -87,6 +252,75 @@ class TestCheckAxiom:
         with pytest.raises(AxiomNotApplicable):
             ic.check_axiom(kl_spec(), Axiom.ADDITIVITY, profile=profile)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        family=st.sampled_from(FAMILIES),
+        axiom=st.sampled_from(list(Axiom)),
+        n_states=st.integers(2, 3),
+        cap=st.integers(1, 6),
+        n_samples=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        block=st.sampled_from([1, 5, axioms.BLOCK]),
+    )
+    def test_property_batched_report_equals_per_sample_reference(
+        self, family, axiom, n_states, cap, n_samples, seed, block
+    ):
+        spec = family_spec(family, n_states, seed)
+        profile = ic.AxiomProfile(n_states=n_states, n_signals=cap, n_samples=n_samples, seed=seed)
+        with mock.patch.object(axioms, "BLOCK", block):
+            got = ic.check_axiom(spec, axiom, profile=profile)
+        assert got == reference_check(spec, axiom, profile)
+        if got.witness is not None:
+            again = ic.reevaluate_witness(spec, axiom, got.witness, tol=profile.tol)
+            assert again == got.worst_violation
+
+    def test_one_eval_costs_call_per_priced_shape(self, monkeypatch):
+        shapes = []
+
+        def counting(spec, probs):
+            shapes.append(np.shape(probs)[1:])
+            return ic.eval_costs(spec, probs)
+
+        monkeypatch.setattr(axioms, "eval_costs", counting)
+        profile = ic.AxiomProfile(n_states=2, n_signals=4, n_samples=30, seed=3)
+        for axiom in Axiom:
+            shapes.clear()
+            ic.check_axiom(maxrenyi_spec(), axiom, profile=profile)
+            assert len(shapes) == len(set(shapes)) <= 20, axiom
+
+
+class TestAxiomProfile:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_states", 1),
+            ("n_states", 2.0),
+            ("n_samples", 0),
+            ("n_samples", True),
+            ("n_signals", 0),
+            ("n_signals", 50),
+            ("n_signals", 60),
+            ("tol", -1e-9),
+            ("tol", math.nan),
+            ("tol", math.inf),
+        ],
+    )
+    def test_rejects_out_of_range(self, field, value):
+        with pytest.raises(BadAxiomProfile, match=field):
+            ic.AxiomProfile(**{field: value})
+
+    def test_signal_cap_edges(self):
+        assert 1.0 / MIN_PROB == 50
+        for cap in (1, 49):
+            profile = ic.AxiomProfile(n_signals=cap, n_samples=3, seed=1)
+            assert ic.check_axiom(kl_spec(), Axiom.ADDITIVITY, profile=profile).evaluated == 3
+
+    def test_check_axiom_arguments_are_validated(self):
+        with pytest.raises(BadAxiomProfile, match="n_samples"):
+            ic.check_axiom(kl_spec(), Axiom.ADDITIVITY, n_samples=0)
+        with pytest.raises(BadAxiomProfile, match="tol"):
+            ic.check_axiom(kl_spec(), Axiom.ADDITIVITY, tol=-1.0)
+
 
 class TestFamilyFingerprints:
     def test_maxkl_dilution_linear_but_not_additive(self):
@@ -96,7 +330,7 @@ class TestFamilyFingerprints:
         rep = ic.check_axiom(spec, Axiom.ADDITIVITY, 200, seed=8)
         assert not rep.passed and rep.worst_violation > 1e-6
         again = ic.reevaluate_witness(spec, Axiom.ADDITIVITY, rep.witness)
-        assert again >= 0.5 * rep.worst_violation
+        assert again == rep.worst_violation
 
     def test_renyi_fails_dilution_linearity(self):
         rep = ic.check_axiom(renyi_spec(), Axiom.DILUTION_LINEARITY, 200, seed=9)
@@ -126,7 +360,7 @@ class TestFamilyFingerprints:
         rep = ic.check_axiom(spec, Axiom.SUB_ADDITIVITY, 200, seed=16)
         assert not rep.passed and rep.worst_violation > 1e-6
         again = ic.reevaluate_witness(spec, Axiom.SUB_ADDITIVITY, rep.witness)
-        assert again >= 0.5 * rep.worst_violation
+        assert again == rep.worst_violation
 
     def test_shannon_ps_passes_sub_additivity(self):
         spec = ic.PosteriorSeparableCost(np.array([0.1, 0.9]), ic.ShannonEntropy())
@@ -166,12 +400,17 @@ class TestRunSuite:
         assert report_for(reports, Axiom.BLACKWELL_MONOTONICITY).passed
 
     def test_failing_witnesses_reproduce(self):
-        profile = ic.AxiomProfile(n_states=2, n_samples=150, seed=25)
-        for spec in (renyi_spec(), maxkl_spec(), maxrenyi_spec()):
-            for rep in ic.run_suite(spec, profile):
-                if not rep.passed:
-                    again = ic.reevaluate_witness(spec, rep.axiom, rep.witness)
-                    assert again >= 0.5 * rep.worst_violation, (type(spec), rep.axiom)
+        failed = 0
+        for n_states in (2, 3):
+            profile = ic.AxiomProfile(n_states=n_states, n_signals=4, n_samples=60, seed=25)
+            for family in FAMILIES:
+                spec = family_spec(family, n_states, seed=n_states)
+                for rep in ic.run_suite(spec, profile):
+                    if not rep.passed:
+                        failed += 1
+                        again = ic.reevaluate_witness(spec, rep.axiom, rep.witness)
+                        assert again == rep.worst_violation, (family, n_states, rep.axiom)
+        assert failed >= 20
 
     def test_report_json(self):
         rep = ic.check_axiom(kl_spec(), Axiom.ADDITIVITY, 50, seed=26)

@@ -170,6 +170,14 @@ class TestDominateCommand:
         )
         assert code == 0 and json.loads(out) == {"dominates": True, "failing_pair": None}
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_threads_without_pairwise_exits_2(self, capsys, exp_file, threads):
+        argv = ["dominate", "--experiment", exp_file, "--experiment2", exp_file, "--threads", threads]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and not out and "--threads applies only with --pairwise" in err
+        code, out, _ = run(capsys, argv + ["--pairwise"])
+        assert code == 0 and json.loads(out) == {"dominates": True, "failing_pair": None}
+
 
 class TestAxiomsCommand:
     def test_deterministic_output(self, capsys, tmp_path):
@@ -190,6 +198,16 @@ class TestAxiomsCommand:
         with pytest.raises(SystemExit) as exc:
             main(["axioms", "--cost", str(cost_path)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("signals, code", [("49", 0), ("50", 2), ("60", 2)])
+    def test_signals_above_the_floor_limit_exit_2_before_sampling(self, capsys, tmp_path, signals, code):
+        cost_path = tmp_path / "cost.json"
+        cost_path.write_text(ic.cost_to_json(ic.KLCost(np.array([[0.0, 1.0], [1.0, 0.0]]))))
+        argv = ["axioms", "--cost", str(cost_path), "--seed", "0", "--samples", "1", "--signals", signals]
+        got, out, err = run(capsys, argv)
+        assert got == code
+        if code == 2:
+            assert not out and "input error: n_signals must be below 50" in err
 
 
 class TestSolveCommand:

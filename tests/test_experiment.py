@@ -22,6 +22,8 @@ from infocost.errors import (
     WeightOutOfRange,
 )
 
+from infocost.experiment import normalized_rows, random_probs
+
 SYM75 = [[0.75, 0.25], [0.25, 0.75]]
 
 
@@ -225,6 +227,22 @@ class TestRandomExperiment:
         for seed in range(1000):
             mu = ic.random_experiment(2, 3, seed=seed, min_prob=0.02)
             ic.new_experiment(mu.probs)  # must not raise
+
+    def test_stacked_rows_validate_and_renormalize_like_new_experiment(self):
+        raw = [random_probs(3, 5, seed, 0.02) for seed in range(7)]
+        stack = normalized_rows(np.stack(raw))
+        for one, probs in zip(raw, stack):
+            assert np.array_equal(ic.new_experiment(one).probs, probs)
+        assert np.array_equal(ic.random_experiment(3, 5, 4, 0.02).probs, stack[4])
+        bad = np.stack(raw)
+        bad[5, 1, 2] += 1e-6
+        with pytest.raises(RowNotStochastic):
+            normalized_rows(bad)
+        bad[5, 1, 2] = -0.0001
+        with pytest.raises(NegativeEntry):
+            normalized_rows(bad)
+        with pytest.raises(InfeasibleFloor):
+            random_probs(2, 50, 0, 0.02)
 
     @given(st.integers(0, 10_000), st.floats(0.15, 0.8))
     @settings(max_examples=60, deadline=None)
