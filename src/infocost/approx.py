@@ -18,6 +18,7 @@ from .errors import KTooSmall, NotBinaryState, UnboundedExperiment
 from .experiment import (
     FiniteExperiment,
     PosteriorDistribution,
+    _is_count,
     experiment_from_posteriors,
     posterior_distribution,
     posteriors,
@@ -56,8 +57,8 @@ def coarsen(pi: PosteriorDistribution, k: int) -> SandwichPair:
     barycentric weights that preserve its mean.  Both are renormalized so
     weights sum to one exactly.
     """
-    if k < 2:
-        raise KTooSmall(f"need k >= 2, got {k}")
+    if not _is_count(k, 2):
+        raise KTooSmall(f"need an integer k >= 2, got {k!r}")
     xs = _beliefs(pi)
     ws = pi.weights
 

@@ -32,6 +32,7 @@ from .errors import AxiomNotApplicable, BadAxiomProfile
 from .experiment import (
     FiniteExperiment,
     _freeze,
+    _is_count,
     dilute,
     mixture,
     new_experiment,
@@ -76,7 +77,7 @@ class AxiomProfile:
     def __post_init__(self):
         for name, low in (("n_states", 2), ("n_signals", 1), ("n_samples", 1)):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
+            if not _is_count(v, low):
                 raise BadAxiomProfile(f"{name} must be an integer >= {low}, got {v!r}")
         if MIN_PROB * self.n_signals >= 1.0:
             raise BadAxiomProfile(
@@ -242,12 +243,16 @@ def _price(spec: CostSpec, exps: list[FiniteExperiment]) -> list[float]:
 def check_axiom(
     spec: CostSpec,
     axiom: Axiom | str,
-    n_samples: int = 200,
-    seed: int = 0,
-    tol: float = 1e-9,
+    n_samples: Optional[int] = None,
+    seed: Optional[int] = None,
+    tol: Optional[float] = None,
     profile: Optional[AxiomProfile] = None,
 ) -> AxiomReport:
     """Sample instances of one axiom's defining relation and report the worst case.
+
+    The sampling settings come from ``profile`` or, without one, from
+    ``n_samples``, ``seed`` and ``tol`` (``AxiomProfile``'s defaults where
+    left out); passing both is an error.
 
     The report passes iff no sampled residual exceeds the tolerance relative
     to max(1, |cost|).  ``evaluated`` counts the samples that gave a residual
@@ -261,8 +266,11 @@ def check_axiom(
     """
     axiom = Axiom(axiom)
     n_states = spec_n_states(spec)
+    loose = {k: v for k, v in (("n_samples", n_samples), ("seed", seed), ("tol", tol)) if v is not None}
     if profile is None:
-        profile = AxiomProfile(n_states=n_states, n_samples=n_samples, seed=seed, tol=tol)
+        profile = AxiomProfile(n_states=n_states, **loose)
+    elif loose:
+        raise BadAxiomProfile(f"{', '.join(loose)} cannot be passed with a profile; set them in the profile")
     if profile.n_states != n_states:
         raise AxiomNotApplicable(
             f"spec is {n_states}-state but the profile asks for {profile.n_states}"

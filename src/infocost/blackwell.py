@@ -9,7 +9,6 @@ certificate whenever the verdict is positive.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -153,12 +152,7 @@ class PairwiseResult:
     max_violation: float
 
 
-def pairwise_dominates(
-    mu: FiniteExperiment,
-    nu: FiniteExperiment,
-    tol: float = DEFAULT_TOL,
-    threads: int = 1,
-) -> PairwiseResult:
+def pairwise_dominates(mu: FiniteExperiment, nu: FiniteExperiment, tol: float = DEFAULT_TOL) -> PairwiseResult:
     """Check Blackwell dominance on every two-state restriction.
 
     Strictly stronger than plain dominance for three or more states: a pair
@@ -168,34 +162,14 @@ def pairwise_dominates(
     Pairs are checked in `itertools.combinations` order and the call stops
     at the first pair that does not dominate; that pair is `failing_pair`.
     `max_violation` is the worst over the pairs solved, the failing one
-    included.  With `threads` > 1 the pairs' LPs run on that many threads
-    and the result is the same; LPs not yet started when a pair fails are
-    dropped.
+    included.
     """
     if mu.n_states != nu.n_states:
         raise StateMismatch(f"{mu.n_states} states vs {nu.n_states}")
-    if not isinstance(threads, numbers.Integral) or isinstance(threads, bool) or threads < 1:
-        raise InfoCostError(f"threads must be an integer >= 1, got {threads!r}")
-    pairs = list(combinations(range(mu.n_states), 2))
-
-    def check(pair: tuple[int, int]) -> DominanceResult:
-        i, j = pair
-        return dominates(restrict_pair(mu, i, j), restrict_pair(nu, i, j), tol)
-
-    def first_failure(results) -> PairwiseResult:
-        worst = 0.0
-        for pair, res in zip(pairs, results):
-            worst = max(worst, res.max_violation)
-            if not res.dominates:
-                return PairwiseResult(False, pair, worst)
-        return PairwiseResult(True, None, worst)
-
-    if threads == 1:
-        return first_failure(map(check, pairs))
-    from concurrent.futures import ThreadPoolExecutor
-
-    pool = ThreadPoolExecutor(max_workers=threads)
-    try:
-        return first_failure(pool.map(check, pairs))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    worst = 0.0
+    for i, j in combinations(range(mu.n_states), 2):
+        res = dominates(restrict_pair(mu, i, j), restrict_pair(nu, i, j), tol)
+        worst = max(worst, res.max_violation)
+        if not res.dominates:
+            return PairwiseResult(False, (i, j), worst)
+    return PairwiseResult(True, None, worst)

@@ -146,12 +146,10 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_dominate(args) -> int:
-    if args.threads is not None and not args.pairwise:
-        raise InputProblem("--threads applies only with --pairwise")
     mu = _load_experiment(args.experiment)
     nu = _load_experiment(args.experiment2)
     if args.pairwise:
-        res = blackwell.pairwise_dominates(mu, nu, tol=args.tol, threads=args.threads or 1)
+        res = blackwell.pairwise_dominates(mu, nu, tol=args.tol)
         payload = {
             "dominates": res.dominates,
             "failing_pair": list(res.failing_pair) if res.failing_pair else None,
@@ -342,9 +340,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment2", required=True)
     p.add_argument("--tol", type=_at_least(0.0, float), default=blackwell.DEFAULT_TOL)
     p.add_argument("--pairwise", action="store_true", help="check every two-state restriction")
-    p.add_argument(
-        "--threads", type=_at_least(1), default=None, help="solve the pairwise LPs on this many threads (default 1)"
-    )
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_dominate)
 

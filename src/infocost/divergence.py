@@ -42,6 +42,7 @@ from .errors import (
 from .experiment import FiniteExperiment, _freeze
 
 PARAM_SUM_TOL = 1e-12
+TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +187,10 @@ def _log_ratios(w: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     differences cancel.  A zero weight drops its state (0 ** 0 = 1).  A zero
     under a negative weight alone gives +inf; a zero under a positive weight
     gives -inf or NaN, which the callers read as that zero winning.
+
+    Where 0 < p_k(s) is below the smallest normal float, p_i / p_k can
+    overflow to +inf, so those signals take log p_i - log p_k instead; every
+    other signal keeps the quotient.
     """
     ws = w.tolist()
     k = ws.index(max(ws))
@@ -194,7 +199,12 @@ def _log_ratios(w: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarra
         active = [i for i, wi in enumerate(ws) if wi != 0.0]
         w, probs = w[active], probs[:, active]
     # row k's own term is w_k log(1) = 0
-    return pk, w @ np.log(probs / pk[:, None])
+    logs = np.log(probs / pk[:, None])
+    if pk.min(initial=1.0) < TINY:
+        sub = (pk > 0.0) & (pk < TINY)
+        if sub.any():
+            logs = np.where(sub[:, None], np.log(probs) - np.log(pk)[:, None], logs)
+    return pk, w @ logs
 
 
 def _log_sums(alpha: np.ndarray, probs: np.ndarray) -> np.ndarray:

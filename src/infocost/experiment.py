@@ -9,6 +9,7 @@ immutable after construction and every operation is a pure function.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,10 +113,17 @@ def normalized_rows(arr: np.ndarray) -> np.ndarray:
     return arr / sums[..., None]
 
 
+def _is_count(v, low: int) -> bool:
+    """Whether v is an integer (a bool is not) of at least low."""
+    return not isinstance(v, bool) and isinstance(v, numbers.Integral) and v >= low
+
+
 def uninformative(n_states: int, n_signals: int = 1) -> FiniteExperiment:
     """The experiment whose signal distribution is identical in every state."""
-    if n_states < 2:
-        raise TooFewStates(f"need at least 2 states, got {n_states}")
+    if not _is_count(n_states, 2):
+        raise TooFewStates(f"need an integer number of states >= 2, got {n_states!r}")
+    if not _is_count(n_signals, 1):  # as new_experiment rejects a matrix with no signals
+        raise RowNotStochastic(f"need an integer number of signals >= 1, got {n_signals!r}")
     row = np.full(n_signals, 1.0 / n_signals)
     return FiniteExperiment(_freeze(np.tile(row, (n_states, 1))))
 
@@ -145,8 +153,8 @@ def product(mu: FiniteExperiment, nu: FiniteExperiment) -> FiniteExperiment:
 
 def power(mu: FiniteExperiment, k: int) -> FiniteExperiment:
     """k independent draws from the same experiment."""
-    if k < 1:
-        raise WeightOutOfRange(f"power exponent must be >= 1, got {k}")
+    if not _is_count(k, 1):
+        raise WeightOutOfRange(f"power exponent must be an integer >= 1, got {k!r}")
     out = mu
     for _ in range(k - 1):
         out = product(out, mu)

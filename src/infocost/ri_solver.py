@@ -19,7 +19,6 @@ independent cross-check.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -42,7 +41,7 @@ from .cost import (
 )
 from .divergence import DivergenceMeasure, InteriorParam, _golden_max
 from .errors import BadSolveOptions, DimensionMismatch, NoRootInBracket, TOutOfRange
-from .experiment import FiniteExperiment, _check_prior, _freeze
+from .experiment import FiniteExperiment, _check_prior, _freeze, _is_count
 
 SUPPORT_EPS = 0.01  # an action whose marginal is at most this is outside the support
 CERTIFY_STEP = 1e-7  # how far from a pure policy the certificate's point lies
@@ -108,7 +107,7 @@ class SolveOptions:
     def __post_init__(self):
         for name, low in (("starts", 1), ("max_iter", 1), ("seed", 0)):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
+            if not _is_count(v, low):
                 raise BadSolveOptions(f"{name} must be an integer >= {low}, got {v!r}")
 
 
@@ -529,11 +528,10 @@ class SymmetricInstance:
             raise TOutOfRange(f"order must lie in (0, 1), got {self.t!r}")
 
 
-def matching_problem(v: float, w: float, prior=None) -> RIProblem:
-    """The three-action problem: match state 0, match state 1, or play safe."""
-    q = np.array([0.5, 0.5]) if prior is None else np.asarray(prior, dtype=float)
+def matching_problem(v: float, w: float) -> RIProblem:
+    """The three-action problem on a uniform prior: match state 0, match state 1, or play safe."""
     utilities = np.array([[v, 0.0], [0.0, v], [w, w]])
-    return RIProblem(q, utilities)
+    return RIProblem(np.array([0.5, 0.5]), utilities)
 
 
 def symmetric_renyi_cost_spec(lam: float, t: float) -> MaxRenyiCost:
@@ -742,7 +740,6 @@ def support_comparison(
     v_grid: Sequence[float],
     w_grid: Sequence[float],
     options: Optional[SolveOptions] = None,
-    prior=None,
 ) -> list[SupportRow]:
     """Solve the matching problem on a payoff grid for several cost families.
 
@@ -753,7 +750,7 @@ def support_comparison(
         for w in w_grid:
             if w >= v:
                 continue
-            problem = matching_problem(float(v), float(w), prior)
+            problem = matching_problem(float(v), float(w))
             for label, spec in specs:
                 policy = solve(problem, spec, options)
                 rows.append(

@@ -321,6 +321,11 @@ class TestAxiomProfile:
         with pytest.raises(BadAxiomProfile, match="tol"):
             ic.check_axiom(kl_spec(), Axiom.ADDITIVITY, tol=-1.0)
 
+    @pytest.mark.parametrize("loose", [{"n_samples": 5}, {"seed": 3}, {"tol": 0.5}, {"n_samples": 5, "seed": 3}])
+    def test_loose_settings_beside_a_profile_are_rejected(self, loose):
+        with pytest.raises(BadAxiomProfile, match="with a profile"):
+            ic.check_axiom(kl_spec(), Axiom.ADDITIVITY, profile=ic.AxiomProfile(n_samples=50), **loose)
+
 
 class TestFamilyFingerprints:
     def test_maxkl_dilution_linear_but_not_additive(self):

@@ -210,12 +210,3 @@ class TestPairwise:
             pairs = list(itertools.combinations(range(mu.n_states), 2))
             assert res.failing_pair == pairs[solved - 1]
             assert not ic.dominates(*(ic.restrict_pair(e, *res.failing_pair) for e in (mu, nu))).dominates
-
-    def test_threads_agree(self):
-        for mu, nu in ((WITNESS_NU, WITNESS_MU), (LATE_FAIL_MU, LATE_FAIL_NU), (WITNESS_MU, WITNESS_NU)):
-            assert ic.pairwise_dominates(mu, nu, threads=1) == ic.pairwise_dominates(mu, nu, threads=3)
-
-    @pytest.mark.parametrize("threads", [0, -5, 1.5, 2.0, True, "2"])
-    def test_threads_must_be_a_positive_integer(self, threads):
-        with pytest.raises(InfoCostError, match="threads"):
-            ic.pairwise_dominates(WITNESS_MU, WITNESS_NU, threads=threads)

@@ -228,6 +228,18 @@ class TestZeroConventions:
         self.check(psi, [[0.5, 0.5, 0.0], [0.25, 0.75, 0.0]], math.log(2.0))
         self.check(psi, [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]], 0.0)
 
+    @pytest.mark.parametrize("eps", [1.5e-316, 1e-308])
+    def test_subnormal_entry_under_the_largest_exponent(self, eps):
+        # p_i / p_k would overflow where p_k = eps is subnormal
+        alpha = ic.InteriorParam(np.array([0.7, 0.3]))
+        mu = ic.new_experiment([[1.0 - eps, eps], [0.0, 1.0]])
+        expected = -7.0 / 3.0 * math.log(eps)  # the sum is eps ** 0.7
+        assert ic.unified_divergence(alpha, mu) == pytest.approx(expected, rel=1e-13)
+        assert ic.eval_costs(ic.RenyiCost(1.0, alpha), mu.probs[None])[0] == pytest.approx(expected, rel=1e-13)
+        # the sup branch: signal 1 occurs in state 0 and never in state 2
+        psi = ic.SupParam(np.array([1.0, -0.5, -0.5]))
+        self.check(psi, [[1.0 - eps, eps], [0.5, 0.5], [1.0, 0.0]], math.inf)
+
     def test_zero_kl_weight_never_makes_nan(self):
         # KL(row 0 || row 2) is +inf, but its weight is zero
         rows = [[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]]

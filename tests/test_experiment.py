@@ -14,6 +14,7 @@ from infocost.errors import (
     EqualStates,
     GammaOutOfRange,
     InfeasibleFloor,
+    KTooSmall,
     NegativeEntry,
     PriorNotFullSupport,
     RowNotStochastic,
@@ -310,3 +311,34 @@ def test_constructors_reject_nan(case):
     build, error = NAN_CASES[case]
     with pytest.raises(error):
         build()
+
+
+SYM75_POSTERIORS = ic.posteriors(ic.new_experiment(SYM75), np.array([0.5, 0.5]))
+HALF_ALPHA = [ic.InteriorParam(np.array([0.5, 0.5]))]
+COUNT_CASES = {
+    "coarsen_fraction": (lambda: ic.coarsen(SYM75_POSTERIORS, 2.5), KTooSmall),
+    "coarsen_bool": (lambda: ic.coarsen(SYM75_POSTERIORS, True), KTooSmall),
+    "sandwich_fraction": (
+        lambda: ic.sandwich_report(ic.new_experiment(SYM75), np.array([0.5, 0.5]), [2.5], HALF_ALPHA),
+        KTooSmall,
+    ),
+    "uninformative_no_signals": (lambda: ic.uninformative(2, 0), RowNotStochastic),
+    "uninformative_fractional_signals": (lambda: ic.uninformative(2, 1.5), RowNotStochastic),
+    "uninformative_float_states": (lambda: ic.uninformative(2.0), TooFewStates),
+    "power_fraction": (lambda: ic.power(ic.new_experiment(SYM75), 2.5), WeightOutOfRange),
+    "power_bool": (lambda: ic.power(ic.new_experiment(SYM75), True), WeightOutOfRange),
+}
+
+
+@pytest.mark.parametrize("case", COUNT_CASES)
+def test_counts_must_be_integers(case):
+    build, error = COUNT_CASES[case]
+    with pytest.raises(error, match="integer"):
+        build()
+
+
+def test_numpy_integer_counts_are_accepted():
+    mu = ic.new_experiment(SYM75)
+    assert ic.coarsen(SYM75_POSTERIORS, np.int64(3)).k == 3
+    assert ic.power(mu, np.int64(2)).n_signals == 4
+    assert ic.uninformative(np.int64(3), np.int64(2)).probs.shape == (3, 2)
