@@ -45,46 +45,36 @@ def _from_beliefs(prior: np.ndarray, beliefs: np.ndarray, weights: np.ndarray) -
     return posterior_distribution(prior, post, weights)
 
 
-def _cell(x: float, k: int) -> int:
-    return min(int(np.floor(x * k)), k - 1)
-
-
 def coarsen(pi: PosteriorDistribution, k: int) -> SandwichPair:
     """Build the k-cell contraction and spread of a binary belief distribution.
 
     The contraction keeps one atom per nonempty cell at the cell's conditional
-    mean; the spread splits each atom onto its cell endpoints with the
-    barycentric weights that preserve its mean.  Both are renormalized so
-    weights sum to one exactly.
+    mean, cells in order of first appearance; the spread splits each atom onto
+    its cell endpoints with the barycentric weights that preserve its mean,
+    endpoints in increasing order.  Zero-weight atoms are ignored.  Both are
+    renormalized so weights sum to one exactly.
     """
     if not _is_count(k, 2):
         raise KTooSmall(f"need an integer k >= 2, got {k!r}")
-    xs = _beliefs(pi)
-    ws = pi.weights
+    keep = pi.weights != 0.0
+    xs, ws = _beliefs(pi)[keep], pi.weights[keep]
+    # bincount sums each bin in input order, as a per-atom loop would; it runs
+    # over np.unique's slots, never over all k cells, so a large k costs nothing
+    cells = np.minimum(np.floor(xs * k), k - 1)
+    _, first, slot = np.unique(cells, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    under_w = np.bincount(slot, ws)[order]
+    under_x = np.bincount(slot, ws * xs)[order] / under_w
 
-    under_map: dict[int, tuple[float, float]] = {}
-    over_map: dict[float, float] = {}
-    for x, w in zip(xs, ws):
-        if w == 0.0:
-            continue
-        j = _cell(float(x), k)
-        mass, first_moment = under_map.get(j, (0.0, 0.0))
-        under_map[j] = (mass + w, first_moment + w * float(x))
-        lo, hi = j / k, (j + 1) / k
-        a = (hi - float(x)) * k  # barycentric weight on the lower endpoint
-        for point, share in ((lo, a), (hi, 1.0 - a)):
-            if share <= 0.0:
-                continue
-            over_map[point] = over_map.get(point, 0.0) + w * share
-
-    under_x = np.array([m1 / m for m, m1 in under_map.values()])
-    under_w = np.array([m for m, _ in under_map.values()])
-    over_points = sorted(over_map)
-    over_x = np.array(over_points)
-    over_w = np.array([over_map[p] for p in over_points])
+    lower = ((cells + 1.0) / k - xs) * k  # barycentric weight on the lower endpoint
+    ends = np.column_stack([cells, cells + 1.0]).ravel()
+    shares = np.column_stack([lower, 1.0 - lower]).ravel()
+    hit = shares > 0.0
+    points, slot = np.unique(ends[hit], return_inverse=True)
+    over_w = np.bincount(slot, np.repeat(ws, 2)[hit] * shares[hit])
 
     under = _from_beliefs(pi.prior, under_x, under_w / under_w.sum())
-    over = _from_beliefs(pi.prior, over_x, over_w / over_w.sum())
+    over = _from_beliefs(pi.prior, points / k, over_w / over_w.sum())
     return SandwichPair(under, over, k)
 
 

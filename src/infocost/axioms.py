@@ -304,12 +304,13 @@ def check_axiom(
     )
 
 
-def reevaluate_witness(spec: CostSpec, axiom: Axiom | str, witness: dict, tol: float = 1e-9) -> float:
-    """Recompute the violation of a stored witness from its raw matrices."""
+def reevaluate_witness(spec: CostSpec, axiom: Axiom | str, witness: dict) -> float:
+    """Recompute the violation of a stored witness from its raw matrices, at
+    the tolerance it was found at."""
     axiom = Axiom(axiom)
-    sample = dict(witness, tol=tol)
+    tol = witness["tol"]
     exps = [new_experiment(m) for m in witness["experiments"]]
-    res, scale = _combine(axiom, sample, _price(spec, _derived(axiom, sample, exps)))
+    res, scale = _combine(axiom, witness, _price(spec, _derived(axiom, witness, exps)))
     if math.isnan(res):
         return -tol
     return res / scale - tol

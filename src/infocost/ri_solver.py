@@ -638,22 +638,17 @@ def maximize_symmetric_value(inst: SymmetricInstance) -> tuple[float, float, flo
     superlevel sets are images of convex sets under the linear-fractional map
     pi = x / (x + y).  g is flat at w where a* = 0; there the search reads
     w + slope instead, which is concave in pi and climbs towards the accuracies
-    where learning pays.  That key has no plateau, so a 64-point scan of
-    [max(1/2, w / v), 1] brackets its maximum for a golden-section search to
-    1e-12 in pi.  Returns (a_star, pi_star, value), and (0, 1/2, w) when no
-    accuracy beats the safe action.
+    where learning pays.  That key has no plateau, so one golden-section search
+    over [max(1/2, w / v), 1] to 1e-12 in pi finds its maximum.  Returns
+    (a_star, pi_star, value), and (0, 1/2, w) when no accuracy beats the safe
+    action.
     """
 
     def key(pi: float) -> float:
         a, slope = _learning_weight(inst, pi)
         return symmetric_value(inst, a, pi) if slope > 0.0 else inst.w + slope
 
-    grid = np.linspace(max(0.5, inst.w / inst.v), 1.0, 64).tolist()
-    vals = [key(pi) for pi in grid]
-    best = int(np.argmax(vals))
-    pi_star, value = _golden_max(key, grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)], tol=1e-12)
-    if vals[best] > value:
-        pi_star, value = grid[best], vals[best]
+    pi_star, value = _golden_max(key, max(0.5, inst.w / inst.v), 1.0, tol=1e-12)
     if not value > inst.w:
         return 0.0, 0.5, inst.w
     return _learning_weight(inst, pi_star)[0], pi_star, value

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import infocost as ic
@@ -22,7 +22,67 @@ def from_beliefs(prior1, beliefs, weights):
     )
 
 
+def coarsen_reference(pd, k):
+    """The per-atom dict loop that coarsen replaced: the contraction's beliefs and
+    weights (cells in first-appearance order), then the spread's (endpoints in
+    increasing order), weights renormalized."""
+    under_map, over_map = {}, {}
+    for x, w in zip(pd.posteriors[:, 1], pd.weights):
+        if w == 0.0:
+            continue
+        j = min(int(np.floor(float(x) * k)), k - 1)
+        mass, first_moment = under_map.get(j, (0.0, 0.0))
+        under_map[j] = (mass + w, first_moment + w * float(x))
+        lo, hi = j / k, (j + 1) / k
+        a = (hi - float(x)) * k
+        for point, share in ((lo, a), (hi, 1.0 - a)):
+            if share > 0.0:
+                over_map[point] = over_map.get(point, 0.0) + w * share
+    under_w = np.array([m for m, _ in under_map.values()])
+    over_points = sorted(over_map)
+    over_w = np.array([over_map[p] for p in over_points])
+    return (
+        np.array([m1 / m for m, m1 in under_map.values()]),
+        under_w / under_w.sum(),
+        np.array(over_points),
+        over_w / over_w.sum(),
+    )
+
+
+@st.composite
+def grid_atoms(draw):
+    """(k, beliefs, weights): some beliefs on the k-grid, some weights zero."""
+    k = draw(st.integers(2, 64))
+    n = draw(st.integers(1, 12))
+    belief = st.one_of(st.integers(0, k).map(lambda j: j / k), st.floats(0.0, 1.0))
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    beliefs = draw(st.lists(belief, min_size=n, max_size=n))
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
+    return k, np.array(beliefs), np.array(weights)
+
+
 class TestCoarsen:
+    @settings(max_examples=200, deadline=None)
+    @given(grid_atoms())
+    def test_property_equals_the_dict_loop_exactly(self, case):
+        k, beliefs, weights = case
+        assume(weights.sum() > 0.0)
+        weights = weights / weights.sum()
+        prior1 = float(beliefs @ weights)
+        assume(0.0 < prior1 < 1.0)
+        pd = from_beliefs(prior1, beliefs, weights)
+        pair = ic.coarsen(pd, k)
+        got = (pair.under.posteriors[:, 1], pair.under.weights, pair.over.posteriors[:, 1], pair.over.weights)
+        for a, b in zip(got, coarsen_reference(pd, k)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_huge_k_needs_no_k_sized_array(self):
+        pd = from_beliefs(0.4, [0.3, 0.4, 0.6], [0.5, 0.25, 0.25])
+        pair = ic.coarsen(pd, 10**15)
+        got = (pair.under.posteriors[:, 1], pair.under.weights, pair.over.posteriors[:, 1], pair.over.weights)
+        for a, b in zip(got, coarsen_reference(pd, 10**15)):
+            assert a.tobytes() == b.tobytes()
+
     def test_point_mass_fixed(self):
         pd = from_beliefs(0.5, [0.5], [1.0])
         pair = ic.coarsen(pd, 4)

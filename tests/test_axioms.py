@@ -230,6 +230,13 @@ class TestCheckAxiom:
         again = ic.reevaluate_witness(renyi_spec(), Axiom.MIXTURE_LINEARITY, rep.witness)
         assert again == rep.worst_violation
 
+    @pytest.mark.parametrize("axiom", ["mixture_linearity", "independence", "dilution_linearity"])
+    def test_witness_replays_at_its_own_tolerance(self, axiom):
+        spec = ic.RenyiCost(1.0, ic.InteriorParam(np.array([0.3, 0.7])))
+        rep = ic.check_axiom(spec, axiom, n_samples=60, seed=3, tol=1e-3)
+        assert rep.witness["tol"] == 1e-3
+        assert ic.reevaluate_witness(spec, axiom, rep.witness) == rep.worst_violation
+
     def test_renyi_still_mixture_convex(self):
         rep = ic.check_axiom(renyi_spec(), Axiom.MIXTURE_CONVEXITY, n_samples=200, seed=5)
         assert rep.passed
@@ -271,7 +278,7 @@ class TestCheckAxiom:
             got = ic.check_axiom(spec, axiom, profile=profile)
         assert got == reference_check(spec, axiom, profile)
         if got.witness is not None:
-            again = ic.reevaluate_witness(spec, axiom, got.witness, tol=profile.tol)
+            again = ic.reevaluate_witness(spec, axiom, got.witness)
             assert again == got.worst_violation
 
     def test_one_eval_costs_call_per_priced_shape(self, monkeypatch):

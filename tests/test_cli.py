@@ -239,6 +239,21 @@ class TestClaim1Command:
         rows = [line.split(",") for line in lines[1:]]
         assert any(r[0] == "8.0" and r[3] == "3" for r in rows)
 
+    def test_compare_rows(self, capsys):
+        code, out, _ = run(capsys, ["claim1", "--v-grid", "6,8", "--w-steps", "3", "--seed", "0", "--compare"])
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\r\n")[1:]]
+        closed = [r for r in rows if r[2] == "renyi_symmetric_closed_form"]
+        compared = [r for r in rows if r[2] != "renyi_symmetric_closed_form"]
+        w_values = {float(r[1]) for r in closed}
+        cells = {(v, w) for v in (6.0, 8.0) for w in w_values if w < v}
+        assert len(closed) == 6 and len(compared) == 2 * len(cells)
+        for label in ("shannon_ps", "max_kl_symmetric"):
+            assert {(float(r[0]), float(r[1])) for r in compared if r[2] == label} == cells
+        for v, w, _, support, value, alpha, pi in compared:
+            assert float(value) >= max(float(v) / 2.0, float(w)) - 1e-9
+            assert 1 <= int(support) <= 3 and alpha == pi == ""
+
 
 class TestTsallisCommand:
     def test_sigma_two(self, capsys):
@@ -262,6 +277,23 @@ class TestApproxCommand:
         lines = out1.strip().split("\r\n")
         assert lines[0] == "k,param_kind,param_value,d_under,d_mu,d_over,gap"
         assert len(lines) == 1 + 2 * 6
+
+
+class TestOutFlag:
+    @pytest.mark.parametrize("verb", ["cost", "approx"])
+    def test_out_file_holds_the_printed_bytes(self, capsys, exp_file, tmp_path, verb):
+        cost_path = tmp_path / "cost.json"
+        cost_path.write_text(ic.cost_to_json(ic.KLCost(np.array([[0.0, 1.0], [1.0, 0.0]]))))
+        argv = {
+            "cost": ["cost", "--experiment", exp_file, "--cost", str(cost_path)],
+            "approx": ["approx", "--experiment", exp_file, "--k-list", "4,16", "--grid", "3", "--seed", "1"],
+        }[verb]
+        out_path = tmp_path / "out.txt"
+        code, printed, _ = run(capsys, argv)
+        assert code == 0 and printed
+        code, silent, _ = run(capsys, [*argv, "--out", str(out_path)])
+        assert code == 0 and silent == ""
+        assert out_path.read_bytes() == printed.encode()
 
 
 def stdout_of(argv):

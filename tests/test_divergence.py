@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import infocost as ic
+from infocost import divergence
+from infocost.divergence import _chernoff_objective
 from infocost.errors import (
     BadAlpha,
     BadPsi,
@@ -477,6 +479,28 @@ class TestChernoffAndPrivacy:
             assert ic.chernoff_information(ic.new_experiment(rows)) == pytest.approx(
                 math.log(2.0), abs=1e-9
             )
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0.75, 0.25], [0.25, 0.75]],
+            [[0.5, 0.5], [0.5, 0.5]],
+            [[1.0, 0.0], [0.5, 0.5]],
+            [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]],
+            [[0.1, 0.2, 0.7], [0.6, 0.3, 0.1]],
+        ],
+    )
+    def test_one_golden_search_without_a_grid(self, rows, monkeypatch):
+        # a golden-section search over [0, 1] to 1e-12 makes 61 objective calls
+        calls = []
+
+        def counting(mu, t):
+            calls.append(t)
+            return _chernoff_objective(mu, t)
+
+        monkeypatch.setattr(divergence, "_chernoff_objective", counting)
+        ic.chernoff_information(ic.new_experiment(rows))
+        assert len(calls) <= 64 and all(0.0 <= t <= 1.0 for t in calls)
 
     def test_privacy_values(self):
         assert ic.privacy_loss(SYM75) == pytest.approx(math.log(3.0), abs=1e-12)

@@ -16,6 +16,7 @@ from infocost.errors import (
     InfeasibleFloor,
     KTooSmall,
     NegativeEntry,
+    NotADistribution,
     PriorNotFullSupport,
     RowNotStochastic,
     StateMismatch,
@@ -303,6 +304,9 @@ NAN_CASES = {
         lambda: ic.diluted_power_divergence(ic.new_experiment(SYM75), 2, NAN, [1.0, -1.0]),
         GammaOutOfRange,
     ),
+    "kl_pair": (lambda: ic.kl([NAN, 1.0], [0.5, 0.5]), NotADistribution),
+    "renyi_pair": (lambda: ic.renyi(0.5, [NAN, 1.0], [0.5, 0.5]), NotADistribution),
+    "sup_divergence_pair": (lambda: ic.sup_divergence([0.5, 0.5], [NAN, 1.0]), NotADistribution),
 }
 
 
@@ -327,6 +331,14 @@ COUNT_CASES = {
     "uninformative_float_states": (lambda: ic.uninformative(2.0), TooFewStates),
     "power_fraction": (lambda: ic.power(ic.new_experiment(SYM75), 2.5), WeightOutOfRange),
     "power_bool": (lambda: ic.power(ic.new_experiment(SYM75), True), WeightOutOfRange),
+    "diluted_power_bool": (
+        lambda: ic.diluted_power_divergence(ic.new_experiment(SYM75), True, 0.6, [1.0, -1.0]),
+        GammaOutOfRange,
+    ),
+    "diluted_power_fraction": (
+        lambda: ic.diluted_power_divergence(ic.new_experiment(SYM75), 2.5, 0.6, [1.0, -1.0]),
+        GammaOutOfRange,
+    ),
 }
 
 

@@ -13,7 +13,7 @@ from infocost import ri_solver
 from infocost.cli import main
 from infocost.cost import _cost_gradient
 from infocost.errors import BadSolveOptions, DimensionMismatch, NoRootInBracket
-from infocost.ri_solver import _foc, _golden_max, _mixing_kernel
+from infocost.ri_solver import _foc, _golden_max, _learning_weight, _mixing_kernel
 
 
 def inst(v=8.0, w=4.0, lam=1.0, t=0.5):
@@ -154,6 +154,20 @@ class TestMaximizeSymmetricValue:
     )
     def test_never_below_the_nested_search(self, v, w, lam, t):
         check_against_reference(ic.SymmetricInstance(v, w, lam, t))
+
+    @pytest.mark.parametrize("v, w, lam, t", test_never_below_the_nested_search.pytestmark[0].args[1])
+    def test_one_golden_search_without_a_scan(self, v, w, lam, t, monkeypatch):
+        # a golden-section search over [1/2, 1] to 1e-12 makes 59 key calls, and
+        # one more reads the weight; a scan in front of it would add its grid
+        calls = []
+
+        def counting(it, pi):
+            calls.append(pi)
+            return _learning_weight(it, pi)
+
+        monkeypatch.setattr(ri_solver, "_learning_weight", counting)
+        ic.maximize_symmetric_value(ic.SymmetricInstance(v, w, lam, t))
+        assert len(calls) <= 64
 
     @given(
         st.floats(-1.0, 3.0),
