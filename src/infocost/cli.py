@@ -241,8 +241,8 @@ def _cmd_claim1(args) -> int:
             ),
         ]
         options = ri_solver.SolveOptions(seed=args.seed)
-        w_values = sorted({r.w for r in rows})
-        sweep = ri_solver.support_comparison(specs, v_grid, w_values, options)
+        # only the (v, w) cells that have a closed-form row
+        sweep = [s for r in rows for s in ri_solver.support_comparison(specs, [r.v], [r.w], options)]
         csv_rows += [
             [_fmt(r.v), _fmt(r.w), r.spec_label, r.support_size, _fmt(r.value), "", ""]
             for r in sweep
@@ -316,43 +316,36 @@ def _inside(low: float, high: float = math.inf, other_than: Optional[float] = No
     return number
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="infocost",
-        description="Divergences, information costs, Blackwell ordering, axiom checks, and rational-inattention solving for finite experiments.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("divergence", help="evaluate one divergence on an experiment")
+def _divergence_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--experiment", required=True, help="experiment JSON file")
     p.add_argument("--param", required=True, help='parameter JSON, e.g. \'{"kind":"kl","pivot":0,"beta":[0,1]}\'')
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_divergence)
 
-    p = sub.add_parser("cost", help="evaluate a cost specification on an experiment")
+
+def _cost_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--experiment", required=True)
     p.add_argument("--cost", required=True, help="cost JSON file")
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_cost)
 
-    p = sub.add_parser("dominate", help="test Blackwell dominance; emits a kernel certificate")
+
+def _dominate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--experiment", required=True)
     p.add_argument("--experiment2", required=True)
     p.add_argument("--tol", type=_at_least(0.0, float), default=blackwell.DEFAULT_TOL)
     p.add_argument("--pairwise", action="store_true", help="check every two-state restriction")
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_dominate)
 
-    p = sub.add_parser("axioms", help="run the randomized axiom suite for a cost file")
+
+def _axioms_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cost", required=True)
     p.add_argument("--seed", type=_at_least(0), required=True)
     p.add_argument("--samples", type=_at_least(1), default=200)
     p.add_argument("--signals", type=_at_least(1), default=3)
     p.add_argument("--tol", type=_at_least(0.0, float), default=1e-9)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_axioms)
 
-    p = sub.add_parser("solve", help="solve a rational-inattention problem")
+
+def _solve_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--problem", required=True, help='JSON {"prior": [...], "utilities": [[...]]}')
     p.add_argument("--cost", required=True)
     p.add_argument("--seed", type=_at_least(0), required=True)
@@ -363,40 +356,70 @@ def _build_parser() -> argparse.ArgumentParser:
         help="ascents for costs with sup atoms; every other built-in cost runs one ascent",
     )
     p.add_argument("--max-iter", type=int, default=2000)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_solve)
 
-    p = sub.add_parser("claim1", help="scan the all-actions band of the symmetric matching problem")
+
+def _claim1_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t", type=_inside(0.0, 1.0), default=0.5)
     p.add_argument("--lam", type=_inside(0.0), default=1.0)
     p.add_argument("--v-grid", default="6,8,10")
     p.add_argument("--w-steps", type=_at_least(1), default=12)
     p.add_argument("--compare", action="store_true", help="also sweep solver-based cost families")
     p.add_argument("--seed", type=_at_least(0), required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_claim1)
 
-    p = sub.add_parser("tsallis", help="sub-additivity check for the generalized entropy")
+
+def _tsallis_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", type=_inside(0.0, other_than=1.0), required=True)
     p.add_argument("--grid-size", type=_at_least(3), default=2001)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_tsallis)
 
-    p = sub.add_parser("approx", help="finite sandwich report for a binary experiment")
+
+def _approx_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--experiment", required=True)
     p.add_argument("--prior", default="[0.5, 0.5]")
     p.add_argument("--k-list", default="4,16,64")
     p.add_argument("--grid", type=_at_least(1), default=12, help="number of divergence parameters")
     p.add_argument("--seed", type=_at_least(0), required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_approx)
 
+
+# verb -> (help, adds the verb's flags but --out); the order is the order of the usage line
+_VERBS = {
+    "divergence": ("evaluate one divergence on an experiment", _divergence_args),
+    "cost": ("evaluate a cost specification on an experiment", _cost_args),
+    "dominate": ("test Blackwell dominance; emits a kernel certificate", _dominate_args),
+    "axioms": ("run the randomized axiom suite for a cost file", _axioms_args),
+    "solve": ("solve a rational-inattention problem", _solve_args),
+    "claim1": ("scan the all-actions band of the symmetric matching problem", _claim1_args),
+    "tsallis": ("sub-additivity check for the generalized entropy", _tsallis_args),
+    "approx": ("finite sandwich report for a binary experiment", _approx_args),
+}
+
+
+def _build_parser(verbs=_VERBS) -> argparse.ArgumentParser:
+    """The parser of the given verbs (a sub-table of ``_VERBS``); by default, every verb."""
+    parser = argparse.ArgumentParser(
+        prog="infocost",
+        description="Divergences, information costs, Blackwell ordering, axiom checks, and rational-inattention solving for finite experiments.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for verb, (help_text, add_args) in verbs.items():
+        p = sub.add_parser(verb, help=help_text)
+        add_args(p)
+        p.add_argument("--out", default=None)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    verb = argv[0] if argv else None
+    if verb in _VERBS:
+        args, rest = _build_parser({verb: _VERBS[verb]}).parse_known_args(argv)
+    if verb not in _VERBS or rest:
+        # no verb, -h, an unknown verb or a stray argument: the full parser
+        # prints the usage line that names every verb
+        args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except InputProblem as exc:

@@ -1,5 +1,6 @@
 """End-to-end command-line interface checks: payloads, exit codes, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import infocost as ic
-from infocost.cli import _build_parser, main
+from infocost.cli import _VERBS, _build_parser, main
 
 SYM75 = {"states": 2, "signals": 2, "probs": [[0.75, 0.25], [0.25, 0.75]]}
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -245,9 +246,8 @@ class TestClaim1Command:
         rows = [line.split(",") for line in out.strip().split("\r\n")[1:]]
         closed = [r for r in rows if r[2] == "renyi_symmetric_closed_form"]
         compared = [r for r in rows if r[2] != "renyi_symmetric_closed_form"]
-        w_values = {float(r[1]) for r in closed}
-        cells = {(v, w) for v in (6.0, 8.0) for w in w_values if w < v}
-        assert len(closed) == 6 and len(compared) == 2 * len(cells)
+        cells = {(float(r[0]), float(r[1])) for r in closed}
+        assert len(closed) == len(cells) == 6 and len(compared) == 2 * len(closed)
         for label in ("shannon_ps", "max_kl_symmetric"):
             assert {(float(r[0]), float(r[1])) for r in compared if r[2] == label} == cells
         for v, w, _, support, value, alpha, pi in compared:
@@ -536,8 +536,10 @@ class TestInputFiles:
 @pytest.mark.parametrize("line", readme_commands())
 def test_readme_examples_parse(line):
     # parsing only: flags are checked, named files are not opened
-    args = _build_parser().parse_args(shlex.split(line)[1:])
-    assert args.command == shlex.split(line)[1]
+    argv = shlex.split(line)[1:]
+    args = _build_parser().parse_args(argv)
+    assert args.command == argv[0]
+    assert _build_parser({argv[0]: _VERBS[argv[0]]}).parse_args(argv) == args
 
 
 def test_readme_lists_every_verb():
@@ -550,3 +552,50 @@ def test_threads_flag_is_gone(capsys, exp_file):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2 and "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+def test_main_builds_only_the_subparser_of_its_verb(monkeypatch, tmp_path):
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"prior": [0.5, 0.5], "utilities": [[1, 0], [0, 1]]}))
+    cost_file = tmp_path / "cost.json"
+    cost_file.write_text(json.dumps({"kind": "posterior_separable", "prior": [0.5, 0.5], "potential": {"kind": "shannon"}}))
+    calls = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        calls.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    for argv in (
+        ["solve", "--problem", str(problem), "--cost", str(cost_file), "--seed", "0"],
+        ["tsallis", "--sigma", "2", "--grid-size", "11"],
+        ["claim1", "--v-grid", "6", "--w-steps", "2", "--seed", "0"],
+    ):
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == [argv[0]]
+
+
+def _exit_of(call, capsys):
+    with pytest.raises(SystemExit) as exc:
+        call()
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["-h"], ["--help"], ["nosuch"]]
+    + [[verb, "--help"] for verb in _VERBS]
+    + [[verb] for verb in _VERBS]
+    + [
+        ["solve", "--problem", "p.json", "--cost", "c.json", "--seed", "0", "--threads", "2"],
+        ["axioms", "--cost", "c.json", "--seed", "0", "--samples", "0"],
+        ["claim1", "--t", "2", "--seed", "0"],
+    ],
+)
+def test_main_prints_what_the_full_parser_prints(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = _exit_of(lambda: _build_parser().parse_args(argv), capsys)
+    assert _exit_of(lambda: main(argv), capsys) == expected
