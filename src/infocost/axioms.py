@@ -256,9 +256,11 @@ def check_axiom(
 
     The report passes iff no sampled residual exceeds the tolerance relative
     to max(1, |cost|).  ``evaluated`` counts the samples that gave a residual
-    (the rest were uninformative and skipped); with none the report passes
-    without evidence.  The stored witness re-evaluates standalone through
-    :func:`reevaluate_witness`.
+    (the rest were uninformative and skipped).  With none there is no
+    evidence either way: ``worst_violation`` is inf, there is no witness,
+    and the report does not pass, so ``passed == (worst_violation <= 0)``
+    holds in every report.  The stored witness re-evaluates standalone
+    through :func:`reevaluate_witness`.
 
     Samples are drawn first, ``BLOCK`` at a time, and their experiments are
     priced in equal-shape stacks; every value equals the one a sample
@@ -297,8 +299,8 @@ def check_axiom(
                     raw_residual=float(res),
                     scale=float(scale),
                 )
-    if worst == -math.inf:
-        worst = -profile.tol
+    if evaluated == 0:
+        worst = math.inf
     return AxiomReport(
         axiom.value, profile.n_samples, evaluated, float(worst), witness, bool(worst <= 0.0)
     )

@@ -1,9 +1,17 @@
 """Blackwell dominance via garbling feasibility.
 
 An experiment dominates another when a row-stochastic kernel maps the first's
-signal distributions onto the second's.  Dominance is decided by a linear
-program minimizing the worst matching violation; the kernel is returned as a
-certificate whenever the verdict is positive.
+signal distributions onto the second's.  :func:`dominates` decides this by a
+linear program minimizing the worst matching violation; the kernel is
+returned as a certificate whenever the verdict is positive.
+
+On two states (a dichotomy) the order has a closed form (Blackwell 1953;
+Torgersen 1991, *Comparison of Statistical Experiments*, ch. 9): mu dominates
+nu iff g_mu(t) >= g_nu(t) for every t >= 0, where
+g(t) = sum_s (p_0(s) - t p_1(s))^+.  :func:`dichotomy_shortfall` measures how
+far that criterion fails, and :func:`pairwise_dominates` decides every
+two-state restriction by it first, solving the LP only for the near ties
+the criterion's bounds leave open.
 """
 
 from __future__ import annotations
@@ -15,11 +23,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InfoCostError, RowNotStochastic, ShapeMismatch, StateMismatch
+from .errors import InfoCostError, NotBinary, RowNotStochastic, ShapeMismatch, StateMismatch
 from .experiment import FiniteExperiment, _freeze, restrict_pair
 
 DEFAULT_TOL = 1e-8
 MARGINAL_FACTOR = 100.0
+ROUNDING_ULPS = 4  # rounding allowance of a dichotomy shortfall, in units of 2**-52 per signal
 
 
 def linprog(*args, **kwargs):
@@ -145,11 +154,53 @@ def dominates(mu: FiniteExperiment, nu: FiniteExperiment, tol: float = DEFAULT_T
     return DominanceResult(ok, certificate, eps, marginal)
 
 
+def _shortfall(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """(r, t) of :func:`dichotomy_shortfall` for two-row matrices a (source) and b (target)."""
+    with np.errstate(over="ignore"):  # a ratio over a subnormal entry may overflow
+        kinks = [m[0][m[1] > 0] / m[1][m[1] > 0] for m in (a, b)]
+    t = np.concatenate([[0.0], *kinks])
+    t = t[np.isfinite(t)]
+
+    def g(m):
+        return np.maximum(m[0] - t[:, None] * m[1], 0.0).sum(axis=1)
+
+    r = (g(b) - g(a)) / (1.0 + t)
+    k = int(np.argmax(r))
+    return float(r[k]), float(t[k])
+
+
+def dichotomy_shortfall(mu: FiniteExperiment, nu: FiniteExperiment) -> tuple[float, float]:
+    """How far a two-state experiment falls short of dominating another.
+
+    Returns (r, t): r = max over t >= 0 of (g_nu(t) - g_mu(t)) / (1 + t), with
+    g(t) = sum_s (p_0(s) - t p_1(s))^+, and the t where it is attained.  Both
+    g are piecewise linear with kinks at the likelihood ratios
+    p_0(s) / p_1(s), so the quotient is monotone between kinks and tends to 0
+    as t grows: t = 0 and the kinks of both experiments suffice.  mu
+    dominates nu iff r <= 0, up to rounding.  The dominance LP's optimum eps
+    lies in [2 r / nu.n_signals, r]; see :func:`pairwise_dominates`.
+    """
+    if mu.n_states != nu.n_states:
+        raise StateMismatch(f"{mu.n_states} states vs {nu.n_states}")
+    if mu.n_states != 2:
+        raise NotBinary(f"the dichotomy criterion needs 2 states, got {mu.n_states}")
+    return _shortfall(mu.probs, nu.probs)
+
+
 @dataclass(frozen=True)
 class PairwiseResult:
+    """Verdict of :func:`pairwise_dominates`.
+
+    ``failing_pair`` is the first pair, in ``combinations`` order, that does
+    not dominate (None when every pair does).  ``shortfall`` is the worst
+    dichotomy shortfall r over the pairs checked, floored at 0.0, and
+    ``lp_pairs`` counts the pairs whose verdict needed the dominance LP.
+    """
+
     dominates: bool
     failing_pair: Optional[tuple[int, int]]
-    max_violation: float
+    shortfall: float
+    lp_pairs: int
 
 
 def pairwise_dominates(mu: FiniteExperiment, nu: FiniteExperiment, tol: float = DEFAULT_TOL) -> PairwiseResult:
@@ -159,17 +210,41 @@ def pairwise_dominates(mu: FiniteExperiment, nu: FiniteExperiment, tol: float = 
     of experiments can be pairwise dominant while no single kernel works for
     all states at once.
 
+    Each pair (i, j) is screened by its dichotomy shortfall r, computed from
+    rows i and j (see :func:`dichotomy_shortfall`).  The optimum eps of that
+    pair's dominance LP obeys two bounds:
+
+    - eps <= r: by Torgersen's theorem for dichotomies, some kernel misses
+      each state's target distribution by at most 2 r in l1, and a
+      difference of two distributions has l-inf norm at most half its l1.
+    - eps >= 2 r / s_nu, with s_nu = nu.n_signals: a kernel within eps moves
+      g_nu(t) by at most s_nu (1 + t) eps / 2.
+
+    So the pair passes when r + slack <= tol / 2 and fails when
+    r - slack > s_nu tol, where slack = ROUNDING_ULPS (s_mu + s_nu) 2**-52
+    covers the rounding in r and in the rows' sums.  Both keep a factor 2
+    between the exact LP optimum and tol.  Only a near tie between the two
+    runs the LP (:func:`dominates` on :func:`restrict_pair`); at tol = 0
+    that is every pair whose r is at rounding level.  HiGHS solves to a
+    feasibility tolerance of 1e-7, so for a pair failing by less than that
+    the LP alone may report eps 0; the screen's verdict is the exact one.
+
     Pairs are checked in `itertools.combinations` order and the call stops
     at the first pair that does not dominate; that pair is `failing_pair`.
-    `max_violation` is the worst over the pairs solved, the failing one
-    included.
     """
     if mu.n_states != nu.n_states:
         raise StateMismatch(f"{mu.n_states} states vs {nu.n_states}")
-    worst = 0.0
+    if not (0 <= tol < math.inf):
+        raise InfoCostError(f"tol must be finite and nonnegative, got {tol!r}")
+    slack = ROUNDING_ULPS * (mu.n_signals + nu.n_signals) * 2.0**-52
+    worst, lp_pairs = 0.0, 0
     for i, j in combinations(range(mu.n_states), 2):
-        res = dominates(restrict_pair(mu, i, j), restrict_pair(nu, i, j), tol)
-        worst = max(worst, res.max_violation)
-        if not res.dominates:
-            return PairwiseResult(False, (i, j), worst)
-    return PairwiseResult(True, None, worst)
+        r, _ = _shortfall(mu.probs[[i, j]], nu.probs[[i, j]])
+        worst = max(worst, r)
+        if r + slack <= tol / 2:
+            continue
+        near_tie = r - slack <= nu.n_signals * tol
+        lp_pairs += near_tie
+        if not (near_tie and dominates(restrict_pair(mu, i, j), restrict_pair(nu, i, j), tol).dominates):
+            return PairwiseResult(False, (i, j), worst, lp_pairs)
+    return PairwiseResult(True, None, worst, lp_pairs)

@@ -567,12 +567,6 @@ def symmetric_value(inst: SymmetricInstance, a: float, pi: float) -> float:
     return inst.v * a * pi + inst.w * (1.0 - a) + inst.lam / (1.0 - inst.t) * math.log(arg)
 
 
-def symmetric_value_dalpha(inst: SymmetricInstance, a: float, pi: float) -> float:
-    """Closed-form partial derivative of the symmetric objective in a."""
-    h = _mixing_kernel(inst.t, pi)
-    return inst.v * pi - inst.w + inst.lam / (1.0 - inst.t) * (h - 1.0) / ((1.0 - a) + a * h)
-
-
 def _mixing_kernel_dpi(t: float, pi: float) -> float:
     """Derivative of the mixing kernel in pi, for pi in (0, 1)."""
     y = (1.0 - pi) / pi

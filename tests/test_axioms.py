@@ -1,5 +1,6 @@
 """Axiom harness: the pass/fail fingerprints of each cost family."""
 
+import json
 import math
 from unittest import mock
 
@@ -206,8 +207,8 @@ def reference_check(spec, axiom, profile):
         if violation > worst:
             worst = violation
             witness = dict(sample, raw_residual=float(res), scale=float(scale))
-    if worst == -math.inf:
-        worst = -profile.tol
+    if evaluated == 0:
+        worst = math.inf
     return axioms.AxiomReport(axiom.value, profile.n_samples, evaluated, float(worst), witness, bool(worst <= 0.0))
 
 
@@ -253,6 +254,15 @@ class TestCheckAxiom:
         free = ic.RenyiCost(0.0, ic.InteriorParam(np.array([0.5, 0.5])))
         rep = ic.check_axiom(free, Axiom.INDEPENDENCE, n_samples=50, seed=3)
         assert rep.samples == 50 and rep.evaluated == 0 and rep.witness is None
+
+    def test_no_evidence_does_not_pass(self):
+        # a zero cost ties every pair, so the ordinal check skips all samples
+        free = ic.RenyiCost(0.0, ic.InteriorParam(np.array([0.5, 0.5])))
+        rep = ic.check_axiom(free, Axiom.INDEPENDENCE, n_samples=20, seed=1)
+        assert rep.evaluated == 0 and rep.witness is None
+        assert not rep.passed and rep.worst_violation == math.inf
+        assert rep.passed == (rep.worst_violation <= 0.0)
+        assert json.loads(rep.to_json())["passed"] is False
 
     def test_dimension_guard(self):
         profile = ic.AxiomProfile(n_states=3)

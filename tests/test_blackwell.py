@@ -1,14 +1,29 @@
 """Garbling, dominance feasibility, and the pairwise order."""
 
+import contextlib
+import importlib.util
 import itertools
 import math
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import infocost as ic
 from infocost import blackwell
-from infocost.errors import InfoCostError, RowNotStochastic, ShapeMismatch, StateMismatch
+from infocost.errors import InfoCostError, NotBinary, RowNotStochastic, ShapeMismatch, StateMismatch
+
+# the benchmark's own dichotomy criterion, kept apart from the library as an independent reference
+_spec = importlib.util.spec_from_file_location("bench_checks", Path(__file__).resolve().parents[1] / "bench" / "checks.py")
+bench_checks = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_checks)
+
+# HiGHS's tightest feasibility tolerances; at its defaults (1e-7) a near tie's
+# optimum can be reported as 0 while the best kernel misses by 1e-8
+TIGHT_LP = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 SYM75 = ic.new_experiment([[0.75, 0.25], [0.25, 0.75]])
 # pairwise dominant, but not Blackwell dominant (see test_pairwise_but_not_blackwell_witness)
@@ -17,6 +32,15 @@ WITNESS_NU = ic.new_experiment([[0.7, 0.3], [0.52, 0.48], [0.3, 0.7]])
 # pairs (0, 1) and (0, 2) dominate, pair (0, 3) does not
 LATE_FAIL_MU = ic.new_experiment([[0.9, 0.1], [0.1, 0.9], [0.5, 0.5], [0.5, 0.5]])
 LATE_FAIL_NU = ic.new_experiment([[0.8, 0.2], [0.2, 0.8], [0.6, 0.4], [0.3, 0.7]])
+
+
+def near_ties(a, b):
+    """Pairs (0, 1) and (0, 2) are near ties with shortfall a / 2 and b / 2 and
+    LP optimum equal to it; pair (0, 3) fails by far.  States 0-2 of the
+    source are uninformative, so the target's spread there is all shortfall."""
+    mu = ic.new_experiment([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5], [0.9, 0.1]])
+    nu = ic.new_experiment([[0.5, 0.5], [0.5 - a, 0.5 + a], [0.5 - b, 0.5 + b], [0.05, 0.95]])
+    return mu, nu
 
 
 def dense_constraints(mu, nu):
@@ -34,19 +58,65 @@ def dense_constraints(mu, nu):
     return a_ub.reshape(-1, nvar), a_eq
 
 
-@pytest.fixture
-def lp_calls(monkeypatch):
-    """Every blackwell.linprog call as (args, kwargs, result)."""
+@contextlib.contextmanager
+def recorded_lps(**options):
+    """Record every blackwell.linprog call as (args, kwargs, result), solving
+    with the given HiGHS options added."""
     calls = []
     original = blackwell.linprog
 
     def spy(*args, **kwargs):
-        res = original(*args, **kwargs)
+        res = original(*args, **kwargs, **({"options": options} if options else {}))
         calls.append((args, kwargs, res))
         return res
 
-    monkeypatch.setattr(blackwell, "linprog", spy)
-    return calls
+    with mock.patch.object(blackwell, "linprog", spy):
+        yield calls
+
+
+@pytest.fixture
+def lp_calls():
+    with recorded_lps() as calls:
+        yield calls
+
+
+@pytest.fixture
+def pairs_checked(monkeypatch):
+    """The state pairs whose shortfall pairwise_dominates computed, in order."""
+    pairs = []
+    original = blackwell._shortfall
+
+    def spy(a, b):
+        pairs.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(blackwell, "_shortfall", spy)
+    return pairs
+
+
+def _stochastic(draw, rows, cols):
+    """A row-stochastic matrix from small integer weights, so zero entries,
+    zero columns and tied likelihood ratios are common."""
+    w = np.array(draw(st.lists(st.lists(st.integers(0, 4), min_size=cols, max_size=cols),
+                               min_size=rows, max_size=rows)), dtype=float)
+    w[w.sum(axis=1) == 0.0, 0] = 1.0
+    return w / w.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def dichotomies(draw):
+    """(mu, nu) on two states: a garbling, a reversed garbling, or a garbling
+    mixed with weight delta into another experiment, a near tie."""
+    ns, nt = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    mu = ic.new_experiment(_stochastic(draw, 2, ns))
+    nu = ic.garble(mu, ic.GarblingKernel(_stochastic(draw, ns, nt)))
+    kind = draw(st.sampled_from(["garbling", "reversed", "near_tie"]))
+    if kind == "reversed":
+        return nu, mu
+    if kind == "near_tie":
+        delta = 10.0 ** draw(st.floats(-11.0, -5.0))
+        nu = ic.new_experiment((1.0 - delta) * nu.probs + delta * _stochastic(draw, 2, nt))
+    return mu, nu
 
 
 class TestGarble:
@@ -197,16 +267,92 @@ class TestPairwise:
         assert not res.dominates and res.failing_pair is not None
 
     @pytest.mark.parametrize(
-        "mu, nu, solved",
+        "mu, nu, checked",
         [(WITNESS_NU, WITNESS_MU, 1), (LATE_FAIL_MU, LATE_FAIL_NU, 3), (WITNESS_MU, WITNESS_NU, 3)],
     )
-    def test_stops_at_the_first_failing_pair(self, lp_calls, mu, nu, solved):
+    def test_stops_at_the_first_failing_pair(self, lp_calls, pairs_checked, mu, nu, checked):
         res = ic.pairwise_dominates(mu, nu)
-        assert len(lp_calls) == solved
-        assert res.max_violation == max([0.0] + [call[2].x[-1] for call in lp_calls])
+        pairs = list(itertools.combinations(range(mu.n_states), 2))[:checked]
+        assert len(pairs_checked) == checked
+        # every pair here is decided by its shortfall alone
+        assert res.lp_pairs == len(lp_calls) == 0
+        shortfalls = [ic.dichotomy_shortfall(*(ic.restrict_pair(e, *p) for e in (mu, nu)))[0] for p in pairs]
+        assert res.shortfall == max([0.0] + shortfalls)
         if res.dominates:
             assert res.failing_pair is None
         else:
-            pairs = list(itertools.combinations(range(mu.n_states), 2))
-            assert res.failing_pair == pairs[solved - 1]
+            assert res.failing_pair == pairs[-1]
             assert not ic.dominates(*(ic.restrict_pair(e, *res.failing_pair) for e in (mu, nu))).dominates
+
+    @pytest.mark.parametrize("b, failing_pair", [(1.5e-5, (0, 3)), (3e-5, (0, 2))])
+    def test_near_ties_go_to_the_lp(self, lp_calls, pairs_checked, b, failing_pair):
+        # r in (tol / 2, 2 tol]: neither bound decides, so the LP does; it
+        # passes pair (0, 1) at eps 0.75 tol and pair (0, 2) when b / 2 <= tol.
+        # tol is far above HiGHS's 1e-7 feasibility tolerance, which would
+        # report eps 0 for the same near ties at the default 1e-8.
+        tol = 1e-5
+        mu, nu = near_ties(1.5e-5, b)
+        res = ic.pairwise_dominates(mu, nu, tol)
+        assert not res.dominates and res.failing_pair == failing_pair
+        assert len(pairs_checked) == failing_pair[1]
+        assert res.lp_pairs == len(lp_calls) == 2
+        assert [call[2].x[-1] for call in lp_calls] == pytest.approx([0.75e-5, b / 2], rel=1e-9)
+        shortfalls = [ic.dichotomy_shortfall(*(ic.restrict_pair(e, 0, j) for e in (mu, nu)))[0]
+                      for j in range(1, failing_pair[1] + 1)]
+        assert res.shortfall == max(shortfalls)
+
+    def test_rounding_level_shortfalls_go_to_the_lp_at_zero_tolerance(self, lp_calls):
+        mu = ic.random_experiment(3, 4, seed=3, min_prob=0.02)
+        nu = ic.garble(mu, ic.random_kernel(4, 3, seed=4))
+        assert ic.pairwise_dominates(mu, nu).lp_pairs == 0
+        res = ic.pairwise_dominates(mu, nu, tol=0.0)
+        assert res.lp_pairs == len(lp_calls) >= 1
+
+
+class TestDichotomyShortfall:
+    def test_uninformative_against_full_information(self):
+        # g_nu(t) - g_mu(t) = min(1, t), so r = 1/2 at t = 1, and the LP's best
+        # kernel (the coin flip) misses by 1/2: both bounds are tight here
+        mu, nu = ic.uninformative(2, 1), ic.new_experiment(np.eye(2))
+        assert ic.dichotomy_shortfall(mu, nu) == (0.5, 1.0)
+        assert ic.dominates(mu, nu).max_violation == pytest.approx(0.5, abs=1e-12)
+        r, _ = ic.dichotomy_shortfall(nu, mu)
+        assert r <= 0.0
+
+    def test_rejects_other_than_two_matching_states(self):
+        with pytest.raises(StateMismatch):
+            ic.dichotomy_shortfall(SYM75, WITNESS_MU)
+        with pytest.raises(NotBinary):
+            ic.dichotomy_shortfall(WITNESS_MU, WITNESS_NU)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dichotomies())
+    def test_sign_matches_the_bench_reference(self, pair):
+        mu, nu = pair
+        r, t = ic.dichotomy_shortfall(mu, nu)
+        assert np.sign(r) == np.sign(bench_checks.dichotomy_violation(mu.probs, nu.probs))
+        kinks = [0.0] + [m[0, s] / m[1, s] for m in (mu.probs, nu.probs) for s in range(m.shape[1]) if m[1, s] > 0]
+        assert t in kinks
+
+    @settings(max_examples=150, deadline=None)
+    @given(dichotomies(), st.sampled_from([1e-8, 1e-7, 1e-6, 1e-4]))
+    def test_screen_agrees_with_the_lp(self, pair, tol):
+        # the LP is solved to 1e-10, so its verdict is exact next to the
+        # screen's factor-2 margins around tol
+        mu, nu = pair
+        r, _ = ic.dichotomy_shortfall(mu, nu)
+        with recorded_lps(**TIGHT_LP) as lps:
+            plain = ic.dominates(mu, nu, tol)
+            (_, _, lp), = lps
+            res = ic.pairwise_dominates(mu, nu, tol)
+        eps = plain.max_violation
+        psi = np.clip(lp.x[:-1].reshape(mu.n_signals, nu.n_signals), 0.0, None)
+        psi /= psi.sum(axis=1, keepdims=True)
+        missed = float(np.max(np.abs(mu.probs @ psi - nu.probs)))
+        lower = 2.0 * r / nu.n_signals
+        assert eps <= r + 1e-12
+        assert lower <= missed + 1e-12  # a bound on every kernel, not only the optimum
+        assert lower <= eps + 1e-9  # the reported optimum, to HiGHS's tolerance
+        assert res.lp_pairs == len(lps) - 1
+        if res.lp_pairs == 0:
+            assert res.dominates == plain.dominates

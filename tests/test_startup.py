@@ -87,6 +87,8 @@ def test_non_lp_verbs_leave_scipy_unloaded(capsys, files):
         ["axioms", "--cost", files["kl"], "--seed", "0", "--samples", "2"],
         ["divergence", "--experiment", files["binary"], "--param", '{"kind":"kl","pivot":0,"beta":[0,1]}'],
         ["approx", "--experiment", files["binary"], "--k-list", "4", "--grid", "2", "--seed", "0"],
+        # an exact garbling: every pair is decided by its dichotomy shortfall, with no LP
+        ["dominate", "--experiment", files["mu"], "--experiment2", files["nu"], "--pairwise"],
     ]
     fresh = run_fresh(argvs)
     assert not fresh["before"] and not fresh["after"]
@@ -95,8 +97,9 @@ def test_non_lp_verbs_leave_scipy_unloaded(capsys, files):
 
 
 def test_first_pairwise_call_loads_scipy(capsys, files):
-    # the only call in a fresh interpreter, so it is the one that imports SciPy
-    argvs = [["dominate", "--experiment", files["mu"], "--experiment2", files["nu"], "--pairwise"]]
+    # the only call in a fresh interpreter, so it is the one that imports SciPy;
+    # at tol 0 the garbling's rounding-level shortfalls are near ties for the LP
+    argvs = [["dominate", "--experiment", files["mu"], "--experiment2", files["nu"], "--pairwise", "--tol", "0"]]
     fresh = run_fresh(argvs)
     assert not fresh["before"] and fresh["after"]
     assert fresh["calls"] == [in_process(capsys, argv) for argv in argvs]
