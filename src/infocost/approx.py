@@ -4,7 +4,8 @@ Coarsening a belief distribution on a k-cell grid produces two finite
 companions: a conditional-mean contraction (dominated by the original) and an
 endpoint spread (dominating it), whose divergences pinch the original's as k
 grows.  Cells are half-open with the last cell closed, so grid-aligned atoms
-stay put.
+stay put.  The sandwich report prices a whole parameter grid per experiment
+with one call of the divergence kernel, ``divergence._divergences``.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import DivergenceParam, unified_divergence
-from .errors import KTooSmall, NotBinaryState, UnboundedExperiment
+from .divergence import DivergenceParam, _divergences
+from .errors import KTooSmall, NotBinaryState, StateMismatch, UnboundedExperiment
 from .experiment import (
     FiniteExperiment,
     PosteriorDistribution,
@@ -96,18 +97,24 @@ def sandwich_report(mu: FiniteExperiment, q, k_list, param_grid) -> list[Sandwic
 
     The experiment must be bounded (no zero entries); for each k and each
     parameter the contraction is weakly cheaper and the spread weakly dearer,
-    and the worst gap shrinks as k grows.
+    and the worst gap shrinks as k grows.  ``param_grid`` is any iterable of
+    parameters, read once.  The whole grid is priced by one divergence kernel
+    call on the experiment and one on each k's contraction and spread; every
+    value equals ``unified_divergence`` of its parameter and experiment.
+    Rows run over k, then over the grid in order.
     """
     if np.any(mu.probs == 0.0):
         raise UnboundedExperiment("experiment has zero entries")
+    params = tuple(param_grid)
+    for param in params:
+        if param.n_states != mu.n_states:
+            raise StateMismatch(f"parameter is {param.n_states}-state, experiment {mu.n_states}")
     pi = posteriors(mu, q)
-    d_mu = [unified_divergence(param, mu) for param in param_grid]
+    pairs = [coarsen(pi, k) for k in k_list]
+    experiments = [mu] + [experiment_from_posteriors(pd) for pair in pairs for pd in (pair.under, pair.over)]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d_mu, *companions = [_divergences(params, e.probs[None])[:, 0].tolist() for e in experiments]
     rows = []
-    for k in k_list:
-        pair = coarsen(pi, k)
-        under = experiment_from_posteriors(pair.under)
-        over = experiment_from_posteriors(pair.over)
-        for param, d in zip(param_grid, d_mu):
-            d_under, d_over = unified_divergence(param, under), unified_divergence(param, over)
-            rows.append(SandwichRow(k, param, d_under, d, d_over))
+    for pair, d_under, d_over in zip(pairs, companions[::2], companions[1::2]):
+        rows += [SandwichRow(pair.k, *values) for values in zip(params, d_under, d_mu, d_over)]
     return rows

@@ -417,19 +417,16 @@ def _kl_forms(beta: np.ndarray, kl: np.ndarray) -> np.ndarray:
     return sum(terms, np.zeros(kl.shape[0]))
 
 
-def _measure_integrals(measure: DivergenceMeasure, probs: np.ndarray, priced: dict) -> np.ndarray:
-    """sum_atoms w * D_param over a stack.  ``priced`` holds the divergences
-    already computed per interior exponent vector (and per other atom), so
-    atoms sharing one pay once."""
-
-    def divergences(p) -> np.ndarray:
-        key = p.alpha.tobytes() if isinstance(p, InteriorParam) else id(p)
-        if key not in priced:
-            priced[key] = _divergences(p, probs)
-        return priced[key]
-
-    terms = (w * divergences(p) for w, p in measure.atoms if w != 0.0)
-    return sum(terms, np.zeros(probs.shape[0]))
+def _measure_integrals(measures: tuple, probs: np.ndarray) -> list:
+    """sum_atoms w * D_param of each measure over a stack.  One kernel call
+    prices every atom of nonzero weight of every measure; each measure then
+    sums its atoms in order."""
+    divergences = iter(_divergences([p for m in measures for w, p in m.atoms if w != 0.0], probs))
+    integrals = []
+    for m in measures:
+        terms = (w * next(divergences) for w, _ in m.atoms if w != 0.0)
+        integrals.append(sum(terms, np.zeros(probs.shape[0])))
+    return integrals
 
 
 def _ps_values(spec: Union[PosteriorSeparableCost, ConvexPSCost], probs: np.ndarray) -> np.ndarray:
@@ -451,13 +448,14 @@ def eval_costs(spec: CostSpec, probs) -> np.ndarray:
     exactly.  Rows need not be stochastic, but every entry must be a
     nonnegative number; a row that carries a transform's argument above its
     domain costs +inf.
-    Weighted-KL sums, every divergence atom (through the one divergence
-    kernel, ``divergence._divergences``), every built-in potential and every
-    built-in transform take one NumPy pass over the stack; custom potentials
-    are called per posterior and custom transforms per value.  The Rényi
-    atoms read each matrix's row of largest exponent as summing to 1, which
-    off-simplex rows do not: there the value differs from the literal sum by
-    that row's excess mass.
+    Weighted-KL sums, every built-in potential and every built-in transform
+    take one NumPy pass over the stack.  Divergences take one call of the
+    divergence kernel, ``divergence._divergences``: a Rényi cost's one
+    parameter, or every atom of every measure of a max-Rényi cost at once.
+    Custom potentials are called per posterior and custom transforms per
+    value.  The Rényi atoms read each matrix's row of largest exponent as
+    summing to 1, which off-simplex rows do not: there the value differs
+    from the literal sum by that row's excess mass.
     """
     # C order for every caller: a matmul's rounding can depend on the memory layout
     probs = np.ascontiguousarray(probs, dtype=float)
@@ -474,10 +472,9 @@ def eval_costs(spec: CostSpec, probs) -> np.ndarray:
         if isinstance(spec, RenyiCost):
             if spec.lam == 0.0:
                 return np.zeros(probs.shape[0])
-            return spec.lam * _divergences(spec.param, probs)
+            return spec.lam * _divergences((spec.param,), probs)[0]
         if isinstance(spec, MaxRenyiCost):
-            priced: dict = {}
-            return reduce(np.maximum, [_measure_integrals(m, probs, priced) for m in spec.measures])
+            return reduce(np.maximum, _measure_integrals(spec.measures, probs))
         if isinstance(spec, PosteriorSeparableCost):
             return _ps_values(spec, probs)
         if isinstance(spec, ConvexPSCost):
@@ -544,7 +541,7 @@ def _atoms_gradient(atoms, p: np.ndarray) -> np.ndarray:
         if w == 0.0:
             continue
         if isinstance(param, SupParam):
-            ratios = _log_ratios(param.psi, p[None])[1][0]
+            ratios = _log_ratios([param.psi], p[None])[1][0, 0]
             top = np.fmax.reduce(ratios)
             if top > 0:
                 at = ratios >= top * (1.0 - 1e-12)
@@ -595,8 +592,7 @@ def _cost_gradient(spec: CostSpec, p: np.ndarray) -> np.ndarray:
     if isinstance(spec, MaxRenyiCost):
         measures = spec.measures
         if len(measures) > 1:
-            priced: dict = {}
-            measures = _tied(measures, [_measure_integrals(m, p[None], priced)[0] for m in measures])
+            measures = _tied(measures, [v[0] for v in _measure_integrals(measures, p[None])])
         return sum(_atoms_gradient(m.atoms, p) for m in measures) / len(measures)
     q = spec.prior
     marginal = q @ p

@@ -5,13 +5,18 @@ the multi-state extension with exponent vectors on the simplex hyperplane, the
 unified three-branch parameterization, the (gamma, psi) reparameterization,
 Chernoff information, and the two-sided sup-divergence privacy measure.
 
-Every branch is evaluated by one stack kernel, ``_divergences(param,
-probs[B, n, s])``, which the cost evaluator calls on whole stacks and every
-scalar function here calls on a stack of one.  Its zero conventions:
-0 ** 0 = 1, so a zero exponent drops its state; a zero under a positive
-exponent drops its signal, and wins over a zero under a negative exponent;
-a zero under a negative exponent alone gives +inf; a zero weighted-KL weight
-drops its term, infinite or not.  The interior branch computes sum - 1 from
+Every branch is evaluated by one kernel, ``_divergences(params, probs[B, n,
+s])``, which prices a list of parameters on a stack of experiments as a
+``[P, B]`` array.  The sandwich calls it with a whole parameter grid, the
+cost evaluator with every atom of a cost on a whole stack, and every scalar
+function here with one parameter on a stack of one.  Interior and sup
+parameters are grouped by the row of their largest exponent, whose log
+ratios are taken once; each value is still bit-identical to pricing its
+parameter and experiment alone.  The kernel's zero conventions: 0 ** 0 =
+1, so a zero exponent drops its state; a zero under a positive exponent
+drops its signal, and wins over a zero under a negative exponent; a zero
+under a negative exponent alone gives +inf; a zero weighted-KL weight drops
+its term, infinite or not.  The interior branch computes sum - 1 from
 differences of logs against the row of largest exponent, so its relative
 accuracy does not degrade as max(alpha) approaches 1.
 
@@ -25,6 +30,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, fields
+from itertools import accumulate
 from typing import Union
 
 import numpy as np
@@ -179,8 +185,10 @@ class DivergenceMeasure:
 # ---------------------------------------------------------------------------
 
 
-def _log_ratios(w: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row k = argmax(w) of a stack and L[b, s] = sum_{i != k} w_i log(p_i(s) / p_k(s)).
+def _log_ratios(ws: list, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row k = argmax(w) of a stack and L[b, s] = sum_{i != k} w_i log(p_i(s) / p_k(s)),
+    for each weight vector w of ``ws``: the rows stacked as ``pk[G, B, s]``
+    (``pk[1, B, s]`` when every w shares one) and the L as ``L[G, B, s]``.
 
     For weights summing to 0 or 1, L(s) is w . log p(s) with w_k read as the
     rest of the sum, so no log is scaled by a weight near 1 before the
@@ -191,24 +199,44 @@ def _log_ratios(w: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     Where 0 < p_k(s) is below the smallest normal float, p_i / p_k can
     overflow to +inf, so those signals take log p_i - log p_k instead; every
     other signal keeps the quotient.
+
+    The logs are taken once per pivot row k, and cut to the states of nonzero
+    weight once per pattern of zeros.  Each L is its own ``w @ logs``: one
+    product of the stacked weights rounds differently beyond two states.
     """
-    ws = w.tolist()
-    k = ws.index(max(ws))
-    pk = np.ascontiguousarray(probs[:, k])  # a strided view slows every later use
-    if 0.0 in ws:
-        active = [i for i, wi in enumerate(ws) if wi != 0.0]
-        w, probs = w[active], probs[:, active]
-    # row k's own term is w_k log(1) = 0
-    logs = np.log(probs / pk[:, None])
-    if pk.min(initial=1.0) < TINY:
-        sub = (pk > 0.0) & (pk < TINY)
-        if sub.any():
-            logs = np.where(sub[:, None], np.log(probs) - np.log(pk)[:, None], logs)
-    return pk, w @ logs
+    ratios = []
+    pivots: dict = {}  # k -> (its slot in rows, logs per tuple of kept states; () keeps all)
+    rows, slots = [], []
+    for w in ws:
+        wl = w.tolist()
+        k = wl.index(max(wl))
+        if k not in pivots:
+            pk = np.ascontiguousarray(probs[:, k])  # a strided view slows every later use
+            # row k's own term is w_k log(1) = 0
+            logs = np.log(probs / pk[:, None])
+            if pk.min(initial=1.0) < TINY:
+                sub = (pk > 0.0) & (pk < TINY)
+                if sub.any():
+                    logs = np.where(sub[:, None], np.log(probs) - np.log(pk)[:, None], logs)
+            pivots[k] = len(rows), {(): logs}
+            rows.append(pk)
+        slot, logs = pivots[k]
+        slots.append(slot)
+        kept = tuple(i for i, wi in enumerate(wl) if wi != 0.0) if 0.0 in wl else ()
+        if kept not in logs:
+            # indexing lays the cut out state-major, where a matmul would round
+            # each matrix of a stack otherwise than that matrix alone
+            logs[kept] = np.ascontiguousarray(logs[()][:, list(kept)])
+        ratios.append((w[list(kept)] if kept else w) @ logs[kept])
+    # a shared row is broadcast; a stacked one would copy it per w
+    pk = rows[0][None] if len(rows) == 1 else np.stack(rows)[slots]
+    return pk, np.stack(ratios) if len(ratios) > 1 else ratios[0][None]
 
 
-def _log_sums(alpha: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """log sum_s prod_i p_i(s) ** alpha_i over a stack.
+def _log_sums(pk: np.ndarray, ratios: np.ndarray, above: bool) -> np.ndarray:
+    """log sum_s prod_i p_i(s) ** alpha_i over a stack, for exponent vectors
+    whose largest entry lies above 1 (``above``) or all below it, from their
+    :func:`_log_ratios`: ``[G, B]``.
 
     Computed as log1p(sum - 1) with sum - 1 = sum_s p_k(s) expm1(L(s)), which
     reads row k as summing to 1, so every term is a difference from the
@@ -218,12 +246,11 @@ def _log_sums(alpha: np.ndarray, probs: np.ndarray) -> np.ndarray:
     added up directly.  The exact sum lies in [0, 1] when max(alpha) < 1 and
     in [1, +inf] above; the clamp removes rounding past those ends.
     """
-    pk, ratios = _log_ratios(alpha, probs)
     excess = np.fmax(pk * np.expm1(ratios), -pk).sum(axis=-1)
-    if max(alpha.tolist()) > 1.0:
+    if above:
         return np.log1p(np.maximum(excess, 0.0))
     log_sums = np.log1p(np.minimum(excess, 0.0))
-    if min(excess.tolist()) < -0.99:
+    if min(map(min, excess.tolist())) < -0.99:
         direct = np.fmax(pk * np.exp(ratios), 0.0).sum(axis=-1)
         log_sums = np.where(excess < -0.99, np.log(direct), log_sums)
     return log_sums
@@ -236,11 +263,15 @@ def _kls(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where((pos & (q == 0.0)).any(axis=-1), np.inf, terms.sum(axis=-1))
 
 
-def _divergences(param: "DivergenceParam", probs: np.ndarray) -> np.ndarray:
-    """The divergence of every experiment in a stack ``probs[B, n, s]``.
+def _divergences(params, probs: np.ndarray) -> np.ndarray:
+    """The divergence of every experiment in a stack ``probs[B, n, s]`` under
+    every parameter of a list: ``[P, B]``.
 
-    The one evaluator of each branch; entry b depends on ``probs[b]`` alone.
-    Interior: log(sum) / (max(alpha) - 1), with the denominator taken as
+    The one evaluator of each branch; entry (p, b) depends on ``params[p]``
+    and ``probs[b]`` alone, bit for bit.  Equal parameters are priced once.
+    Interior and sup parameters share one :func:`_log_ratios` pass, and the
+    interior ones are summed in two groups, largest exponent below and above
+    1.  Interior: log(sum) / (max(alpha) - 1), with the denominator taken as
     -sum_{i != k} alpha_i, never as a difference from 1.  Weighted-KL: the
     weighted KL divergences from the pivot, skipping zero weights.  Sup: the
     largest psi . log p(s), floored at 0, where a signal with a zero under a
@@ -248,23 +279,59 @@ def _divergences(param: "DivergenceParam", probs: np.ndarray) -> np.ndarray:
     silence floating-point warnings: zeros make infinities and NaNs on the
     way.
     """
-    if isinstance(param, InteriorParam):
-        others = param.alpha.tolist()
-        others.remove(max(others))
-        return _log_sums(param.alpha, probs) / -math.fsum(others)
-    if isinstance(param, WeightedKLParam):
+    # distinct parameters: interior below 1, interior above 1, sup, weighted-KL
+    groups: tuple = ([], [], [], [])
+    denominators: tuple = ([], [])  # [-sum_{i != k} alpha_i] of each interior group
+    seen: dict = {}  # (branch, weights) -> (group, position in it)
+    slots = []
+    for param in params:
+        if isinstance(param, InteriorParam):
+            key = InteriorParam, param.alpha.tobytes()
+        elif isinstance(param, SupParam):
+            key = SupParam, param.psi.tobytes()
+        elif isinstance(param, WeightedKLParam):
+            key = WeightedKLParam, param.pivot, param.beta.tobytes()
+        else:
+            raise BadPsi(f"unknown divergence parameter {param!r}")
+        if key not in seen:
+            if key[0] is InteriorParam:
+                others = param.alpha.tolist()
+                top = max(others)
+                others.remove(top)
+                g = int(top > 1.0)
+                denominators[g].append([-math.fsum(others)])
+            else:
+                g = 2 if key[0] is SupParam else 3
+            seen[key] = g, len(groups[g])
+            groups[g].append(param)
+        slots.append(seen[key])
+    below, above, sup, kl = groups
+    parts = []  # the distinct parameters' rows, group by group
+    if below or above or sup:
+        pk, ratios = _log_ratios([p.alpha for p in below + above] + [p.psi for p in sup], probs)
+        start = 0
+        for g in (0, 1):
+            if groups[g]:
+                rows = slice(start, start + len(groups[g]))
+                log_sums = _log_sums(pk if len(pk) == 1 else pk[rows], ratios[rows], g == 1)
+                parts.append(log_sums / np.array(denominators[g]))
+                start = rows.stop
+        if sup:
+            parts.append(np.fmax(np.fmax.reduce(ratios[start:], axis=-1), 0.0))
+    for param in kl:
         on = param.beta > 0
-        kls = _kls(probs[:, param.pivot, None, :], probs[:, on])
-        return (kls * param.beta[on]).sum(axis=-1)
-    if isinstance(param, SupParam):
-        return np.fmax(np.fmax.reduce(_log_ratios(param.psi, probs)[1], axis=-1), 0.0)
-    raise BadPsi(f"unknown divergence parameter {param!r}")
+        parts.append((_kls(probs[:, param.pivot, None, :], probs[:, on]) * param.beta[on]).sum(axis=-1)[None])
+    if len(parts) == 1:  # one group: its rows follow the order the parameters came in
+        return parts[0] if len(seen) == len(slots) else parts[0][[i for _, i in slots]]
+    out = np.concatenate(parts) if parts else np.empty((0, probs.shape[0]))
+    starts = list(accumulate(map(len, groups), initial=0))
+    return out[[starts[g] + i for g, i in slots]]
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _divergence(param: "DivergenceParam", probs: np.ndarray) -> float:
-    """:func:`_divergences` on a stack of one matrix."""
-    return float(_divergences(param, probs[None])[0])
+    """:func:`_divergences` of one parameter on a stack of one matrix."""
+    return float(_divergences((param,), probs[None])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +451,7 @@ def diluted_power_divergence(mu: FiniteExperiment, k: int, gamma: float, psi) ->
     if abs(alpha.max() - gamma) > 1e-12:
         raise BadPsi("gamma must equal the largest exponent of the induced alpha")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = k * _log_sums(alpha, mu.probs[None])[0]
+        x = k * _log_sums(*_log_ratios([alpha], mu.probs[None]), max(alpha.tolist()) > 1.0)[0, 0]
         # log(1 + (e**x - 1) / k); above x = 1, factor e**x out so it cannot overflow
         inner = np.log1p(np.expm1(x) / k) if x < 1.0 else x + np.log(np.exp(-x) - np.expm1(-x) / k)
         return float(inner / (gamma - 1.0))
@@ -418,7 +485,8 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, flo
 def _chernoff_objective(mu: FiniteExperiment, t: float) -> float:
     """-log sum_s mu_0(s)^t mu_1(s)^(1-t), with the kernel's zero conventions."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return float(-_log_sums(np.array([t, 1.0 - t]), mu.probs[None])[0])
+        alpha = np.array([t, 1.0 - t])
+        return float(-_log_sums(*_log_ratios([alpha], mu.probs[None]), False)[0, 0])
 
 
 def chernoff_information(mu: FiniteExperiment) -> float:

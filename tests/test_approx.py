@@ -1,12 +1,15 @@
 """Grid coarsening of belief distributions and the divergence sandwich."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import infocost as ic
-from infocost.errors import KTooSmall, NotBinaryState, UnboundedExperiment
+from infocost import approx
+from infocost.errors import KTooSmall, NotBinaryState, StateMismatch, UnboundedExperiment
 
 SYM75 = ic.new_experiment([[0.75, 0.25], [0.25, 0.75]])
 
@@ -186,3 +189,52 @@ class TestSandwichReport:
             gaps = [rows[i * len(grid) + j].gap for i in range(len(ks))]
             for coarse, fine in zip(gaps, gaps[1:]):
                 assert fine <= coarse + 1e-9
+
+    def test_generator_grid_gives_the_list_rows(self):
+        mu = ic.random_experiment(2, 6, seed=2, min_prob=0.05)
+        grid = ic.default_param_grid(2, 4, seed=3)
+        rows = ic.sandwich_report(mu, [0.4, 0.6], [4, 16], grid)
+        assert len(rows) == 8
+        assert ic.sandwich_report(mu, [0.4, 0.6], [4, 16], (p for p in grid)) == rows
+
+    def test_state_mismatch_raises_before_any_coarsening(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(approx, "coarsen", lambda *args: calls.append("coarsen"))
+        monkeypatch.setattr(approx, "_divergences", lambda *args: calls.append("kernel"))
+        grid = ic.default_param_grid(2, 3) + [ic.InteriorParam(np.full(3, 1.0 / 3.0))]
+        with pytest.raises(StateMismatch):
+            ic.sandwich_report(SYM75, [0.5, 0.5], [4], grid)
+        assert calls == []
+
+    def test_companions_priced_as_unified_divergence(self):
+        # k = 2 puts spread atoms at beliefs 0 and 1, where KL and sup are +inf
+        mu = ic.random_experiment(2, 12, seed=5, min_prob=0.01)
+        grid = ic.default_param_grid(2, 12, seed=4)
+        ks = (2, 4, 16)
+        rows = ic.sandwich_report(mu, [0.3, 0.7], ks, grid)
+        assert [(r.k, r.param) for r in rows] == [(k, p) for k in ks for p in grid]
+        pi = ic.posteriors(mu, [0.3, 0.7])
+        for i, k in enumerate(ks):
+            pair = ic.coarsen(pi, k)
+            under, over = ic.experiment_from_posteriors(pair.under), ic.experiment_from_posteriors(pair.over)
+            for row in rows[i * len(grid) : (i + 1) * len(grid)]:
+                assert all(type(d) is float for d in (row.d_under, row.d_mu, row.d_over))
+                assert row.d_under == ic.unified_divergence(row.param, under)
+                assert row.d_mu == ic.unified_divergence(row.param, mu)
+                assert row.d_over == ic.unified_divergence(row.param, over)
+        assert any(math.isinf(r.d_over) for r in rows)
+
+    def test_one_kernel_call_per_experiment(self, monkeypatch):
+        calls = []
+        kernel = approx._divergences
+
+        def spy(params, probs):
+            calls.append((len(params), probs.shape[0]))
+            return kernel(params, probs)
+
+        monkeypatch.setattr(approx, "_divergences", spy)
+        ks = [4, 16, 64, 256]
+        mu = ic.random_experiment(2, 32, seed=6, min_prob=0.003)
+        rows = ic.sandwich_report(mu, [0.5, 0.5], ks, ic.default_param_grid(2, 50))
+        assert len(rows) == 50 * len(ks)
+        assert calls == [(50, 1)] * (1 + 2 * len(ks))

@@ -331,6 +331,37 @@ class TestEvalCosts:
             else:
                 assert ic.eval_cost(spec, single) == 0.0, name
 
+    def test_max_renyi_sums_each_measure_atom_by_atom(self):
+        # one interior exponent vector in both measures, as the same object and
+        # as an equal copy, and zero-weight atoms, one of them +inf on two rows:
+        # each measure is the sum of its nonzero atoms in atom order
+        shared = ic.InteriorParam(np.array([0.5, 0.5, 0.0]))
+        copy = ic.InteriorParam(shared.alpha.copy())
+        other = ic.InteriorParam(np.array([0.2, 0.3, 0.5]))
+        wkl = ic.WeightedKLParam(0, np.array([0.0, 0.4, 0.6]))
+        sup = ic.SupParam(np.array([-0.5, 1.0, -0.5]))
+        first = ic.DivergenceMeasure(((0.4, shared), (0.0, wkl), (1.3, other), (0.7, copy), (0.25, sup)))
+        second = ic.DivergenceMeasure(((0.0, other), (2.0, shared), (0.0, wkl), (0.5, copy)))
+        spec = ic.MaxRenyiCost((first, second))
+        probs = np.random.default_rng(3).dirichlet(np.ones(4), size=(5, 3))
+        probs[1, 1, 2] = probs[3, 1, 0] = 0.0  # KL(row 0 || row 1) is +inf there
+        probs /= probs.sum(axis=-1, keepdims=True)
+        expected = []
+        for p in probs:
+            mu = ic.FiniteExperiment(p)
+            sums = []
+            for measure in spec.measures:
+                total = 0.0
+                for w, param in measure.atoms:
+                    if w != 0.0:
+                        total += w * ic.unified_divergence(param, mu)
+                sums.append(total)
+            expected.append(max(sums))
+        assert ic.unified_divergence(wkl, ic.FiniteExperiment(probs[1])) == math.inf
+        assert all(math.isfinite(v) for v in expected)
+        assert ic.eval_costs(spec, probs).tolist() == expected
+        assert [ic.eval_cost(spec, ic.FiniteExperiment(p)) for p in probs] == expected
+
     def test_custom_potential_sees_only_posteriors(self):
         # signal 1 never occurs; its all-zero belief is not passed to fn
         seen = []

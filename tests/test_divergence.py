@@ -545,3 +545,106 @@ def test_measure_accepts_numpy_and_integer_weights():
     half = ic.InteriorParam(np.array([0.5, 0.5]))
     measure = ic.DivergenceMeasure(((np.float64(0.25), half), (1, half), (np.int64(2), half)))
     assert [w for w, _ in measure.atoms] == [0.25, 1.0, 2.0]
+
+
+SUBNORMALS = (5e-324, 1.5e-316, 1e-310, 2e-308)
+
+
+@st.composite
+def kernel_stacks(draw, n):
+    """probs[B, n, s] with rows summing to 1: plain, with zero entries, with
+    subnormal entries (which the pivot row of some parameters then holds), or
+    nearly disjoint, where an interior sum of products falls below 0.01."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b, s = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    mode = draw(st.sampled_from(["plain", "zeros", "subnormal", "sharp"]))
+    if mode == "sharp":
+        tiny = 10.0 ** rng.uniform(-14, -3, size=(b, n, 1))
+        probs = np.broadcast_to(tiny, (b, n, s)).copy()
+        for i in range(n):
+            probs[:, i, (i + rng.integers(s)) % s] = 0.0
+            probs[:, i] += (1.0 - probs[:, i].sum(axis=-1, keepdims=True)) * (probs[:, i] == 0.0)
+        return probs
+    probs = rng.dirichlet(np.ones(s), size=(b, n))
+    if mode == "zeros":
+        probs[rng.random((b, n, s)) < 0.3] = 0.0
+    elif mode == "subnormal":
+        hit = rng.random((b, n, s)) < 0.3
+        probs[hit] = rng.choice(SUBNORMALS, size=int(hit.sum()))
+    empty = probs.sum(axis=-1) == 0.0
+    probs[empty, 0] = 1.0
+    return probs / probs.sum(axis=-1, keepdims=True)
+
+
+def _simplex(rng, n, zeros):
+    """A point of the simplex in R^n, with some entries zeroed when ``zeros``."""
+    x = rng.dirichlet(np.ones(n))
+    if zeros and n > 1:
+        x[rng.random(n) < 0.4] = 0.0
+        if not x.any():
+            x[rng.integers(n)] = 1.0
+    return x / x.sum()
+
+
+@st.composite
+def param_grids(draw, n):
+    """A mixed grid of the three branches: interior exponents nonnegative (some
+    zero, some tied for the largest) or above 1 (some zero beside it),
+    weighted-KL and sup parameters with zero weights, and repeats of earlier
+    parameters, as the same object or an equal copy."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = ["interior", "interior_zeros", "uniform", "above", "kl", "sup", "repeat", "copy"]
+    params = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=8)):
+        k = int(rng.integers(n))
+        rest = np.arange(n) != k
+        if kind in ("repeat", "copy") and params:
+            earlier = params[int(rng.integers(len(params)))]
+            params.append(earlier if kind == "repeat" else divergence.param_from_json(divergence.param_to_json(earlier)))
+        elif kind == "uniform":
+            params.append(ic.InteriorParam(np.full(n, 1.0 / n)))
+        elif kind == "above":
+            alpha = np.zeros(n)
+            alpha[rest] = -rng.uniform(0.05, 2.0) * _simplex(rng, n - 1, zeros=True)
+            alpha[k] = 1.0 - alpha.sum()
+            params.append(ic.InteriorParam(alpha))
+        elif kind == "kl":
+            beta = np.zeros(n)
+            beta[rest] = _simplex(rng, n - 1, zeros=True)
+            params.append(ic.WeightedKLParam(k, beta))
+        elif kind == "sup":
+            psi = np.zeros(n)
+            psi[rest] = -_simplex(rng, n - 1, zeros=True)
+            psi[k] = 1.0
+            params.append(ic.SupParam(psi))
+        else:
+            alpha = _simplex(rng, n, zeros=kind == "interior_zeros")
+            if alpha.max() < 1.0 - 1e-9:
+                params.append(ic.InteriorParam(alpha))
+    return params
+
+
+class TestGridKernel:
+    """``_divergences(params, probs)`` prices each parameter and matrix as if alone."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_each_row_is_its_parameter_alone(self, data):
+        n = data.draw(st.integers(2, 5), label="n")
+        probs = data.draw(kernel_stacks(n), label="probs")
+        params = data.draw(param_grids(n), label="params")
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            grid = divergence._divergences(params, probs)
+            assert grid.shape == (len(params), probs.shape[0])
+            for row, param in zip(grid, params):
+                assert row.tobytes() == divergence._divergences([param], probs)[0].tobytes()
+                for value, matrix in zip(row.tolist(), probs):
+                    assert repr(value) == repr(ic.unified_divergence(param, ic.FiniteExperiment(matrix)))
+
+    @pytest.mark.parametrize("b", [1, 4])
+    def test_empty_grid(self, b):
+        assert divergence._divergences([], np.full((b, 3, 2), 0.5)).shape == (0, b)
+
+    def test_unknown_parameter(self):
+        with pytest.raises(BadPsi):
+            divergence._divergences([ic.InteriorParam(np.array([0.5, 0.5])), "kl"], SYM75.probs[None])
