@@ -6,12 +6,15 @@ witness that reproduces it standalone.  Equality axioms are judged relative
 to max(1, |cost|); near-ties are skipped in the ordinal independence test
 rather than adjudicated.
 
-A check runs in blocks of ``BLOCK`` samples and in three steps: draw every
-sample of the block from the seeded stream, validate and renormalize the
-drawn matrices one equal-shape stack at a time, then build each sample's
-derived experiments (mixtures, products, garblings, ...) and price every
-equal-shape stack of them with one :func:`eval_costs` call.  Each value
-equals the cost of that experiment evaluated alone.
+A check runs in blocks of ``BLOCK`` samples and in three steps: draw the
+whole block from the check's one seeded stream in a few vectorized calls
+(see :func:`_draw_block` for the order), validate and renormalize each drawn
+equal-shape stack as a whole, then build each sample's derived experiments
+(mixtures, products, garblings, ...) and price every equal-shape stack of
+them with one :func:`eval_costs` call.  Each value equals the cost of that
+experiment evaluated alone.  Because a block is drawn as a whole, ``BLOCK``
+sets the stream once ``n_samples`` exceeds it, and the samples of a shorter
+run are not a prefix of a longer run's.
 """
 
 from __future__ import annotations
@@ -26,20 +29,18 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .blackwell import GarblingKernel, garble, random_kernel
+from .blackwell import GarblingKernel, garble
 from .cost import CostSpec, _has_sup_atom, eval_costs, spec_n_states
 from .errors import AxiomNotApplicable, BadAxiomProfile
 from .experiment import (
     FiniteExperiment,
     _freeze,
     _is_count,
-    dilute,
     mixture,
     new_experiment,
     normalized_rows,
     power,
     product,
-    random_probs,
     uninformative,
 )
 
@@ -75,7 +76,7 @@ class AxiomProfile:
     tol: float = 1e-9
 
     def __post_init__(self):
-        for name, low in (("n_states", 2), ("n_signals", 1), ("n_samples", 1)):
+        for name, low in (("n_states", 2), ("n_signals", 1), ("n_samples", 1), ("seed", 0)):
             v = getattr(self, name)
             if not _is_count(v, low):
                 raise BadAxiomProfile(f"{name} must be an integer >= {low}, got {v!r}")
@@ -124,28 +125,70 @@ _INPUTS = {
 }
 
 
-def _n_signals(rng: np.random.Generator, cap: int) -> int:
-    return int(rng.integers(2, cap + 1)) if cap > 2 else cap
+def _signal_counts(rng: np.random.Generator, cap: int, size) -> np.ndarray:
+    """Signal counts uniform on [2, cap] in one ``integers`` call, or all
+    ``cap`` (and no call) when cap <= 2."""
+    return rng.integers(2, cap + 1, size=size) if cap > 2 else np.full(size, cap)
 
 
-def _draw(rng: np.random.Generator, n_states: int, cap: int) -> np.ndarray:
-    seed = int(rng.integers(0, 2**31 - 1))
-    return random_probs(n_states, _n_signals(rng, cap), seed, MIN_PROB)
+def _draw_block(
+    axiom: Axiom, rng: np.random.Generator, profile: AxiomProfile, m: int
+) -> tuple[list[dict], list]:
+    """Draw m samples from ``rng``, in this order:
 
+    1. the signal count of every experiment of the block, sample by sample,
+       in one ``integers`` call (none when ``n_signals`` <= 2);
+    2. for each distinct count s, in increasing order, one
+       ``dirichlet(np.ones(s), size=(c, n_states))`` call for the c
+       experiments of that count, in sample order, each entry floored as
+       ``MIN_PROB + (1 - MIN_PROB * s) * raw``;
+    3. the weights, in one ``uniform(0.1, 0.9, size=m)`` call, for the axioms
+       that mix or dilute;
+    4. for Blackwell monotonicity, the kernels' target counts as in step 1,
+       then one ``dirichlet`` call per distinct (rows, cols) pair, in
+       increasing order, for the kernels of that shape in sample order.
 
-def _sample_inputs(axiom: Axiom, rng: np.random.Generator, profile: AxiomProfile) -> dict:
-    """Draw one sample; its ``experiments`` are raw floored draws until :func:`_build`."""
+    Returns the samples, without their experiments, and the drawn stacks as
+    ``(indices, stack)`` pairs: ``stack[j]`` is experiment ``indices[j]`` of
+    the block, numbered sample by sample.
+    """
     count, weighted = _INPUTS[axiom]
-    sample: dict = {
-        "tol": profile.tol,
-        "experiments": [_draw(rng, profile.n_states, profile.n_signals) for _ in range(count)],
-    }
+    counts = _signal_counts(rng, profile.n_signals, m * count)
+    stacks = []
+    for s in sorted(set(counts.tolist())):  # np.unique would import numpy.ma, about 1 MB
+        idx = np.flatnonzero(counts == s)
+        raw = rng.dirichlet(np.ones(s), size=(idx.size, profile.n_states))
+        stacks.append((idx, MIN_PROB + (1.0 - MIN_PROB * s) * raw))
+    samples: list[dict] = [{"tol": profile.tol} for _ in range(m)]
     if weighted:
-        sample["weight"] = float(rng.uniform(0.1, 0.9))
-    if axiom is Axiom.BLACKWELL_MONOTONICITY:
-        rows, cols = sample["experiments"][0].shape[1], _n_signals(rng, profile.n_signals)
-        sample["kernel"] = random_kernel(rows, cols, int(rng.integers(0, 2**31 - 1))).psi.tolist()
-    return sample
+        for sample, a in zip(samples, rng.uniform(0.1, 0.9, size=m).tolist()):
+            sample["weight"] = a
+    if axiom is Axiom.BLACKWELL_MONOTONICITY:  # one experiment per sample, so counts[i] is sample i's
+        cols = _signal_counts(rng, profile.n_signals, m)
+        for r, c in sorted(set(zip(counts.tolist(), cols.tolist()))):
+            idx = np.flatnonzero((counts == r) & (cols == c))
+            for i, psi in zip(idx, rng.dirichlet(np.ones(c), size=(idx.size, r))):
+                samples[i]["kernel"] = psi.tolist()
+    return samples, stacks
+
+
+def _build(samples: list[dict], stacks: list, count: int) -> list[list[FiniteExperiment]]:
+    """Validate and renormalize every drawn stack twice, as :func:`new_experiment`
+    would each matrix: a sample's ``experiments`` become the once-normalized
+    matrices a witness stores, and the returned experiments hold them
+    normalized again, which is what :func:`reevaluate_witness` rebuilds from
+    the witness.  Each sample has ``count`` experiments."""
+    once: list = [None] * (count * len(samples))
+    twice: list = [None] * len(once)
+    for idx, raw in stacks:
+        rows = normalized_rows(raw)
+        for i, a, b in zip(idx.tolist(), rows, _freeze(normalized_rows(rows))):
+            once[i], twice[i] = a, FiniteExperiment(b)
+    built = []
+    for k, s in enumerate(samples):
+        s["experiments"] = once[k * count : (k + 1) * count]
+        built.append(twice[k * count : (k + 1) * count])
+    return built
 
 
 def _stacked(fn: Callable[[np.ndarray], object], mats: list) -> list:
@@ -161,23 +204,11 @@ def _stacked(fn: Callable[[np.ndarray], object], mats: list) -> list:
     return out
 
 
-def _build(samples: list[dict]) -> list[list[FiniteExperiment]]:
-    """Validate and renormalize every drawn matrix twice, as :func:`new_experiment`
-    would: a sample's ``experiments`` become the once-normalized matrices a
-    witness stores, and the returned experiments hold them normalized again,
-    which is what :func:`reevaluate_witness` rebuilds from the witness."""
-    once = _stacked(normalized_rows, [m for s in samples for m in s["experiments"]])
-    twice = iter(_stacked(lambda stack: _freeze(normalized_rows(stack)), once))
-    rows = iter(once)
-    built = []
-    for s in samples:
-        s["experiments"] = list(islice(rows, len(s["experiments"])))
-        built.append([FiniteExperiment(m) for m in islice(twice, len(s["experiments"]))])
-    return built
-
-
-def _derived(axiom: Axiom, sample: dict, exps: list[FiniteExperiment]) -> list[FiniteExperiment]:
-    """The experiments whose costs decide one sample, in the order :func:`_combine` reads them."""
+def _derived(
+    axiom: Axiom, sample: dict, exps: list[FiniteExperiment], phi: FiniteExperiment
+) -> list[FiniteExperiment]:
+    """The experiments whose costs decide one sample, in the order :func:`_combine`
+    reads them; ``phi`` is the one-signal uninformative experiment."""
     a = sample.get("weight")
     if axiom in (Axiom.MIXTURE_CONVEXITY, Axiom.MIXTURE_LINEARITY):
         mu, nu = exps
@@ -190,7 +221,7 @@ def _derived(axiom: Axiom, sample: dict, exps: list[FiniteExperiment]) -> list[F
         return [mu, power(mu, 2), power(mu, 3)]
     if axiom in (Axiom.DILUTION_LINEARITY, Axiom.MAXIMAL_DILUTION_CONCAVITY):
         (mu,) = exps
-        return [mu, dilute(mu, a), uninformative(mu.n_states)]
+        return [mu, mixture(mu, phi, a), phi]  # mixing with phi is dilution
     if axiom is Axiom.INDEPENDENCE:
         mu, mu2, nu = exps
         return [mu, mu2, mixture(mu, nu, a), mixture(mu2, nu, a)]
@@ -262,9 +293,13 @@ def check_axiom(
     holds in every report.  The stored witness re-evaluates standalone
     through :func:`reevaluate_witness`.
 
-    Samples are drawn first, ``BLOCK`` at a time, and their experiments are
-    priced in equal-shape stacks; every value equals the one a sample
-    evaluated on its own gives, so the report does not depend on ``BLOCK``.
+    Samples are drawn ``BLOCK`` at a time from one ``default_rng(seed)``
+    stream, each block in a few vectorized calls in the order
+    :func:`_draw_block` documents, and their experiments are priced in
+    equal-shape stacks; every value equals the one a sample evaluated on its
+    own gives.  The stream depends on the block partition, so ``BLOCK`` sets
+    it once ``n_samples`` exceeds it, and a shorter run's samples are not a
+    prefix of a longer run's.
     """
     axiom = Axiom(axiom)
     n_states = spec_n_states(spec)
@@ -278,12 +313,14 @@ def check_axiom(
             f"spec is {n_states}-state but the profile asks for {profile.n_states}"
         )
     rng = np.random.default_rng(profile.seed)
+    count = _INPUTS[axiom][0]
+    phi = uninformative(n_states)
     worst = -math.inf
     witness = None
     evaluated = 0
     for start in range(0, profile.n_samples, BLOCK):
-        samples = [_sample_inputs(axiom, rng, profile) for _ in range(min(BLOCK, profile.n_samples - start))]
-        derived = [_derived(axiom, s, exps) for s, exps in zip(samples, _build(samples))]
+        samples, stacks = _draw_block(axiom, rng, profile, min(BLOCK, profile.n_samples - start))
+        derived = [_derived(axiom, s, exps, phi) for s, exps in zip(samples, _build(samples, stacks, count))]
         costs = iter(_price(spec, [e for d in derived for e in d]))
         for sample, d in zip(samples, derived):
             res, scale = _combine(axiom, sample, list(islice(costs, len(d))))
@@ -312,7 +349,8 @@ def reevaluate_witness(spec: CostSpec, axiom: Axiom | str, witness: dict) -> flo
     axiom = Axiom(axiom)
     tol = witness["tol"]
     exps = [new_experiment(m) for m in witness["experiments"]]
-    res, scale = _combine(axiom, witness, _price(spec, _derived(axiom, witness, exps)))
+    phi = uninformative(exps[0].n_states)
+    res, scale = _combine(axiom, witness, _price(spec, _derived(axiom, witness, exps, phi)))
     if math.isnan(res):
         return -tol
     return res / scale - tol

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InfoCostError, NotBinary, RowNotStochastic, ShapeMismatch, StateMismatch
-from .experiment import FiniteExperiment, _freeze, restrict_pair
+from .experiment import FiniteExperiment, _freeze, _is_count, restrict_pair
 
 DEFAULT_TOL = 1e-8
 MARGINAL_FACTOR = 100.0
@@ -73,6 +73,10 @@ def identity_kernel(n: int) -> GarblingKernel:
 
 
 def random_kernel(rows: int, cols: int, seed: int) -> GarblingKernel:
+    """A kernel whose rows are flat Dirichlet draws, deterministic in the seed."""
+    for name, v in (("rows", rows), ("cols", cols)):
+        if not _is_count(v, 1):
+            raise ShapeMismatch(f"kernel {name} must be an integer >= 1, got {v!r}")
     rng = np.random.default_rng(seed)
     return GarblingKernel(rng.dirichlet(np.ones(cols), size=rows))
 

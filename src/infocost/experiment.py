@@ -242,21 +242,19 @@ def experiment_from_posteriors(pd: PosteriorDistribution) -> FiniteExperiment:
 def random_experiment(
     n_states: int, n_signals: int, seed: int, min_prob: float = 0.0
 ) -> FiniteExperiment:
-    """Draw a uniform-ish random experiment, deterministic in the seed.
+    """Draw a uniform-ish random experiment, deterministic in the seed: each
+    row a flat Dirichlet draw, floored at ``min_prob``.
 
     All entries are at least ``min_prob``, which keeps log likelihood ratios
     bounded; min_prob * n_signals must stay below 1.
     """
-    return new_experiment(random_probs(n_states, n_signals, seed, min_prob))
-
-
-def random_probs(n_states: int, n_signals: int, seed: int, min_prob: float = 0.0) -> np.ndarray:
-    """The matrix :func:`random_experiment` validates and wraps: each row a
-    flat Dirichlet draw, floored at ``min_prob``."""
-    if min_prob < 0 or min_prob * n_signals >= 1.0:
+    if not _is_count(n_states, 2):
+        raise TooFewStates(f"need an integer number of states >= 2, got {n_states!r}")
+    if not _is_count(n_signals, 1):
+        raise RowNotStochastic(f"need an integer number of signals >= 1, got {n_signals!r}")
+    if not (min_prob >= 0 and min_prob * n_signals < 1.0):  # NaN fails too
         raise InfeasibleFloor(
             f"min_prob={min_prob} infeasible for {n_signals} signals"
         )
-    rng = np.random.default_rng(seed)
-    raw = rng.dirichlet(np.ones(n_signals), size=n_states)
-    return min_prob + (1.0 - min_prob * n_signals) * raw
+    raw = np.random.default_rng(seed).dirichlet(np.ones(n_signals), size=n_states)
+    return new_experiment(min_prob + (1.0 - min_prob * n_signals) * raw)

@@ -13,6 +13,7 @@ import infocost as ic
 from infocost import axioms
 from infocost.axioms import MIN_PROB, SUITE_AXIOMS, Axiom
 from infocost.errors import AxiomNotApplicable, BadAxiomProfile
+from infocost.experiment import ROW_SUM_TOL
 
 
 def kl_spec():
@@ -93,38 +94,54 @@ def family_spec(family, n, seed=0):
     return ic.ConvexPSCost(prior, ic.RenyiPotential(alpha), transform)
 
 
-# -- reference: the harness as it was before batching, one eval_cost per experiment --
+# -- reference: the harness drawn from the block stream, one eval_cost per experiment --
+
+_EXPERIMENTS_PER_SAMPLE = {
+    Axiom.MIXTURE_CONVEXITY: 2,
+    Axiom.MIXTURE_LINEARITY: 2,
+    Axiom.SUB_ADDITIVITY: 2,
+    Axiom.ADDITIVITY: 2,
+    Axiom.IDENTITY_ADDITIVITY: 1,
+    Axiom.DILUTION_LINEARITY: 1,
+    Axiom.MAXIMAL_DILUTION_CONCAVITY: 1,
+    Axiom.INDEPENDENCE: 3,
+    Axiom.BLACKWELL_MONOTONICITY: 1,
+}
+_UNWEIGHTED = (Axiom.IDENTITY_ADDITIVITY, Axiom.BLACKWELL_MONOTONICITY)
 
 
-def _reference_draw(rng, n_states, cap):
-    seed = int(rng.integers(0, 2**31 - 1))
-    n_signals = int(rng.integers(2, cap + 1)) if cap > 2 else cap
-    return ic.random_experiment(n_states, n_signals, seed, MIN_PROB)
+def _reference_counts(rng, cap, size):
+    if cap <= 2:
+        return [cap] * size
+    return [int(c) for c in rng.integers(2, cap + 1, size=size)]
 
 
-def _reference_sample(axiom, rng, profile):
+def _reference_block(axiom, rng, profile, m):
+    """m samples from the block stream: every signal count, one Dirichlet
+    call per distinct count in increasing order, the weights, then (for
+    Blackwell monotonicity) the kernels' target counts and one Dirichlet
+    call per distinct kernel shape in increasing order."""
     n_states, cap = profile.n_states, profile.n_signals
-    sample = {"tol": profile.tol}
-    if axiom in (Axiom.MIXTURE_CONVEXITY, Axiom.MIXTURE_LINEARITY, Axiom.SUB_ADDITIVITY, Axiom.ADDITIVITY):
-        sample["experiments"] = [
-            _reference_draw(rng, n_states, cap).probs.tolist(),
-            _reference_draw(rng, n_states, cap).probs.tolist(),
-        ]
-        sample["weight"] = float(rng.uniform(0.1, 0.9))
-    elif axiom is Axiom.IDENTITY_ADDITIVITY:
-        sample["experiments"] = [_reference_draw(rng, n_states, cap).probs.tolist()]
-    elif axiom in (Axiom.DILUTION_LINEARITY, Axiom.MAXIMAL_DILUTION_CONCAVITY):
-        sample["experiments"] = [_reference_draw(rng, n_states, cap).probs.tolist()]
-        sample["weight"] = float(rng.uniform(0.1, 0.9))
-    elif axiom is Axiom.INDEPENDENCE:
-        sample["experiments"] = [_reference_draw(rng, n_states, cap).probs.tolist() for _ in range(3)]
-        sample["weight"] = float(rng.uniform(0.1, 0.9))
-    else:
-        mu = _reference_draw(rng, n_states, cap)
-        sample["experiments"] = [mu.probs.tolist()]
-        cols = int(rng.integers(2, cap + 1)) if cap > 2 else cap
-        sample["kernel"] = ic.random_kernel(mu.n_signals, cols, int(rng.integers(0, 2**31 - 1))).psi.tolist()
-    return sample
+    per = _EXPERIMENTS_PER_SAMPLE[axiom]
+    counts = _reference_counts(rng, cap, m * per)
+    matrices = [None] * len(counts)
+    for s in sorted(set(counts)):
+        which = [i for i, c in enumerate(counts) if c == s]
+        raw = rng.dirichlet(np.ones(s), size=(len(which), n_states))
+        for i, draw in zip(which, raw):
+            matrices[i] = ic.new_experiment(MIN_PROB + (1.0 - MIN_PROB * s) * draw).probs.tolist()
+    samples = [{"tol": profile.tol, "experiments": matrices[k * per : (k + 1) * per]} for k in range(m)]
+    if axiom not in _UNWEIGHTED:
+        for sample, a in zip(samples, rng.uniform(0.1, 0.9, size=m)):
+            sample["weight"] = float(a)
+    if axiom is Axiom.BLACKWELL_MONOTONICITY:
+        cols = _reference_counts(rng, cap, m)
+        for shape in sorted(set(zip(counts, cols))):
+            which = [k for k in range(m) if (counts[k], cols[k]) == shape]
+            rows, c = shape
+            for k, psi in zip(which, rng.dirichlet(np.ones(c), size=(len(which), rows))):
+                samples[k]["kernel"] = psi.tolist()
+    return samples
 
 
 def _reference_residual(spec, axiom, sample):
@@ -192,13 +209,16 @@ def _reference_residual(spec, axiom, sample):
     return cn - cm, scale
 
 
-def reference_check(spec, axiom, profile):
-    """check_axiom one sample at a time, pricing each experiment on its own."""
+def reference_check(spec, axiom, profile, block):
+    """check_axiom one sample at a time, pricing each experiment on its own;
+    samples are drawn ``block`` at a time."""
     axiom = Axiom(axiom)
     rng = np.random.default_rng(profile.seed)
+    samples = []
+    for start in range(0, profile.n_samples, block):
+        samples += _reference_block(axiom, rng, profile, min(block, profile.n_samples - start))
     worst, witness, evaluated = -math.inf, None, 0
-    for _ in range(profile.n_samples):
-        sample = _reference_sample(axiom, rng, profile)
+    for sample in samples:
         res, scale = _reference_residual(spec, axiom, sample)
         if math.isnan(res):
             continue
@@ -286,7 +306,7 @@ class TestCheckAxiom:
         profile = ic.AxiomProfile(n_states=n_states, n_signals=cap, n_samples=n_samples, seed=seed)
         with mock.patch.object(axioms, "BLOCK", block):
             got = ic.check_axiom(spec, axiom, profile=profile)
-        assert got == reference_check(spec, axiom, profile)
+        assert got == reference_check(spec, axiom, profile, block)
         if got.witness is not None:
             again = ic.reevaluate_witness(spec, axiom, got.witness)
             assert again == got.worst_violation
@@ -306,6 +326,94 @@ class TestCheckAxiom:
             assert len(shapes) == len(set(shapes)) <= 20, axiom
 
 
+class _CountingGenerator:
+    """A Generator that records each method call and its result."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def call(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self._calls.append((name, out))
+            return out
+
+        return call
+
+
+class TestBlockDraw:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        axiom=st.sampled_from(list(Axiom)),
+        n_states=st.integers(2, 3),
+        cap=st.integers(1, 49),
+        m=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_draws_are_floored_stochastic_and_in_range(self, axiom, n_states, cap, m, seed):
+        profile = ic.AxiomProfile(n_states=n_states, n_signals=cap, n_samples=m, seed=seed)
+        samples, stacks = axioms._draw_block(axiom, np.random.default_rng(seed), profile, m)
+        per = _EXPERIMENTS_PER_SAMPLE[axiom]
+        assert len(samples) == m
+        assert sorted(i for idx, _ in stacks for i in idx.tolist()) == list(range(m * per))
+        counts = {}
+        for idx, stack in stacks:
+            s = stack.shape[2]
+            assert stack.shape == (len(idx), n_states, s)
+            assert s == cap if cap <= 2 else 2 <= s <= cap
+            assert np.all(stack >= MIN_PROB)
+            assert np.all(np.abs(stack.sum(axis=-1) - 1.0) <= ROW_SUM_TOL)
+            counts.update((i, s) for i in idx.tolist())
+        for k, sample in enumerate(samples):
+            assert ("weight" in sample) == (axiom not in _UNWEIGHTED)
+            if "weight" in sample:
+                assert 0.1 <= sample["weight"] < 0.9
+            if axiom is Axiom.BLACKWELL_MONOTONICITY:
+                psi = np.asarray(sample["kernel"])
+                assert psi.shape[0] == counts[k]
+                assert psi.shape[1] == cap if cap <= 2 else 2 <= psi.shape[1] <= cap
+                assert np.all(psi >= 0) and np.all(np.abs(psi.sum(axis=1) - 1.0) <= 1e-9)
+
+    @pytest.mark.parametrize("axiom", list(Axiom))
+    def test_one_stream_and_few_generator_calls_per_block(self, axiom, monkeypatch):
+        """Per block: one integers call for the counts, one dirichlet call per
+        distinct count and one uniform call for the weights; Blackwell
+        monotonicity adds one integers call and one dirichlet call per
+        distinct kernel shape.  That is at most (distinct shapes + 3) calls."""
+        streams, calls = [], []
+        default_rng = np.random.default_rng
+
+        def counting_rng(seed):
+            streams.append(seed)
+            return _CountingGenerator(default_rng(seed), calls)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        monkeypatch.setattr(axioms, "BLOCK", 7)
+        profile = ic.AxiomProfile(n_states=2, n_signals=6, n_samples=20, seed=5)
+        ic.check_axiom(kl_spec(), axiom, profile=profile)
+        assert streams == [5]
+        per = _EXPERIMENTS_PER_SAMPLE[axiom]
+        blackwell = axiom is Axiom.BLACKWELL_MONOTONICITY
+        blocks = 0
+        while calls:
+            name, counts = calls.pop(0)
+            assert name == "integers" and counts.shape == (min(7, 20 - 7 * blocks) * per,)
+            shapes = len(set(counts.tolist()))
+            expected = ["dirichlet"] * shapes + ["uniform"] * (axiom not in _UNWEIGHTED)
+            if blackwell:
+                cols = calls[shapes][1]
+                kernels = len(set(zip(counts.tolist(), cols.tolist())))
+                expected += ["integers"] + ["dirichlet"] * kernels
+                shapes += kernels
+            assert [name for name, _ in calls[: len(expected)]] == expected
+            assert len(expected) + 1 <= shapes + 3
+            del calls[: len(expected)]
+            blocks += 1
+        assert blocks == 3
+
+
 class TestAxiomProfile:
     @pytest.mark.parametrize(
         "field, value",
@@ -317,6 +425,8 @@ class TestAxiomProfile:
             ("n_signals", 0),
             ("n_signals", 50),
             ("n_signals", 60),
+            ("seed", -1),
+            ("seed", 1.5),
             ("tol", -1e-9),
             ("tol", math.nan),
             ("tol", math.inf),

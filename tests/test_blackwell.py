@@ -134,6 +134,11 @@ class TestGarble:
         with pytest.raises(ShapeMismatch):
             ic.garble(SYM75, ic.identity_kernel(3))
 
+    @pytest.mark.parametrize("rows, cols", [(2, 2.5), (2.0, 3), (True, 2), (2, 0)])
+    def test_random_kernel_rejects_non_integer_shapes(self, rows, cols):
+        with pytest.raises(ShapeMismatch):
+            ic.random_kernel(rows, cols, 1)
+
     def test_kernel_validation(self):
         with pytest.raises(RowNotStochastic):
             ic.GarblingKernel(np.array([[0.5, 0.4], [0.5, 0.5]]))

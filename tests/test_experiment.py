@@ -24,7 +24,7 @@ from infocost.errors import (
     WeightOutOfRange,
 )
 
-from infocost.experiment import normalized_rows, random_probs
+from infocost.experiment import normalized_rows
 
 SYM75 = [[0.75, 0.25], [0.25, 0.75]]
 
@@ -231,7 +231,9 @@ class TestRandomExperiment:
             ic.new_experiment(mu.probs)  # must not raise
 
     def test_stacked_rows_validate_and_renormalize_like_new_experiment(self):
-        raw = [random_probs(3, 5, seed, 0.02) for seed in range(7)]
+        # the floored draws random_experiment validates and wraps
+        draws = [np.random.default_rng(seed).dirichlet(np.ones(5), size=3) for seed in range(7)]
+        raw = [0.02 + (1.0 - 0.02 * 5) * d for d in draws]
         stack = normalized_rows(np.stack(raw))
         for one, probs in zip(raw, stack):
             assert np.array_equal(ic.new_experiment(one).probs, probs)
@@ -244,7 +246,26 @@ class TestRandomExperiment:
         with pytest.raises(NegativeEntry):
             normalized_rows(bad)
         with pytest.raises(InfeasibleFloor):
-            random_probs(2, 50, 0, 0.02)
+            ic.random_experiment(2, 50, 0, 0.02)
+
+    def test_nan_floor_is_infeasible(self):
+        with pytest.raises(InfeasibleFloor):
+            ic.random_experiment(2, 3, seed=1, min_prob=float("nan"))
+
+    @pytest.mark.parametrize(
+        "n_states, n_signals, error",
+        [
+            (2, 2.0, RowNotStochastic),
+            (2, True, RowNotStochastic),
+            (2, 0, RowNotStochastic),
+            (2.0, 3, TooFewStates),
+            (True, 3, TooFewStates),
+            (1, 3, TooFewStates),
+        ],
+    )
+    def test_rejects_non_integer_counts(self, n_states, n_signals, error):
+        with pytest.raises(error):
+            ic.random_experiment(n_states, n_signals, 1)
 
     @given(st.integers(0, 10_000), st.floats(0.15, 0.8))
     @settings(max_examples=60, deadline=None)
