@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import DivergenceParam, _divergences
-from .errors import KTooSmall, NotBinaryState, StateMismatch, UnboundedExperiment
+from .errors import KTooSmall, NotBinary, StateMismatch, UnboundedExperiment
 from .experiment import (
     FiniteExperiment,
     PosteriorDistribution,
@@ -37,7 +37,7 @@ class SandwichPair:
 
 def _beliefs(pd: PosteriorDistribution) -> np.ndarray:
     if pd.n_states != 2:
-        raise NotBinaryState(f"need 2 states, got {pd.n_states}")
+        raise NotBinary(f"need 2 states, got {pd.n_states}")
     return pd.posteriors[:, 1]
 
 

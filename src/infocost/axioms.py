@@ -31,7 +31,7 @@ import numpy as np
 
 from .blackwell import GarblingKernel, garble
 from .cost import CostSpec, _has_sup_atom, eval_costs, spec_n_states
-from .errors import AxiomNotApplicable, BadAxiomProfile
+from .errors import BadAxiomProfile
 from .experiment import (
     FiniteExperiment,
     _freeze,
@@ -63,20 +63,20 @@ class Axiom(str, Enum):
 
 @dataclass(frozen=True)
 class AxiomProfile:
-    """Sampling profile: dimensions, sample count, seed, and tolerance.
+    """Sampling profile: signal cap, sample count, seed, and tolerance.
 
     ``n_signals`` caps the signals of each sampled experiment; it must stay
-    below ``1 / MIN_PROB`` so the entry floor is feasible.
+    below ``1 / MIN_PROB`` so the entry floor is feasible.  The state count
+    is not a setting: a check samples experiments on its cost's own states.
     """
 
-    n_states: int = 2
     n_signals: int = 3
     n_samples: int = 200
     seed: int = 0
     tol: float = 1e-9
 
     def __post_init__(self):
-        for name, low in (("n_states", 2), ("n_signals", 1), ("n_samples", 1), ("seed", 0)):
+        for name, low in (("n_signals", 1), ("n_samples", 1), ("seed", 0)):
             v = getattr(self, name)
             if not _is_count(v, low):
                 raise BadAxiomProfile(f"{name} must be an integer >= {low}, got {v!r}")
@@ -132,9 +132,9 @@ def _signal_counts(rng: np.random.Generator, cap: int, size) -> np.ndarray:
 
 
 def _draw_block(
-    axiom: Axiom, rng: np.random.Generator, profile: AxiomProfile, m: int
+    axiom: Axiom, rng: np.random.Generator, profile: AxiomProfile, n_states: int, m: int
 ) -> tuple[list[dict], list]:
-    """Draw m samples from ``rng``, in this order:
+    """Draw m samples on ``n_states`` states from ``rng``, in this order:
 
     1. the signal count of every experiment of the block, sample by sample,
        in one ``integers`` call (none when ``n_signals`` <= 2);
@@ -157,7 +157,7 @@ def _draw_block(
     stacks = []
     for s in sorted(set(counts.tolist())):  # np.unique would import numpy.ma, about 1 MB
         idx = np.flatnonzero(counts == s)
-        raw = rng.dirichlet(np.ones(s), size=(idx.size, profile.n_states))
+        raw = rng.dirichlet(np.ones(s), size=(idx.size, n_states))
         stacks.append((idx, MIN_PROB + (1.0 - MIN_PROB * s) * raw))
     samples: list[dict] = [{"tol": profile.tol} for _ in range(m)]
     if weighted:
@@ -271,19 +271,12 @@ def _price(spec: CostSpec, exps: list[FiniteExperiment]) -> list[float]:
     return _stacked(lambda stack: eval_costs(spec, stack).tolist(), [e.probs for e in exps])
 
 
-def check_axiom(
-    spec: CostSpec,
-    axiom: Axiom | str,
-    n_samples: Optional[int] = None,
-    seed: Optional[int] = None,
-    tol: Optional[float] = None,
-    profile: Optional[AxiomProfile] = None,
-) -> AxiomReport:
+def check_axiom(spec: CostSpec, axiom: Axiom | str, profile: Optional[AxiomProfile] = None) -> AxiomReport:
     """Sample instances of one axiom's defining relation and report the worst case.
 
-    The sampling settings come from ``profile`` or, without one, from
-    ``n_samples``, ``seed`` and ``tol`` (``AxiomProfile``'s defaults where
-    left out); passing both is an error.
+    The sampling settings come from ``profile`` (``AxiomProfile()`` when left
+    out); the experiments are drawn on the cost's own ``spec_n_states(spec)``
+    states.
 
     The report passes iff no sampled residual exceeds the tolerance relative
     to max(1, |cost|).  ``evaluated`` counts the samples that gave a residual
@@ -302,16 +295,8 @@ def check_axiom(
     prefix of a longer run's.
     """
     axiom = Axiom(axiom)
+    profile = profile or AxiomProfile()
     n_states = spec_n_states(spec)
-    loose = {k: v for k, v in (("n_samples", n_samples), ("seed", seed), ("tol", tol)) if v is not None}
-    if profile is None:
-        profile = AxiomProfile(n_states=n_states, **loose)
-    elif loose:
-        raise BadAxiomProfile(f"{', '.join(loose)} cannot be passed with a profile; set them in the profile")
-    if profile.n_states != n_states:
-        raise AxiomNotApplicable(
-            f"spec is {n_states}-state but the profile asks for {profile.n_states}"
-        )
     rng = np.random.default_rng(profile.seed)
     count = _INPUTS[axiom][0]
     phi = uninformative(n_states)
@@ -319,7 +304,7 @@ def check_axiom(
     witness = None
     evaluated = 0
     for start in range(0, profile.n_samples, BLOCK):
-        samples, stacks = _draw_block(axiom, rng, profile, min(BLOCK, profile.n_samples - start))
+        samples, stacks = _draw_block(axiom, rng, profile, n_states, min(BLOCK, profile.n_samples - start))
         derived = [_derived(axiom, s, exps, phi) for s, exps in zip(samples, _build(samples, stacks, count))]
         costs = iter(_price(spec, [e for d in derived for e in d]))
         for sample, d in zip(samples, derived):
@@ -369,9 +354,9 @@ SUITE_AXIOMS = (
 
 
 def run_suite(spec: CostSpec, profile: Optional[AxiomProfile] = None) -> list[AxiomReport]:
-    """Run the axiom battery appropriate to a cost family, deterministically."""
-    if profile is None:
-        profile = AxiomProfile(n_states=spec_n_states(spec))
+    """Run the axiom battery appropriate to a cost family, deterministically,
+    with the settings of ``profile`` (``AxiomProfile()`` when left out)."""
+    profile = profile or AxiomProfile()
     axioms = list(SUITE_AXIOMS)
     if _has_sup_atom(spec):
         axioms.append(Axiom.MAXIMAL_DILUTION_CONCAVITY)

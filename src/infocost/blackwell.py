@@ -77,6 +77,8 @@ def random_kernel(rows: int, cols: int, seed: int) -> GarblingKernel:
     for name, v in (("rows", rows), ("cols", cols)):
         if not _is_count(v, 1):
             raise ShapeMismatch(f"kernel {name} must be an integer >= 1, got {v!r}")
+    if not _is_count(seed, 0):
+        raise InfoCostError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     return GarblingKernel(rng.dirichlet(np.ones(cols), size=rows))
 

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import approx, axioms, blackwell, cost, divergence, ri_solver
-from .errors import BadAxiomProfile, BadSolveOptions, InfoCostError
+from .errors import BadAxiomProfile, InfoCostError
 from .experiment import FiniteExperiment
 
 EXIT_OK = 0
@@ -170,7 +170,6 @@ def _cmd_axioms(args) -> int:
     spec = _load_cost(args.cost)
     try:
         profile = axioms.AxiomProfile(
-            n_states=cost.spec_n_states(spec),
             n_signals=args.signals,
             n_samples=args.samples,
             seed=args.seed,
@@ -183,20 +182,12 @@ def _cmd_axioms(args) -> int:
     return EXIT_OK
 
 
-def _solve_options(**flags) -> ri_solver.SolveOptions:
-    """Solver options from flags; a value out of range is an input error."""
-    try:
-        return ri_solver.SolveOptions(**flags)
-    except BadSolveOptions as exc:
-        raise InputProblem(str(exc)) from exc
-
-
 def _cmd_solve(args) -> int:
     problem = _load_object(
         _read_file(args.problem), args.problem, "problem file", lambda p: ri_solver.RIProblem(p["prior"], p["utilities"])
     )
     spec = _load_cost(args.cost)
-    options = _solve_options(starts=args.starts, max_iter=args.max_iter, seed=args.seed)
+    options = ri_solver.SolveOptions(starts=args.starts, max_iter=args.max_iter, seed=args.seed)
     policy = ri_solver.solve(problem, spec, options)
     _emit_json(
         {
@@ -351,11 +342,11 @@ def _solve_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_at_least(0), required=True)
     p.add_argument(
         "--starts",
-        type=int,
+        type=_at_least(1),
         default=16,
         help="ascents for costs with sup atoms; every other built-in cost runs one ascent",
     )
-    p.add_argument("--max-iter", type=int, default=2000)
+    p.add_argument("--max-iter", type=_at_least(1), default=2000)
     p.set_defaults(fn=_cmd_solve)
 
 

@@ -39,7 +39,7 @@ from .divergence import (
     _to_payload,
     extended_divergence,
 )
-from .errors import BadCostSpec, DimensionMismatch, NoSecondDerivative, NotADistribution, TransformDomain
+from .errors import BadCostSpec, DimensionMismatch, NoSecondDerivative, NotADistribution
 from .experiment import FiniteExperiment, _check_prior, _freeze
 
 
@@ -248,18 +248,11 @@ def _transforms(transform: TransformSpec, x: np.ndarray) -> np.ndarray:
         return x
     if isinstance(transform, RenyiLogTransform):
         with np.errstate(divide="ignore", invalid="ignore"):
-            scaled = transform.lam / (transform.alpha_max - 1.0) * np.log(1.0 - x)
+            scaled = transform.lam / (transform.alpha_max - 1.0) * np.log(1.0 - x) + 0.0  # not -0.0 at x = 0
         return np.where(x >= 1.0 - 1e-12, math.inf, scaled)
     if isinstance(transform, CustomTransform):
         return np.array([float(transform.fn(v)) for v in x.tolist()])
     raise BadCostSpec(f"unknown transform {transform!r}")
-
-
-def apply_transform(transform: TransformSpec, x: float) -> float:
-    """The transform at one argument; the Rényi log raises above its domain."""
-    if isinstance(transform, RenyiLogTransform) and x > 1.0 + 1e-12:
-        raise TransformDomain(f"argument {x!r} above the transform domain")
-    return float(_transforms(transform, np.array([x], dtype=float))[0])
 
 
 # ---------------------------------------------------------------------------

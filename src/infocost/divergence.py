@@ -314,7 +314,8 @@ def _divergences(params, probs: np.ndarray) -> np.ndarray:
             if groups[g]:
                 rows = slice(start, start + len(groups[g]))
                 log_sums = _log_sums(pk if len(pk) == 1 else pk[rows], ratios[rows], g == 1)
-                parts.append(log_sums / np.array(denominators[g]))
+                # + 0.0 turns the -0.0 of log 1 over a negative denominator into 0.0
+                parts.append(log_sums / np.array(denominators[g]) + 0.0)
                 start = rows.stop
         if sup:
             parts.append(np.fmax(np.fmax.reduce(ratios[start:], axis=-1), 0.0))
@@ -454,7 +455,7 @@ def diluted_power_divergence(mu: FiniteExperiment, k: int, gamma: float, psi) ->
         x = k * _log_sums(*_log_ratios([alpha], mu.probs[None]), max(alpha.tolist()) > 1.0)[0, 0]
         # log(1 + (e**x - 1) / k); above x = 1, factor e**x out so it cannot overflow
         inner = np.log1p(np.expm1(x) / k) if x < 1.0 else x + np.log(np.exp(-x) - np.expm1(-x) / k)
-        return float(inner / (gamma - 1.0))
+        return float(inner / (gamma - 1.0) + 0.0)  # + 0.0: not -0.0 below gamma = 1
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +487,8 @@ def _chernoff_objective(mu: FiniteExperiment, t: float) -> float:
     """-log sum_s mu_0(s)^t mu_1(s)^(1-t), with the kernel's zero conventions."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         alpha = np.array([t, 1.0 - t])
-        return float(-_log_sums(*_log_ratios([alpha], mu.probs[None]), False)[0, 0])
+        # 0.0 - x rather than -x, which is -0.0 at x = 0
+        return float(0.0 - _log_sums(*_log_ratios([alpha], mu.probs[None]), False)[0, 0])
 
 
 def chernoff_information(mu: FiniteExperiment) -> float:

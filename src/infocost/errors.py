@@ -85,10 +85,6 @@ class DimensionMismatch(InfoCostError):
     """A cost specification and an experiment disagree on dimensions."""
 
 
-class TransformDomain(InfoCostError):
-    """Argument fell outside the domain of a cost transform."""
-
-
 class NoSecondDerivative(InfoCostError):
     """The potential does not expose a second derivative in the binary belief."""
 
@@ -105,20 +101,13 @@ class ShapeMismatch(InfoCostError):
 
 # --- axioms ---------------------------------------------------------------------
 
-class AxiomNotApplicable(InfoCostError):
-    """The requested axiom cannot be checked against this specification."""
-
-
 class BadAxiomProfile(InfoCostError):
-    """A sampling profile is out of range: n_states must be an integer >= 2,
-    n_samples >= 1, n_signals in [1, 1/MIN_PROB), and tol finite and >= 0."""
+    """A sampling profile is out of range: n_samples must be an integer >= 1,
+    n_signals an integer in [1, 1/MIN_PROB), seed an integer >= 0, and tol
+    finite and >= 0."""
 
 
 # --- approximation ---------------------------------------------------------------
-
-class NotBinaryState(InfoCostError):
-    """The sandwich construction is implemented for binary-state beliefs only."""
-
 
 class KTooSmall(InfoCostError):
     """Grid resolution must be at least 2."""

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     EqualStates,
     InfeasibleFloor,
+    InfoCostError,
     InvalidState,
     NegativeEntry,
     PriorNotFullSupport,
@@ -256,5 +257,7 @@ def random_experiment(
         raise InfeasibleFloor(
             f"min_prob={min_prob} infeasible for {n_signals} signals"
         )
+    if not _is_count(seed, 0):
+        raise InfoCostError(f"seed must be an integer >= 0, got {seed!r}")
     raw = np.random.default_rng(seed).dirichlet(np.ones(n_signals), size=n_states)
     return new_experiment(min_prob + (1.0 - min_prob * n_signals) * raw)

@@ -661,22 +661,16 @@ class Claim1Row:
     w_hi: float
 
 
-def _support_size_from_alpha(a: float, eps: float) -> int:
+def _support_size_from_alpha(a: float) -> int:
     size = 0
-    if a / 2.0 > eps:
+    if a / 2.0 > SUPPORT_EPS:
         size += 2
-    if 1.0 - a > eps:
+    if 1.0 - a > SUPPORT_EPS:
         size += 1
     return size
 
 
-def claim1_region(
-    lam: float,
-    t: float,
-    v_grid: Sequence[float],
-    w_steps: int,
-    support_eps: float = SUPPORT_EPS,
-) -> list[Claim1Row]:
+def claim1_region(lam: float, t: float, v_grid: Sequence[float], w_steps: int) -> list[Claim1Row]:
     """Scan payoffs for the band where the optimal symmetric policy uses all
     three actions.
 
@@ -703,7 +697,7 @@ def claim1_region(
                 Claim1Row(
                     v,
                     float(w),
-                    _support_size_from_alpha(a_star, support_eps),
+                    _support_size_from_alpha(a_star),
                     a_star,
                     pi_star,
                     value,

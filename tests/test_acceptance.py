@@ -104,7 +104,7 @@ def test_criterion_3_blackwell_coherence():
 
 
 def _axiom(spec, axiom, seed):
-    return ic.check_axiom(spec, axiom, n_samples=200, seed=seed, tol=1e-9)
+    return ic.check_axiom(spec, axiom, profile=ic.AxiomProfile(n_samples=200, seed=seed, tol=1e-9))
 
 
 def test_criterion_4_axiom_matrix():
@@ -201,7 +201,7 @@ def test_criterion_7_claim1_reproduction():
     root = ic.foc_root(ic.SymmetricInstance(8.0, 4.0, 1.0, 0.5))
     root_ok = abs(root - 0.890388) <= 1e-6
 
-    rows = ic.claim1_region(1.0, 0.5, [6.0, 8.0, 10.0], 12, support_eps=0.01)
+    rows = ic.claim1_region(1.0, 0.5, [6.0, 8.0, 10.0], 12)
     margin = 0.02
     band_rows = [r for r in rows if r.w_lo + margin < r.w < r.w_hi - margin]
     band_ok = bool(band_rows) and all(

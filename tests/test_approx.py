@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import infocost as ic
 from infocost import approx
-from infocost.errors import KTooSmall, NotBinaryState, StateMismatch, UnboundedExperiment
+from infocost.errors import KTooSmall, NotBinary, StateMismatch, UnboundedExperiment
 
 SYM75 = ic.new_experiment([[0.75, 0.25], [0.25, 0.75]])
 
@@ -134,7 +134,7 @@ class TestCoarsen:
         with pytest.raises(KTooSmall):
             ic.coarsen(pd, 1)
         three = ic.posteriors(ic.uninformative(3, 2), [0.3, 0.3, 0.4])
-        with pytest.raises(NotBinaryState):
+        with pytest.raises(NotBinary):
             ic.coarsen(three, 4)
 
 

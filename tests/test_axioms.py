@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import infocost as ic
 from infocost import axioms
 from infocost.axioms import MIN_PROB, SUITE_AXIOMS, Axiom
-from infocost.errors import AxiomNotApplicable, BadAxiomProfile
+from infocost.errors import BadAxiomProfile
 from infocost.experiment import ROW_SUM_TOL
 
 
@@ -116,12 +116,12 @@ def _reference_counts(rng, cap, size):
     return [int(c) for c in rng.integers(2, cap + 1, size=size)]
 
 
-def _reference_block(axiom, rng, profile, m):
-    """m samples from the block stream: every signal count, one Dirichlet
-    call per distinct count in increasing order, the weights, then (for
-    Blackwell monotonicity) the kernels' target counts and one Dirichlet
-    call per distinct kernel shape in increasing order."""
-    n_states, cap = profile.n_states, profile.n_signals
+def _reference_block(axiom, rng, profile, n_states, m):
+    """m samples on n_states states from the block stream: every signal count,
+    one Dirichlet call per distinct count in increasing order, the weights,
+    then (for Blackwell monotonicity) the kernels' target counts and one
+    Dirichlet call per distinct kernel shape in increasing order."""
+    cap = profile.n_signals
     per = _EXPERIMENTS_PER_SAMPLE[axiom]
     counts = _reference_counts(rng, cap, m * per)
     matrices = [None] * len(counts)
@@ -216,7 +216,7 @@ def reference_check(spec, axiom, profile, block):
     rng = np.random.default_rng(profile.seed)
     samples = []
     for start in range(0, profile.n_samples, block):
-        samples += _reference_block(axiom, rng, profile, min(block, profile.n_samples - start))
+        samples += _reference_block(axiom, rng, profile, ic.spec_n_states(spec), min(block, profile.n_samples - start))
     worst, witness, evaluated = -math.inf, None, 0
     for sample in samples:
         res, scale = _reference_residual(spec, axiom, sample)
@@ -234,19 +234,19 @@ def reference_check(spec, axiom, profile, block):
 
 class TestCheckAxiom:
     def test_kl_mixture_linear(self):
-        rep = ic.check_axiom(kl_spec(), Axiom.MIXTURE_LINEARITY, n_samples=200, seed=1)
+        rep = ic.check_axiom(kl_spec(), Axiom.MIXTURE_LINEARITY, profile=ic.AxiomProfile(n_samples=200, seed=1))
         assert rep.passed and rep.worst_violation <= 0
 
     def test_kl_additive(self):
-        rep = ic.check_axiom(kl_spec(), Axiom.ADDITIVITY, n_samples=200, seed=2)
+        rep = ic.check_axiom(kl_spec(), Axiom.ADDITIVITY, profile=ic.AxiomProfile(n_samples=200, seed=2))
         assert rep.passed
 
     def test_renyi_passes_independence(self):
-        rep = ic.check_axiom(renyi_spec(), Axiom.INDEPENDENCE, n_samples=200, seed=3)
+        rep = ic.check_axiom(renyi_spec(), Axiom.INDEPENDENCE, profile=ic.AxiomProfile(n_samples=200, seed=3))
         assert rep.passed
 
     def test_renyi_fails_mixture_linearity_with_witness(self):
-        rep = ic.check_axiom(renyi_spec(), Axiom.MIXTURE_LINEARITY, n_samples=200, seed=4)
+        rep = ic.check_axiom(renyi_spec(), Axiom.MIXTURE_LINEARITY, profile=ic.AxiomProfile(n_samples=200, seed=4))
         assert not rep.passed and rep.worst_violation > 1e-6
         again = ic.reevaluate_witness(renyi_spec(), Axiom.MIXTURE_LINEARITY, rep.witness)
         assert again == rep.worst_violation
@@ -254,40 +254,35 @@ class TestCheckAxiom:
     @pytest.mark.parametrize("axiom", ["mixture_linearity", "independence", "dilution_linearity"])
     def test_witness_replays_at_its_own_tolerance(self, axiom):
         spec = ic.RenyiCost(1.0, ic.InteriorParam(np.array([0.3, 0.7])))
-        rep = ic.check_axiom(spec, axiom, n_samples=60, seed=3, tol=1e-3)
+        rep = ic.check_axiom(spec, axiom, profile=ic.AxiomProfile(n_samples=60, seed=3, tol=1e-3))
         assert rep.witness["tol"] == 1e-3
         assert ic.reevaluate_witness(spec, axiom, rep.witness) == rep.worst_violation
 
     def test_renyi_still_mixture_convex(self):
-        rep = ic.check_axiom(renyi_spec(), Axiom.MIXTURE_CONVEXITY, n_samples=200, seed=5)
+        rep = ic.check_axiom(renyi_spec(), Axiom.MIXTURE_CONVEXITY, profile=ic.AxiomProfile(n_samples=200, seed=5))
         assert rep.passed
 
     def test_determinism(self):
-        a = ic.check_axiom(maxkl_spec(), Axiom.ADDITIVITY, n_samples=100, seed=11)
-        b = ic.check_axiom(maxkl_spec(), Axiom.ADDITIVITY, n_samples=100, seed=11)
+        a = ic.check_axiom(maxkl_spec(), Axiom.ADDITIVITY, profile=ic.AxiomProfile(n_samples=100, seed=11))
+        b = ic.check_axiom(maxkl_spec(), Axiom.ADDITIVITY, profile=ic.AxiomProfile(n_samples=100, seed=11))
         assert a == b
 
     def test_reports_evaluated_samples(self):
-        rep = ic.check_axiom(renyi_spec(), Axiom.INDEPENDENCE, n_samples=50, seed=3)
+        rep = ic.check_axiom(renyi_spec(), Axiom.INDEPENDENCE, profile=ic.AxiomProfile(n_samples=50, seed=3))
         assert rep.samples == 50 and 0 < rep.evaluated <= 50
         # a zero cost ties every pair, so the ordinal check skips all samples
         free = ic.RenyiCost(0.0, ic.InteriorParam(np.array([0.5, 0.5])))
-        rep = ic.check_axiom(free, Axiom.INDEPENDENCE, n_samples=50, seed=3)
+        rep = ic.check_axiom(free, Axiom.INDEPENDENCE, profile=ic.AxiomProfile(n_samples=50, seed=3))
         assert rep.samples == 50 and rep.evaluated == 0 and rep.witness is None
 
     def test_no_evidence_does_not_pass(self):
         # a zero cost ties every pair, so the ordinal check skips all samples
         free = ic.RenyiCost(0.0, ic.InteriorParam(np.array([0.5, 0.5])))
-        rep = ic.check_axiom(free, Axiom.INDEPENDENCE, n_samples=20, seed=1)
+        rep = ic.check_axiom(free, Axiom.INDEPENDENCE, profile=ic.AxiomProfile(n_samples=20, seed=1))
         assert rep.evaluated == 0 and rep.witness is None
         assert not rep.passed and rep.worst_violation == math.inf
         assert rep.passed == (rep.worst_violation <= 0.0)
         assert json.loads(rep.to_json())["passed"] is False
-
-    def test_dimension_guard(self):
-        profile = ic.AxiomProfile(n_states=3)
-        with pytest.raises(AxiomNotApplicable):
-            ic.check_axiom(kl_spec(), Axiom.ADDITIVITY, profile=profile)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -303,7 +298,7 @@ class TestCheckAxiom:
         self, family, axiom, n_states, cap, n_samples, seed, block
     ):
         spec = family_spec(family, n_states, seed)
-        profile = ic.AxiomProfile(n_states=n_states, n_signals=cap, n_samples=n_samples, seed=seed)
+        profile = ic.AxiomProfile(n_signals=cap, n_samples=n_samples, seed=seed)
         with mock.patch.object(axioms, "BLOCK", block):
             got = ic.check_axiom(spec, axiom, profile=profile)
         assert got == reference_check(spec, axiom, profile, block)
@@ -319,7 +314,7 @@ class TestCheckAxiom:
             return ic.eval_costs(spec, probs)
 
         monkeypatch.setattr(axioms, "eval_costs", counting)
-        profile = ic.AxiomProfile(n_states=2, n_signals=4, n_samples=30, seed=3)
+        profile = ic.AxiomProfile(n_signals=4, n_samples=30, seed=3)
         for axiom in Axiom:
             shapes.clear()
             ic.check_axiom(maxrenyi_spec(), axiom, profile=profile)
@@ -353,8 +348,8 @@ class TestBlockDraw:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_property_draws_are_floored_stochastic_and_in_range(self, axiom, n_states, cap, m, seed):
-        profile = ic.AxiomProfile(n_states=n_states, n_signals=cap, n_samples=m, seed=seed)
-        samples, stacks = axioms._draw_block(axiom, np.random.default_rng(seed), profile, m)
+        profile = ic.AxiomProfile(n_signals=cap, n_samples=m, seed=seed)
+        samples, stacks = axioms._draw_block(axiom, np.random.default_rng(seed), profile, n_states, m)
         per = _EXPERIMENTS_PER_SAMPLE[axiom]
         assert len(samples) == m
         assert sorted(i for idx, _ in stacks for i in idx.tolist()) == list(range(m * per))
@@ -391,7 +386,7 @@ class TestBlockDraw:
 
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
         monkeypatch.setattr(axioms, "BLOCK", 7)
-        profile = ic.AxiomProfile(n_states=2, n_signals=6, n_samples=20, seed=5)
+        profile = ic.AxiomProfile(n_signals=6, n_samples=20, seed=5)
         ic.check_axiom(kl_spec(), axiom, profile=profile)
         assert streams == [5]
         per = _EXPERIMENTS_PER_SAMPLE[axiom]
@@ -418,8 +413,6 @@ class TestAxiomProfile:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("n_states", 1),
-            ("n_states", 2.0),
             ("n_samples", 0),
             ("n_samples", True),
             ("n_signals", 0),
@@ -443,29 +436,30 @@ class TestAxiomProfile:
             assert ic.check_axiom(kl_spec(), Axiom.ADDITIVITY, profile=profile).evaluated == 3
 
     def test_check_axiom_arguments_are_validated(self):
-        with pytest.raises(BadAxiomProfile, match="n_samples"):
-            ic.check_axiom(kl_spec(), Axiom.ADDITIVITY, n_samples=0)
+        with pytest.raises(ValueError, match="not_an_axiom"):
+            ic.check_axiom(kl_spec(), "not_an_axiom")
         with pytest.raises(BadAxiomProfile, match="tol"):
-            ic.check_axiom(kl_spec(), Axiom.ADDITIVITY, tol=-1.0)
+            ic.check_axiom(kl_spec(), Axiom.ADDITIVITY, profile=ic.AxiomProfile(tol=-1.0))
 
     @pytest.mark.parametrize("loose", [{"n_samples": 5}, {"seed": 3}, {"tol": 0.5}, {"n_samples": 5, "seed": 3}])
     def test_loose_settings_beside_a_profile_are_rejected(self, loose):
-        with pytest.raises(BadAxiomProfile, match="with a profile"):
+        # every setting travels in the profile; check_axiom has no second route
+        with pytest.raises(TypeError):
             ic.check_axiom(kl_spec(), Axiom.ADDITIVITY, profile=ic.AxiomProfile(n_samples=50), **loose)
 
 
 class TestFamilyFingerprints:
     def test_maxkl_dilution_linear_but_not_additive(self):
         spec = maxkl_spec()
-        assert ic.check_axiom(spec, Axiom.DILUTION_LINEARITY, 200, seed=6).passed
-        assert ic.check_axiom(spec, Axiom.SUB_ADDITIVITY, 200, seed=7).passed
-        rep = ic.check_axiom(spec, Axiom.ADDITIVITY, 200, seed=8)
+        assert ic.check_axiom(spec, Axiom.DILUTION_LINEARITY, profile=ic.AxiomProfile(n_samples=200, seed=6)).passed
+        assert ic.check_axiom(spec, Axiom.SUB_ADDITIVITY, profile=ic.AxiomProfile(n_samples=200, seed=7)).passed
+        rep = ic.check_axiom(spec, Axiom.ADDITIVITY, profile=ic.AxiomProfile(n_samples=200, seed=8))
         assert not rep.passed and rep.worst_violation > 1e-6
         again = ic.reevaluate_witness(spec, Axiom.ADDITIVITY, rep.witness)
         assert again == rep.worst_violation
 
     def test_renyi_fails_dilution_linearity(self):
-        rep = ic.check_axiom(renyi_spec(), Axiom.DILUTION_LINEARITY, 200, seed=9)
+        rep = ic.check_axiom(renyi_spec(), Axiom.DILUTION_LINEARITY, profile=ic.AxiomProfile(n_samples=200, seed=9))
         assert not rep.passed
 
     def test_maxrenyi_convexity_trio(self):
@@ -476,54 +470,54 @@ class TestFamilyFingerprints:
             (Axiom.IDENTITY_ADDITIVITY, 12),
             (Axiom.BLACKWELL_MONOTONICITY, 13),
         ):
-            assert ic.check_axiom(spec, axiom, 200, seed=seed).passed, axiom
+            assert ic.check_axiom(spec, axiom, profile=ic.AxiomProfile(n_samples=200, seed=seed)).passed, axiom
 
     def test_single_measure_additive_two_measure_not(self):
         single = ic.MaxRenyiCost((maxrenyi_spec().measures[0],))
-        assert ic.check_axiom(single, Axiom.ADDITIVITY, 200, seed=14).passed
+        assert ic.check_axiom(single, Axiom.ADDITIVITY, profile=ic.AxiomProfile(n_samples=200, seed=14)).passed
         two = maxrenyi_spec()
-        rep_add = ic.check_axiom(two, Axiom.ADDITIVITY, 200, seed=15)
-        rep_sub = ic.check_axiom(two, Axiom.SUB_ADDITIVITY, 200, seed=15)
+        rep_add = ic.check_axiom(two, Axiom.ADDITIVITY, profile=ic.AxiomProfile(n_samples=200, seed=15))
+        rep_sub = ic.check_axiom(two, Axiom.SUB_ADDITIVITY, profile=ic.AxiomProfile(n_samples=200, seed=15))
         assert not rep_add.passed and rep_add.worst_violation > 1e-6
         assert rep_sub.passed
 
     def test_tsallis_ps_fails_sub_additivity(self):
         spec = ic.PosteriorSeparableCost(np.array([0.1, 0.9]), ic.Tsallis(2.0))
-        rep = ic.check_axiom(spec, Axiom.SUB_ADDITIVITY, 200, seed=16)
+        rep = ic.check_axiom(spec, Axiom.SUB_ADDITIVITY, profile=ic.AxiomProfile(n_samples=200, seed=16))
         assert not rep.passed and rep.worst_violation > 1e-6
         again = ic.reevaluate_witness(spec, Axiom.SUB_ADDITIVITY, rep.witness)
         assert again == rep.worst_violation
 
     def test_shannon_ps_passes_sub_additivity(self):
         spec = ic.PosteriorSeparableCost(np.array([0.1, 0.9]), ic.ShannonEntropy())
-        assert ic.check_axiom(spec, Axiom.SUB_ADDITIVITY, 200, seed=17).passed
-        assert ic.check_axiom(spec, Axiom.MIXTURE_LINEARITY, 200, seed=18).passed
+        assert ic.check_axiom(spec, Axiom.SUB_ADDITIVITY, profile=ic.AxiomProfile(n_samples=200, seed=17)).passed
+        assert ic.check_axiom(spec, Axiom.MIXTURE_LINEARITY, profile=ic.AxiomProfile(n_samples=200, seed=18)).passed
 
     def test_privacy_cost_maximally_dilution_concave(self):
         spec = privacy_spec()
-        rep = ic.check_axiom(spec, Axiom.MAXIMAL_DILUTION_CONCAVITY, 200, seed=19)
+        rep = ic.check_axiom(spec, Axiom.MAXIMAL_DILUTION_CONCAVITY, profile=ic.AxiomProfile(n_samples=200, seed=19))
         assert rep.passed and rep.worst_violation <= 0
 
 
 class TestRunSuite:
     def test_suite_is_deterministic(self):
-        profile = ic.AxiomProfile(n_states=2, n_samples=60, seed=21)
+        profile = ic.AxiomProfile(n_samples=60, seed=21)
         a = ic.run_suite(maxkl_spec(), profile)
         b = ic.run_suite(maxkl_spec(), profile)
         assert a == b
 
     def test_suite_covers_core_axioms(self):
-        profile = ic.AxiomProfile(n_states=2, n_samples=40, seed=22)
+        profile = ic.AxiomProfile(n_samples=40, seed=22)
         reports = ic.run_suite(kl_spec(), profile)
         assert {r.axiom for r in reports} == {a.value for a in SUITE_AXIOMS}
 
     def test_suite_appends_dilution_concavity_for_sup_costs(self):
-        profile = ic.AxiomProfile(n_states=2, n_samples=40, seed=23)
+        profile = ic.AxiomProfile(n_samples=40, seed=23)
         reports = ic.run_suite(privacy_spec(), profile)
         assert Axiom.MAXIMAL_DILUTION_CONCAVITY.value in {r.axiom for r in reports}
 
     def test_maxkl_suite_fingerprint(self):
-        profile = ic.AxiomProfile(n_states=2, n_samples=150, seed=24)
+        profile = ic.AxiomProfile(n_samples=150, seed=24)
         reports = ic.run_suite(maxkl_spec(), profile)
         assert report_for(reports, Axiom.DILUTION_LINEARITY).passed
         assert not report_for(reports, Axiom.MIXTURE_LINEARITY).passed
@@ -533,8 +527,8 @@ class TestRunSuite:
 
     def test_failing_witnesses_reproduce(self):
         failed = 0
+        profile = ic.AxiomProfile(n_signals=4, n_samples=60, seed=25)
         for n_states in (2, 3):
-            profile = ic.AxiomProfile(n_states=n_states, n_signals=4, n_samples=60, seed=25)
             for family in FAMILIES:
                 spec = family_spec(family, n_states, seed=n_states)
                 for rep in ic.run_suite(spec, profile):
@@ -545,7 +539,7 @@ class TestRunSuite:
         assert failed >= 20
 
     def test_report_json(self):
-        rep = ic.check_axiom(kl_spec(), Axiom.ADDITIVITY, 50, seed=26)
+        rep = ic.check_axiom(kl_spec(), Axiom.ADDITIVITY, profile=ic.AxiomProfile(n_samples=50, seed=26))
         text = rep.to_json()
         assert '"axiom": "additivity"' in text
         assert '"samples": 50, "evaluated": 50,' in text

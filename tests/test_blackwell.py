@@ -139,6 +139,11 @@ class TestGarble:
         with pytest.raises(ShapeMismatch):
             ic.random_kernel(rows, cols, 1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+    def test_random_kernel_rejects_a_seed_that_is_not_a_count(self, seed):
+        with pytest.raises(InfoCostError, match="seed must be an integer >= 0"):
+            ic.random_kernel(2, 2, seed)
+
     def test_kernel_validation(self):
         with pytest.raises(RowNotStochastic):
             ic.GarblingKernel(np.array([[0.5, 0.4], [0.5, 0.5]]))

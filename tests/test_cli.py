@@ -333,26 +333,6 @@ class TestByteDeterminism:
                 assert stdout_of(argv) == stdout_of(argv), argv[0]
 
 
-class TestSolveOptionFlags:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["solve", "--max-iter", "0"],
-            ["solve", "--max-iter", "-5"],
-            ["solve", "--starts", "0"],
-        ],
-    )
-    def test_out_of_range_exits_2(self, capsys, tmp_path, argv):
-        prob_path = tmp_path / "problem.json"
-        prob_path.write_text(json.dumps({"prior": [0.5, 0.5], "utilities": [[8, 0], [0, 8], [6.1, 6.1]]}))
-        cost_path = tmp_path / "cost.json"
-        cost_path.write_text(ic.cost_to_json(ic.PosteriorSeparableCost(np.array([0.5, 0.5]), ic.ShannonEntropy())))
-        if argv[0] == "solve":
-            argv = argv + ["--problem", str(prob_path), "--cost", str(cost_path)]
-        code, out, err = run(capsys, argv + ["--seed", "0"])
-        assert code == 2 and not out and "must be an integer >= 1" in err
-
-
 class TestSeedFlag:
     @pytest.mark.parametrize("verb", ["solve", "axioms", "approx", "claim1"])
     def test_negative_seed_exits_2(self, capsys, tmp_path, exp_file, verb):
@@ -387,13 +367,19 @@ class TestCountFlags:
             ("dominate", "--tol", "-0.5", 0.0),
             ("axioms", "--tol", "1e400", 0.0),
             ("axioms", "--tol", "nan", 0.0),
+            ("solve", "--starts", "0", 1),
+            ("solve", "--max-iter", "0", 1),
+            ("solve", "--max-iter", "-5", 1),
         ],
     )
     def test_below_lower_bound_exits_2(self, capsys, tmp_path, exp_file, verb, flag, value, low):
         cost_path = tmp_path / "cost.json"
         cost_path.write_text(ic.cost_to_json(ic.KLCost(np.array([[0.0, 1.0], [1.0, 0.0]]))))
+        prob_path = tmp_path / "problem.json"
+        prob_path.write_text(json.dumps({"prior": [0.5, 0.5], "utilities": [[8, 0], [0, 8], [6.1, 6.1]]}))
         argv = {
             "axioms": ["axioms", "--cost", str(cost_path), "--seed", "0"],
+            "solve": ["solve", "--problem", str(prob_path), "--cost", str(cost_path), "--seed", "0"],
             "approx": ["approx", "--experiment", exp_file, "--seed", "0"],
             "claim1": ["claim1", "--seed", "0"],
             "tsallis": ["tsallis", "--sigma", "2"],

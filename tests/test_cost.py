@@ -17,7 +17,6 @@ from infocost.errors import (
     DimensionMismatch,
     NoSecondDerivative,
     NotADistribution,
-    TransformDomain,
 )
 
 SYM75 = ic.new_experiment([[0.75, 0.25], [0.25, 0.75]])
@@ -50,6 +49,27 @@ class TestEvalCost:
         ]
         for spec in specs:
             assert ic.eval_cost(spec, mu) == pytest.approx(0.0, abs=1e-12)
+
+    def test_no_public_value_is_negative_zero(self):
+        mu = ic.uninformative(2, 3)
+        psi = [1.0, -1.0]
+        values = [
+            ic.renyi(0.4, mu.probs[0], mu.probs[1]),
+            ic.extended_divergence([0.3, 0.7], mu),
+            ic.unified_divergence(ic.InteriorParam(np.array([0.3, 0.7])), mu),
+            ic.generalized_divergence(0.6, psi, mu),
+            ic.chernoff_information(mu),
+            ic.diluted_power_divergence(mu, 3, 0.6, psi),
+            ic.eval_cost(ic.RenyiCost(1.0, ic.InteriorParam(np.array([0.3, 0.7]))), mu),
+            ic.eval_cost(
+                ic.ConvexPSCost(
+                    np.array([0.5, 0.5]), ic.RenyiPotential(np.array([0.5, 0.5])), ic.RenyiLogTransform(1.0, 0.5)
+                ),
+                mu,
+            ),
+        ]
+        assert [math.copysign(1.0, v) for v in values] == [1.0] * len(values)
+        assert values == [0.0] * len(values)
 
     def test_kl_hand_sum(self):
         assert ic.eval_cost(kl_spec(), SYM75) == pytest.approx(2.0 * KL_75, abs=1e-12)
@@ -630,15 +650,10 @@ class TestRenyiTransformIdentity:
         assert direct == pytest.approx(0.0, abs=1e-12)
         assert composed == pytest.approx(0.0, abs=1e-10)
 
-    def test_transform_domain_error(self):
-        with pytest.raises(TransformDomain):
-            ic.cost.apply_transform(ic.RenyiLogTransform(1.0, 0.5), 1.5)
-
     def test_perfectly_revealing_maps_to_infinity(self):
-        assert ic.cost.apply_transform(ic.RenyiLogTransform(1.0, 0.5), 1.0) == math.inf
         # rounding can carry a revealing experiment's potential cost just past 1, or just short of it
-        assert ic.cost.apply_transform(ic.RenyiLogTransform(1.0, 0.5), 1.0 + 2**-52) == math.inf
-        assert ic.cost.apply_transform(ic.RenyiLogTransform(1.0, 0.5), 1.0 - 2**-53) == math.inf
+        edges = np.array([1.0, 1.0 + 2**-52, 1.0 - 2**-53])
+        assert ic.cost._transforms(ic.RenyiLogTransform(1.0, 0.5), edges).tolist() == [math.inf] * 3
         revealing = ic.new_experiment([[0.63, 0.25, 0.12, 0.0], [0.0, 0.0, 0.0, 1.0]])
         potential = ic.RenyiPotential(np.array([0.5, 0.5]))
         prior = np.array([0.7, 0.3])

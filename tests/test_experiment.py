@@ -14,6 +14,7 @@ from infocost.errors import (
     EqualStates,
     GammaOutOfRange,
     InfeasibleFloor,
+    InfoCostError,
     KTooSmall,
     NegativeEntry,
     NotADistribution,
@@ -224,6 +225,11 @@ class TestRandomExperiment:
     def test_infeasible_floor(self):
         with pytest.raises(InfeasibleFloor):
             ic.random_experiment(2, 4, seed=3, min_prob=0.3)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+    def test_rejects_a_seed_that_is_not_a_count(self, seed):
+        with pytest.raises(InfoCostError, match="seed must be an integer >= 0"):
+            ic.random_experiment(2, 3, seed)
 
     def test_bulk_validity(self):
         for seed in range(1000):
