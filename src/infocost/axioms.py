@@ -25,7 +25,7 @@ import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import islice
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .experiment import (
     FiniteExperiment,
     _freeze,
     _is_count,
+    _jsonable,
     mixture,
     new_experiment,
     normalized_rows,
@@ -99,16 +100,9 @@ class AxiomReport:
     passed: bool
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "axiom": self.axiom,
-                "samples": self.samples,
-                "evaluated": self.evaluated,
-                "worst_violation": self.worst_violation,
-                "passed": self.passed,
-                "witness": self.witness,
-            }
-        )
+        """The report as strict JSON: an infinite ``worst_violation`` is "inf"."""
+        keys = ("axiom", "samples", "evaluated", "worst_violation", "passed", "witness")
+        return json.dumps(_jsonable({k: getattr(self, k) for k in keys}))
 
 
 # experiments drawn per sample, and whether a mixture weight is drawn after them
@@ -191,19 +185,6 @@ def _build(samples: list[dict], stacks: list, count: int) -> list[list[FiniteExp
     return built
 
 
-def _stacked(fn: Callable[[np.ndarray], object], mats: list) -> list:
-    """Apply ``fn`` to each equal-shape stack ``[B, ...]`` of ``mats``; entry i
-    of the result is fn's entry for ``mats[i]``."""
-    groups: dict = {}
-    for i, m in enumerate(mats):
-        groups.setdefault(m.shape, []).append(i)
-    out: list = [None] * len(mats)
-    for idx in groups.values():
-        for i, value in zip(idx, fn(np.stack([mats[i] for i in idx]))):
-            out[i] = value
-    return out
-
-
 def _derived(
     axiom: Axiom, sample: dict, exps: list[FiniteExperiment], phi: FiniteExperiment
 ) -> list[FiniteExperiment]:
@@ -268,7 +249,14 @@ def _combine(axiom: Axiom, sample: dict, costs: list[float]) -> tuple[float, flo
 
 def _price(spec: CostSpec, exps: list[FiniteExperiment]) -> list[float]:
     """The cost of each experiment, one :func:`eval_costs` call per equal-shape stack."""
-    return _stacked(lambda stack: eval_costs(spec, stack).tolist(), [e.probs for e in exps])
+    groups: dict = {}
+    for i, e in enumerate(exps):
+        groups.setdefault(e.probs.shape, []).append(i)
+    costs: list = [None] * len(exps)
+    for idx in groups.values():
+        for i, value in zip(idx, eval_costs(spec, np.stack([exps[i].probs for i in idx])).tolist()):
+            costs[i] = value
+    return costs
 
 
 def check_axiom(spec: CostSpec, axiom: Axiom | str, profile: Optional[AxiomProfile] = None) -> AxiomReport:

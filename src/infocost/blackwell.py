@@ -105,6 +105,14 @@ class DominanceResult:
     marginal: bool
 
 
+def _check_comparable(mu: FiniteExperiment, nu: FiniteExperiment, tol: float = 0.0) -> None:
+    """Two experiments to compare must share their states, at a finite tol >= 0."""
+    if mu.n_states != nu.n_states:
+        raise StateMismatch(f"{mu.n_states} states vs {nu.n_states}")
+    if not (0 <= tol < math.inf):
+        raise InfoCostError(f"tol must be finite and nonnegative, got {tol!r}")
+
+
 def dominates(mu: FiniteExperiment, nu: FiniteExperiment, tol: float = DEFAULT_TOL) -> DominanceResult:
     """Decide whether nu is a garbling of mu, within tolerance tol.
 
@@ -117,10 +125,7 @@ def dominates(mu: FiniteExperiment, nu: FiniteExperiment, tol: float = DEFAULT_T
     No dimension limit is enforced; the intended envelope is up to ~64
     signals per experiment.
     """
-    if mu.n_states != nu.n_states:
-        raise StateMismatch(f"{mu.n_states} states vs {nu.n_states}")
-    if not (0 <= tol < math.inf):
-        raise InfoCostError(f"tol must be finite and nonnegative, got {tol!r}")
+    _check_comparable(mu, nu, tol)
     from scipy.sparse import csr_array
 
     n, ns, nt = mu.n_states, mu.n_signals, nu.n_signals
@@ -186,8 +191,7 @@ def dichotomy_shortfall(mu: FiniteExperiment, nu: FiniteExperiment) -> tuple[flo
     dominates nu iff r <= 0, up to rounding.  The dominance LP's optimum eps
     lies in [2 r / nu.n_signals, r]; see :func:`pairwise_dominates`.
     """
-    if mu.n_states != nu.n_states:
-        raise StateMismatch(f"{mu.n_states} states vs {nu.n_states}")
+    _check_comparable(mu, nu)
     if mu.n_states != 2:
         raise NotBinary(f"the dichotomy criterion needs 2 states, got {mu.n_states}")
     return _shortfall(mu.probs, nu.probs)
@@ -238,10 +242,7 @@ def pairwise_dominates(mu: FiniteExperiment, nu: FiniteExperiment, tol: float = 
     Pairs are checked in `itertools.combinations` order and the call stops
     at the first pair that does not dominate; that pair is `failing_pair`.
     """
-    if mu.n_states != nu.n_states:
-        raise StateMismatch(f"{mu.n_states} states vs {nu.n_states}")
-    if not (0 <= tol < math.inf):
-        raise InfoCostError(f"tol must be finite and nonnegative, got {tol!r}")
+    _check_comparable(mu, nu, tol)
     slack = ROUNDING_ULPS * (mu.n_signals + nu.n_signals) * 2.0**-52
     worst, lp_pairs = 0.0, 0
     for i, j in combinations(range(mu.n_states), 2):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import approx, axioms, blackwell, cost, divergence, ri_solver
 from .errors import BadAxiomProfile, InfoCostError
-from .experiment import FiniteExperiment
+from .experiment import FiniteExperiment, _jsonable
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -80,38 +80,7 @@ def _load_param(text: str):
     return _load_object(text, "--param", "parameter", divergence.param_from_json)
 
 
-def _jsonable(x):
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if math.isnan(x):
-            return "nan"
-        return x
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    return x
-
-
-def _emit_json(payload, out: str | None) -> None:
-    text = json.dumps(_jsonable(payload))
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
-def _emit_csv(header: list[str], rows: list[list], out: str | None) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    text = buf.getvalue()
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -119,10 +88,17 @@ def _emit_csv(header: list[str], rows: list[list], out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(float(x))
+def _emit_json(payload, out: str | None) -> None:
+    _write(json.dumps(_jsonable(payload)) + "\n", out)
+
+
+def _emit_csv(header: list[str], rows: list[list], out: str | None) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    # csv writes a float cell with repr, which spells inf, -inf and nan as _jsonable does
+    writer.writerows(rows)
+    _write(buf.getvalue(), out)
 
 
 # ---------------------------------------------------------------------------
@@ -130,22 +106,20 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_divergence(args) -> int:
+def _cmd_divergence(args) -> None:
     mu = _load_experiment(args.experiment)
     param = _load_param(args.param)
     value = divergence.unified_divergence(param, mu)
     _emit_json({"value": value}, args.out)
-    return EXIT_OK
 
 
-def _cmd_cost(args) -> int:
+def _cmd_cost(args) -> None:
     mu = _load_experiment(args.experiment)
     spec = _load_cost(args.cost)
     _emit_json({"value": cost.eval_cost(spec, mu)}, args.out)
-    return EXIT_OK
 
 
-def _cmd_dominate(args) -> int:
+def _cmd_dominate(args) -> None:
     mu = _load_experiment(args.experiment)
     nu = _load_experiment(args.experiment2)
     if args.pairwise:
@@ -163,10 +137,9 @@ def _cmd_dominate(args) -> int:
             "certificate": res.certificate.psi.tolist() if res.certificate else None,
         }
     _emit_json(payload, args.out)
-    return EXIT_OK
 
 
-def _cmd_axioms(args) -> int:
+def _cmd_axioms(args) -> None:
     spec = _load_cost(args.cost)
     try:
         profile = axioms.AxiomProfile(
@@ -178,11 +151,11 @@ def _cmd_axioms(args) -> int:
     except BadAxiomProfile as exc:
         raise InputProblem(str(exc)) from exc
     reports = axioms.run_suite(spec, profile)
-    _emit_json([json.loads(r.to_json()) for r in reports], args.out)
-    return EXIT_OK
+    # a JSON array of the reports as their to_json writes them
+    _write("[" + ", ".join(r.to_json() for r in reports) + "]\n", args.out)
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> None:
     problem = _load_object(
         _read_file(args.problem), args.problem, "problem file", lambda p: ri_solver.RIProblem(p["prior"], p["utilities"])
     )
@@ -198,7 +171,6 @@ def _cmd_solve(args) -> int:
         },
         args.out,
     )
-    return EXIT_OK
 
 
 def _parse_grid(text: str, above: float, kind=float) -> list:
@@ -214,11 +186,11 @@ def _parse_grid(text: str, above: float, kind=float) -> list:
     return values
 
 
-def _cmd_claim1(args) -> int:
+def _cmd_claim1(args) -> None:
     v_grid = _parse_grid(args.v_grid, above=0)
     rows = ri_solver.claim1_region(args.lam, args.t, v_grid, args.w_steps)
     csv_rows = [
-        [_fmt(r.v), _fmt(r.w), "renyi_symmetric_closed_form", r.support_size, _fmt(r.value), _fmt(r.alpha), _fmt(r.pi)]
+        [r.v, r.w, "renyi_symmetric_closed_form", r.support_size, r.value, r.alpha, r.pi]
         for r in rows
     ]
     if args.compare:
@@ -235,14 +207,13 @@ def _cmd_claim1(args) -> int:
         # only the (v, w) cells that have a closed-form row
         sweep = [s for r in rows for s in ri_solver.support_comparison(specs, [r.v], [r.w], options)]
         csv_rows += [
-            [_fmt(r.v), _fmt(r.w), r.spec_label, r.support_size, _fmt(r.value), "", ""]
+            [r.v, r.w, r.spec_label, r.support_size, r.value, "", ""]
             for r in sweep
         ]
     _emit_csv(["v", "w", "spec", "support_size", "value", "alpha", "pi"], csv_rows, args.out)
-    return EXIT_OK
 
 
-def _cmd_tsallis(args) -> int:
+def _cmd_tsallis(args) -> None:
     report = cost.ups_subadditivity_check(cost.Tsallis(args.sigma), grid_size=args.grid_size)
     _emit_json(
         {
@@ -253,10 +224,9 @@ def _cmd_tsallis(args) -> int:
         },
         args.out,
     )
-    return EXIT_OK
 
 
-def _cmd_approx(args) -> int:
+def _cmd_approx(args) -> None:
     mu = _load_experiment(args.experiment)
     prior = _load_object(args.prior, "--prior", "prior", lambda p: np.asarray(p, dtype=float), shape=list)
     k_list = _parse_grid(args.k_list, above=1, kind=int)
@@ -265,12 +235,11 @@ def _cmd_approx(args) -> int:
     # every k repeats the grid: encode each parameter once
     columns = {id(p): [type(p).__name__, divergence.param_to_json(p)] for p in grid}
     csv_rows = [
-        [r.k, *columns[id(r.param)], _fmt(r.d_under), _fmt(r.d_mu), _fmt(r.d_over), _fmt(r.gap)] for r in rows
+        [r.k, *columns[id(r.param)], r.d_under, r.d_mu, r.d_over, r.gap] for r in rows
     ]
     _emit_csv(
         ["k", "param_kind", "param_value", "d_under", "d_mu", "d_over", "gap"], csv_rows, args.out
     )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +279,11 @@ def _inside(low: float, high: float = math.inf, other_than: Optional[float] = No
 def _divergence_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--experiment", required=True, help="experiment JSON file")
     p.add_argument("--param", required=True, help='parameter JSON, e.g. \'{"kind":"kl","pivot":0,"beta":[0,1]}\'')
-    p.set_defaults(fn=_cmd_divergence)
 
 
 def _cost_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--experiment", required=True)
     p.add_argument("--cost", required=True, help="cost JSON file")
-    p.set_defaults(fn=_cmd_cost)
 
 
 def _dominate_args(p: argparse.ArgumentParser) -> None:
@@ -324,7 +291,6 @@ def _dominate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--experiment2", required=True)
     p.add_argument("--tol", type=_at_least(0.0, float), default=blackwell.DEFAULT_TOL)
     p.add_argument("--pairwise", action="store_true", help="check every two-state restriction")
-    p.set_defaults(fn=_cmd_dominate)
 
 
 def _axioms_args(p: argparse.ArgumentParser) -> None:
@@ -333,7 +299,6 @@ def _axioms_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=_at_least(1), default=200)
     p.add_argument("--signals", type=_at_least(1), default=3)
     p.add_argument("--tol", type=_at_least(0.0, float), default=1e-9)
-    p.set_defaults(fn=_cmd_axioms)
 
 
 def _solve_args(p: argparse.ArgumentParser) -> None:
@@ -347,7 +312,6 @@ def _solve_args(p: argparse.ArgumentParser) -> None:
         help="ascents for costs with sup atoms; every other built-in cost runs one ascent",
     )
     p.add_argument("--max-iter", type=_at_least(1), default=2000)
-    p.set_defaults(fn=_cmd_solve)
 
 
 def _claim1_args(p: argparse.ArgumentParser) -> None:
@@ -357,13 +321,11 @@ def _claim1_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--w-steps", type=_at_least(1), default=12)
     p.add_argument("--compare", action="store_true", help="also sweep solver-based cost families")
     p.add_argument("--seed", type=_at_least(0), required=True)
-    p.set_defaults(fn=_cmd_claim1)
 
 
 def _tsallis_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", type=_inside(0.0, other_than=1.0), required=True)
     p.add_argument("--grid-size", type=_at_least(3), default=2001)
-    p.set_defaults(fn=_cmd_tsallis)
 
 
 def _approx_args(p: argparse.ArgumentParser) -> None:
@@ -372,19 +334,19 @@ def _approx_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k-list", default="4,16,64")
     p.add_argument("--grid", type=_at_least(1), default=12, help="number of divergence parameters")
     p.add_argument("--seed", type=_at_least(0), required=True)
-    p.set_defaults(fn=_cmd_approx)
 
 
-# verb -> (help, adds the verb's flags but --out); the order is the order of the usage line
+# verb -> (help, adds the verb's flags but --out, runs the verb); the order is the
+# order of the usage line
 _VERBS = {
-    "divergence": ("evaluate one divergence on an experiment", _divergence_args),
-    "cost": ("evaluate a cost specification on an experiment", _cost_args),
-    "dominate": ("test Blackwell dominance; emits a kernel certificate", _dominate_args),
-    "axioms": ("run the randomized axiom suite for a cost file", _axioms_args),
-    "solve": ("solve a rational-inattention problem", _solve_args),
-    "claim1": ("scan the all-actions band of the symmetric matching problem", _claim1_args),
-    "tsallis": ("sub-additivity check for the generalized entropy", _tsallis_args),
-    "approx": ("finite sandwich report for a binary experiment", _approx_args),
+    "divergence": ("evaluate one divergence on an experiment", _divergence_args, _cmd_divergence),
+    "cost": ("evaluate a cost specification on an experiment", _cost_args, _cmd_cost),
+    "dominate": ("test Blackwell dominance; emits a kernel certificate", _dominate_args, _cmd_dominate),
+    "axioms": ("run the randomized axiom suite for a cost file", _axioms_args, _cmd_axioms),
+    "solve": ("solve a rational-inattention problem", _solve_args, _cmd_solve),
+    "claim1": ("scan the all-actions band of the symmetric matching problem", _claim1_args, _cmd_claim1),
+    "tsallis": ("sub-additivity check for the generalized entropy", _tsallis_args, _cmd_tsallis),
+    "approx": ("finite sandwich report for a binary experiment", _approx_args, _cmd_approx),
 }
 
 
@@ -395,10 +357,11 @@ def _build_parser(verbs=_VERBS) -> argparse.ArgumentParser:
         description="Divergences, information costs, Blackwell ordering, axiom checks, and rational-inattention solving for finite experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for verb, (help_text, add_args) in verbs.items():
+    for verb, (help_text, add_args, command) in verbs.items():
         p = sub.add_parser(verb, help=help_text)
         add_args(p)
         p.add_argument("--out", default=None)
+        p.set_defaults(fn=command)
     return parser
 
 
@@ -412,7 +375,8 @@ def main(argv=None) -> int:
         # prints the usage line that names every verb
         args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        args.fn(args)
+        return EXIT_OK
     except InputProblem as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

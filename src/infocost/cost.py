@@ -34,13 +34,14 @@ from .divergence import (
     WeightedKLParam,
     _divergences,
     _from_payload,
+    _interior_denominator,
     _kls,
     _log_ratios,
     _to_payload,
     extended_divergence,
 )
-from .errors import BadCostSpec, DimensionMismatch, NoSecondDerivative, NotADistribution
-from .experiment import FiniteExperiment, _check_prior, _freeze
+from .errors import BadCostSpec, DimensionMismatch, InfoCostError, NoSecondDerivative, NotADistribution
+from .experiment import FiniteExperiment, _check_prior, _freeze, _is_count, _posterior_map
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +77,7 @@ class KLPotential:
     beta: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.beta, dtype=float)
-        _check_beta(b)
-        object.__setattr__(self, "beta", _freeze(b.copy()))
+        object.__setattr__(self, "beta", _beta_matrix(self.beta))
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,12 +186,15 @@ def ups_subadditivity_check(potential: PotentialSpec, grid_size: int = 2001) -> 
 
     Midpoint convexity is checked on consecutive grid triples with tolerance
     1e-9.  The reported witness is the smallest belief above 1/2 at which
-    local convexity of F fails (the failure region is symmetric).
+    local convexity of F fails (the failure region is symmetric).  The grid
+    must hold one triple at least: grid_size is an integer >= 3.
     """
+    if not _is_count(grid_size, 3):
+        raise InfoCostError(f"grid_size must be an integer >= 3, got {grid_size!r}")
     xs = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
     f = np.array([f_criterion(potential, x) for x in xs])
     gaps = f[1:-1] - 0.5 * (f[:-2] + f[2:])  # > 0 means concave locally
-    max_violation = float(np.max(gaps)) if gaps.size else 0.0
+    max_violation = float(np.max(gaps))
     subadditive = max_violation <= 1e-9
     witness = None
     if not subadditive:
@@ -260,13 +262,17 @@ def _transforms(transform: TransformSpec, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_beta(b: np.ndarray) -> None:
+def _beta_matrix(beta) -> np.ndarray:
+    """A frozen copy of a KL weight matrix, which must be square of size >= 2,
+    finite and nonnegative, with a zero diagonal."""
+    b = np.asarray(beta, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] < 2:
         raise BadCostSpec("beta must be a square matrix of size >= 2")
     if not np.all((b >= 0) & (b < math.inf)):
         raise BadCostSpec("beta must be finite and nonnegative")
     if np.any(np.abs(np.diag(b)) > 0):
         raise BadCostSpec("beta must have a zero diagonal")
+    return _freeze(b.copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,9 +282,7 @@ class KLCost:
     beta: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.beta, dtype=float)
-        _check_beta(b)
-        object.__setattr__(self, "beta", _freeze(b.copy()))
+        object.__setattr__(self, "beta", _beta_matrix(self.beta))
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,14 +292,12 @@ class MaxKLCost:
     betas: tuple
 
     def __post_init__(self):
-        mats = tuple(np.asarray(b, dtype=float) for b in self.betas)
+        mats = tuple(_beta_matrix(b) for b in self.betas)
         if not mats:
             raise BadCostSpec("need at least one weight matrix")
-        for b in mats:
-            _check_beta(b)
-            if b.shape != mats[0].shape:
-                raise BadCostSpec("weight matrices must share a shape")
-        object.__setattr__(self, "betas", tuple(_freeze(b.copy()) for b in mats))
+        if any(b.shape != mats[0].shape for b in mats):
+            raise BadCostSpec("weight matrices must share a shape")
+        object.__setattr__(self, "betas", mats)
 
 
 @dataclass(frozen=True)
@@ -343,11 +345,17 @@ class MaxRenyiCost:
 
 def _init_ps(cost) -> None:
     """Freeze a posterior-separable cost's prior and price its potential there
-    once, for ``_ps_values`` (a custom potential is called at construction)."""
+    once, for ``_ps_values`` (a custom potential is called at construction).
+    A KL or Rényi potential must be built for the prior's states."""
     q = _freeze(_check_prior(cost.prior).copy())
+    potential = cost.potential
+    if isinstance(potential, (KLPotential, RenyiPotential)):
+        k = len(potential.beta if isinstance(potential, KLPotential) else potential.alpha)
+        if k != q.shape[0]:
+            raise BadCostSpec(f"the potential is {k}-state, the prior {q.shape[0]}-state")
     object.__setattr__(cost, "prior", q)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        object.__setattr__(cost, "_prior_potential", _potentials(cost.potential, q[:, None], q)[0])
+        object.__setattr__(cost, "_prior_potential", _potentials(potential, q[:, None], q)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,13 +431,11 @@ def _measure_integrals(measures: tuple, probs: np.ndarray) -> list:
 
 
 def _ps_values(spec: Union[PosteriorSeparableCost, ConvexPSCost], probs: np.ndarray) -> np.ndarray:
-    """The posterior-separable cost over a stack.  A signal that never occurs
-    gets the all-zero belief, where every potential is finite, so its term
-    is zero."""
-    prior = spec.prior
-    marginal = prior @ probs
-    post = prior[None, :, None] * probs / np.where(marginal > 0, marginal, 1.0)[:, None, :]
-    terms = marginal * _potentials(spec.potential, post, prior)
+    """The posterior-separable cost over a stack.  The all-zero belief of a
+    signal that never occurs is finite under every potential, so its term is
+    zero."""
+    marginal, post = _posterior_map(spec.prior, probs)
+    terms = marginal * _potentials(spec.potential, post, spec.prior)
     return terms.sum(axis=1) - spec._prior_potential
 
 
@@ -545,12 +551,11 @@ def _atoms_gradient(atoms, p: np.ndarray) -> np.ndarray:
             beta[param.pivot] = param.beta
             grad += w * _kl_gradient(beta, p, np.log(p))
             continue
-        others = param.alpha.tolist()
-        on = param.alpha > 0 if 0.0 in others else slice(None)
-        others.remove(max(others))  # the denominator is -sum_{i != k} alpha_i
+        weights = param.alpha.tolist()
+        on = param.alpha > 0 if 0.0 in weights else slice(None)
         alpha, p_on = param.alpha[on, None], p[on]
         t = np.exp((alpha * np.log(p_on)).sum(axis=0))
-        grad[on] += (w / (t.sum() * -math.fsum(others)) * alpha) * t / p_on
+        grad[on] += (w / (t.sum() * _interior_denominator(weights)) * alpha) * t / p_on
     return grad
 
 
@@ -588,9 +593,7 @@ def _cost_gradient(spec: CostSpec, p: np.ndarray) -> np.ndarray:
             measures = _tied(measures, [v[0] for v in _measure_integrals(measures, p[None])])
         return sum(_atoms_gradient(m.atoms, p) for m in measures) / len(measures)
     q = spec.prior
-    marginal = q @ p
-    post = q[:, None] * p / np.where(marginal > 0, marginal, 1.0)
-    grad = q[:, None] * _potential_slopes(spec.potential, post, q)
+    grad = q[:, None] * _potential_slopes(spec.potential, _posterior_map(q, p)[1], q)
     if isinstance(spec, ConvexPSCost) and not isinstance(spec.transform, IdentityTransform):
         # the chain rule, with c' central differences for a custom transform
         t, x = spec.transform, _ps_values(spec, p[None])[0]

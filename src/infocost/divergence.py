@@ -263,6 +263,12 @@ def _kls(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where((pos & (q == 0.0)).any(axis=-1), np.inf, terms.sum(axis=-1))
 
 
+def _interior_denominator(alpha: list) -> float:
+    """-sum_{i != k} alpha_i for the largest exponent alpha_k of a list:
+    max(alpha) - 1 on the simplex, never taken as a difference from 1."""
+    return -math.fsum(sorted(alpha)[:-1])
+
+
 def _divergences(params, probs: np.ndarray) -> np.ndarray:
     """The divergence of every experiment in a stack ``probs[B, n, s]`` under
     every parameter of a list: ``[P, B]``.
@@ -271,8 +277,8 @@ def _divergences(params, probs: np.ndarray) -> np.ndarray:
     and ``probs[b]`` alone, bit for bit.  Equal parameters are priced once.
     Interior and sup parameters share one :func:`_log_ratios` pass, and the
     interior ones are summed in two groups, largest exponent below and above
-    1.  Interior: log(sum) / (max(alpha) - 1), with the denominator taken as
-    -sum_{i != k} alpha_i, never as a difference from 1.  Weighted-KL: the
+    1.  Interior: log(sum) over :func:`_interior_denominator`, which is
+    max(alpha) - 1 on the simplex.  Weighted-KL: the
     weighted KL divergences from the pivot, skipping zero weights.  Sup: the
     largest psi . log p(s), floored at 0, where a signal with a zero under a
     positive weight (one that never occurs, say) never wins.  Callers
@@ -281,7 +287,7 @@ def _divergences(params, probs: np.ndarray) -> np.ndarray:
     """
     # distinct parameters: interior below 1, interior above 1, sup, weighted-KL
     groups: tuple = ([], [], [], [])
-    denominators: tuple = ([], [])  # [-sum_{i != k} alpha_i] of each interior group
+    denominators: tuple = ([], [])  # [_interior_denominator] of each interior group
     seen: dict = {}  # (branch, weights) -> (group, position in it)
     slots = []
     for param in params:
@@ -295,11 +301,9 @@ def _divergences(params, probs: np.ndarray) -> np.ndarray:
             raise BadPsi(f"unknown divergence parameter {param!r}")
         if key not in seen:
             if key[0] is InteriorParam:
-                others = param.alpha.tolist()
-                top = max(others)
-                others.remove(top)
-                g = int(top > 1.0)
-                denominators[g].append([-math.fsum(others)])
+                alpha = param.alpha.tolist()
+                g = int(max(alpha) > 1.0)
+                denominators[g].append([_interior_denominator(alpha)])
             else:
                 g = 2 if key[0] is SupParam else 3
             seen[key] = g, len(groups[g])

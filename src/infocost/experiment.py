@@ -9,6 +9,7 @@ immutable after construction and every operation is a pure function.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -36,6 +37,20 @@ BAYES_TOL = 1e-10
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _jsonable(x):
+    """x in strict JSON's values: arrays and tuples as lists, NumPy floats as
+    floats, and a non-finite float as the string "inf", "-inf" or "nan"."""
+    if isinstance(x, float):
+        return float(x) if math.isfinite(x) else repr(float(x))  # repr spells inf, -inf, nan
+    if isinstance(x, np.ndarray):
+        x = x.tolist()
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
+    return x
 
 
 def _check_prior(prior) -> np.ndarray:
@@ -216,6 +231,14 @@ def posterior_distribution(prior, posteriors, weights) -> PosteriorDistribution:
     return PosteriorDistribution(_freeze(q.copy()), _freeze(np.clip(p, 0.0, None)), _freeze(w.copy()))
 
 
+def _posterior_map(prior: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The signal marginals ``prior @ probs`` and the Bayes posteriors, one per
+    column of ``post[..., n, s]``, for a matrix or a stack.  A signal that
+    never occurs gets the all-zero belief."""
+    marginal = prior @ probs
+    return marginal, prior[:, None] * probs / np.where(marginal > 0, marginal, 1.0)[..., None, :]
+
+
 def posteriors(mu: FiniteExperiment, q) -> PosteriorDistribution:
     """Bayes-update the prior q on each signal of mu.
 
@@ -226,11 +249,10 @@ def posteriors(mu: FiniteExperiment, q) -> PosteriorDistribution:
     if qv.shape != (mu.n_states,):
         raise StateMismatch(f"prior length {qv.shape} vs {mu.n_states} states")
     _check_prior(qv)
-    marginal = qv @ mu.probs
+    marginal, post = _posterior_map(qv, mu.probs)
     keep = marginal > 0
-    post = (qv[:, None] * mu.probs[:, keep]) / marginal[keep]
     return PosteriorDistribution(
-        _freeze(qv.copy()), _freeze(post.T.copy()), _freeze(marginal[keep].copy())
+        _freeze(qv.copy()), _freeze(post[:, keep].T.copy()), _freeze(marginal[keep].copy())
     )
 
 

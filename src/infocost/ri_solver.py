@@ -40,7 +40,7 @@ from .cost import (
     spec_n_states,
 )
 from .divergence import DivergenceMeasure, InteriorParam, _golden_max
-from .errors import BadSolveOptions, DimensionMismatch, NoRootInBracket, TOutOfRange
+from .errors import BadSolveOptions, DimensionMismatch, InfoCostError, NoRootInBracket, TOutOfRange
 from .experiment import FiniteExperiment, _check_prior, _freeze, _is_count
 
 SUPPORT_EPS = 0.01  # an action whose marginal is at most this is outside the support
@@ -130,6 +130,7 @@ def _objective_factory(problem: RIProblem, spec: CostSpec):
 
 
 def _support(prior: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Whether each action's marginal exceeds ``SUPPORT_EPS``."""
     return prior @ p > SUPPORT_EPS
 
 
@@ -484,10 +485,10 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
     # endgame cannot climb to its face).
     if m > 1:
         incumbent, incumbent_f = best_p.copy(), best_f
-        used = problem.prior @ incumbent
+        used = _support(problem.prior, incumbent)
         for a in range(m):
             faced = _face_start(incumbent, a)
-            if not best_conv or used[a] <= SUPPORT_EPS or objective(faced) > incumbent_f:
+            if not best_conv or not used[a] or objective(faced) > incumbent_f:
                 p, f, conv = _ascend(objective, gradient, problem.prior, faced, options)
                 if f > best_f:
                     best_p, best_f, best_conv = p, f, conv
@@ -498,8 +499,7 @@ def _policy(problem: RIProblem, objective, p: np.ndarray, converged: bool, bound
     probs = p / p.sum(axis=1, keepdims=True)
     value = objective(probs)
     probs.setflags(write=False)
-    marginals = problem.prior @ probs
-    support = tuple(int(a) for a in np.flatnonzero(marginals > SUPPORT_EPS))
+    support = tuple(int(a) for a in np.flatnonzero(_support(problem.prior, probs)))
     return Policy(FiniteExperiment(probs), value, support, converged, bound)
 
 
@@ -679,7 +679,10 @@ def claim1_region(lam: float, t: float, v_grid: Sequence[float], w_steps: int) -
     derivative at full and zero learning; inside it both corners are
     suboptimal, so the optimum mixes.  Safe payoffs are sampled around the
     interval, and each cell reports the maximizer and its support size.
+    w_steps, the safe payoffs per v, is an integer >= 1.
     """
+    if not _is_count(w_steps, 1):
+        raise InfoCostError(f"w_steps must be an integer >= 1, got {w_steps!r}")
     rows: list[Claim1Row] = []
     for v in v_grid:
         probe = SymmetricInstance(v, v / 2.0, lam, t)

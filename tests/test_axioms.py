@@ -284,6 +284,16 @@ class TestCheckAxiom:
         assert rep.passed == (rep.worst_violation <= 0.0)
         assert json.loads(rep.to_json())["passed"] is False
 
+    def test_no_evidence_report_is_strict_json(self):
+        free = ic.RenyiCost(0.0, ic.InteriorParam(np.array([0.5, 0.5])))
+        rep = ic.check_axiom(free, Axiom.INDEPENDENCE, profile=ic.AxiomProfile(n_samples=20, seed=1))
+
+        def reject(token):
+            raise ValueError(f"{token} is not strict JSON")
+
+        payload = json.loads(rep.to_json(), parse_constant=reject)
+        assert payload["worst_violation"] == "inf" and payload["passed"] is False
+
     @settings(max_examples=150, deadline=None)
     @given(
         family=st.sampled_from(FAMILIES),

@@ -154,6 +154,15 @@ class TestCostCommand:
         assert code == 2 and not out and "not a valid cost file" in err
 
 
+    def test_potential_of_other_states_exits_1(self, capsys, exp_file, tmp_path):
+        cost_path = tmp_path / "cost.json"
+        potential = {"kind": "renyi_potential", "alpha": [0.3, 0.3, 0.4]}
+        cost_path.write_text(json.dumps({"kind": "posterior_separable", "prior": [0.5, 0.5], "potential": potential}))
+        code, out, err = run(capsys, ["cost", "--experiment", exp_file, "--cost", str(cost_path)])
+        assert code == 1 and not out
+        assert err == "error: the potential is 3-state, the prior 2-state\n"
+
+
 class TestDominateCommand:
     def test_garbled_pair(self, capsys, tmp_path):
         mu = ic.random_experiment(2, 3, seed=4, min_prob=0.05)
@@ -194,6 +203,17 @@ class TestAxiomsCommand:
         reports = json.loads(out1)
         by_name = {r["axiom"]: r["passed"] for r in reports}
         assert by_name["mixture_linearity"] and by_name["additivity"]
+
+    def test_prints_each_report_as_its_to_json(self, capsys, tmp_path):
+        # a zero cost leaves the independence check without evidence: inf, as a string
+        spec = ic.RenyiCost(0.0, ic.InteriorParam(np.array([0.5, 0.5])))
+        cost_path = tmp_path / "cost.json"
+        cost_path.write_text(ic.cost_to_json(spec))
+        code, out, _ = run(capsys, ["axioms", "--cost", str(cost_path), "--seed", "1", "--samples", "20"])
+        reports = ic.run_suite(spec, ic.AxiomProfile(n_samples=20, seed=1))
+        assert code == 0 and out == "[" + ", ".join(r.to_json() for r in reports) + "]\n"
+        independence = {r["axiom"]: r for r in json.loads(out)}["independence"]
+        assert independence["evaluated"] == 0 and independence["worst_violation"] == "inf"
 
     def test_seed_required(self, capsys, tmp_path):
         cost_path = tmp_path / "cost.json"

@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,7 @@ from infocost.errors import (
     BadCostSpec,
     BadPsi,
     DimensionMismatch,
+    InfoCostError,
     NoSecondDerivative,
     NotADistribution,
 )
@@ -232,10 +234,26 @@ def kl_reference(beta, probs):
     )
 
 
-def renyi_reference(alpha, probs):
-    """log(sum_s prod_i p_i(s)^alpha_i) / (max alpha - 1), with 0^0 = 1."""
-    total = np.sum(np.prod(probs ** alpha[:, None], axis=0))
-    return math.log(total) / (alpha.max() - 1.0) if total > 0 else math.inf
+def renyi_reference(alpha, probs, denominator=None):
+    """log(sum_s prod_i p_i(s)^alpha_i) / denominator at 60 digits, with 0^0 = 1.
+
+    Without a denominator this is the divergence as the library defines it,
+    as in ``test_divergence.mp_divergence``: on the normalized rows, with the
+    largest exponent alpha_k set to 1 minus the others, over
+    -sum_{i != k} alpha_i.  The float alpha sums to 1 only within 1e-12,
+    which max(alpha) - 1 would carry into the quotient.  A given denominator
+    takes alpha and the rows as they are.
+    """
+    with mpmath.workdps(60):
+        rows = [[mpmath.mpf(x) for x in row] for row in probs.tolist()]
+        a = [mpmath.mpf(x) for x in alpha.tolist()]
+        if denominator is None:
+            k = int(np.argmax(alpha))
+            rows = [[x / mpmath.fsum(row) for x in row] for row in rows]
+            a[k] = 1 - mpmath.fsum(a[:k] + a[k + 1 :])
+            denominator = a[k] - 1
+        total = mpmath.fsum(mpmath.fprod(row[s] ** ai for row, ai in zip(rows, a)) for s in range(len(rows[0])))
+        return float(mpmath.log(total) / denominator) if total > 0 else math.inf
 
 
 def renyi_potential_reference(alpha, probs):
@@ -279,8 +297,9 @@ def reference_cost(spec, probs):
             sum(w * renyi_reference(p.alpha, probs) for w, p in m.atoms if w > 0)
             for m in spec.measures
         )
-    if isinstance(spec, ic.ConvexPSCost):
-        return spec.transform.lam * renyi_reference(spec.potential.alpha, probs)
+    if isinstance(spec, ic.ConvexPSCost):  # the transform's own denominator
+        alpha = spec.potential.alpha
+        return spec.transform.lam * renyi_reference(alpha, probs, alpha.max() - 1.0)
     if isinstance(spec.potential, ic.Tsallis):
         return tsallis_reference(spec.potential.sigma, spec.prior, probs)
     if isinstance(spec.potential, ic.KLPotential):
@@ -301,6 +320,7 @@ class TestEvalCosts:
         st.integers(1, 4),
     )
     @settings(max_examples=200, deadline=None)
+    @example(seed=782, family="renyi", n=2, s=2, b=3)  # alpha = (3.7e-5, 0.99996)
     def test_matches_independent_references(self, seed, family, n, s, b):
         rng = np.random.default_rng(seed)
         spec = all_specs(rng, n)[family]
@@ -625,6 +645,27 @@ class TestPosteriorSeparable:
         assert single == pytest.approx(27.0 / 1400.0, abs=1e-12)
         assert prod == pytest.approx(9.0 / 205.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "build",
+        [ic.PosteriorSeparableCost, lambda q, phi: ic.ConvexPSCost(q, phi, ic.IdentityTransform())],
+        ids=["posterior_separable", "convex_ps"],
+    )
+    @pytest.mark.parametrize(
+        "prior, potential",
+        [
+            ([0.3, 0.3, 0.4], ic.KLPotential(np.array([[0.0, 1.0], [1.0, 0.0]]))),
+            ([0.5, 0.5], ic.KLPotential(np.ones((3, 3)) - np.eye(3))),
+            ([0.3, 0.3, 0.4], ic.RenyiPotential(np.array([0.5, 0.5]))),
+            ([0.5, 0.5], ic.RenyiPotential(np.array([0.3, 0.3, 0.4]))),
+        ],
+        ids=["kl_smaller", "kl_larger", "renyi_smaller", "renyi_larger"],
+    )
+    def test_potential_must_have_the_prior_states(self, build, prior, potential):
+        # a smaller potential used to price only its own states, a larger one
+        # to raise a bare IndexError
+        with pytest.raises(BadCostSpec, match=f"the potential is {5 - len(prior)}-state, the prior {len(prior)}-state"):
+            build(np.array(prior), potential)
+
     def test_shannon_product_subadditive(self):
         ps = ic.PosteriorSeparableCost(np.array([0.1, 0.9]), ic.ShannonEntropy())
         for seed in range(10):
@@ -701,6 +742,17 @@ class TestSubadditivityCheck:
         report = ic.ups_subadditivity_check(ic.Tsallis(1.2), grid_size=4001)
         assert not report.subadditive
         assert report.witness_p > 0.9
+
+    @pytest.mark.parametrize("grid_size", [0, 1, 2, -1, True, 2.5])
+    def test_grid_without_a_triple_is_rejected(self, grid_size):
+        # a grid with no convexity triple holds no evidence either way
+        with pytest.raises(InfoCostError, match="grid_size must be an integer >= 3"):
+            ic.ups_subadditivity_check(ic.Tsallis(2.0), grid_size=grid_size)
+
+    def test_three_points_make_one_triple(self):
+        # beliefs 1/4, 1/2, 3/4 all lie inside the convex region of sigma = 2
+        report = ic.ups_subadditivity_check(ic.Tsallis(2.0), grid_size=3)
+        assert report.subadditive and report.grid_size == 3 and report.max_violation < 0
 
     def test_xform_lhs_hand_value(self):
         # sigma=2, x=4: 2(1+16) + 2(16+1) - 8(4+4) = 4

@@ -12,7 +12,7 @@ import infocost as ic
 from infocost import ri_solver
 from infocost.cli import main
 from infocost.cost import _cost_gradient
-from infocost.errors import BadSolveOptions, DimensionMismatch, NoRootInBracket
+from infocost.errors import BadSolveOptions, DimensionMismatch, InfoCostError, NoRootInBracket
 from infocost.ri_solver import _foc, _golden_max, _learning_weight, _mixing_kernel
 
 
@@ -673,6 +673,13 @@ class TestClaim1Region:
         for v in (6.0, 10.0):
             vs = [r for r in rows if r.v == v]
             assert vs[0].w_lo < vs[0].w_hi
+
+
+    @pytest.mark.parametrize("w_steps", [0, -1, True, 2.5])
+    def test_w_steps_must_be_a_count(self, w_steps):
+        # zero steps used to scan nothing and return no rows
+        with pytest.raises(InfoCostError, match="w_steps must be an integer >= 1"):
+            ic.claim1_region(1.0, 0.5, [8.0], w_steps)
 
 
 class TestSupportComparison:
