@@ -4,17 +4,20 @@ Coarsening a belief distribution on a k-cell grid produces two finite
 companions: a conditional-mean contraction (dominated by the original) and an
 endpoint spread (dominating it), whose divergences pinch the original's as k
 grows.  Cells are half-open with the last cell closed, so grid-aligned atoms
-stay put.  The sandwich report prices a whole parameter grid per experiment
-with one call of the divergence kernel, ``divergence._divergences``.
+stay put.  The sandwich report prices a whole parameter grid on the
+experiment and every companion with one call of the divergence kernel,
+``divergence._divergences``, on a ragged stack: the matrices side by side
+along the signal axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .divergence import DivergenceParam, _divergences
+from .divergence import DivergenceParam, _Plan, _divergences
 from .errors import KTooSmall, NotBinary, StateMismatch, UnboundedExperiment
 from .experiment import (
     FiniteExperiment,
@@ -99,9 +102,9 @@ def sandwich_report(mu: FiniteExperiment, q, k_list, param_grid) -> list[Sandwic
     parameter the contraction is weakly cheaper and the spread weakly dearer,
     and the worst gap shrinks as k grows.  ``param_grid`` is any iterable of
     parameters, read once.  The whole grid is priced by one divergence kernel
-    call on the experiment and one on each k's contraction and spread; every
-    value equals ``unified_divergence`` of its parameter and experiment.
-    Rows run over k, then over the grid in order.
+    call on a ragged stack of the experiment and each k's contraction and
+    spread; every value equals ``unified_divergence`` of its parameter and
+    experiment.  Rows run over k, then over the grid in order.
     """
     if np.any(mu.probs == 0.0):
         raise UnboundedExperiment("experiment has zero entries")
@@ -112,8 +115,10 @@ def sandwich_report(mu: FiniteExperiment, q, k_list, param_grid) -> list[Sandwic
     pi = posteriors(mu, q)
     pairs = [coarsen(pi, k) for k in k_list]
     experiments = [mu] + [experiment_from_posteriors(pd) for pair in pairs for pd in (pair.under, pair.over)]
+    probs = np.concatenate([e.probs for e in experiments], axis=1)[None]
+    bounds = tuple(accumulate((e.n_signals for e in experiments), initial=0))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d_mu, *companions = [_divergences(params, e.probs[None])[:, 0].tolist() for e in experiments]
+        d_mu, *companions = _divergences(_Plan(params), probs, bounds)[:, 0].T.tolist()
     rows = []
     for pair, d_under, d_over in zip(pairs, companions[::2], companions[1::2]):
         rows += [SandwichRow(pair.k, *values) for values in zip(params, d_under, d_mu, d_over)]

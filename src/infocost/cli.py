@@ -204,8 +204,9 @@ def _cmd_claim1(args) -> None:
             ),
         ]
         options = ri_solver.SolveOptions(seed=args.seed)
-        # only the (v, w) cells that have a closed-form row
-        sweep = [s for r in rows for s in ri_solver.support_comparison(specs, [r.v], [r.w], options)]
+        # only the (v, w) cells that have a closed-form row, and w < v
+        cells = [r for r in rows if r.w < r.v]
+        sweep = [s for r in cells for s in ri_solver.support_comparison(specs, [r.v], [r.w], options)]
         csv_rows += [
             [r.v, r.w, r.spec_label, r.support_size, r.value, "", ""]
             for r in sweep

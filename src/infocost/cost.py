@@ -32,11 +32,13 @@ from .divergence import (
     InteriorParam,
     SupParam,
     WeightedKLParam,
+    _Cuts,
     _divergences,
     _from_payload,
     _interior_denominator,
     _kls,
     _log_ratios,
+    _Plan,
     _to_payload,
     extended_divergence,
 )
@@ -211,6 +213,12 @@ def ups_subadditivity_check(potential: PotentialSpec, grid_size: int = 2001) -> 
 # ---------------------------------------------------------------------------
 
 
+def _check_lam(lam) -> None:
+    """A cost's scale lam must be finite and nonnegative."""
+    if not (0 <= lam < math.inf):
+        raise BadCostSpec(f"lam must be finite and nonnegative, got {lam!r}")
+
+
 @dataclass(frozen=True)
 class IdentityTransform:
     pass
@@ -225,8 +233,7 @@ class RenyiLogTransform:
     alpha_max: float
 
     def __post_init__(self):
-        if not (0 <= self.lam < math.inf):
-            raise BadCostSpec(f"lam must be finite and nonnegative, got {self.lam!r}")
+        _check_lam(self.lam)
         if not (0.0 < self.alpha_max < 1.0):
             raise BadCostSpec("alpha_max must lie in (0, 1)")
 
@@ -308,12 +315,12 @@ class RenyiCost:
     param: InteriorParam
 
     def __post_init__(self):
-        if not (0 <= self.lam < math.inf):
-            raise BadCostSpec(f"lam must be finite and nonnegative, got {self.lam!r}")
+        _check_lam(self.lam)
         if not isinstance(self.param, InteriorParam) or not self.param.is_nonnegative():
             raise BadCostSpec(
                 "the scaled-divergence cost requires a nonnegative interior exponent vector"
             )
+        object.__setattr__(self, "_divergence_plan", _Plan((self.param,)))
 
 
 @dataclass(frozen=True)
@@ -341,6 +348,9 @@ class MaxRenyiCost:
                     n = p.n_states
                 elif p.n_states != n:
                     raise BadCostSpec("all atoms must share the state count")
+        # every atom of nonzero weight, measure by measure, for _measure_integrals
+        atoms = [p for m in self.measures for w, p in m.atoms if w != 0.0]
+        object.__setattr__(self, "_divergence_plan", _Plan(atoms))
 
 
 def _init_ps(cost) -> None:
@@ -412,19 +422,25 @@ def _has_sup_atom(spec: CostSpec) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _betas(spec: Union[KLCost, MaxKLCost]) -> tuple:
+    """The weight matrices of a KL cost (one) or a max-KL cost."""
+    return (spec.beta,) if isinstance(spec, KLCost) else spec.betas
+
+
 def _kl_forms(beta: np.ndarray, kl: np.ndarray) -> np.ndarray:
     """sum_ij beta_ij KL(mu_i || mu_j) over a stack, from its pair divergences."""
     terms = (beta[i, j] * kl[:, i, j] for i, j in zip(*np.nonzero(beta)))
     return sum(terms, np.zeros(kl.shape[0]))
 
 
-def _measure_integrals(measures: tuple, probs: np.ndarray) -> list:
-    """sum_atoms w * D_param of each measure over a stack.  One kernel call
-    prices every atom of nonzero weight of every measure; each measure then
-    sums its atoms in order."""
-    divergences = iter(_divergences([p for m in measures for w, p in m.atoms if w != 0.0], probs))
+def _measure_integrals(spec: MaxRenyiCost, probs: np.ndarray) -> list:
+    """sum_atoms w * D_param of each measure of a max-Rényi cost over a
+    stack.  One kernel call prices every atom of nonzero weight of every
+    measure, from the plan the cost made once; each measure then sums its
+    atoms in order."""
+    divergences = iter(_divergences(spec._divergence_plan, probs))
     integrals = []
-    for m in measures:
+    for m in spec.measures:
         terms = (w * next(divergences) for w, _ in m.atoms if w != 0.0)
         integrals.append(sum(terms, np.zeros(probs.shape[0])))
     return integrals
@@ -465,15 +481,14 @@ def eval_costs(spec: CostSpec, probs) -> np.ndarray:
         raise NotADistribution("signal probabilities must be nonnegative numbers")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if isinstance(spec, (KLCost, MaxKLCost)):
-            kl = _kls(probs[:, :, None], probs[:, None])
-            betas = (spec.beta,) if isinstance(spec, KLCost) else spec.betas
-            return reduce(np.maximum, [_kl_forms(b, kl) for b in betas])
+            kl = _kls(probs[:, :, None], probs[:, None])[..., 0]
+            return reduce(np.maximum, [_kl_forms(b, kl) for b in _betas(spec)])
         if isinstance(spec, RenyiCost):
             if spec.lam == 0.0:
                 return np.zeros(probs.shape[0])
-            return spec.lam * _divergences((spec.param,), probs)[0]
+            return spec.lam * _divergences(spec._divergence_plan, probs)[0]
         if isinstance(spec, MaxRenyiCost):
-            return reduce(np.maximum, _measure_integrals(spec.measures, probs))
+            return reduce(np.maximum, _measure_integrals(spec, probs))
         if isinstance(spec, PosteriorSeparableCost):
             return _ps_values(spec, probs)
         if isinstance(spec, ConvexPSCost):
@@ -483,9 +498,6 @@ def eval_costs(spec: CostSpec, probs) -> np.ndarray:
 
 def eval_cost(spec: CostSpec, mu: FiniteExperiment) -> float:
     """Evaluate a cost specification on an experiment (extended real >= 0)."""
-    n = spec_n_states(spec)
-    if n != mu.n_states:
-        raise DimensionMismatch(f"spec is {n}-state, experiment has {mu.n_states}")
     return float(eval_costs(spec, mu.probs[None])[0])
 
 
@@ -540,7 +552,7 @@ def _atoms_gradient(atoms, p: np.ndarray) -> np.ndarray:
         if w == 0.0:
             continue
         if isinstance(param, SupParam):
-            ratios = _log_ratios([param.psi], p[None])[1][0, 0]
+            ratios = _log_ratios(_Cuts([param.psi]), p[None])[1][0, 0]
             top = np.fmax.reduce(ratios)
             if top > 0:
                 at = ratios >= top * (1.0 - 1e-12)
@@ -578,7 +590,7 @@ def _cost_gradient(spec: CostSpec, p: np.ndarray) -> np.ndarray:
     1: off the simplex the two differ by a constant along that row.
     """
     if isinstance(spec, (KLCost, MaxKLCost)):
-        betas = (spec.beta,) if isinstance(spec, KLCost) else spec.betas
+        betas = _betas(spec)
         log_p = np.log(p)
         if len(betas) > 1:
             # the pair KLs from the same logs; a finite cost has no p_i > 0 = p_j
@@ -590,7 +602,7 @@ def _cost_gradient(spec: CostSpec, p: np.ndarray) -> np.ndarray:
     if isinstance(spec, MaxRenyiCost):
         measures = spec.measures
         if len(measures) > 1:
-            measures = _tied(measures, [v[0] for v in _measure_integrals(measures, p[None])])
+            measures = _tied(measures, [v[0] for v in _measure_integrals(spec, p[None])])
         return sum(_atoms_gradient(m.atoms, p) for m in measures) / len(measures)
     q = spec.prior
     grad = q[:, None] * _potential_slopes(spec.potential, _posterior_map(q, p)[1], q)

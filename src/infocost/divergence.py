@@ -5,20 +5,27 @@ the multi-state extension with exponent vectors on the simplex hyperplane, the
 unified three-branch parameterization, the (gamma, psi) reparameterization,
 Chernoff information, and the two-sided sup-divergence privacy measure.
 
-Every branch is evaluated by one kernel, ``_divergences(params, probs[B, n,
-s])``, which prices a list of parameters on a stack of experiments as a
-``[P, B]`` array.  The sandwich calls it with a whole parameter grid, the
-cost evaluator with every atom of a cost on a whole stack, and every scalar
-function here with one parameter on a stack of one.  Interior and sup
-parameters are grouped by the row of their largest exponent, whose log
-ratios are taken once; each value is still bit-identical to pricing its
-parameter and experiment alone.  The kernel's zero conventions: 0 ** 0 =
-1, so a zero exponent drops its state; a zero under a positive exponent
-drops its signal, and wins over a zero under a negative exponent; a zero
-under a negative exponent alone gives +inf; a zero weighted-KL weight drops
-its term, infinite or not.  The interior branch computes sum - 1 from
-differences of logs against the row of largest exponent, so its relative
-accuracy does not degrade as max(alpha) approaches 1.
+Every branch is evaluated by one kernel in two steps.  ``_Plan(params)``
+does the work on a list of parameters alone, once: equal parameters merged,
+interior and sup parameters grouped by the row of their largest exponent and
+their zero weights, the interior denominators, and the KL pairs the
+weighted-KL parameters use.  ``_divergences(plan, probs[B, n, s])`` then
+prices the plan on a stack as a ``[P, B]`` array, or, given the bounds of a
+ragged stack (matrices of different signal counts side by side along the
+signal axis), as ``[P, B, M]``: the logs and other elementwise work run once
+over every signal, and the sums and maxima per matrix.  The sandwich prices
+its parameter grid on the experiment and all its companions in one ragged
+call, each cost its atoms on a whole stack from a plan it made once, and
+every scalar function here one parameter on a stack of one.  Each value is
+bit-identical to pricing its parameter and matrix alone.
+
+The kernel's zero conventions: 0 ** 0 = 1, so a zero exponent drops its
+state; a zero under a positive exponent drops its signal, and wins over a
+zero under a negative exponent; a zero under a negative exponent alone gives
++inf; a zero weighted-KL weight drops its term, infinite or not.  The
+interior branch computes sum - 1 from differences of logs against the row of
+largest exponent, so its relative accuracy does not degrade as max(alpha)
+approaches 1.
 
 Infinity is a first-class return value throughout: malformed inputs raise,
 absolute-continuity failures return ``math.inf``.
@@ -185,10 +192,50 @@ class DivergenceMeasure:
 # ---------------------------------------------------------------------------
 
 
-def _log_ratios(ws: list, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row k = argmax(w) of a stack and L[b, s] = sum_{i != k} w_i log(p_i(s) / p_k(s)),
-    for each weight vector w of ``ws``: the rows stacked as ``pk[G, B, s]``
-    (``pk[1, B, s]`` when every w shares one) and the L as ``L[G, B, s]``.
+def _per_segment(ufunc, x: np.ndarray, bounds) -> np.ndarray:
+    """``ufunc``'s reduction of the last axis of x onto a last axis of
+    segments: [bounds[m], bounds[m + 1]) for each m, or the whole axis as one
+    segment when ``bounds`` is None.
+
+    Each segment reduces as if it were alone.  A sum takes its segment as a
+    slice, because ``np.add.reduceat`` adds in sequence where a slice's sum
+    adds pairwise; the maxima and logical reductions are exact in any order.
+    """
+    if bounds is None:
+        return ufunc.reduce(x, axis=-1, keepdims=True)
+    if ufunc is np.add:
+        return np.stack([x[..., a:b].sum(axis=-1) for a, b in zip(bounds, bounds[1:])], axis=-1)
+    return ufunc.reduceat(x, bounds[:-1], axis=-1)
+
+
+class _Cuts:
+    """How :func:`_log_ratios` reads a list of weight vectors, worked out
+    once: the row k = argmax(w) of each, and its states of nonzero weight."""
+
+    __slots__ = ("pivots", "slots", "patterns", "vectors")
+
+    def __init__(self, ws):
+        pivots: dict = {}  # the distinct rows k, in order of first use -> position
+        slots = []  # each vector's position in pivots
+        patterns: dict = {}  # the distinct (position in pivots, kept states or () for all)
+        vectors = []  # (its pattern, its weights on the kept states) of each vector
+        for w in ws:
+            wl = w.tolist()
+            slot = pivots.setdefault(wl.index(max(wl)), len(pivots))
+            kept = tuple(i for i, wi in enumerate(wl) if wi != 0.0) if 0.0 in wl else ()
+            vectors.append((patterns.setdefault((slot, kept), len(patterns)), w.take(kept) if kept else w))
+            slots.append(slot)
+        self.pivots = list(pivots)
+        self.slots = slots if len(pivots) > 1 else None
+        self.patterns = list(patterns)
+        self.vectors = vectors
+
+
+def _log_ratios(cuts: _Cuts, probs: np.ndarray, bounds=None) -> tuple[np.ndarray, np.ndarray]:
+    """Row k = argmax(w) of a stack ``probs[B, n, S]`` and L[b, s] = sum_{i != k}
+    w_i log(p_i(s) / p_k(s)), for each weight vector w of :class:`_Cuts`: the
+    rows stacked as ``pk[G, B, S]`` (``pk[1, B, S]`` when every w shares one)
+    and the L as ``L[G, B, S]``.
 
     For weights summing to 0 or 1, L(s) is w . log p(s) with w_k read as the
     rest of the sum, so no log is scaled by a weight near 1 before the
@@ -200,43 +247,45 @@ def _log_ratios(ws: list, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     overflow to +inf, so those signals take log p_i - log p_k instead; every
     other signal keeps the quotient.
 
-    The logs are taken once per pivot row k, and cut to the states of nonzero
-    weight once per pattern of zeros.  Each L is its own ``w @ logs``: one
-    product of the stacked weights rounds differently beyond two states.
+    The logs are taken once per pivot row over every signal, and cut to the
+    states of nonzero weight once per pattern of zeros.  Each L is its own
+    ``w @ logs`` on each segment of ``bounds`` (see :func:`_per_segment`),
+    from a contiguous copy of that segment: one product of the stacked
+    weights rounds differently beyond two states, and so does a product over
+    several segments, or over a segment's strided slice.
     """
+    rows, logs = [], []
+    for k in cuts.pivots:
+        pk = np.ascontiguousarray(probs[:, k])  # a strided view slows every later use
+        # row k's own term is w_k log(1) = 0
+        log = np.log(probs / pk[:, None])
+        if pk.min(initial=1.0) < TINY:
+            sub = (pk > 0.0) & (pk < TINY)
+            if sub.any():
+                log = np.where(sub[:, None], np.log(probs) - np.log(pk)[:, None], log)
+        rows.append(pk)
+        logs.append(log)
+    segments = None if bounds is None else list(zip(bounds, bounds[1:]))
+    blocks = []  # per pattern, its cut of the logs, whole or per segment
+    for slot, kept in cuts.patterns:
+        # contiguous, as take lays it out: fancy indexing lays it out state-major,
+        # where a matmul would round each matrix of a stack otherwise than alone
+        cut = logs[slot].take(kept, axis=1) if kept else logs[slot]
+        blocks.append([cut] if segments is None else [np.ascontiguousarray(cut[:, :, a:b]) for a, b in segments])
     ratios = []
-    pivots: dict = {}  # k -> (its slot in rows, logs per tuple of kept states; () keeps all)
-    rows, slots = [], []
-    for w in ws:
-        wl = w.tolist()
-        k = wl.index(max(wl))
-        if k not in pivots:
-            pk = np.ascontiguousarray(probs[:, k])  # a strided view slows every later use
-            # row k's own term is w_k log(1) = 0
-            logs = np.log(probs / pk[:, None])
-            if pk.min(initial=1.0) < TINY:
-                sub = (pk > 0.0) & (pk < TINY)
-                if sub.any():
-                    logs = np.where(sub[:, None], np.log(probs) - np.log(pk)[:, None], logs)
-            pivots[k] = len(rows), {(): logs}
-            rows.append(pk)
-        slot, logs = pivots[k]
-        slots.append(slot)
-        kept = tuple(i for i, wi in enumerate(wl) if wi != 0.0) if 0.0 in wl else ()
-        if kept not in logs:
-            # indexing lays the cut out state-major, where a matmul would round
-            # each matrix of a stack otherwise than that matrix alone
-            logs[kept] = np.ascontiguousarray(logs[()][:, list(kept)])
-        ratios.append((w[list(kept)] if kept else w) @ logs[kept])
+    for pattern, w in cuts.vectors:
+        products = [w @ block for block in blocks[pattern]]
+        ratios.append(products[0] if len(products) == 1 else np.concatenate(products, axis=-1))
     # a shared row is broadcast; a stacked one would copy it per w
-    pk = rows[0][None] if len(rows) == 1 else np.stack(rows)[slots]
+    pk = rows[0][None] if cuts.slots is None else np.stack(rows).take(cuts.slots, axis=0)
     return pk, np.stack(ratios) if len(ratios) > 1 else ratios[0][None]
 
 
-def _log_sums(pk: np.ndarray, ratios: np.ndarray, above: bool) -> np.ndarray:
-    """log sum_s prod_i p_i(s) ** alpha_i over a stack, for exponent vectors
-    whose largest entry lies above 1 (``above``) or all below it, from their
-    :func:`_log_ratios`: ``[G, B]``.
+def _log_sums(pk: np.ndarray, ratios: np.ndarray, above: bool, bounds=None) -> np.ndarray:
+    """log sum_s prod_i p_i(s) ** alpha_i over each segment of a stack (see
+    :func:`_per_segment`), for exponent vectors whose largest entry lies
+    above 1 (``above``) or all below it, from their :func:`_log_ratios`:
+    ``[G, B, M]``.
 
     Computed as log1p(sum - 1) with sum - 1 = sum_s p_k(s) expm1(L(s)), which
     reads row k as summing to 1, so every term is a difference from the
@@ -246,21 +295,23 @@ def _log_sums(pk: np.ndarray, ratios: np.ndarray, above: bool) -> np.ndarray:
     added up directly.  The exact sum lies in [0, 1] when max(alpha) < 1 and
     in [1, +inf] above; the clamp removes rounding past those ends.
     """
-    excess = np.fmax(pk * np.expm1(ratios), -pk).sum(axis=-1)
+    excess = _per_segment(np.add, np.fmax(pk * np.expm1(ratios), -pk), bounds)
     if above:
         return np.log1p(np.maximum(excess, 0.0))
     log_sums = np.log1p(np.minimum(excess, 0.0))
-    if min(map(min, excess.tolist())) < -0.99:
-        direct = np.fmax(pk * np.exp(ratios), 0.0).sum(axis=-1)
+    if min(excess.ravel().tolist()) < -0.99:
+        direct = _per_segment(np.add, np.fmax(pk * np.exp(ratios), 0.0), bounds)
         log_sums = np.where(excess < -0.99, np.log(direct), log_sums)
     return log_sums
 
 
-def _kls(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """KL(p || q) along the last axis, broadcasting the others; +inf where p > 0 = q."""
+def _kls(p: np.ndarray, q: np.ndarray, bounds=None) -> np.ndarray:
+    """KL(p || q) over each segment of the last axis (see :func:`_per_segment`),
+    broadcasting the others; +inf where p > 0 = q."""
     pos = p > 0
     terms = np.where(pos, p * (np.log(p) - np.log(q)), 0.0)
-    return np.where((pos & (q == 0.0)).any(axis=-1), np.inf, terms.sum(axis=-1))
+    infinite = _per_segment(np.logical_or, pos & (q == 0.0), bounds)
+    return np.where(infinite, np.inf, _per_segment(np.add, terms, bounds))
 
 
 def _interior_denominator(alpha: list) -> float:
@@ -269,74 +320,112 @@ def _interior_denominator(alpha: list) -> float:
     return -math.fsum(sorted(alpha)[:-1])
 
 
-def _divergences(params, probs: np.ndarray) -> np.ndarray:
-    """The divergence of every experiment in a stack ``probs[B, n, s]`` under
-    every parameter of a list: ``[P, B]``.
+class _Plan:
+    """The work :func:`_divergences` does on a list of parameters alone,
+    done once.  Equal parameters are priced once.  Interior and sup
+    parameters share one :func:`_log_ratios` pass, and the interior ones are
+    summed in two groups, largest exponent below and above 1.  Weighted-KL
+    parameters share the KL divergence of each pair (pivot, j) of positive
+    weight."""
 
-    The one evaluator of each branch; entry (p, b) depends on ``params[p]``
-    and ``probs[b]`` alone, bit for bit.  Equal parameters are priced once.
-    Interior and sup parameters share one :func:`_log_ratios` pass, and the
-    interior ones are summed in two groups, largest exponent below and above
-    1.  Interior: log(sum) over :func:`_interior_denominator`, which is
-    max(alpha) - 1 on the simplex.  Weighted-KL: the
-    weighted KL divergences from the pivot, skipping zero weights.  Sup: the
-    largest psi . log p(s), floored at 0, where a signal with a zero under a
-    positive weight (one that never occurs, say) never wins.  Callers
-    silence floating-point warnings: zeros make infinities and NaNs on the
-    way.
-    """
-    # distinct parameters: interior below 1, interior above 1, sup, weighted-KL
-    groups: tuple = ([], [], [], [])
-    denominators: tuple = ([], [])  # [_interior_denominator] of each interior group
-    seen: dict = {}  # (branch, weights) -> (group, position in it)
-    slots = []
-    for param in params:
-        if isinstance(param, InteriorParam):
-            key = InteriorParam, param.alpha.tobytes()
-        elif isinstance(param, SupParam):
-            key = SupParam, param.psi.tobytes()
-        elif isinstance(param, WeightedKLParam):
-            key = WeightedKLParam, param.pivot, param.beta.tobytes()
-        else:
-            raise BadPsi(f"unknown divergence parameter {param!r}")
-        if key not in seen:
-            if key[0] is InteriorParam:
-                alpha = param.alpha.tolist()
-                g = int(max(alpha) > 1.0)
-                denominators[g].append([_interior_denominator(alpha)])
+    __slots__ = ("cuts", "interiors", "sups", "pairs", "kls", "order")
+
+    def __init__(self, params):
+        # distinct parameters: interior below 1, interior above 1, sup, weighted-KL
+        groups: tuple = ([], [], [], [])
+        denominators: tuple = ([], [])
+        seen: dict = {}  # (branch, weights) -> (group, position in it)
+        slots = []
+        for param in params:
+            if isinstance(param, InteriorParam):
+                key = InteriorParam, param.alpha.tobytes()
+            elif isinstance(param, SupParam):
+                key = SupParam, param.psi.tobytes()
+            elif isinstance(param, WeightedKLParam):
+                key = WeightedKLParam, param.pivot, param.beta.tobytes()
             else:
-                g = 2 if key[0] is SupParam else 3
-            seen[key] = g, len(groups[g])
-            groups[g].append(param)
-        slots.append(seen[key])
-    below, above, sup, kl = groups
+                raise BadPsi(f"unknown divergence parameter {param!r}")
+            if key not in seen:
+                if key[0] is InteriorParam:
+                    alpha = param.alpha.tolist()
+                    g = int(max(alpha) > 1.0)
+                    denominators[g].append(_interior_denominator(alpha))
+                else:
+                    g = 2 if key[0] is SupParam else 3
+                seen[key] = g, len(groups[g])
+                groups[g].append(param)
+            slots.append(seen[key])
+        below, above, sup, kl = groups
+        # the interior weight vectors, below 1 then above 1, then the sup ones
+        ws = [p.alpha for p in below + above] + [p.psi for p in sup]
+        self.cuts = _Cuts(ws) if ws else None
+        # (above 1, [G, 1, 1] _interior_denominator) of each nonempty interior group
+        self.interiors = [(g == 1, np.array(d)[:, None, None]) for g, d in enumerate(denominators) if d]
+        self.sups = len(sup)
+        pairs: dict = {}  # (pivot, j) -> its position
+        self.kls = []  # (the positions of its pairs, their weights) of each weighted-KL parameter
+        for param in kl:
+            on = [j for j, b in enumerate(param.beta.tolist()) if b > 0.0]
+            at = [pairs.setdefault((param.pivot, j), len(pairs)) for j in on]
+            self.kls.append((at, param.beta.take(on)))
+        self.pairs = np.array(list(zip(*pairs))) if pairs else None  # [2, Q]: the pairs (i, j)
+        # each parameter's row among the distinct ones; None when they are
+        # distinct and of one group, so in order
+        self.order = None
+        if len(seen) < len(slots) or sum(map(bool, groups)) > 1:
+            starts = list(accumulate(map(len, groups), initial=0))
+            self.order = [starts[g] + i for g, i in slots]
+
+
+def _divergences(plan: _Plan, probs: np.ndarray, bounds=None) -> np.ndarray:
+    """The divergence of every experiment in a stack ``probs[B, n, s]`` under
+    every parameter of a :class:`_Plan`: ``[P, B]``.
+
+    With ``bounds``, the signal axis holds a ragged stack: the matrices
+    ``probs[b, :, bounds[m]:bounds[m + 1]]`` side by side, which may differ in
+    signal count, priced as ``[P, B, M]``.  The logs, exponentials and
+    products are taken once over every signal; the sums, maxima and
+    products with a weight vector run per matrix (see :func:`_per_segment`
+    and :func:`_log_ratios`).
+
+    The one evaluator of each branch; entry (p, b[, m]) depends on its
+    parameter and matrix alone, bit for bit.  Interior: log(sum) over
+    :func:`_interior_denominator`, which is max(alpha) - 1 on the simplex.
+    Weighted-KL: the weighted KL divergences from the pivot, skipping zero
+    weights.  Sup: the largest psi . log p(s), floored at 0, where a signal
+    with a zero under a positive weight (one that never occurs, say) never
+    wins.  Callers silence floating-point warnings: zeros make infinities
+    and NaNs on the way.
+    """
     parts = []  # the distinct parameters' rows, group by group
-    if below or above or sup:
-        pk, ratios = _log_ratios([p.alpha for p in below + above] + [p.psi for p in sup], probs)
+    if plan.cuts:
+        pk, ratios = _log_ratios(plan.cuts, probs, bounds)
         start = 0
-        for g in (0, 1):
-            if groups[g]:
-                rows = slice(start, start + len(groups[g]))
-                log_sums = _log_sums(pk if len(pk) == 1 else pk[rows], ratios[rows], g == 1)
-                # + 0.0 turns the -0.0 of log 1 over a negative denominator into 0.0
-                parts.append(log_sums / np.array(denominators[g]) + 0.0)
-                start = rows.stop
-        if sup:
-            parts.append(np.fmax(np.fmax.reduce(ratios[start:], axis=-1), 0.0))
-    for param in kl:
-        on = param.beta > 0
-        parts.append((_kls(probs[:, param.pivot, None, :], probs[:, on]) * param.beta[on]).sum(axis=-1)[None])
-    if len(parts) == 1:  # one group: its rows follow the order the parameters came in
-        return parts[0] if len(seen) == len(slots) else parts[0][[i for _, i in slots]]
-    out = np.concatenate(parts) if parts else np.empty((0, probs.shape[0]))
-    starts = list(accumulate(map(len, groups), initial=0))
-    return out[[starts[g] + i for g, i in slots]]
+        for above, denominators in plan.interiors:
+            rows = slice(start, start + len(denominators))
+            log_sums = _log_sums(pk if len(pk) == 1 else pk[rows], ratios[rows], above, bounds)
+            # + 0.0 turns the -0.0 of log 1 over a negative denominator into 0.0
+            parts.append(log_sums / denominators + 0.0)
+            start = rows.stop
+        if plan.sups:
+            parts.append(np.fmax(_per_segment(np.fmax, ratios[start:], bounds), 0.0))
+    if plan.kls:
+        pivots, others = plan.pairs
+        # [B, M, pair]: each parameter's pairs contiguous, summed as one row
+        kls = _kls(probs.take(pivots, axis=1), probs.take(others, axis=1), bounds).swapaxes(-1, -2)
+        parts += [(kls.take(at, axis=-1) * beta).sum(axis=-1)[None] for at, beta in plan.kls]
+    if not parts:
+        return np.empty((0,) + probs.shape[:-2] + ((len(bounds) - 1,) if bounds else ()))
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if plan.order is not None:
+        out = out.take(plan.order, axis=0)
+    return out if bounds else out[..., 0]
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _divergence(param: "DivergenceParam", probs: np.ndarray) -> float:
     """:func:`_divergences` of one parameter on a stack of one matrix."""
-    return float(_divergences((param,), probs[None])[0, 0])
+    return float(_divergences(_Plan((param,)), probs[None])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +545,7 @@ def diluted_power_divergence(mu: FiniteExperiment, k: int, gamma: float, psi) ->
     if abs(alpha.max() - gamma) > 1e-12:
         raise BadPsi("gamma must equal the largest exponent of the induced alpha")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = k * _log_sums(*_log_ratios([alpha], mu.probs[None]), max(alpha.tolist()) > 1.0)[0, 0]
+        x = k * _log_sums(*_log_ratios(_Cuts([alpha]), mu.probs[None]), max(alpha.tolist()) > 1.0)[0, 0, 0]
         # log(1 + (e**x - 1) / k); above x = 1, factor e**x out so it cannot overflow
         inner = np.log1p(np.expm1(x) / k) if x < 1.0 else x + np.log(np.exp(-x) - np.expm1(-x) / k)
         return float(inner / (gamma - 1.0) + 0.0)  # + 0.0: not -0.0 below gamma = 1
@@ -492,7 +581,7 @@ def _chernoff_objective(mu: FiniteExperiment, t: float) -> float:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         alpha = np.array([t, 1.0 - t])
         # 0.0 - x rather than -x, which is -0.0 at x = 0
-        return float(0.0 - _log_sums(*_log_ratios([alpha], mu.probs[None]), False)[0, 0])
+        return float(0.0 - _log_sums(*_log_ratios(_Cuts([alpha]), mu.probs[None]), False)[0, 0, 0])
 
 
 def chernoff_information(mu: FiniteExperiment) -> float:

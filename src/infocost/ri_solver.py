@@ -679,10 +679,14 @@ def claim1_region(lam: float, t: float, v_grid: Sequence[float], w_steps: int) -
     derivative at full and zero learning; inside it both corners are
     suboptimal, so the optimum mixes.  Safe payoffs are sampled around the
     interval, and each cell reports the maximizer and its support size.
-    w_steps, the safe payoffs per v, is an integer >= 1.
+    w_steps, the safe payoffs per v, is an integer >= 1, and v_grid holds
+    one payoff at least, so the scan has a cell.
     """
     if not _is_count(w_steps, 1):
         raise InfoCostError(f"w_steps must be an integer >= 1, got {w_steps!r}")
+    v_grid = list(v_grid)
+    if not v_grid:
+        raise InfoCostError("v_grid must hold at least one payoff")
     rows: list[Claim1Row] = []
     for v in v_grid:
         probe = SymmetricInstance(v, v / 2.0, lam, t)
@@ -729,17 +733,16 @@ def support_comparison(
 ) -> list[SupportRow]:
     """Solve the matching problem on a payoff grid for several cost families.
 
-    Cells with w >= v are skipped (the safe action would dominate trivially).
+    Cells with w >= v are skipped (the safe action would dominate trivially);
+    at least one cell must remain.
     """
+    cells = [(float(v), float(w)) for v in v_grid for w in w_grid if not w >= v]
+    if not cells:
+        raise InfoCostError("no payoff cell with w < v to compare")
     rows: list[SupportRow] = []
-    for v in v_grid:
-        for w in w_grid:
-            if w >= v:
-                continue
-            problem = matching_problem(float(v), float(w))
-            for label, spec in specs:
-                policy = solve(problem, spec, options)
-                rows.append(
-                    SupportRow(float(v), float(w), label, len(policy.support), policy.value)
-                )
+    for v, w in cells:
+        problem = matching_problem(v, w)
+        for label, spec in specs:
+            policy = solve(problem, spec, options)
+            rows.append(SupportRow(v, w, label, len(policy.support), policy.value))
     return rows

@@ -224,17 +224,20 @@ class TestSandwichReport:
                 assert row.d_over == ic.unified_divergence(row.param, over)
         assert any(math.isinf(r.d_over) for r in rows)
 
-    def test_one_kernel_call_per_experiment(self, monkeypatch):
+    def test_one_kernel_call_per_report(self, monkeypatch):
+        # the experiment and each k's contraction and spread, side by side
         calls = []
         kernel = approx._divergences
 
-        def spy(params, probs):
-            calls.append((len(params), probs.shape[0]))
-            return kernel(params, probs)
+        def spy(plan, probs, bounds=None):
+            calls.append((probs.shape, bounds))
+            return kernel(plan, probs, bounds)
 
         monkeypatch.setattr(approx, "_divergences", spy)
         ks = [4, 16, 64, 256]
         mu = ic.random_experiment(2, 32, seed=6, min_prob=0.003)
         rows = ic.sandwich_report(mu, [0.5, 0.5], ks, ic.default_param_grid(2, 50))
         assert len(rows) == 50 * len(ks)
-        assert calls == [(50, 1)] * (1 + 2 * len(ks))
+        [(shape, bounds)] = calls
+        assert len(bounds) == 2 + 2 * len(ks) and bounds[1] == 32
+        assert shape == (1, 2, bounds[-1])

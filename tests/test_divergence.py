@@ -1,6 +1,7 @@
 """Divergence family: hand-derived values, limits, and structural properties."""
 
 import math
+from itertools import accumulate
 
 import mpmath
 import numpy as np
@@ -550,14 +551,14 @@ def test_measure_accepts_numpy_and_integer_weights():
 SUBNORMALS = (5e-324, 1.5e-316, 1e-310, 2e-308)
 
 
-@st.composite
-def kernel_stacks(draw, n):
-    """probs[B, n, s] with rows summing to 1: plain, with zero entries, with
-    subnormal entries (which the pivot row of some parameters then holds), or
-    nearly disjoint, where an interior sum of products falls below 0.01."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    b, s = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    mode = draw(st.sampled_from(["plain", "zeros", "subnormal", "sharp"]))
+MODES = ("plain", "zeros", "subnormal", "sharp")
+
+
+def _stack(rng, b, n, s, mode):
+    """probs[b, n, s] with rows summing to 1, in one of ``MODES``: plain, with
+    zero entries, with subnormal entries (which the pivot row of some
+    parameters then holds), or nearly disjoint, where an interior sum of
+    products falls below 0.01."""
     if mode == "sharp":
         tiny = 10.0 ** rng.uniform(-14, -3, size=(b, n, 1))
         probs = np.broadcast_to(tiny, (b, n, s)).copy()
@@ -574,6 +575,29 @@ def kernel_stacks(draw, n):
     empty = probs.sum(axis=-1) == 0.0
     probs[empty, 0] = 1.0
     return probs / probs.sum(axis=-1, keepdims=True)
+
+
+@st.composite
+def kernel_stacks(draw, n):
+    """probs[B, n, s] in one of ``MODES``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b, s = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return _stack(rng, b, n, s, draw(st.sampled_from(MODES)))
+
+
+@st.composite
+def ragged_stacks(draw, n):
+    """A ragged stack: one to nine matrices of 1 to 70 signals side by side,
+    each in its own one of ``MODES``, as probs[B, n, S] and the bounds of the
+    matrices along the signal axis.  Matrices of one to three signals come
+    often: there a product with four or more states rounds otherwise from a
+    strided slice than from the matrix alone."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = draw(st.integers(1, 2))
+    sizes = draw(st.lists(st.one_of(st.integers(1, 3), st.integers(1, 70)), min_size=1, max_size=9))
+    modes = draw(st.lists(st.sampled_from(MODES), min_size=len(sizes), max_size=len(sizes)))
+    matrices = [_stack(rng, b, n, s, mode) for s, mode in zip(sizes, modes)]
+    return np.concatenate(matrices, axis=-1), tuple(accumulate(sizes, initial=0))
 
 
 def _simplex(rng, n, zeros):
@@ -634,17 +658,30 @@ class TestGridKernel:
         probs = data.draw(kernel_stacks(n), label="probs")
         params = data.draw(param_grids(n), label="params")
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            grid = divergence._divergences(params, probs)
+            grid = divergence._divergences(divergence._Plan(params), probs)
             assert grid.shape == (len(params), probs.shape[0])
             for row, param in zip(grid, params):
-                assert row.tobytes() == divergence._divergences([param], probs)[0].tobytes()
+                assert row.tobytes() == divergence._divergences(divergence._Plan([param]), probs)[0].tobytes()
                 for value, matrix in zip(row.tolist(), probs):
                     assert repr(value) == repr(ic.unified_divergence(param, ic.FiniteExperiment(matrix)))
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_ragged_stack_prices_each_matrix_alone(self, data):
+        n = data.draw(st.integers(2, 4), label="n")
+        probs, bounds = data.draw(ragged_stacks(n), label="stack")
+        params = data.draw(param_grids(n), label="params")
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ragged = divergence._divergences(divergence._Plan(params), probs, bounds)
+            assert ragged.shape == (len(params), probs.shape[0], len(bounds) - 1)
+            for m, (a, b) in enumerate(zip(bounds, bounds[1:])):
+                alone = divergence._divergences(divergence._Plan(params), probs[..., a:b].copy())
+                assert ragged[..., m].tobytes() == alone.tobytes()
+
     @pytest.mark.parametrize("b", [1, 4])
     def test_empty_grid(self, b):
-        assert divergence._divergences([], np.full((b, 3, 2), 0.5)).shape == (0, b)
+        assert divergence._divergences(divergence._Plan([]), np.full((b, 3, 2), 0.5)).shape == (0, b)
 
     def test_unknown_parameter(self):
         with pytest.raises(BadPsi):
-            divergence._divergences([ic.InteriorParam(np.array([0.5, 0.5])), "kl"], SYM75.probs[None])
+            divergence._Plan([ic.InteriorParam(np.array([0.5, 0.5])), "kl"])

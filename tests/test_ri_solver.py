@@ -681,6 +681,12 @@ class TestClaim1Region:
         with pytest.raises(InfoCostError, match="w_steps must be an integer >= 1"):
             ic.claim1_region(1.0, 0.5, [8.0], w_steps)
 
+    @pytest.mark.parametrize("v_grid", [[], (), iter([])])
+    def test_empty_v_grid_raises(self, v_grid):
+        # an empty grid used to scan nothing and return no rows
+        with pytest.raises(InfoCostError, match="v_grid must hold at least one payoff"):
+            ic.claim1_region(1.0, 0.5, v_grid, 3)
+
 
 class TestSupportComparison:
     def test_maxkl_value_is_max_of_two_strategies(self):
@@ -711,6 +717,13 @@ class TestSupportComparison:
             [("shannon", shannon)], [2.0], [1.0, 3.0], ic.SolveOptions(starts=4, max_iter=150)
         )
         assert [r.w for r in rows] == [1.0]
+
+    @pytest.mark.parametrize("w_grid", [[6.0], [5.0, 7.5], []])
+    def test_no_cell_below_v_raises(self, w_grid):
+        # every cell skipped used to return no rows
+        shannon = ic.PosteriorSeparableCost(np.array([0.5, 0.5]), ic.ShannonEntropy())
+        with pytest.raises(InfoCostError, match="no payoff cell with w < v"):
+            ic.support_comparison([("shannon", shannon)], [5.0], w_grid)
 
 
 def test_mixing_kernel_range():
