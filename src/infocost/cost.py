@@ -9,11 +9,16 @@ Sign convention: potentials are stored convex (entropy-style concave
 potentials are negated), and the posterior-separable cost is the expected
 potential of the posterior minus the potential of the prior.
 
-Every family is priced on a stack of matrices ``probs[B, n, s]`` by
-``eval_costs``.  Divergences go through the one divergence kernel; potentials
-through ``_potentials`` and transforms through ``_transforms``, each one NumPy
-pass per built-in kind.  Only custom potentials and transforms are called
-value by value.
+Every specification makes its evaluation plan once, at construction: a
+``_KLPlan``, ``_MeasurePlan`` or ``_PosteriorPlan`` holds what pricing needs
+of the specification alone (the weight pairs, the divergence-kernel plan and
+measure weights, each atom's gradient terms, the potential at the prior).
+Each family's values and gradient exist once, in its plan, which
+``eval_costs``, ``_cost_gradient`` and the solver all use.  Every family is
+priced on a stack of matrices ``probs[B, n, s]``.  Divergences go through the
+one divergence kernel; potentials through ``_PosteriorPlan.phi`` and
+transforms through ``_transforms``, each one NumPy pass per built-in kind.
+Only custom potentials and transforms are called value by value.
 """
 
 from __future__ import annotations
@@ -105,37 +110,6 @@ class CustomPotential:
 
 
 PotentialSpec = Union[ShannonEntropy, Tsallis, KLPotential, RenyiPotential, CustomPotential]
-
-
-def _potentials(potential: PotentialSpec, post: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The convex potential at every posterior of a stack ``post[..., n, s]``
-    (states on the second-to-last axis) under prior q.  Built-in potentials
-    take one NumPy pass; a custom potential is called posterior by posterior."""
-    if isinstance(potential, ShannonEntropy):
-        return np.where(post > 0, post * np.log(post), 0.0).sum(axis=-2)
-    if isinstance(potential, Tsallis):
-        return ((post**potential.sigma).sum(axis=-2) - 1.0) / (potential.sigma - 1.0)
-    if isinstance(potential, KLPotential):
-        # beta_ij r_i (log r_i - log r_j), dropped where r_i = 0, +inf where r_j = 0 < r_i
-        r = np.moveaxis(post / q[:, None], -2, 0)
-        log_r = np.log(r)
-        terms = (
-            np.where(r[i] > 0, potential.beta[i, j] * r[i] * (log_r[i] - log_r[j]), 0.0)
-            for i, j in zip(*np.nonzero(potential.beta))
-        )
-        return sum(terms, np.zeros(r.shape[1:]))
-    if isinstance(potential, RenyiPotential):
-        # elementwise products, not a matmul: a batched matmul may round one matrix
-        # of a stack differently from the same matrix alone
-        active = potential.alpha > 0
-        logs = np.log(post[..., active, :]) - np.log(q[active])[:, None]
-        return 1.0 - np.exp((potential.alpha[active][:, None] * logs).sum(axis=-2))
-    if isinstance(potential, CustomPotential):
-        # the all-zero belief of a signal that never occurs is no posterior
-        beliefs = np.moveaxis(post, -2, -1).reshape(-1, q.shape[0])
-        values = [float(potential.fn(p, q)) if p.any() else 0.0 for p in beliefs]
-        return np.array(values).reshape(post.shape[:-2] + post.shape[-1:])
-    raise BadCostSpec(f"unknown potential {potential!r}")
 
 
 def entropy_second_derivative(potential: PotentialSpec, x: float) -> float:
@@ -290,6 +264,7 @@ class KLCost:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", _beta_matrix(self.beta))
+        object.__setattr__(self, "_plan", _KLPlan((self.beta,)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,6 +280,7 @@ class MaxKLCost:
         if any(b.shape != mats[0].shape for b in mats):
             raise BadCostSpec("weight matrices must share a shape")
         object.__setattr__(self, "betas", mats)
+        object.__setattr__(self, "_plan", _KLPlan(mats))
 
 
 @dataclass(frozen=True)
@@ -320,7 +296,7 @@ class RenyiCost:
             raise BadCostSpec(
                 "the scaled-divergence cost requires a nonnegative interior exponent vector"
             )
-        object.__setattr__(self, "_divergence_plan", _Plan((self.param,)))
+        object.__setattr__(self, "_plan", _MeasurePlan([((self.lam, self.param),)]))
 
 
 @dataclass(frozen=True)
@@ -348,15 +324,14 @@ class MaxRenyiCost:
                     n = p.n_states
                 elif p.n_states != n:
                     raise BadCostSpec("all atoms must share the state count")
-        # every atom of nonzero weight, measure by measure, for _measure_integrals
-        atoms = [p for m in self.measures for w, p in m.atoms if w != 0.0]
-        object.__setattr__(self, "_divergence_plan", _Plan(atoms))
+        object.__setattr__(self, "_plan", _MeasurePlan([m.atoms for m in self.measures]))
 
 
-def _init_ps(cost) -> None:
-    """Freeze a posterior-separable cost's prior and price its potential there
-    once, for ``_ps_values`` (a custom potential is called at construction).
-    A KL or Rényi potential must be built for the prior's states."""
+def _init_ps(cost, transform: Optional[TransformSpec] = None) -> None:
+    """Freeze a posterior-separable cost's prior, or that of a transform of
+    one, and make its plan, which prices the potential at the prior (a
+    custom potential is called at construction).  A KL or Rényi potential
+    must be built for the prior's states."""
     q = _freeze(_check_prior(cost.prior).copy())
     potential = cost.potential
     if isinstance(potential, (KLPotential, RenyiPotential)):
@@ -364,8 +339,7 @@ def _init_ps(cost) -> None:
         if k != q.shape[0]:
             raise BadCostSpec(f"the potential is {k}-state, the prior {q.shape[0]}-state")
     object.__setattr__(cost, "prior", q)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        object.__setattr__(cost, "_prior_potential", _potentials(potential, q[:, None], q)[0])
+    object.__setattr__(cost, "_plan", _PosteriorPlan(q, potential, transform))
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,7 +362,7 @@ class ConvexPSCost:
     transform: TransformSpec
 
     def __post_init__(self):
-        _init_ps(self)
+        _init_ps(self, self.transform)
 
 
 CostSpec = Union[KLCost, MaxKLCost, RenyiCost, MaxRenyiCost, PosteriorSeparableCost, ConvexPSCost]
@@ -418,41 +392,254 @@ def _has_sup_atom(spec: CostSpec) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# evaluation plans
+# ---------------------------------------------------------------------------
+
+
+def _pairs(beta: np.ndarray) -> list:
+    """(i, j, beta_ij) for each nonzero entry of a KL weight matrix, row by row."""
+    return [(i, j, beta[i, j]) for i, j in zip(*np.nonzero(beta))]
+
+
+def _kl_gradient(pairs: list, p: np.ndarray, log_p: np.ndarray) -> np.ndarray:
+    """The gradient of sum_ij beta_ij KL(mu_i || mu_j) in the entries of p[n, s],
+    given the ``_pairs`` of beta and log_p = log(p)."""
+    grad = np.zeros_like(p)
+    for i, j, b in pairs:
+        grad[i] += b * (log_p[i] - log_p[j] + 1.0)
+        grad[j] -= b * p[i] / p[j]
+    return grad
+
+
+def _tied(members: list, values: list) -> list:
+    """The members of a maximum whose values lie within 1e-12 (relative) of it."""
+    top = max(values)
+    return [m for m, v in zip(members, values) if v >= top - 1e-12 * abs(top)]
+
+
+def _mean(grads: list) -> np.ndarray:
+    """The mean of the gradients of a maximum's tied members."""
+    return grads[0] if len(grads) == 1 else sum(grads) / len(grads)
+
+
+class _KLPlan:
+    """How a weighted-KL cost (one weight matrix) or a max-KL cost (several)
+    is priced, worked out once: the pairs (i, j) some matrix weighs, whose
+    KL divergences are taken once per stack, and each matrix's weights on
+    them."""
+
+    __slots__ = ("pairs", "forms", "grads")
+
+    def __init__(self, betas: tuple):
+        at: dict = {}  # (i, j) -> its position among the pairs
+        self.grads = [_pairs(beta) for beta in betas]
+        self.forms = [[(at.setdefault((i, j), len(at)), b) for i, j, b in pairs] for pairs in self.grads]
+        self.pairs = np.array(list(at), dtype=int).reshape(-1, 2).T  # [2, Q]: the pairs (i, j)
+
+    def _forms(self, probs: np.ndarray) -> list:
+        """sum_ij beta_ij KL(mu_i || mu_j) of each matrix over a stack."""
+        kl = _kls(probs.take(self.pairs[0], axis=1), probs.take(self.pairs[1], axis=1))[..., 0]
+        return [sum((b * kl[:, k] for k, b in form), np.zeros(probs.shape[0])) for form in self.forms]
+
+    def values(self, probs: np.ndarray) -> np.ndarray:
+        return reduce(np.maximum, self._forms(probs))
+
+    def gradient(self, p: np.ndarray) -> np.ndarray:
+        grads = self.grads
+        if len(grads) > 1:
+            grads = _tied(grads, [v[0] for v in self._forms(p[None])])
+        log_p = np.log(p)
+        return _mean([_kl_gradient(pairs, p, log_p) for pairs in grads])
+
+
+def _atom_terms(param, rows: dict):
+    """What an atom's gradient needs of its parameter alone: a sup atom's
+    cuts, a weighted-KL atom's pairs, or an interior atom's kept states,
+    exponents on them, denominator and position among the distinct exponent
+    vectors of ``rows``."""
+    if isinstance(param, SupParam):
+        return _Cuts([param.psi])
+    if isinstance(param, WeightedKLParam):
+        beta = np.zeros((param.n_states, param.n_states))
+        beta[param.pivot] = param.beta
+        return _pairs(beta)
+    weights = param.alpha.tolist()
+    on = param.alpha > 0 if 0.0 in weights else slice(None)
+    row = rows.setdefault(param.alpha.tobytes(), len(rows))
+    return on, param.alpha[on, None], _interior_denominator(weights), row
+
+
+def _atoms_gradient(atoms: list, p: np.ndarray) -> np.ndarray:
+    """The gradient of sum w * D_param over the (w, param, terms) atoms of a
+    ``_MeasurePlan`` measure.
+
+    Interior: D = log S / -sum_{i != k} alpha_i with S = sum_s T(s) and
+    T(s) = prod_i p_i(s) ** alpha_i, so row i is alpha_i T / (p_i S) over
+    the same denominator; a zero exponent leaves its row out of T, and
+    equal exponent vectors share T and S.  Sup: D = max(0, max_s psi . log
+    p(s)) has the subgradient psi / p(s*) at the argmax signals s* (their
+    mean where tied), and 0 where the floor wins.
+    """
+    grad = np.zeros_like(p)
+    powers: dict = {}  # position of an exponent vector -> (p on its states, T, S)
+    for w, param, terms in atoms:
+        if isinstance(param, SupParam):
+            ratios = _log_ratios(terms, p[None])[1][0, 0]
+            top = np.fmax.reduce(ratios)
+            if top > 0:
+                at = ratios >= top * (1.0 - 1e-12)
+                grad[:, at] += w / at.sum() * param.psi[:, None] / p[:, at]
+        elif isinstance(param, WeightedKLParam):
+            grad += w * _kl_gradient(terms, p, np.log(p))
+        else:
+            on, alpha, denominator, row = terms
+            if row not in powers:
+                p_on = p[on]
+                t = np.exp((alpha * np.log(p_on)).sum(axis=0))
+                powers[row] = p_on, t, t.sum()
+            p_on, t, total = powers[row]
+            grad[on] += (w / (total * denominator) * alpha) * t / p_on
+    return grad
+
+
+class _MeasurePlan:
+    """How a Rényi cost (one measure of one atom) or a max-Rényi cost is
+    priced, worked out once: one divergence-kernel plan of every atom of
+    nonzero weight, measure by measure, their weights, and each atom's
+    ``_atom_terms``."""
+
+    __slots__ = ("kernel", "weights", "atoms")
+
+    def __init__(self, measures: list):
+        kept = [[(w, p) for w, p in atoms if w != 0.0] for atoms in measures]
+        self.kernel = _Plan([p for atoms in kept for _, p in atoms])
+        self.weights = [[w for w, _ in atoms] for atoms in kept]
+        rows: dict = {}
+        self.atoms = [[(w, p, _atom_terms(p, rows)) for w, p in atoms] for atoms in kept]
+
+    def _integrals(self, probs: np.ndarray) -> list:
+        """sum_atoms w * D_param of each measure over a stack: one kernel
+        call for every atom, then each measure sums its atoms in order."""
+        divergences = iter(_divergences(self.kernel, probs))
+        return [sum((w * next(divergences) for w in ws), np.zeros(probs.shape[0])) for ws in self.weights]
+
+    def values(self, probs: np.ndarray) -> np.ndarray:
+        return reduce(np.maximum, self._integrals(probs))
+
+    def gradient(self, p: np.ndarray) -> np.ndarray:
+        measures = self.atoms
+        if len(measures) > 1:
+            measures = _tied(measures, [v[0] for v in self._integrals(p[None])])
+        return _mean([_atoms_gradient(atoms, p) for atoms in measures])
+
+
+class _PosteriorPlan:
+    """How a posterior-separable cost, or an increasing convex transform of
+    one, is priced, worked out once: the potential's terms that depend on
+    the prior and its weights alone, its value at the prior, and whether a
+    transform applies (the identity does not)."""
+
+    __slots__ = ("prior", "column", "potential", "pairs", "active", "exponents", "log_q", "at_prior", "transform")
+
+    def __init__(self, q: np.ndarray, potential: PotentialSpec, transform: Optional[TransformSpec]):
+        self.prior, self.column, self.potential = q, q[:, None], potential
+        if isinstance(potential, KLPotential):
+            self.pairs = _pairs(potential.beta)
+        elif isinstance(potential, RenyiPotential):
+            self.active = potential.alpha > 0
+            self.exponents = potential.alpha[self.active][:, None]
+            self.log_q = np.log(q[self.active])[:, None]
+        elif not isinstance(potential, (ShannonEntropy, Tsallis, CustomPotential)):
+            raise BadCostSpec(f"unknown potential {potential!r}")
+        self.transform = None if isinstance(transform, IdentityTransform) else transform
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            self.at_prior = self.phi(self.column)[0]
+
+    def phi(self, post: np.ndarray) -> np.ndarray:
+        """The convex potential at every posterior of a stack ``post[..., n, s]``
+        (states on the second-to-last axis).  Built-in potentials take one
+        NumPy pass; a custom potential is called posterior by posterior."""
+        potential = self.potential
+        if isinstance(potential, ShannonEntropy):
+            return np.where(post > 0, post * np.log(post), 0.0).sum(axis=-2)
+        if isinstance(potential, Tsallis):
+            return ((post**potential.sigma).sum(axis=-2) - 1.0) / (potential.sigma - 1.0)
+        if isinstance(potential, KLPotential):
+            # beta_ij r_i (log r_i - log r_j), dropped where r_i = 0, +inf where r_j = 0 < r_i
+            r = np.moveaxis(post / self.column, -2, 0)
+            log_r = np.log(r)
+            terms = (np.where(r[i] > 0, b * r[i] * (log_r[i] - log_r[j]), 0.0) for i, j, b in self.pairs)
+            return sum(terms, np.zeros(r.shape[1:]))
+        if isinstance(potential, RenyiPotential):
+            # elementwise products, not a matmul: a batched matmul may round one matrix
+            # of a stack differently from the same matrix alone
+            logs = np.log(post[..., self.active, :]) - self.log_q
+            return 1.0 - np.exp((self.exponents * logs).sum(axis=-2))
+        # the all-zero belief of a signal that never occurs is no posterior
+        beliefs = np.moveaxis(post, -2, -1).reshape(-1, self.prior.shape[0])
+        values = [float(potential.fn(p, self.prior)) if p.any() else 0.0 for p in beliefs]
+        return np.array(values).reshape(post.shape[:-2] + post.shape[-1:])
+
+    def slopes(self, post: np.ndarray) -> np.ndarray:
+        """Phi(g) + grad Phi(g) . (e_x - g) at row x, column a, for the
+        posteriors g = ``post[:, a]`` of one matrix; a custom potential takes a
+        one-sided difference along the chord from g toward e_x, which stays on
+        the simplex."""
+        potential = self.potential
+        if isinstance(potential, ShannonEntropy):
+            return np.log(post)
+        if isinstance(potential, Tsallis):
+            s = potential.sigma
+            return (s * post ** (s - 1.0) - 1.0) / (s - 1.0) - (post**s).sum(axis=0)
+        phi = self.phi(post)
+        if isinstance(potential, CustomPotential):
+            # a signal that never occurs keeps its all-zero belief, which fn never sees
+            chord = np.where(post.any(axis=0), post + 1e-8 * (np.eye(post.shape[0])[:, :, None] - post), 0.0)
+            return phi + (self.phi(chord) - phi) / 1e-8
+        if isinstance(potential, KLPotential):
+            r = post / self.column
+            grad = _kl_gradient(self.pairs, r, np.log(r)) / self.column
+        else:  # Rényi: grad Phi = (Phi - 1) alpha / g
+            grad = (phi - 1.0) * potential.alpha[:, None] / post
+        return phi + grad - np.where(post > 0, post * grad, 0.0).sum(axis=0)
+
+    def _separable(self, probs: np.ndarray) -> np.ndarray:
+        """The posterior-separable cost over a stack.  The all-zero belief of
+        a signal that never occurs is finite under every potential, so its
+        term is zero."""
+        marginal, post = _posterior_map(self.prior, probs)
+        return (marginal * self.phi(post)).sum(axis=1) - self.at_prior
+
+    def values(self, probs: np.ndarray) -> np.ndarray:
+        x = self._separable(probs)
+        return x if self.transform is None else _transforms(self.transform, x)
+
+    def gradient(self, p: np.ndarray) -> np.ndarray:
+        grad = self.column * self.slopes(_posterior_map(self.prior, p)[1])
+        t = self.transform
+        if t is None:
+            return grad
+        # the chain rule, with c' central differences for a custom transform
+        x = self._separable(p[None])[0]
+        if isinstance(t, RenyiLogTransform):
+            return grad * t.lam / ((1.0 - t.alpha_max) * (1.0 - x))
+        return grad * (t.fn(x + 1e-6) - t.fn(x - 1e-6)) / 2e-6
+
+
+# ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
 
-def _betas(spec: Union[KLCost, MaxKLCost]) -> tuple:
-    """The weight matrices of a KL cost (one) or a max-KL cost."""
-    return (spec.beta,) if isinstance(spec, KLCost) else spec.betas
-
-
-def _kl_forms(beta: np.ndarray, kl: np.ndarray) -> np.ndarray:
-    """sum_ij beta_ij KL(mu_i || mu_j) over a stack, from its pair divergences."""
-    terms = (beta[i, j] * kl[:, i, j] for i, j in zip(*np.nonzero(beta)))
-    return sum(terms, np.zeros(kl.shape[0]))
-
-
-def _measure_integrals(spec: MaxRenyiCost, probs: np.ndarray) -> list:
-    """sum_atoms w * D_param of each measure of a max-Rényi cost over a
-    stack.  One kernel call prices every atom of nonzero weight of every
-    measure, from the plan the cost made once; each measure then sums its
-    atoms in order."""
-    divergences = iter(_divergences(spec._divergence_plan, probs))
-    integrals = []
-    for m in spec.measures:
-        terms = (w * next(divergences) for w, _ in m.atoms if w != 0.0)
-        integrals.append(sum(terms, np.zeros(probs.shape[0])))
-    return integrals
-
-
-def _ps_values(spec: Union[PosteriorSeparableCost, ConvexPSCost], probs: np.ndarray) -> np.ndarray:
-    """The posterior-separable cost over a stack.  The all-zero belief of a
-    signal that never occurs is finite under every potential, so its term is
-    zero."""
-    marginal, post = _posterior_map(spec.prior, probs)
-    terms = marginal * _potentials(spec.potential, post, spec.prior)
-    return terms.sum(axis=1) - spec._prior_potential
+def _costs(spec: CostSpec, probs: np.ndarray) -> np.ndarray:
+    """``eval_costs`` of a C-contiguous float stack ``probs[B, n, s]`` of the
+    spec's state count, which it does not check: the nonnegativity check,
+    then the plan the spec made at construction.  Callers silence
+    floating-point warnings."""
+    # NaN is not >= 0, and the least entry is NaN when any is
+    if not probs.min(initial=0.0) >= 0.0:
+        raise NotADistribution("signal probabilities must be nonnegative numbers")
+    return spec._plan.values(probs)
 
 
 def eval_costs(spec: CostSpec, probs) -> np.ndarray:
@@ -463,9 +650,12 @@ def eval_costs(spec: CostSpec, probs) -> np.ndarray:
     exactly.  Rows need not be stochastic, but every entry must be a
     nonnegative number; a row that carries a transform's argument above its
     domain costs +inf.
-    Weighted-KL sums, every built-in potential and every built-in transform
-    take one NumPy pass over the stack.  Divergences take one call of the
-    divergence kernel, ``divergence._divergences``: a Rényi cost's one
+    The stack's shape and entries are checked here; the rest is the plan
+    each specification makes once, at construction (``_KLPlan``,
+    ``_MeasurePlan``, ``_PosteriorPlan``), which the solver also prices
+    through.  Weighted-KL sums, every built-in potential and every built-in
+    transform take one NumPy pass over the stack.  Divergences take one call
+    of the divergence kernel, ``divergence._divergences``: a Rényi cost's one
     parameter, or every atom of every measure of a max-Rényi cost at once.
     Custom potentials are called per posterior and custom transforms per
     value.  The Rényi atoms read each matrix's row of largest exponent as
@@ -477,23 +667,8 @@ def eval_costs(spec: CostSpec, probs) -> np.ndarray:
     n = spec_n_states(spec)
     if probs.ndim != 3 or probs.shape[1] != n:
         raise DimensionMismatch(f"spec is {n}-state, stack has shape {probs.shape}")
-    if not (probs >= 0).all():
-        raise NotADistribution("signal probabilities must be nonnegative numbers")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if isinstance(spec, (KLCost, MaxKLCost)):
-            kl = _kls(probs[:, :, None], probs[:, None])[..., 0]
-            return reduce(np.maximum, [_kl_forms(b, kl) for b in _betas(spec)])
-        if isinstance(spec, RenyiCost):
-            if spec.lam == 0.0:
-                return np.zeros(probs.shape[0])
-            return spec.lam * _divergences(spec._divergence_plan, probs)[0]
-        if isinstance(spec, MaxRenyiCost):
-            return reduce(np.maximum, _measure_integrals(spec, probs))
-        if isinstance(spec, PosteriorSeparableCost):
-            return _ps_values(spec, probs)
-        if isinstance(spec, ConvexPSCost):
-            return _transforms(spec.transform, _ps_values(spec, probs))
-    raise BadCostSpec(f"unknown cost specification {spec!r}")
+        return _costs(spec, probs)
 
 
 def eval_cost(spec: CostSpec, mu: FiniteExperiment) -> float:
@@ -501,118 +676,19 @@ def eval_cost(spec: CostSpec, mu: FiniteExperiment) -> float:
     return float(eval_costs(spec, mu.probs[None])[0])
 
 
-# ---------------------------------------------------------------------------
-# gradients
-# ---------------------------------------------------------------------------
-
-
-def _kl_gradient(beta: np.ndarray, p: np.ndarray, log_p: np.ndarray) -> np.ndarray:
-    """The gradient of sum_ij beta_ij KL(mu_i || mu_j) in the entries of p[n, s],
-    given log_p = log(p)."""
-    grad = np.zeros_like(p)
-    for i, j in zip(*np.nonzero(beta)):
-        grad[i] += beta[i, j] * (log_p[i] - log_p[j] + 1.0)
-        grad[j] -= beta[i, j] * p[i] / p[j]
-    return grad
-
-
-def _potential_slopes(potential: PotentialSpec, post: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Phi(g) + grad Phi(g) . (e_x - g) at row x, column a, for the posteriors
-    g = ``post[:, a]``; a custom potential takes a one-sided difference along
-    the chord from g toward e_x, which stays on the simplex."""
-    if isinstance(potential, ShannonEntropy):
-        return np.log(post)
-    if isinstance(potential, Tsallis):
-        s = potential.sigma
-        return (s * post ** (s - 1.0) - 1.0) / (s - 1.0) - (post**s).sum(axis=0)
-    phi = _potentials(potential, post, q)
-    if isinstance(potential, CustomPotential):
-        # a signal that never occurs keeps its all-zero belief, which fn never sees
-        chord = np.where(post.any(axis=0), post + 1e-8 * (np.eye(q.shape[0])[:, :, None] - post), 0.0)
-        return phi + (_potentials(potential, chord, q) - phi) / 1e-8
-    if isinstance(potential, KLPotential):
-        r = post / q[:, None]
-        grad = _kl_gradient(potential.beta, r, np.log(r)) / q[:, None]
-    else:  # Rényi: grad Phi = (Phi - 1) alpha / g
-        grad = (phi - 1.0) * potential.alpha[:, None] / post
-    return phi + grad - np.where(post > 0, post * grad, 0.0).sum(axis=0)
-
-
-def _atoms_gradient(atoms, p: np.ndarray) -> np.ndarray:
-    """The gradient of sum w * D_param over (w, param) atoms.
-
-    Interior: D = log S / -sum_{i != k} alpha_i with S = sum_s T(s) and
-    T(s) = prod_i p_i(s) ** alpha_i, so row i is alpha_i T / (p_i S) over
-    the same denominator; a zero exponent leaves its row out of T.  Sup:
-    D = max(0, max_s psi . log p(s)) has the subgradient psi / p(s*) at the
-    argmax signals s* (their mean where tied), and 0 where the floor wins.
-    """
-    grad = np.zeros_like(p)
-    for w, param in atoms:
-        if w == 0.0:
-            continue
-        if isinstance(param, SupParam):
-            ratios = _log_ratios(_Cuts([param.psi]), p[None])[1][0, 0]
-            top = np.fmax.reduce(ratios)
-            if top > 0:
-                at = ratios >= top * (1.0 - 1e-12)
-                grad[:, at] += w / at.sum() * param.psi[:, None] / p[:, at]
-            continue
-        if isinstance(param, WeightedKLParam):
-            beta = np.zeros((p.shape[0], p.shape[0]))
-            beta[param.pivot] = param.beta
-            grad += w * _kl_gradient(beta, p, np.log(p))
-            continue
-        weights = param.alpha.tolist()
-        on = param.alpha > 0 if 0.0 in weights else slice(None)
-        alpha, p_on = param.alpha[on, None], p[on]
-        t = np.exp((alpha * np.log(p_on)).sum(axis=0))
-        grad[on] += (w / (t.sum() * _interior_denominator(weights)) * alpha) * t / p_on
-    return grad
-
-
-def _tied(members: tuple, values: list) -> list:
-    """The members of a maximum whose values lie within 1e-12 (relative) of it."""
-    top = max(values)
-    return [m for m, v in zip(members, values) if v >= top - 1e-12 * abs(top)]
-
-
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _cost_gradient(spec: CostSpec, p: np.ndarray) -> np.ndarray:
-    """dC/dp for one choice matrix p[n, s] with a finite cost.
+    """dC/dp for one choice matrix p[n, s] with a finite cost, from the plan
+    the spec made at construction.  Callers silence floating-point warnings.
 
     Exact where p > 0, up to the difference step of a custom potential or
     transform; a zero entry may carry -inf or NaN.  A maximum gets the mean
     gradient of its members within 1e-12 (relative) of the top: a
     subgradient at a tie.  A posterior-separable cost has dC/dp(x, a) = q_x
-    times ``_potential_slopes`` at (x, a).  The Rényi atoms' row k is
+    times its plan's ``slopes`` at (x, a).  The Rényi atoms' row k is
     differentiated as written, while ``eval_costs`` reads it as summing to
     1: off the simplex the two differ by a constant along that row.
     """
-    if isinstance(spec, (KLCost, MaxKLCost)):
-        betas = _betas(spec)
-        log_p = np.log(p)
-        if len(betas) > 1:
-            # the pair KLs from the same logs; a finite cost has no p_i > 0 = p_j
-            kl = np.where(p[:, None] > 0, p[:, None] * (log_p[:, None] - log_p[None]), 0.0).sum(axis=-1)
-            betas = _tied(betas, [_kl_forms(b, kl[None])[0] for b in betas])
-        return sum(_kl_gradient(b, p, log_p) for b in betas) / len(betas)
-    if isinstance(spec, RenyiCost):
-        return _atoms_gradient(((spec.lam, spec.param),), p)
-    if isinstance(spec, MaxRenyiCost):
-        measures = spec.measures
-        if len(measures) > 1:
-            measures = _tied(measures, [v[0] for v in _measure_integrals(spec, p[None])])
-        return sum(_atoms_gradient(m.atoms, p) for m in measures) / len(measures)
-    q = spec.prior
-    grad = q[:, None] * _potential_slopes(spec.potential, _posterior_map(q, p)[1], q)
-    if isinstance(spec, ConvexPSCost) and not isinstance(spec.transform, IdentityTransform):
-        # the chain rule, with c' central differences for a custom transform
-        t, x = spec.transform, _ps_values(spec, p[None])[0]
-        if isinstance(t, RenyiLogTransform):
-            return grad * t.lam / ((1.0 - t.alpha_max) * (1.0 - x))
-        return grad * (t.fn(x + 1e-6) - t.fn(x - 1e-6)) / 2e-6
-    return grad
+    return spec._plan.gradient(p)
 
 
 def renyi_cost_as_transform_check(

@@ -423,9 +423,9 @@ def _divergences(plan: _Plan, probs: np.ndarray, bounds=None) -> np.ndarray:
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _divergence(param: "DivergenceParam", probs: np.ndarray) -> float:
-    """:func:`_divergences` of one parameter on a stack of one matrix."""
-    return float(_divergences(_Plan((param,)), probs[None])[0, 0])
+def _divergence(plan: _Plan, probs: np.ndarray) -> float:
+    """:func:`_divergences` of a plan of one parameter on a stack of one matrix."""
+    return float(_divergences(plan, probs[None])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -452,19 +452,24 @@ def renyi(t: float, p, q) -> float:
     """
     if not (0.0 < t < 1.0):
         raise TOutOfRange(f"order must lie in (0, 1), got {t!r}")
-    value = _divergence(InteriorParam(np.array([t, 1.0 - t])), _check_pair(p, q))
+    value = _divergence(_Plan((InteriorParam(np.array([t, 1.0 - t])),)), _check_pair(p, q))
     # the extended form divides by max(t, 1 - t) - 1, the order-t form by t - 1
     return value * (min(t, 1.0 - t) / (1.0 - t))
 
 
+# the one parameter of each of kl and sup_divergence, planned once
+_KL_PLAN = _Plan((WeightedKLParam(0, np.array([0.0, 1.0])),))
+_SUP_PLAN = _Plan((SupParam(np.array([1.0, -1.0])),))
+
+
 def kl(p, q) -> float:
     """Kullback-Leibler divergence, +inf on absolute-continuity failure."""
-    return _divergence(WeightedKLParam(0, np.array([0.0, 1.0])), _check_pair(p, q))
+    return _divergence(_KL_PLAN, _check_pair(p, q))
 
 
 def sup_divergence(p, q) -> float:
     """Log of the largest likelihood ratio p(s)/q(s) over signals with p(s) > 0."""
-    return _divergence(SupParam(np.array([1.0, -1.0])), _check_pair(p, q))
+    return _divergence(_SUP_PLAN, _check_pair(p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +493,7 @@ def unified_divergence(param: DivergenceParam, mu: FiniteExperiment) -> float:
     """Dispatch over the three-branch divergence parameterization."""
     if param.n_states != mu.n_states:
         raise StateMismatch(f"parameter is {param.n_states}-state, experiment {mu.n_states}")
-    return _divergence(param, mu.probs)
+    return _divergence(_Plan((param,)), mu.probs)
 
 
 def _direction(psi, mu: FiniteExperiment) -> SupParam:
@@ -524,7 +529,7 @@ def generalized_divergence(gamma: float, psi, mu: FiniteExperiment) -> float:
         param = WeightedKLParam(sup.pivot, beta)
     else:
         param = InteriorParam(_exponents(gamma, sup))
-    return _divergence(param, mu.probs)
+    return _divergence(_Plan((param,)), mu.probs)
 
 
 def diluted_power_divergence(mu: FiniteExperiment, k: int, gamma: float, psi) -> float:

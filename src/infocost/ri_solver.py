@@ -6,7 +6,15 @@ until the support settles, then a BFGS endgame on the row logits of the
 positive entries; both keep every matrix it prices on the simplex without a
 projection.  Every cost has a gradient (``cost._cost_gradient``); for a
 Shannon cost a unit mirror step is the Blahut-Arimoto / logit update.  The
-endgame is NumPy only, so solving loads no SciPy.  Every built-in family
+endgame is NumPy only, so solving loads no SciPy.
+
+Each cost specification makes its evaluation plan once, at construction,
+and the solver prices through it (``cost._costs`` and
+``cost._cost_gradient``): no call re-derives the family, the weights or the
+exponents, and a solve sets NumPy's floating-point error state once.  The
+line searches price one candidate at a time; the pure policies with the
+ascents' starts, and the polish's face starts, are each priced as one
+stack, whose rows equal the matrices priced alone.  Every built-in family
 except sup atoms is convex in the choice matrix, which makes the objective
 concave: those families get one ascent from the uniform policy, and the
 others several starts.  For them, on two states, the best pure policy is
@@ -35,8 +43,8 @@ from .cost import (
     PosteriorSeparableCost,
     RenyiCost,
     _cost_gradient,
+    _costs,
     _has_sup_atom,
-    eval_costs,
     spec_n_states,
 )
 from .divergence import DivergenceMeasure, InteriorParam, _golden_max
@@ -117,14 +125,23 @@ class SolveOptions:
 
 
 def _objective_factory(problem: RIProblem, spec: CostSpec):
-    qu = problem.prior[None, :] * problem.utilities  # [a, theta] weighted payoffs
+    """The objective f(p) = sum q_x u(a, x) p(x, a) - C(p) and its gradient,
+    priced through the plan the cost made at construction (``cost._costs``
+    and ``cost._cost_gradient``).  ``objective`` takes a choice matrix
+    p[n, m] and returns a float, or a stack p[K, n, m] and returns f of each
+    matrix, equal to that matrix priced alone; a +inf cost gives -inf.
+    Callers pass C-contiguous float arrays of the problem's shape and
+    silence floating-point warnings, as ``solve`` does."""
+    payoff = (problem.prior[None, :] * problem.utilities).T  # [theta, a] weighted payoffs
 
-    def objective(p: np.ndarray) -> float:
-        # a +inf cost gives -inf
-        return float(np.sum(qu.T * p)) - float(eval_costs(spec, p[None])[0])
+    def objective(p: np.ndarray):
+        stack = p if p.ndim == 3 else p[None]
+        # a row sum over n * m entries adds them in the order np.sum(payoff * p) does
+        f = (payoff * stack).reshape(len(stack), -1).sum(axis=1) - _costs(spec, stack)
+        return f if p.ndim == 3 else float(f[0])
 
     def gradient(p: np.ndarray) -> np.ndarray:
-        return qu.T - _cost_gradient(spec, p)
+        return payoff - _cost_gradient(spec, p)
 
     return objective, gradient
 
@@ -200,11 +217,11 @@ class _LogitBFGS:
         """(candidate, value, None) for an accepted step, or None once the
         step's predicted gain falls to the margin or ``BACKTRACKS`` halvings
         failed."""
-        with np.errstate(over="ignore", invalid="ignore"):  # a direction past the float range restarts H
-            d = self.h @ self.dz if self.h is not None else None
-            if d is None or not float(self.dz @ d) > 0.0:
-                self.h, d = None, self.metric * self.dz
-            slope, a = float(self.dz @ d), self.a
+        # a direction past the float range, inf or NaN, restarts H
+        d = self.h @ self.dz if self.h is not None else None
+        if d is None or not float(self.dz @ d) > 0.0:
+            self.h, d = None, self.metric * self.dz
+        slope, a = float(self.dz @ d), self.a
         for _ in range(BACKTRACKS):
             if not a * slope > margin:
                 return None
@@ -233,7 +250,6 @@ class _LogitBFGS:
         self.s, self.a = a * d, min(2.0 * a, 1.0)
         return cand, fc, None
 
-    @np.errstate(over="ignore", invalid="ignore")
     def update(self, p: np.ndarray, grad: np.ndarray) -> None:
         """Move to the accepted step's p, with its gradient."""
         dz = _logit_slope(p, grad, self.on)
@@ -247,8 +263,11 @@ class _LogitBFGS:
         self.z, self.dz = self.z + s, dz
 
 
-def _ascend(objective, gradient, prior, start: np.ndarray, options: SolveOptions) -> tuple[np.ndarray, float, bool]:
-    """Mirror steps until the support settles, then a BFGS endgame on its logits.
+def _ascend(
+    objective, gradient, prior, start: np.ndarray, f: float, options: SolveOptions
+) -> tuple[np.ndarray, float, bool]:
+    """Mirror steps from ``start``, whose objective value is f, until the
+    support settles, then a BFGS endgame on its logits.
 
     A mirror step (``_mirror_step``) keeps zero entries at zero.  The
     support is the set of actions whose marginal exceeds ``SUPPORT_EPS``.
@@ -260,7 +279,6 @@ def _ascend(objective, gradient, prior, start: np.ndarray, options: SolveOptions
     The ascent stops on a Frank-Wolfe gap within the margin, or when no step
     improves.  It reports False only when ``max_iter`` steps ran out first."""
     p = start.copy()
-    f = objective(p)
     if not math.isfinite(f):
         return p, f, True
     step, steady, endgame = 0.5, 0, None
@@ -393,7 +411,7 @@ def _vertex_bound(problem: RIProblem, cost: CostSpec, a: int, margin: float) -> 
         rows = np.arange(k * per)
         p[rows, :, bs] = d
         p[rows, :, a] = 1.0 - d
-        return (np.sum(gain[bs] * d, axis=1) - eval_costs(cost, p)).reshape(k, per)
+        return (np.sum(gain[bs] * d, axis=1) - _costs(cost, p)).reshape(k, per)
 
     nodes = (np.arange(64) + 0.5) / 64
     grid = np.tile(nodes, (len(others), 1))
@@ -418,13 +436,17 @@ def _vertex_bound(problem: RIProblem, cost: CostSpec, a: int, margin: float) -> 
     return objective(p) + _face_gap(p, grad, np.ones(p.shape, dtype=bool))
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = None) -> Policy:
     """Maximize expected utility minus cost over stochastic choice functions.
 
+    Every matrix is priced through the plan the cost made at construction
+    (see ``_objective_factory``), under one floating-point error state.
     One ascent (``_ascend``: mirror steps, then a BFGS endgame on the
     support's logits) from the uniform policy; every pure policy also
     enters as an exact candidate, so the result never falls below a constant
-    action.  Specs whose objective is concave (see ``_one_ascent``: every
+    action.  The pure policies and the ascents' starts are priced as one
+    stack.  Specs whose objective is concave (see ``_one_ascent``: every
     built-in family except sup atoms) run that one ascent.  Sup atoms and
     custom potentials or transforms run ``options.starts`` ascents: the
     uniform policy, near-pure interior blends, then seeded random interior
@@ -442,7 +464,8 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
     crawl.  If the incumbent's ascent converged, only actions whose marginal
     is at most ``SUPPORT_EPS`` are dropped, and those whose face starts above
     the incumbent (on a flat objective the endgame cannot climb to a face
-    optimum); if it stopped at ``max_iter``, every action is.
+    optimum); if it stopped at ``max_iter``, every action is.  The face
+    starts are priced up front, as one stack.
     """
     if options is None:
         options = SolveOptions()
@@ -455,16 +478,7 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
             raise DimensionMismatch("the cost's prior differs from the problem's prior")
     n, m = problem.n_states, problem.n_actions
     objective, gradient = _objective_factory(problem, spec)
-    # exact pure policies are the first candidates; the first best one leads
-    pure = [objective(_pure_policy(n, m, a)) for a in range(m)]
-    a = pure.index(max(pure))
-    best_p, best_f, best_conv = _pure_policy(n, m, a), pure[a], True
     concave = _one_ascent(spec)
-    if concave:
-        bound = _certify_pure(problem, spec, a, best_f)
-        if bound is not None:
-            return _policy(problem, objective, best_p, True, bound)
-
     uniform = np.full((n, m), 1.0 / m)
     starts = [uniform]
     if not concave:
@@ -473,8 +487,20 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
         rng = np.random.default_rng(options.seed)
         while len(starts) < options.starts:
             starts.append(rng.dirichlet(np.ones(m), size=n))
-    for p0 in starts[: options.starts]:
-        p, f, conv = _ascend(objective, gradient, problem.prior, p0, options)
+    starts = starts[: options.starts]
+    # exact pure policies are the first candidates, priced as one stack with
+    # the ascents' starts; the first best one leads
+    values = objective(np.stack([_pure_policy(n, m, a) for a in range(m)] + starts)).tolist()
+    pure = values[:m]
+    a = pure.index(max(pure))
+    best_p, best_f, best_conv = _pure_policy(n, m, a), pure[a], True
+    if concave:
+        bound = _certify_pure(problem, spec, a, best_f)
+        if bound is not None:
+            return _policy(problem, objective, best_p, True, bound)
+
+    for p0, f0 in zip(starts, values[m:]):
+        p, f, conv = _ascend(objective, gradient, problem.prior, p0, f0, options)
         if f > best_f:
             best_p, best_f, best_conv = p, f, conv
 
@@ -482,14 +508,15 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
     # are reached exactly instead of approached by a slow crawl.  Once the
     # ascent converged, only the actions it barely uses are worth dropping,
     # and those whose face starts above it (a flat objective that the
-    # endgame cannot climb to its face).
+    # endgame cannot climb to its face).  Each face start's value is read by
+    # the test below or by its ascent, so all are priced up front, as one stack.
     if m > 1:
-        incumbent, incumbent_f = best_p.copy(), best_f
-        used = _support(problem.prior, incumbent)
-        for a in range(m):
-            faced = _face_start(incumbent, a)
-            if not best_conv or not used[a] or objective(faced) > incumbent_f:
-                p, f, conv = _ascend(objective, gradient, problem.prior, faced, options)
+        incumbent_f = best_f
+        used = _support(problem.prior, best_p)
+        faces = np.stack([_face_start(best_p, a) for a in range(m)])
+        for a, f0 in enumerate(objective(faces).tolist()):
+            if not best_conv or not used[a] or f0 > incumbent_f:
+                p, f, conv = _ascend(objective, gradient, problem.prior, faces[a], f0, options)
                 if f > best_f:
                     best_p, best_f, best_conv = p, f, conv
     return _policy(problem, objective, best_p, best_conv)
@@ -561,7 +588,12 @@ def _mixing_kernel(t: float, pi: float) -> float:
 def symmetric_value(inst: SymmetricInstance, a: float, pi: float) -> float:
     """Objective of the symmetric policy that learns with probability a and
     matches with conditional accuracy pi."""
-    arg = (1.0 - a) + a * _mixing_kernel(inst.t, pi)
+    return _symmetric_value(inst, a, pi, _mixing_kernel(inst.t, pi))
+
+
+def _symmetric_value(inst: SymmetricInstance, a: float, pi: float, h: float) -> float:
+    """``symmetric_value`` given h, the mixing kernel at pi."""
+    arg = (1.0 - a) + a * h
     if arg <= 0.0:
         return -math.inf
     return inst.v * a * pi + inst.w * (1.0 - a) + inst.lam / (1.0 - inst.t) * math.log(arg)
@@ -607,17 +639,18 @@ def foc_root(inst: SymmetricInstance) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _learning_weight(inst: SymmetricInstance, pi: float) -> tuple[float, float]:
-    """(a*, slope) at accuracy pi: slope = v pi - w - L (1 - h) is the objective's
-    derivative in a at a = 0, and a* = slope / ((v pi - w) (1 - h)) its maximizer
-    over a in [0, 1]."""
-    spread = 1.0 - _mixing_kernel(inst.t, pi)
+def _learning_weight(inst: SymmetricInstance, pi: float) -> tuple[float, float, float]:
+    """(a*, slope, h) at accuracy pi, with h the mixing kernel there: slope =
+    v pi - w - L (1 - h) is the objective's derivative in a at a = 0, and
+    a* = slope / ((v pi - w) (1 - h)) its maximizer over a in [0, 1]."""
+    h = _mixing_kernel(inst.t, pi)
+    spread = 1.0 - h
     slope = inst.v * pi - inst.w - inst.lam / (1.0 - inst.t) * spread
     if slope <= 0.0:
-        return 0.0, slope
+        return 0.0, slope, h
     if spread <= 0.0:
-        return 1.0, slope
-    return min(slope / ((inst.v * pi - inst.w) * spread), 1.0), slope
+        return 1.0, slope, h
+    return min(slope / ((inst.v * pi - inst.w) * spread), 1.0), slope, h
 
 
 def maximize_symmetric_value(inst: SymmetricInstance) -> tuple[float, float, float]:
@@ -639,8 +672,8 @@ def maximize_symmetric_value(inst: SymmetricInstance) -> tuple[float, float, flo
     """
 
     def key(pi: float) -> float:
-        a, slope = _learning_weight(inst, pi)
-        return symmetric_value(inst, a, pi) if slope > 0.0 else inst.w + slope
+        a, slope, h = _learning_weight(inst, pi)
+        return _symmetric_value(inst, a, pi, h) if slope > 0.0 else inst.w + slope
 
     pi_star, value = _golden_max(key, max(0.5, inst.w / inst.v), 1.0, tol=1e-12)
     if not value > inst.w:

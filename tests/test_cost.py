@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import infocost as ic
-from infocost.cost import _cost_gradient
+from infocost.cost import _cost_gradient, _costs
 from infocost.errors import (
     BadCostSpec,
     BadPsi,
@@ -20,6 +21,7 @@ from infocost.errors import (
     NoSecondDerivative,
     NotADistribution,
 )
+from test_ri_solver import every_family
 
 SYM75 = ic.new_experiment([[0.75, 0.25], [0.25, 0.75]])
 KL_75 = 0.5 * math.log(3.0)
@@ -442,6 +444,29 @@ class TestEvalCosts:
                     ic.eval_cost(spec, ic.FiniteExperiment(probs))
                 with pytest.raises(NotADistribution):
                     ic.eval_costs(spec, np.stack([np.full((2, 3), 1 / 3), probs]))
+
+
+class TestPlan:
+    """Each specification prices through the plan it made at construction."""
+
+    @given(st.integers(0, 10_000), st.integers(1, 40), st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_one_plan_prices_a_stack_as_each_matrix_alone(self, seed, b, s):
+        # the solver's planned entries, one plan over a whole stack and then
+        # matrix after matrix, against eval_costs and _cost_gradient of each
+        # matrix under a plan made afresh (replace() builds the spec again)
+        rng = np.random.default_rng(seed)
+        prior = 0.1 + 0.8 * rng.dirichlet(np.ones(2))
+        probs = stochastic_stack(rng, b, 2, s)
+        for name, spec in every_family(prior).items():
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                planned = _costs(spec, probs)
+                finite = [p for p, c in zip(probs, planned) if math.isfinite(c)]
+                grads = [spec._plan.gradient(p) for p in finite]
+                fresh = [_cost_gradient(replace(spec), p) for p in finite]
+            alone = np.array([ic.eval_costs(replace(spec), p[None])[0] for p in probs])
+            assert planned.tobytes() == alone.tobytes(), name
+            assert all(g.tobytes() == f.tobytes() for g, f in zip(grads, fresh)), name
 
 
 def convex_specs(rng, n):

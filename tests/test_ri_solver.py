@@ -323,9 +323,9 @@ def ascents(monkeypatch):
     seen = []
     real = ri_solver._ascend
 
-    def spy(objective, gradient, prior, start, options):
+    def spy(objective, gradient, prior, start, f, options):
         seen.append(start.copy())
-        return real(objective, gradient, prior, start, options)
+        return real(objective, gradient, prior, start, f, options)
 
     monkeypatch.setattr(ri_solver, "_ascend", spy)
     return seen
@@ -382,24 +382,21 @@ class TestRestarts:
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Objective and gradient calls of every solve(), counted by wrapping both."""
-    seen = {"objective": 0, "gradient": 0}
-    real = ri_solver._objective_factory
+    """Cost and gradient calls of every solve(), counted by wrapping the
+    planned entries the solver prices through; a stack counts as one call."""
+    seen = {"costs": 0, "gradient": 0}
+    real_costs, real_gradient = ri_solver._costs, ri_solver._cost_gradient
 
-    def factory(problem, spec):
-        objective, gradient = real(problem, spec)
+    def counted_costs(spec, probs):
+        seen["costs"] += 1
+        return real_costs(spec, probs)
 
-        def counted_objective(p):
-            seen["objective"] += 1
-            return objective(p)
+    def counted_gradient(spec, p):
+        seen["gradient"] += 1
+        return real_gradient(spec, p)
 
-        def counted_gradient(p):
-            seen["gradient"] += 1
-            return gradient(p)
-
-        return counted_objective, counted_gradient
-
-    monkeypatch.setattr(ri_solver, "_objective_factory", factory)
+    monkeypatch.setattr(ri_solver, "_costs", counted_costs)
+    monkeypatch.setattr(ri_solver, "_cost_gradient", counted_gradient)
     return seen
 
 
@@ -423,7 +420,7 @@ class TestEndgame:
         # counts are deterministic; the budget is about twice what the ascent needs
         v, w, lam, t = matching_cells()[0].values
         ic.solve(ic.matching_problem(v, w), ic.symmetric_renyi_cost_spec(lam, t), ic.SolveOptions(starts=1, max_iter=2000))
-        assert calls["objective"] <= 80 and calls["gradient"] <= 50, calls
+        assert calls["costs"] <= 80 and calls["gradient"] <= 50, calls
 
     def test_flat_objective_reaches_its_face(self):
         # the whole gain over playing safe is 2.5e-7, and it lies on the face
@@ -519,8 +516,9 @@ class TestPureCertificate:
         assert policy.value == w and policy.converged and policy.support == (2,)
         assert abs(policy.upper_bound - w) <= 1e-13 * w  # a bound on the optimum, up to rounding
         assert ascents == []
-        # the three pure values, the certificate's point and the reported value
-        assert calls == {"objective": 5, "gradient": 1}
+        # one stack of the three pure values and the uniform start, the
+        # certificate's two grids, its point and the reported value
+        assert calls == {"costs": 5, "gradient": 1}
 
     @given(
         st.integers(2, 4),
@@ -530,6 +528,7 @@ class TestPureCertificate:
     # max-KL learns here, while a cost above it (the sum of its members) plays safe
     @example(3, 0.5, [2.0, 0.0, 0.0, 2.0, 1.05, 1.05, 0.0, 0.0])
     @settings(max_examples=40, deadline=None)
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")  # as solve() silences them
     def test_property_no_ascent_beats_a_certified_pure_policy(self, m, q0, payoffs):
         problem = ic.RIProblem(np.array([q0, 1.0 - q0]), np.reshape(payoffs[: 2 * m], (m, 2)))
         for name, spec in every_family(problem.prior).items():
@@ -543,10 +542,11 @@ class TestPureCertificate:
                 continue
             margin = 1e-13 * max(1.0, abs(pure[a]))
             uniform = np.full((2, m), 1.0 / m)
-            f = ri_solver._ascend(objective, gradient, problem.prior, uniform, ic.SolveOptions())[1]
+            f = ri_solver._ascend(objective, gradient, problem.prior, uniform, objective(uniform), ic.SolveOptions())[1]
             assert f <= pure[a] + margin, name
             assert abs(bound - pure[a]) <= margin, name
 
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")  # as solve() silences them
     def test_ascent_cannot_climb_through_subnormal_entries(self):
         # the ascent drives entries to about 1e-317; priced as p_i / p_k there, the
         # cost overflowed to 0 and the ascent ended 1.46 above the pure optimum
@@ -554,7 +554,8 @@ class TestPureCertificate:
         spec = ic.RenyiCost(1.0, ic.InteriorParam(np.array([0.7, 0.3])))
         objective, gradient = ri_solver._objective_factory(problem, spec)
         best = max(objective(ri_solver._pure_policy(2, 5, a)) for a in range(5))
-        p, f, _ = ri_solver._ascend(objective, gradient, problem.prior, np.full((2, 5), 0.2), ic.SolveOptions())
+        uniform = np.full((2, 5), 0.2)
+        p, f, _ = ri_solver._ascend(objective, gradient, problem.prior, uniform, objective(uniform), ic.SolveOptions())
         assert 0.0 < p.min() < np.finfo(float).tiny
         assert f <= best + 1e-13 * abs(best)
 
@@ -584,16 +585,152 @@ class TestPureCertificate:
         assert policy.support == (2,) and policy.upper_bound is None and len(ascents) >= 1
 
 
+def per_start_solve(problem, spec, options):
+    """solve() pricing every pure policy, ascent start and face start on its
+    own: the route the stacks replaced, kept as their reference."""
+    n, m = problem.n_states, problem.n_actions
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        objective, gradient = ri_solver._objective_factory(problem, spec)
+
+        def ascend(start):
+            return ri_solver._ascend(objective, gradient, problem.prior, start, objective(start), options)
+
+        pure = [objective(ri_solver._pure_policy(n, m, a)) for a in range(m)]
+        a = pure.index(max(pure))
+        best_p, best_f, best_conv = ri_solver._pure_policy(n, m, a), pure[a], True
+        concave = ri_solver._one_ascent(spec)
+        if concave:
+            bound = ri_solver._certify_pure(problem, spec, a, best_f)
+            if bound is not None:
+                return ri_solver._policy(problem, objective, best_p, True, bound)
+        uniform = np.full((n, m), 1.0 / m)
+        starts = [uniform]
+        if not concave:
+            starts += [0.95 * ri_solver._pure_policy(n, m, b) + 0.05 * uniform for b in range(m)]
+            rng = np.random.default_rng(options.seed)
+            while len(starts) < options.starts:
+                starts.append(rng.dirichlet(np.ones(m), size=n))
+        for p0 in starts[: options.starts]:
+            p, f, conv = ascend(p0)
+            if f > best_f:
+                best_p, best_f, best_conv = p, f, conv
+        incumbent, incumbent_f = best_p.copy(), best_f
+        used = ri_solver._support(problem.prior, incumbent)
+        for a in range(m):
+            faced = ri_solver._face_start(incumbent, a)
+            if not best_conv or not used[a] or objective(faced) > incumbent_f:
+                p, f, conv = ascend(faced)
+                if f > best_f:
+                    best_p, best_f, best_conv = p, f, conv
+        return ri_solver._policy(problem, objective, best_p, best_conv)
+
+
+def matching_three_states(m):
+    """A three-state problem whose first three actions each match a state;
+    a fourth action pays 0.5 everywhere and is left unused."""
+    prior = np.array([0.3, 0.3, 0.4])
+    utilities = np.zeros((m, 3))
+    utilities[np.arange(m), np.arange(m) % 3] = 2.0
+    utilities[3:] = 0.5
+    return ic.RIProblem(prior, utilities), ic.PosteriorSeparableCost(prior, ic.ShannonEntropy())
+
+
+class TestStackedCandidates:
+    """The pure policies with the ascents' starts, and the polish's face
+    starts, are priced as one stack each, whose rows equal the matrices
+    priced alone."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_pure_policies_and_face_starts_take_one_call_each(self, m, monkeypatch):
+        priced, incumbents = [], []
+        real_costs, real_ascend = ri_solver._costs, ri_solver._ascend
+
+        def costs(spec, probs):
+            priced.append(probs.copy())
+            return real_costs(spec, probs)
+
+        def ascend(objective, gradient, prior, start, f, options):
+            result = real_ascend(objective, gradient, prior, start, f, options)
+            incumbents.append(result[0])
+            return result
+
+        monkeypatch.setattr(ri_solver, "_costs", costs)
+        monkeypatch.setattr(ri_solver, "_ascend", ascend)
+        problem, spec = matching_three_states(m)  # three states: no certificate
+        ic.solve(problem, spec)
+        first = np.stack([ri_solver._pure_policy(3, m, a) for a in range(m)] + [np.full((3, m), 1.0 / m)])
+        np.testing.assert_array_equal(priced[0], first)
+        incumbent = incumbents[0]  # the one main ascent beats every pure policy
+        faces = np.stack([ri_solver._face_start(incumbent, a) for a in range(m)])
+        assert sum(np.array_equal(s, faces) for s in priced) == 1
+        # those two are the only calls that price more than one matrix
+        assert [len(s) for s in priced if len(s) > 1] == [m + 1, m]
+
+    def test_every_start_of_the_multistart_path_joins_the_pure_policies(self, monkeypatch):
+        sizes = []
+        real = ri_solver._costs
+
+        def costs(spec, probs):
+            sizes.append(len(probs))
+            return real(spec, probs)
+
+        monkeypatch.setattr(ri_solver, "_costs", costs)
+        problem = ic.matching_problem(8.0, 6.1)
+        ic.solve(problem, every_family(problem.prior)["sup"], ic.SolveOptions(starts=7))
+        # the three pure policies and seven starts, then only the three face starts
+        assert sizes[0] == 3 + 7 and [k for k in sizes[1:] if k > 1] == [3]
+
+    @pytest.mark.parametrize(
+        "problem, spec, max_iter",
+        [
+            pytest.param(*matching_three_states(4), 2000, id="one-face-unused"),
+            pytest.param(*matching_three_states(3), 2000, id="every-face-used"),
+            pytest.param(ic.matching_problem(8.0, 6.1), ic.symmetric_renyi_cost_spec(1.0, 0.5), 2000, id="renyi-band"),
+            pytest.param(ic.matching_problem(8.0, 7.9), BENCHMARK_COSTS["max_kl"], 2000, id="certified"),
+            # a face start above the incumbent: the flat objective of TestEndgame
+            pytest.param(
+                ic.matching_problem(2.0, 1.0), ic.RenyiCost(1e6, ic.InteriorParam(np.array([0.5, 0.5]))), 300, id="flat"
+            ),
+            pytest.param(*matching_three_states(4), 5, id="max-iter-reached"),
+            pytest.param(ic.matching_problem(8.0, 6.1), every_family(np.array([0.5, 0.5]))["sup"], 2000, id="sup"),
+            pytest.param(
+                ic.matching_problem(8.0, 6.1), every_family(np.array([0.5, 0.5]))["custom_potential"], 2000, id="custom"
+            ),
+        ],
+    )
+    def test_same_policy_as_pricing_each_candidate_alone(self, problem, spec, max_iter):
+        options = ic.SolveOptions(max_iter=max_iter)
+        got, ref = ic.solve(problem, spec, options), per_start_solve(problem, spec, options)
+        assert got.choice.probs.tobytes() == ref.choice.probs.tobytes()
+        for field in ("value", "support", "converged", "upper_bound"):
+            assert getattr(got, field) == getattr(ref, field), field
+
+    @given(st.integers(0, 10_000), st.integers(1, 5), st.integers(1, 40))
+    @settings(max_examples=40, deadline=None)
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")  # as solve() silences them
+    def test_objective_prices_a_stack_row_by_row(self, seed, m, k):
+        rng = np.random.default_rng(seed)
+        problem = ic.RIProblem(np.array([0.35, 0.65]), rng.uniform(-2.0, 5.0, (m, 2)))
+        stack = rng.dirichlet(np.ones(m), size=(k, 2))
+        stack[rng.random(stack.shape) < 0.25] = 0.0
+        stack[stack.sum(axis=-1) == 0.0, 0] = 1.0
+        stack /= stack.sum(axis=-1, keepdims=True)
+        for name, spec in every_family(problem.prior).items():
+            objective = ri_solver._objective_factory(problem, spec)[0]
+            alone = np.array([objective(p) for p in stack])
+            assert objective(stack).tobytes() == alone.tobytes(), name
+
+
 class TestSolverSteps:
     def test_solver_prices_only_stochastic_matrices(self, monkeypatch):
         sums = []
-        real = ri_solver.eval_costs
+        real = ri_solver._costs
 
         def spy(spec, probs):
-            sums.append(np.asarray(probs).sum(axis=-1))
+            sums.append(probs.sum(axis=-1))
             return real(spec, probs)
 
-        monkeypatch.setattr(ri_solver, "eval_costs", spy)
+        monkeypatch.setattr(ri_solver, "_costs", spy)
         problem = ic.matching_problem(8.0, 6.1)
         for name, spec in every_family(problem.prior).items():
             sums.clear()
