@@ -160,8 +160,10 @@ def dominates(mu: FiniteExperiment, nu: FiniteExperiment, tol: float = DEFAULT_T
     marginal = (not ok) and eps <= MARGINAL_FACTOR * tol
     certificate = None
     if ok:
+        # HiGHS meets the row sums only to its own feasibility tolerance,
+        # which clipping its small negative entries can widen
         psi = np.clip(res.x[:-1].reshape(ns, nt), 0.0, None)
-        certificate = GarblingKernel(psi)
+        certificate = GarblingKernel(psi / psi.sum(axis=1, keepdims=True))
     return DominanceResult(ok, certificate, eps, marginal)
 
 

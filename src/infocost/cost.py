@@ -9,16 +9,18 @@ Sign convention: potentials are stored convex (entropy-style concave
 potentials are negated), and the posterior-separable cost is the expected
 potential of the posterior minus the potential of the prior.
 
-Every specification makes its evaluation plan once, at construction: a
-``_KLPlan``, ``_MeasurePlan`` or ``_PosteriorPlan`` holds what pricing needs
-of the specification alone (the weight pairs, the divergence-kernel plan and
-measure weights, each atom's gradient terms, the potential at the prior).
-Each family's values and gradient exist once, in its plan, which
-``eval_costs``, ``_cost_gradient`` and the solver all use.  Every family is
-priced on a stack of matrices ``probs[B, n, s]``.  Divergences go through the
-one divergence kernel; potentials through ``_PosteriorPlan.phi`` and
-transforms through ``_transforms``, each one NumPy pass per built-in kind.
-Only custom potentials and transforms are called value by value.
+Every specification makes its evaluation plan once, at construction, in
+one of the paper's two representations: a ``_MeasurePlan`` for a maximum
+over measures of divergences (Rényi and max-Rényi costs, and weighted-KL
+and max-KL costs, whose sum_ij beta_ij KL(mu_i || mu_j) is one order-1 atom
+``WeightedKLParam(i, e_j)`` of weight beta_ij per pair), a ``_PosteriorPlan``
+for a posterior-separable cost or a transform of one.  Each family's
+values, gradient and solver-certificate bounds exist once, in its plan.
+Every family is priced on a stack of matrices ``probs[B, n, s]``:
+divergences through the one divergence kernel, potentials through
+``_PosteriorPlan.phi`` and transforms through ``_transforms``, each one
+NumPy pass per built-in kind.  Only custom potentials and transforms are
+called value by value.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .divergence import (
     _divergences,
     _from_payload,
     _interior_denominator,
-    _kls,
     _log_ratios,
     _Plan,
     _to_payload,
@@ -264,7 +265,7 @@ class KLCost:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", _beta_matrix(self.beta))
-        object.__setattr__(self, "_plan", _KLPlan((self.beta,)))
+        object.__setattr__(self, "_plan", _MeasurePlan([_kl_atoms(self.beta)]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,7 +281,7 @@ class MaxKLCost:
         if any(b.shape != mats[0].shape for b in mats):
             raise BadCostSpec("weight matrices must share a shape")
         object.__setattr__(self, "betas", mats)
-        object.__setattr__(self, "_plan", _KLPlan(mats))
+        object.__setattr__(self, "_plan", _MeasurePlan([_kl_atoms(b) for b in mats]))
 
 
 @dataclass(frozen=True)
@@ -401,10 +402,16 @@ def _pairs(beta: np.ndarray) -> list:
     return [(i, j, beta[i, j]) for i, j in zip(*np.nonzero(beta))]
 
 
-def _kl_gradient(pairs: list, p: np.ndarray, log_p: np.ndarray) -> np.ndarray:
-    """The gradient of sum_ij beta_ij KL(mu_i || mu_j) in the entries of p[n, s],
-    given the ``_pairs`` of beta and log_p = log(p)."""
-    grad = np.zeros_like(p)
+def _kl_atoms(beta: np.ndarray) -> list:
+    """sum_ij beta_ij KL(mu_i || mu_j) as the atoms of a divergence measure:
+    (beta_ij, WeightedKLParam(i, e_j)) for each of the ``_pairs`` of beta."""
+    e = np.eye(len(beta))
+    return [(b, WeightedKLParam(i, e[j])) for i, j, b in _pairs(beta)]
+
+
+def _kl_gradient(pairs: list, p: np.ndarray, log_p: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """grad plus the gradient of sum_ij beta_ij KL(mu_i || mu_j) in the
+    entries of p[n, s], given the ``_pairs`` of beta and log_p = log(p)."""
     for i, j, b in pairs:
         grad[i] += b * (log_p[i] - log_p[j] + 1.0)
         grad[j] -= b * p[i] / p[j]
@@ -422,47 +429,15 @@ def _mean(grads: list) -> np.ndarray:
     return grads[0] if len(grads) == 1 else sum(grads) / len(grads)
 
 
-class _KLPlan:
-    """How a weighted-KL cost (one weight matrix) or a max-KL cost (several)
-    is priced, worked out once: the pairs (i, j) some matrix weighs, whose
-    KL divergences are taken once per stack, and each matrix's weights on
-    them."""
-
-    __slots__ = ("pairs", "forms", "grads")
-
-    def __init__(self, betas: tuple):
-        at: dict = {}  # (i, j) -> its position among the pairs
-        self.grads = [_pairs(beta) for beta in betas]
-        self.forms = [[(at.setdefault((i, j), len(at)), b) for i, j, b in pairs] for pairs in self.grads]
-        self.pairs = np.array(list(at), dtype=int).reshape(-1, 2).T  # [2, Q]: the pairs (i, j)
-
-    def _forms(self, probs: np.ndarray) -> list:
-        """sum_ij beta_ij KL(mu_i || mu_j) of each matrix over a stack."""
-        kl = _kls(probs.take(self.pairs[0], axis=1), probs.take(self.pairs[1], axis=1))[..., 0]
-        return [sum((b * kl[:, k] for k, b in form), np.zeros(probs.shape[0])) for form in self.forms]
-
-    def values(self, probs: np.ndarray) -> np.ndarray:
-        return reduce(np.maximum, self._forms(probs))
-
-    def gradient(self, p: np.ndarray) -> np.ndarray:
-        grads = self.grads
-        if len(grads) > 1:
-            grads = _tied(grads, [v[0] for v in self._forms(p[None])])
-        log_p = np.log(p)
-        return _mean([_kl_gradient(pairs, p, log_p) for pairs in grads])
-
-
-def _atom_terms(param, rows: dict):
-    """What an atom's gradient needs of its parameter alone: a sup atom's
-    cuts, a weighted-KL atom's pairs, or an interior atom's kept states,
-    exponents on them, denominator and position among the distinct exponent
-    vectors of ``rows``."""
+def _atom_terms(w: float, param, rows: dict):
+    """What the gradient of an atom of weight w needs of it alone: a sup
+    atom's cuts, a weighted-KL atom's ``_pairs`` scaled by w, or an interior
+    atom's kept states, exponents on them, denominator and position among
+    the distinct exponent vectors of ``rows``."""
     if isinstance(param, SupParam):
         return _Cuts([param.psi])
     if isinstance(param, WeightedKLParam):
-        beta = np.zeros((param.n_states, param.n_states))
-        beta[param.pivot] = param.beta
-        return _pairs(beta)
+        return [(param.pivot, j, w * b) for j, b in enumerate(param.beta.tolist()) if b > 0.0]
     weights = param.alpha.tolist()
     on = param.alpha > 0 if 0.0 in weights else slice(None)
     row = rows.setdefault(param.alpha.tobytes(), len(rows))
@@ -478,10 +453,12 @@ def _atoms_gradient(atoms: list, p: np.ndarray) -> np.ndarray:
     the same denominator; a zero exponent leaves its row out of T, and
     equal exponent vectors share T and S.  Sup: D = max(0, max_s psi . log
     p(s)) has the subgradient psi / p(s*) at the argmax signals s* (their
-    mean where tied), and 0 where the floor wins.
+    mean where tied), and 0 where the floor wins.  Weighted-KL: each pair's
+    terms, weight included, add straight into the gradient.
     """
     grad = np.zeros_like(p)
     powers: dict = {}  # position of an exponent vector -> (p on its states, T, S)
+    log_p = None
     for w, param, terms in atoms:
         if isinstance(param, SupParam):
             ratios = _log_ratios(terms, p[None])[1][0, 0]
@@ -490,7 +467,8 @@ def _atoms_gradient(atoms: list, p: np.ndarray) -> np.ndarray:
                 at = ratios >= top * (1.0 - 1e-12)
                 grad[:, at] += w / at.sum() * param.psi[:, None] / p[:, at]
         elif isinstance(param, WeightedKLParam):
-            grad += w * _kl_gradient(terms, p, np.log(p))
+            log_p = np.log(p) if log_p is None else log_p
+            _kl_gradient(terms, p, log_p, grad)
         else:
             on, alpha, denominator, row = terms
             if row not in powers:
@@ -503,10 +481,11 @@ def _atoms_gradient(atoms: list, p: np.ndarray) -> np.ndarray:
 
 
 class _MeasurePlan:
-    """How a Rényi cost (one measure of one atom) or a max-Rényi cost is
-    priced, worked out once: one divergence-kernel plan of every atom of
-    nonzero weight, measure by measure, their weights, and each atom's
-    ``_atom_terms``."""
+    """How a maximum over measures of divergences is priced, worked out once:
+    one divergence-kernel plan of every atom of nonzero weight, measure by
+    measure, their weights, and each atom's ``_atom_terms``.  A Rényi cost
+    is one measure of one atom, a weighted-KL cost one measure of one atom
+    per pair, and a max-KL or max-Rényi cost one measure per member."""
 
     __slots__ = ("kernel", "weights", "atoms")
 
@@ -515,13 +494,21 @@ class _MeasurePlan:
         self.kernel = _Plan([p for atoms in kept for _, p in atoms])
         self.weights = [[w for w, _ in atoms] for atoms in kept]
         rows: dict = {}
-        self.atoms = [[(w, p, _atom_terms(p, rows)) for w, p in atoms] for atoms in kept]
+        self.atoms = [[(w, p, _atom_terms(w, p, rows)) for w, p in atoms] for atoms in kept]
 
     def _integrals(self, probs: np.ndarray) -> list:
         """sum_atoms w * D_param of each measure over a stack: one kernel
-        call for every atom, then each measure sums its atoms in order."""
+        call for every atom, then each measure adds its atoms in order,
+        starting from 0."""
         divergences = iter(_divergences(self.kernel, probs))
-        return [sum((w * next(divergences) for w in ws), np.zeros(probs.shape[0])) for ws in self.weights]
+        zero = np.zeros(probs.shape[0])
+        integrals = []
+        for ws in self.weights:
+            total = zero
+            for w in ws:
+                total = total + w * next(divergences)
+            integrals.append(total)
+        return integrals
 
     def values(self, probs: np.ndarray) -> np.ndarray:
         return reduce(np.maximum, self._integrals(probs))
@@ -531,6 +518,16 @@ class _MeasurePlan:
         if len(measures) > 1:
             measures = _tied(measures, [v[0] for v in self._integrals(p[None])])
         return _mean([_atoms_gradient(atoms, p) for atoms in measures])
+
+    def bounding(self, probs: np.ndarray) -> list:
+        """The solver certificate's bounding costs over a stack: the one
+        measure's integral, or the mean of several, then each (bounding cost
+        k >= 1 is measure k - 1)."""
+        rows = self._integrals(probs)
+        return rows if len(rows) == 1 else [sum(rows) / len(rows)] + rows
+
+    def bounding_gradient(self, k: int, p: np.ndarray) -> np.ndarray:
+        return _mean([_atoms_gradient(atoms, p) for atoms in (self.atoms[k - 1 : k] if k else self.atoms)])
 
 
 class _PosteriorPlan:
@@ -598,7 +595,7 @@ class _PosteriorPlan:
             return phi + (self.phi(chord) - phi) / 1e-8
         if isinstance(potential, KLPotential):
             r = post / self.column
-            grad = _kl_gradient(self.pairs, r, np.log(r)) / self.column
+            grad = _kl_gradient(self.pairs, r, np.log(r), np.zeros_like(r)) / self.column
         else:  # Rényi: grad Phi = (Phi - 1) alpha / g
             grad = (phi - 1.0) * potential.alpha[:, None] / post
         return phi + grad - np.where(post > 0, post * grad, 0.0).sum(axis=0)
@@ -613,6 +610,12 @@ class _PosteriorPlan:
     def values(self, probs: np.ndarray) -> np.ndarray:
         x = self._separable(probs)
         return x if self.transform is None else _transforms(self.transform, x)
+
+    def bounding(self, probs: np.ndarray) -> list:  # the certificate's one bounding cost: the cost itself
+        return [self.values(probs)]
+
+    def bounding_gradient(self, k: int, p: np.ndarray) -> np.ndarray:
+        return self.gradient(p)
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
         grad = self.column * self.slopes(_posterior_map(self.prior, p)[1])
@@ -651,12 +654,13 @@ def eval_costs(spec: CostSpec, probs) -> np.ndarray:
     nonnegative number; a row that carries a transform's argument above its
     domain costs +inf.
     The stack's shape and entries are checked here; the rest is the plan
-    each specification makes once, at construction (``_KLPlan``,
-    ``_MeasurePlan``, ``_PosteriorPlan``), which the solver also prices
-    through.  Weighted-KL sums, every built-in potential and every built-in
-    transform take one NumPy pass over the stack.  Divergences take one call
-    of the divergence kernel, ``divergence._divergences``: a Rényi cost's one
-    parameter, or every atom of every measure of a max-Rényi cost at once.
+    each specification makes once, at construction (``_MeasurePlan``,
+    ``_PosteriorPlan``), which the solver also prices through.  Every
+    built-in potential and every built-in transform takes one NumPy pass
+    over the stack.  Divergences take one call of the divergence kernel,
+    ``divergence._divergences``, for every atom of every measure at once: a
+    Rényi cost's one parameter, a weighted-KL or max-KL cost's one
+    order-1 atom per weighted pair, or a max-Rényi cost's atoms.
     Custom potentials are called per posterior and custom transforms per
     value.  The Rényi atoms read each matrix's row of largest exponent as
     summing to 1, which off-simplex rows do not: there the value differs

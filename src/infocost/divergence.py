@@ -8,15 +8,16 @@ Chernoff information, and the two-sided sup-divergence privacy measure.
 Every branch is evaluated by one kernel in two steps.  ``_Plan(params)``
 does the work on a list of parameters alone, once: equal parameters merged,
 interior and sup parameters grouped by the row of their largest exponent and
-their zero weights, the interior denominators, and the KL pairs the
-weighted-KL parameters use.  ``_divergences(plan, probs[B, n, s])`` then
-prices the plan on a stack as a ``[P, B]`` array, or, given the bounds of a
-ragged stack (matrices of different signal counts side by side along the
-signal axis), as ``[P, B, M]``: the logs and other elementwise work run once
-over every signal, and the sums and maxima per matrix.  The sandwich prices
-its parameter grid on the experiment and all its companions in one ragged
-call, each cost its atoms on a whole stack from a plan it made once, and
-every scalar function here one parameter on a stack of one.  Each value is
+their zero weights, the interior denominators, the KL pairs the weighted-KL
+parameters use, and those parameters grouped by their count of pairs.
+``_divergences(plan, probs[B, n, s])`` then prices the plan on a stack as a
+``[P, B]`` array, or, given the bounds of a ragged stack (matrices of
+different signal counts side by side along the signal axis), as
+``[P, B, M]``: the logs and other elementwise work run once over every
+signal, and the sums and maxima per matrix.  The sandwich prices its
+parameter grid on the experiment and all its companions in one ragged call,
+each cost its atoms on a whole stack from a plan it made once, and every
+scalar function here one parameter on a stack of one.  Each value is
 bit-identical to pricing its parameter and matrix alone.
 
 The kernel's zero conventions: 0 ** 0 = 1, so a zero exponent drops its
@@ -326,7 +327,8 @@ class _Plan:
     parameters share one :func:`_log_ratios` pass, and the interior ones are
     summed in two groups, largest exponent below and above 1.  Weighted-KL
     parameters share the KL divergence of each pair (pivot, j) of positive
-    weight."""
+    weight, and those with as many pairs are weighted and summed as one
+    array."""
 
     __slots__ = ("cuts", "interiors", "sups", "pairs", "kls", "order")
 
@@ -363,16 +365,22 @@ class _Plan:
         self.interiors = [(g == 1, np.array(d)[:, None, None]) for g, d in enumerate(denominators) if d]
         self.sups = len(sup)
         pairs: dict = {}  # (pivot, j) -> its position
-        self.kls = []  # (the positions of its pairs, their weights) of each weighted-KL parameter
-        for param in kl:
+        counts: dict = {}  # c -> (pair positions, weights, index) of each weighted-KL parameter with c pairs
+        for k, param in enumerate(kl):
             on = [j for j, b in enumerate(param.beta.tolist()) if b > 0.0]
-            at = [pairs.setdefault((param.pivot, j), len(pairs)) for j in on]
-            self.kls.append((at, param.beta.take(on)))
-        self.pairs = np.array(list(zip(*pairs))) if pairs else None  # [2, Q]: the pairs (i, j)
+            at, weights, ks = counts.setdefault(len(on), ([], [], []))
+            at.append([pairs.setdefault((param.pivot, j), len(pairs)) for j in on])
+            weights.append(param.beta.take(on))
+            ks.append(k)
+        self.kls = [(np.array(at), np.array(weights)) for at, weights, _ in counts.values()]  # [P, c] each
+        self.pairs = [np.array(ends) for ends in zip(*pairs)]  # the pairs (i, j): [i of each, j of each]
+        # each weighted-KL parameter's row among them, as they come out grouped by pair count
+        rank = {k: r for r, k in enumerate(k for *_, ks in counts.values() for k in ks)}
+        slots = [(g, rank[i] if g == 3 else i) for g, i in slots]
         # each parameter's row among the distinct ones; None when they are
         # distinct and of one group, so in order
         self.order = None
-        if len(seen) < len(slots) or sum(map(bool, groups)) > 1:
+        if len(seen) < len(slots) or sum(map(bool, groups)) > 1 or any(k != r for k, r in rank.items()):
             starts = list(accumulate(map(len, groups), initial=0))
             self.order = [starts[g] + i for g, i in slots]
 
@@ -411,9 +419,10 @@ def _divergences(plan: _Plan, probs: np.ndarray, bounds=None) -> np.ndarray:
             parts.append(np.fmax(_per_segment(np.fmax, ratios[start:], bounds), 0.0))
     if plan.kls:
         pivots, others = plan.pairs
-        # [B, M, pair]: each parameter's pairs contiguous, summed as one row
-        kls = _kls(probs.take(pivots, axis=1), probs.take(others, axis=1), bounds).swapaxes(-1, -2)
-        parts += [(kls.take(at, axis=-1) * beta).sum(axis=-1)[None] for at, beta in plan.kls]
+        kls = _kls(probs.take(pivots, axis=1), probs.take(others, axis=1), bounds).swapaxes(-1, -2)  # [B, M, pair]
+        # [B, M, P, c] for the parameters with c pairs: each parameter's pairs
+        # contiguous, summed as one row, as it would be alone
+        parts += [(kls.take(at, axis=-1) * beta).sum(axis=-1).transpose(2, 0, 1) for at, beta in plan.kls]
     if not parts:
         return np.empty((0,) + probs.shape[:-2] + ((len(bounds) - 1,) if bounds else ()))
     out = parts[0] if len(parts) == 1 else np.concatenate(parts)

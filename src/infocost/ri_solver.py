@@ -340,28 +340,11 @@ def _one_ascent(spec: CostSpec) -> bool:
     negative interior exponents.  Sup atoms are only quasi-convex, and custom
     potentials and transforms are convex on the caller's word alone.
     """
-    if isinstance(spec, (KLCost, MaxKLCost, RenyiCost)):
-        return True
-    if isinstance(spec, MaxRenyiCost):
+    if isinstance(spec, (KLCost, MaxKLCost, RenyiCost, MaxRenyiCost)):
         return not _has_sup_atom(spec)
     if isinstance(spec, ConvexPSCost) and isinstance(spec.transform, CustomTransform):
         return False
     return not isinstance(spec.potential, CustomPotential)
-
-
-def _bounding_costs(spec: CostSpec) -> list:
-    """The costs whose bounds may certify a pure policy under ``spec``: the
-    spec itself, or for a maximum of several members their mean, then each
-    member alone.  Each lies below the maximum and is 0 with it on every
-    uninformative experiment, so its value at a pure policy is the maximum's
-    and its optimum bounds the maximum's optimum from above."""
-    if isinstance(spec, MaxKLCost) and len(spec.betas) > 1:
-        return [KLCost(np.mean(spec.betas, axis=0))] + [KLCost(b) for b in spec.betas]
-    if isinstance(spec, MaxRenyiCost) and len(spec.measures) > 1:
-        k = len(spec.measures)
-        mean = DivergenceMeasure(tuple((w / k, p) for m in spec.measures for w, p in m.atoms))
-        return [MaxRenyiCost((m,)) for m in (mean, *spec.measures)]
-    return [spec]
 
 
 def _certify_pure(problem: RIProblem, spec: CostSpec, a: int, f_a: float) -> Optional[float]:
@@ -375,35 +358,28 @@ def _certify_pure(problem: RIProblem, spec: CostSpec, a: int, f_a: float) -> Opt
     uninformative experiment and, near p_a, 1-homogeneous in the mass moved,
     so when each d_b maximizes the slope of f along D_b the bound's first-order
     terms cancel (Euler's identity) and it is tight to O(t^2).  It then
-    certifies p_a whenever p_a is optimal with some slack.  A maximum of
-    costs is bounded through ``_bounding_costs``.
+    certifies p_a whenever p_a is optimal with some slack.  The bound is
+    tried under each of the plan's ``bounding`` costs in turn (a maximum's
+    mean member, then each member): each lies below the cost and is 0 with
+    it on every uninformative experiment, so its optimum bounds the cost's.
 
     Two states only: d_b = (s, 1 - s) is picked on a 64-point grid of s in
-    (0, 1), refined by 33 points around its best, each priced as one stack
-    over every b.  A point that beats f_a by more than the margin shows that
-    the bound cannot hold.  Three or more states, and a single action, are
-    not certified.
+    (0, 1), priced as one stack over every b and bounding cost, and refined
+    by 33 points around its best.  A point that beats f_a by more than the
+    margin shows that that cost's bound cannot hold.  Three or more states,
+    and a single action, are not certified.
     """
     if problem.n_states != 2 or problem.n_actions == 1:
         return None
     margin = 1e-13 * max(1.0, abs(f_a))
-    for cost in _bounding_costs(spec):
-        bound = _vertex_bound(problem, cost, a, margin)
-        if bound <= f_a + margin:
-            return bound
-    return None
-
-
-def _vertex_bound(problem: RIProblem, cost: CostSpec, a: int, margin: float) -> float:
-    """``_certify_pure``'s bound under one cost of a 2-state problem, or +inf
-    once a grid point gains more than the margin over pure action a."""
-    m = problem.n_actions
+    plan, m = spec._plan, problem.n_actions
     pure = _pure_policy(2, m, a)
     others = np.array([b for b in range(m) if b != a], dtype=int)
     gain = problem.prior * (problem.utilities - problem.utilities[a])  # [b, x]: q_x (u_b(x) - u_a(x))
+    payoff = (problem.prior[None, :] * problem.utilities).T  # as in _objective_factory
 
-    def gains(s: np.ndarray) -> np.ndarray:
-        """f - f_a at p_a with t (s, 1 - s) moved to action b, for each row b of s."""
+    def gains(s: np.ndarray) -> list:
+        """f - f_a at p_a with t (s, 1 - s) moved to action b, for each row b of s, under each bounding cost."""
         k, per = s.shape
         bs = np.repeat(others, per)
         d = CERTIFY_STEP * np.stack([s.ravel(), 1.0 - s.ravel()], axis=1)
@@ -411,29 +387,33 @@ def _vertex_bound(problem: RIProblem, cost: CostSpec, a: int, margin: float) -> 
         rows = np.arange(k * per)
         p[rows, :, bs] = d
         p[rows, :, a] = 1.0 - d
-        return (np.sum(gain[bs] * d, axis=1) - _costs(cost, p)).reshape(k, per)
+        moved = np.sum(gain[bs] * d, axis=1)
+        return [(moved - cost).reshape(k, per) for cost in plan.bounding(p)]
 
     nodes = (np.arange(64) + 0.5) / 64
-    grid = np.tile(nodes, (len(others), 1))
-    coarse = gains(grid)
-    if not np.all(coarse <= margin):
-        return math.inf
     edges = np.concatenate([[0.0], nodes, [1.0]])  # node i lies between edges[i] and edges[i + 2]
-    i = coarse.argmax(axis=1)
-    fine = edges[i, None] + (edges[i + 2] - edges[i])[:, None] * np.linspace(0.0, 1.0, 35)[1:-1]
-    s, values = np.hstack([grid, fine]), np.hstack([coarse, gains(fine)])
-    if not np.all(values <= margin):
-        return math.inf
-    best = s[np.arange(len(others)), values.argmax(axis=1)]
-    d = CERTIFY_STEP * np.stack([best, 1.0 - best])  # [x, b]
-    p = pure.copy()
-    p[:, others] = d
-    p[:, a] = 1.0 - d.sum(axis=1)
-    objective, gradient = _objective_factory(problem, cost)
-    grad = gradient(p)
-    if not np.all(np.isfinite(grad)):  # the gap needs every entry's slope
-        return math.inf
-    return objective(p) + _face_gap(p, grad, np.ones(p.shape, dtype=bool))
+    grid = np.tile(nodes, (len(others), 1))
+    for k, coarse in enumerate(gains(grid)):
+        if not np.all(coarse <= margin):
+            continue
+        i = coarse.argmax(axis=1)
+        fine = edges[i, None] + (edges[i + 2] - edges[i])[:, None] * np.linspace(0.0, 1.0, 35)[1:-1]
+        s, values = np.hstack([grid, fine]), np.hstack([coarse, gains(fine)[k]])
+        if not np.all(values <= margin):
+            continue
+        best = s[np.arange(len(others)), values.argmax(axis=1)]
+        d = CERTIFY_STEP * np.stack([best, 1.0 - best])  # [x, b]
+        p = pure.copy()
+        p[:, others] = d
+        p[:, a] = 1.0 - d.sum(axis=1)
+        grad = payoff - plan.bounding_gradient(k, p)
+        if not np.all(np.isfinite(grad)):  # the gap needs every entry's slope
+            continue
+        f = float(np.sum(payoff * p) - plan.bounding(p[None])[k][0])
+        bound = f + _face_gap(p, grad, np.ones(p.shape, dtype=bool))
+        if bound <= f_a + margin:
+            return bound
+    return None
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -456,8 +436,9 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
     certify the first best pure policy: f(p) plus the Frank-Wolfe gap at a
     point p next to it bounds the optimum, and if that bound is within the
     ascent's margin (1e-13 max(1, |f|)) the pure policy is returned, with
-    the bound as ``upper_bound`` and no ascent or polish.  Two-state
-    problems only; a failed certificate costs time, never value.
+    the bound as ``upper_bound`` and no ascent or polish.  Its bounding
+    costs come from the cost's plan, so a solve builds no cost or plan.
+    Two-state problems only; a failed certificate costs time, never value.
 
     A polish pass then restarts from the incumbent with one action dropped,
     so that face optima are reached exactly instead of approached by a slow

@@ -204,7 +204,24 @@ class TestDominates:
             assert res.dominates == (source is mu)
             if res.dominates:
                 psi = np.clip(dense.x[:-1].reshape(source.n_signals, -1), 0.0, None)
+                psi /= psi.sum(axis=1, keepdims=True)
                 assert res.certificate.psi.tobytes() == ic.GarblingKernel(psi).psi.tobytes()
+
+    def test_certificate_rows_off_by_more_than_the_kernel_check_are_renormalized(self):
+        # HiGHS's kernel rows for this near tie (r = 5.6e-9) miss 1 by more
+        # than GarblingKernel's 1e-9, which raised RowNotStochastic
+        mu = ic.new_experiment([[0.2857142857142857, 0.7142857142857143], [0.5, 0.5]])
+        nu = ic.new_experiment(
+            [
+                [0.30952381338238255, 0.1428571441257148, 0.5476190424919027],
+                [0.29166666105059297, 0.25000001752215, 0.4583333214272571],
+            ]
+        )
+        res = ic.dominates(mu, nu)
+        assert res.dominates and ic.pairwise_dominates(mu, nu).dominates
+        kernel = res.certificate.psi
+        assert np.all(kernel >= 0.0) and np.abs(kernel.sum(axis=1) - 1.0).max() <= 1e-15
+        assert np.abs(ic.garble(mu, res.certificate).probs - nu.probs).max() <= 1e-7
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
     def test_tolerance_must_be_finite_and_nonnegative(self, tol):

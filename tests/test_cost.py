@@ -469,6 +469,55 @@ class TestPlan:
             assert all(g.tobytes() == f.tobytes() for g, f in zip(grads, fresh)), name
 
 
+# weights of a KL matrix: zeros, subnormals, the least normal float and ordinary weights
+KL_WEIGHTS = st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308]), st.floats(1e-3, 10.0))
+
+
+def per_pair_measure(beta):
+    """sum_ij beta_ij KL(mu_i || mu_j) written as a divergence measure: the
+    order-1 atom WeightedKLParam(i, e_j) of weight beta_ij for each positive
+    entry (an all-zero matrix keeps one atom of weight 0)."""
+    n = beta.shape[0]
+    atoms = [(beta[i, j], ic.WeightedKLParam(i, np.eye(n)[j])) for i in range(n) for j in range(n) if beta[i, j] > 0]
+    return ic.DivergenceMeasure(tuple(atoms) or ((0.0, ic.WeightedKLParam(0, np.eye(n)[1])),))
+
+
+class TestWeightedKLRepresentation:
+    """A weighted-KL cost is the measure of its per-pair order-1 atoms, and a
+    max-KL cost the maximum over those measures."""
+
+    @given(st.data(), st.integers(2, 4), st.integers(1, 3), st.integers(1, 8), st.integers(0, 10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_kl_costs_price_as_max_renyi_of_per_pair_measures(self, data, n, k, s, seed):
+        betas = []
+        for _ in range(k):
+            beta = np.reshape(data.draw(st.lists(KL_WEIGHTS, min_size=n * n, max_size=n * n)), (n, n))
+            beta = beta * (1.0 - np.eye(n))
+            beta[data.draw(st.integers(0, n - 1))] *= data.draw(st.sampled_from([0.0, 1.0]))  # a zero row, or not
+            betas.append(beta)
+        rng = np.random.default_rng(seed)
+        probs = stochastic_stack(rng, 5, n, s)
+        positive = rng.dirichlet(np.ones(s), size=n)
+        cases = [
+            (
+                ic.KLCost(betas[0]),
+                ic.MaxRenyiCost((per_pair_measure(betas[0]),)),
+                {"kind": "kl", "beta": betas[0].tolist()},
+            ),
+            (
+                ic.MaxKLCost(tuple(betas)),
+                ic.MaxRenyiCost(tuple(per_pair_measure(b) for b in betas)),
+                {"kind": "max_kl", "betas": [b.tolist() for b in betas]},
+            ),
+        ]
+        for spec, measures, payload in cases:
+            assert ic.eval_costs(spec, probs).tobytes() == ic.eval_costs(measures, probs).tobytes()
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                assert _cost_gradient(spec, positive).tobytes() == _cost_gradient(measures, positive).tobytes()
+            # the JSON form stays the weight matrices, not the measures the plan prices
+            assert ic.cost_to_json(spec) == json.dumps(payload)
+
+
 def convex_specs(rng, n):
     """all_specs without its sup atom, plus weighted-KL atoms, the identity
     transform and a Tsallis order below 1: the families the solver runs one

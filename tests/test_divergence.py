@@ -678,6 +678,25 @@ class TestGridKernel:
                 alone = divergence._divergences(divergence._Plan(params), probs[..., a:b].copy())
                 assert ragged[..., m].tobytes() == alone.tobytes()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_weighted_kl_parameters_of_many_pairs_are_each_alone(self, seed):
+        # parameters of as many pairs are summed as one array, and from 8
+        # pairs on NumPy sums pairwise, so counts above 8 are checked too
+        rng = np.random.default_rng(seed)
+        n = 12
+        params = []
+        for count in (1, 3, 8, 9, 11, 11, 3):
+            pivot = int(rng.integers(n))
+            beta = np.zeros(n)
+            beta[rng.choice([j for j in range(n) if j != pivot], count, replace=False)] = rng.dirichlet(np.ones(count))
+            params.append(ic.WeightedKLParam(pivot, beta / beta.sum()))
+        probs = rng.dirichlet(np.ones(5), size=(3, n))
+        probs[0, 1, 2] = 0.0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            grid = divergence._divergences(divergence._Plan(params), probs)
+            for row, param in zip(grid, params):
+                assert row.tobytes() == divergence._divergences(divergence._Plan([param]), probs)[0].tobytes()
+
     @pytest.mark.parametrize("b", [1, 4])
     def test_empty_grid(self, b):
         assert divergence._divergences(divergence._Plan([]), np.full((b, 3, 2), 0.5)).shape == (0, b)

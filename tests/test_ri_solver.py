@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import infocost as ic
 from infocost import ri_solver
 from infocost.cli import main
-from infocost.cost import _cost_gradient
+from infocost.cost import _cost_gradient, _MeasurePlan, _PosteriorPlan
+from infocost.divergence import _Plan
 from infocost.errors import BadSolveOptions, DimensionMismatch, InfoCostError, NoRootInBracket
 from infocost.ri_solver import _foc, _golden_max, _learning_weight, _mixing_kernel
 
@@ -383,20 +384,24 @@ class TestRestarts:
 @pytest.fixture
 def calls(monkeypatch):
     """Cost and gradient calls of every solve(), counted by wrapping the
-    planned entries the solver prices through; a stack counts as one call."""
+    planned entries the solver prices through: ``_costs`` and
+    ``_cost_gradient``, and the plans' ``bounding`` and ``bounding_gradient``,
+    which the pure-policy certificate prices through.  A stack counts as one
+    call."""
     seen = {"costs": 0, "gradient": 0}
-    real_costs, real_gradient = ri_solver._costs, ri_solver._cost_gradient
 
-    def counted_costs(spec, probs):
-        seen["costs"] += 1
-        return real_costs(spec, probs)
+    def counted(key, real):
+        def wrapper(*args):
+            seen[key] += 1
+            return real(*args)
 
-    def counted_gradient(spec, p):
-        seen["gradient"] += 1
-        return real_gradient(spec, p)
+        return wrapper
 
-    monkeypatch.setattr(ri_solver, "_costs", counted_costs)
-    monkeypatch.setattr(ri_solver, "_cost_gradient", counted_gradient)
+    monkeypatch.setattr(ri_solver, "_costs", counted("costs", ri_solver._costs))
+    monkeypatch.setattr(ri_solver, "_cost_gradient", counted("gradient", ri_solver._cost_gradient))
+    for plan in (_MeasurePlan, _PosteriorPlan):
+        monkeypatch.setattr(plan, "bounding", counted("costs", plan.bounding))
+        monkeypatch.setattr(plan, "bounding_gradient", counted("gradient", plan.bounding_gradient))
     return seen
 
 
@@ -577,6 +582,24 @@ class TestPureCertificate:
                 assert tried == [] and policy.upper_bound is None, name
             else:
                 assert tried == [spec] and policy.upper_bound is not None, name
+
+    def test_certified_solve_builds_no_cost_or_plan(self, monkeypatch):
+        # every cost builds its plan at construction, so no plan built means no cost built either
+        problem = ic.matching_problem(8.0, 7.9)  # playing safe is optimal for every family
+        specs = {name: spec for name, spec in every_family(problem.prior).items() if ri_solver._one_ascent(spec)}
+        built = []
+        for cls in (_MeasurePlan, _PosteriorPlan, _Plan):
+
+            def init(self, *args, real=cls.__init__):
+                built.append(type(self).__name__)
+                real(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", init)
+        for name, spec in specs.items():
+            assert ic.solve(problem, spec, ic.SolveOptions(starts=1)).upper_bound is not None, name
+            assert built == [], name
+        ic.KLCost(np.array([[0.0, 1.0], [1.0, 0.0]]))  # the counting sees a construction
+        assert built == ["_MeasurePlan", "_Plan"]
 
     def test_three_states_are_not_certified(self, ascents):
         prior = np.array([0.3, 0.3, 0.4])
