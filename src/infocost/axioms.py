@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .blackwell import GarblingKernel, garble
-from .cost import CostSpec, _has_sup_atom, eval_costs, spec_n_states
+from .cost import CostSpec, _plan_of, eval_costs, spec_n_states
 from .errors import BadAxiomProfile
 from .experiment import (
     FiniteExperiment,
@@ -346,7 +346,7 @@ def run_suite(spec: CostSpec, profile: Optional[AxiomProfile] = None) -> list[Ax
     with the settings of ``profile`` (``AxiomProfile()`` when left out)."""
     profile = profile or AxiomProfile()
     axioms = list(SUITE_AXIOMS)
-    if _has_sup_atom(spec):
+    if _plan_of(spec).sup:
         axioms.append(Axiom.MAXIMAL_DILUTION_CONCAVITY)
     reports = []
     for i, axiom in enumerate(axioms):

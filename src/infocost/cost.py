@@ -15,7 +15,12 @@ over measures of divergences (Rényi and max-Rényi costs, and weighted-KL
 and max-KL costs, whose sum_ij beta_ij KL(mu_i || mu_j) is one order-1 atom
 ``WeightedKLParam(i, e_j)`` of weight beta_ij per pair), a ``_PosteriorPlan``
 for a posterior-separable cost or a transform of one.  Each family's
-values, gradient and solver-certificate bounds exist once, in its plan.
+values, gradient, solver-certificate bounds and rules exist once, in its
+plan: it checks the family's inputs and records its facts, the state count
+``n_states``, the ``prior`` (None for a measure plan), ``sup`` (any sup
+atom) and ``concave`` (convex in the choice matrix, so the solver's
+objective is concave), which the solver and the axiom harness read instead
+of telling the families apart.
 Every family is priced on a stack of matrices ``probs[B, n, s]``:
 divergences through the one divergence kernel, potentials through
 ``_PosteriorPlan.phi`` and transforms through ``_transforms``, each one
@@ -224,19 +229,16 @@ TransformSpec = Union[IdentityTransform, RenyiLogTransform, CustomTransform]
 
 
 def _transforms(transform: TransformSpec, x: np.ndarray) -> np.ndarray:
-    """The transform at every entry of ``x[B]``.  The Rényi log maps
-    x >= 1 - 1e-12 to +inf: a fully revealing experiment's Rényi-potential
-    cost is 1 give or take rounding, and a row off the simplex can carry it
-    past 1.  A custom transform is called entry by entry."""
-    if isinstance(transform, IdentityTransform):
-        return x
+    """A Rényi log or custom transform at every entry of ``x[B]`` (a plan
+    drops the identity).  The Rényi log maps x >= 1 - 1e-12 to +inf: a fully
+    revealing experiment's Rényi-potential cost is 1 give or take rounding,
+    and a row off the simplex can carry it past 1.  A custom transform is
+    called entry by entry."""
     if isinstance(transform, RenyiLogTransform):
         with np.errstate(divide="ignore", invalid="ignore"):
             scaled = transform.lam / (transform.alpha_max - 1.0) * np.log(1.0 - x) + 0.0  # not -0.0 at x = 0
         return np.where(x >= 1.0 - 1e-12, math.inf, scaled)
-    if isinstance(transform, CustomTransform):
-        return np.array([float(transform.fn(v)) for v in x.tolist()])
-    raise BadCostSpec(f"unknown transform {transform!r}")
+    return np.array([float(transform.fn(v)) for v in x.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +267,7 @@ class KLCost:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", _beta_matrix(self.beta))
-        object.__setattr__(self, "_plan", _MeasurePlan([_kl_atoms(self.beta)]))
+        object.__setattr__(self, "_plan", _MeasurePlan([_kl_atoms(self.beta)], len(self.beta)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,7 +283,7 @@ class MaxKLCost:
         if any(b.shape != mats[0].shape for b in mats):
             raise BadCostSpec("weight matrices must share a shape")
         object.__setattr__(self, "betas", mats)
-        object.__setattr__(self, "_plan", _MeasurePlan([_kl_atoms(b) for b in mats]))
+        object.__setattr__(self, "_plan", _MeasurePlan([_kl_atoms(b) for b in mats], len(mats[0])))
 
 
 @dataclass(frozen=True)
@@ -293,11 +295,9 @@ class RenyiCost:
 
     def __post_init__(self):
         _check_lam(self.lam)
-        if not isinstance(self.param, InteriorParam) or not self.param.is_nonnegative():
-            raise BadCostSpec(
-                "the scaled-divergence cost requires a nonnegative interior exponent vector"
-            )
-        object.__setattr__(self, "_plan", _MeasurePlan([((self.lam, self.param),)]))
+        if not isinstance(self.param, InteriorParam):
+            raise BadCostSpec("the scaled-divergence cost requires an interior exponent vector")
+        object.__setattr__(self, "_plan", _MeasurePlan([((self.lam, self.param),)], self.param.n_states))
 
 
 @dataclass(frozen=True)
@@ -314,33 +314,20 @@ class MaxRenyiCost:
     def __post_init__(self):
         if not self.measures:
             raise BadCostSpec("need at least one measure")
-        n = None
         for m in self.measures:
             if not isinstance(m, DivergenceMeasure):
                 raise BadCostSpec(f"expected DivergenceMeasure, got {m!r}")
-            for _, p in m.atoms:
-                if isinstance(p, InteriorParam) and not p.is_nonnegative():
-                    raise BadCostSpec("interior cost atoms must have nonnegative exponents")
-                if n is None:
-                    n = p.n_states
-                elif p.n_states != n:
-                    raise BadCostSpec("all atoms must share the state count")
-        object.__setattr__(self, "_plan", _MeasurePlan([m.atoms for m in self.measures]))
+        object.__setattr__(self, "_plan", _MeasurePlan([m.atoms for m in self.measures], self.measures[0].n_states))
 
 
-def _init_ps(cost, transform: Optional[TransformSpec] = None) -> None:
+def _init_ps(cost, transform: TransformSpec) -> None:
     """Freeze a posterior-separable cost's prior, or that of a transform of
-    one, and make its plan, which prices the potential at the prior (a
-    custom potential is called at construction).  A KL or Rényi potential
-    must be built for the prior's states."""
+    one, and make its plan, which checks the potential and the transform and
+    prices the potential at the prior (a custom potential is called at
+    construction)."""
     q = _freeze(_check_prior(cost.prior).copy())
-    potential = cost.potential
-    if isinstance(potential, (KLPotential, RenyiPotential)):
-        k = len(potential.beta if isinstance(potential, KLPotential) else potential.alpha)
-        if k != q.shape[0]:
-            raise BadCostSpec(f"the potential is {k}-state, the prior {q.shape[0]}-state")
     object.__setattr__(cost, "prior", q)
-    object.__setattr__(cost, "_plan", _PosteriorPlan(q, potential, transform))
+    object.__setattr__(cost, "_plan", _PosteriorPlan(q, cost.potential, transform))
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,7 +338,7 @@ class PosteriorSeparableCost:
     potential: PotentialSpec
 
     def __post_init__(self):
-        _init_ps(self)
+        _init_ps(self, IdentityTransform())
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,27 +356,18 @@ class ConvexPSCost:
 CostSpec = Union[KLCost, MaxKLCost, RenyiCost, MaxRenyiCost, PosteriorSeparableCost, ConvexPSCost]
 
 
+def _plan_of(spec: CostSpec):
+    """The plan a cost specification made at construction, which holds its
+    family's facts: ``n_states``, ``prior`` (None for a measure plan),
+    ``sup`` and ``concave``."""
+    if not isinstance(spec, CostSpec):
+        raise BadCostSpec(f"unknown cost specification {spec!r}")
+    return spec._plan
+
+
 def spec_n_states(spec: CostSpec) -> int:
     """The state-space dimension a cost specification is built for."""
-    if isinstance(spec, KLCost):
-        return spec.beta.shape[0]
-    if isinstance(spec, MaxKLCost):
-        return spec.betas[0].shape[0]
-    if isinstance(spec, RenyiCost):
-        return spec.param.n_states
-    if isinstance(spec, MaxRenyiCost):
-        return spec.measures[0].n_states
-    if isinstance(spec, (PosteriorSeparableCost, ConvexPSCost)):
-        return spec.prior.shape[0]
-    raise BadCostSpec(f"unknown cost specification {spec!r}")
-
-
-def _has_sup_atom(spec: CostSpec) -> bool:
-    """Whether a max-Rényi cost has a sup atom, the one divergence that is
-    only quasi-convex and maximally dilution concave."""
-    return isinstance(spec, MaxRenyiCost) and any(
-        isinstance(p, SupParam) for m in spec.measures for _, p in m.atoms
-    )
+    return _plan_of(spec).n_states
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +463,29 @@ class _MeasurePlan:
     one divergence-kernel plan of every atom of nonzero weight, measure by
     measure, their weights, and each atom's ``_atom_terms``.  A Rényi cost
     is one measure of one atom, a weighted-KL cost one measure of one atom
-    per pair, and a max-KL or max-Rényi cost one measure per member."""
+    per pair, and a max-KL or max-Rényi cost one measure per member.
 
-    __slots__ = ("kernel", "weights", "atoms")
+    Every atom, zero weights included, must be built for ``n_states``
+    states, and an interior atom must have nonnegative exponents.  ``sup``
+    tells whether any atom is a sup atom, the one divergence that is only
+    quasi-convex and maximally dilution concave.  Without one the cost is
+    convex in the choice matrix (``concave``: the solver's objective is):
+    KL is jointly convex, a nonnegative interior divergence is minus the log
+    of a concave sum over a negative constant, and nonnegative mixtures and
+    maxima keep convexity."""
 
-    def __init__(self, measures: list):
+    __slots__ = ("n_states", "prior", "sup", "concave", "kernel", "weights", "atoms")
+
+    def __init__(self, measures: list, n_states: int):
+        for atoms in measures:
+            for _, p in atoms:
+                if isinstance(p, InteriorParam) and not p.is_nonnegative():
+                    raise BadCostSpec("interior cost atoms must have nonnegative exponents")
+                if p.n_states != n_states:
+                    raise BadCostSpec("all atoms must share the state count")
+        self.n_states, self.prior = n_states, None
+        self.sup = any(isinstance(p, SupParam) for atoms in measures for _, p in atoms)
+        self.concave = not self.sup
         kept = [[(w, p) for w, p in atoms if w != 0.0] for atoms in measures]
         self.kernel = _Plan([p for atoms in kept for _, p in atoms])
         self.weights = [[w for w, _ in atoms] for atoms in kept]
@@ -534,12 +530,27 @@ class _PosteriorPlan:
     """How a posterior-separable cost, or an increasing convex transform of
     one, is priced, worked out once: the potential's terms that depend on
     the prior and its weights alone, its value at the prior, and whether a
-    transform applies (the identity does not)."""
+    transform applies (the identity does not).
 
-    __slots__ = ("prior", "column", "potential", "pairs", "active", "exponents", "log_q", "at_prior", "transform")
+    A KL or Rényi potential must be built for the prior's ``n_states``
+    states, and the transform must be a built-in or custom one.  There is
+    no sup atom, and the cost is convex in the choice matrix (``concave``)
+    unless a custom potential or transform leaves that to the caller's
+    word: a posterior-separable cost is a perspective of its convex
+    potential, and an increasing convex transform keeps convexity."""
 
-    def __init__(self, q: np.ndarray, potential: PotentialSpec, transform: Optional[TransformSpec]):
-        self.prior, self.column, self.potential = q, q[:, None], potential
+    __slots__ = (
+        "n_states", "prior", "sup", "concave", "column", "potential",
+        "pairs", "active", "exponents", "log_q", "at_prior", "transform",
+    )
+
+    def __init__(self, q: np.ndarray, potential: PotentialSpec, transform: TransformSpec):
+        self.n_states, self.prior, self.sup = len(q), q, False
+        self.column, self.potential = q[:, None], potential
+        if isinstance(potential, (KLPotential, RenyiPotential)):
+            k = len(potential.beta if isinstance(potential, KLPotential) else potential.alpha)
+            if k != self.n_states:
+                raise BadCostSpec(f"the potential is {k}-state, the prior {self.n_states}-state")
         if isinstance(potential, KLPotential):
             self.pairs = _pairs(potential.beta)
         elif isinstance(potential, RenyiPotential):
@@ -548,7 +559,10 @@ class _PosteriorPlan:
             self.log_q = np.log(q[self.active])[:, None]
         elif not isinstance(potential, (ShannonEntropy, Tsallis, CustomPotential)):
             raise BadCostSpec(f"unknown potential {potential!r}")
+        if not isinstance(transform, (IdentityTransform, RenyiLogTransform, CustomTransform)):
+            raise BadCostSpec(f"unknown transform {transform!r}")
         self.transform = None if isinstance(transform, IdentityTransform) else transform
+        self.concave = not isinstance(potential, CustomPotential) and not isinstance(transform, CustomTransform)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             self.at_prior = self.phi(self.column)[0]
 

@@ -47,11 +47,13 @@ from .errors import (
     BadAlpha,
     BadPsi,
     GammaOutOfRange,
+    InfoCostError,
     LengthMismatch,
     NotADistribution,
     NotBinary,
     StateMismatch,
     TOutOfRange,
+    TooFewStates,
 )
 from .experiment import FiniteExperiment, _freeze, _is_count
 
@@ -628,7 +630,14 @@ def privacy_loss(mu: FiniteExperiment) -> float:
 
 
 def default_param_grid(n_states: int, count: int, seed: int = 0) -> list[DivergenceParam]:
-    """A deterministic mixed grid of interior, weighted-KL, and sup parameters."""
+    """A deterministic mixed grid of ``count`` >= 1 interior, weighted-KL,
+    and sup parameters on ``n_states`` >= 2 states, drawn from ``seed`` >= 0."""
+    if not _is_count(n_states, 2):
+        raise TooFewStates(f"need an integer number of states >= 2, got {n_states!r}")
+    if not _is_count(count, 1):
+        raise InfoCostError(f"count must be an integer >= 1, got {count!r}")
+    if not _is_count(seed, 0):
+        raise InfoCostError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     params: list[DivergenceParam] = [InteriorParam(np.full(n_states, 1.0 / n_states))]
     kinds = ["interior", "kl", "sup"]

@@ -14,14 +14,15 @@ and the solver prices through it (``cost._costs`` and
 exponents, and a solve sets NumPy's floating-point error state once.  The
 line searches price one candidate at a time; the pure policies with the
 ascents' starts, and the polish's face starts, are each priced as one
-stack, whose rows equal the matrices priced alone.  Every built-in family
-except sup atoms is convex in the choice matrix, which makes the objective
-concave: those families get one ascent from the uniform policy, and the
-others several starts.  For them, on two states, the best pure policy is
-first tested against a Frank-Wolfe duality bound taken next to it; when the
-bound is within the ascent's margin the ascent is skipped.  A binary
-symmetric matching instance admits a two-parameter closed form used as an
-independent cross-check.
+stack, whose rows equal the matrices priced alone.  The plan also records
+whether the cost is convex in the choice matrix (every built-in family
+except sup atoms), which makes the objective concave: those families get
+one ascent from the uniform policy, and the others several starts.  On
+two states, a concave objective's best pure policy is first tested against
+a Frank-Wolfe duality bound taken next to it; when the bound is within the
+ascent's margin the ascent is skipped.  A binary symmetric matching
+instance admits a two-parameter closed form used as an independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -32,21 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cost import (
-    ConvexPSCost,
-    CostSpec,
-    CustomPotential,
-    CustomTransform,
-    KLCost,
-    MaxKLCost,
-    MaxRenyiCost,
-    PosteriorSeparableCost,
-    RenyiCost,
-    _cost_gradient,
-    _costs,
-    _has_sup_atom,
-    spec_n_states,
-)
+from .cost import CostSpec, MaxRenyiCost, _cost_gradient, _costs, _plan_of
 from .divergence import DivergenceMeasure, InteriorParam, _golden_max
 from .errors import BadSolveOptions, DimensionMismatch, InfoCostError, NoRootInBracket, TOutOfRange
 from .experiment import FiniteExperiment, _check_prior, _freeze, _is_count
@@ -329,24 +316,6 @@ def _face_start(p: np.ndarray, a: int) -> np.ndarray:
     return faced / faced.sum(axis=1, keepdims=True)
 
 
-def _one_ascent(spec: CostSpec) -> bool:
-    """Whether the cost is convex in the choice matrix, so that the objective
-    is concave and one ascent finds its maximum.
-
-    KL is jointly convex; a nonnegative interior Rényi divergence is minus the
-    log of a concave sum over a negative constant; a posterior-separable cost
-    is a perspective of its convex potential; increasing convex transforms,
-    maxima and nonnegative mixtures keep convexity.  Cost constructors reject
-    negative interior exponents.  Sup atoms are only quasi-convex, and custom
-    potentials and transforms are convex on the caller's word alone.
-    """
-    if isinstance(spec, (KLCost, MaxKLCost, RenyiCost, MaxRenyiCost)):
-        return not _has_sup_atom(spec)
-    if isinstance(spec, ConvexPSCost) and isinstance(spec.transform, CustomTransform):
-        return False
-    return not isinstance(spec.potential, CustomPotential)
-
-
 def _certify_pure(problem: RIProblem, spec: CostSpec, a: int, f_a: float) -> Optional[float]:
     """An upper bound on the optimal value within the ascent's margin of f_a,
     the value of pure action a, or None.  The objective must be concave.
@@ -426,7 +395,7 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
     support's logits) from the uniform policy; every pure policy also
     enters as an exact candidate, so the result never falls below a constant
     action.  The pure policies and the ascents' starts are priced as one
-    stack.  Specs whose objective is concave (see ``_one_ascent``: every
+    stack.  Specs whose objective is concave (the plan's ``concave``: every
     built-in family except sup atoms) run that one ascent.  Sup atoms and
     custom potentials or transforms run ``options.starts`` ascents: the
     uniform policy, near-pure interior blends, then seeded random interior
@@ -450,16 +419,14 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
     """
     if options is None:
         options = SolveOptions()
-    if spec_n_states(spec) != problem.n_states:
-        raise DimensionMismatch(
-            f"spec is {spec_n_states(spec)}-state, problem has {problem.n_states}"
-        )
-    if isinstance(spec, (PosteriorSeparableCost, ConvexPSCost)):
-        if np.max(np.abs(spec.prior - problem.prior)) > 1e-12:
-            raise DimensionMismatch("the cost's prior differs from the problem's prior")
+    plan = _plan_of(spec)
+    if plan.n_states != problem.n_states:
+        raise DimensionMismatch(f"spec is {plan.n_states}-state, problem has {problem.n_states}")
+    if plan.prior is not None and np.max(np.abs(plan.prior - problem.prior)) > 1e-12:
+        raise DimensionMismatch("the cost's prior differs from the problem's prior")
     n, m = problem.n_states, problem.n_actions
     objective, gradient = _objective_factory(problem, spec)
-    concave = _one_ascent(spec)
+    concave = plan.concave
     uniform = np.full((n, m), 1.0 / m)
     starts = [uniform]
     if not concave:

@@ -552,11 +552,9 @@ class TestConvexity:
             assert cmid <= avg + rounding_tol(spec) * max(1.0, abs(avg)), name
 
     def test_solver_runs_one_ascent_exactly_for_the_convex_families(self):
-        from infocost.ri_solver import _one_ascent
-
         rng = np.random.default_rng(5)
         for n in (2, 3, 4):
-            assert all(_one_ascent(spec) for spec in convex_specs(rng, n).values())
+            assert all(spec._plan.concave for spec in convex_specs(rng, n).values())
             specs = all_specs(rng, n)
             prior, mixed = specs["shannon"].prior, specs["max_renyi_mixed"]
             sup = ic.DivergenceMeasure(((1.0, mixed.measures[0].atoms[0][1]),))
@@ -567,7 +565,7 @@ class TestConvexity:
                 ic.ConvexPSCost(prior, ic.ShannonEntropy(), ic.CustomTransform(math.expm1)),
                 ic.ConvexPSCost(prior, ic.CustomPotential(lambda p, q: 0.0), ic.IdentityTransform()),
             ]
-            assert not any(_one_ascent(spec) for spec in multi_start)
+            assert not any(spec._plan.concave for spec in multi_start)
 
 
 def max_pieces(spec, p):
@@ -740,6 +738,12 @@ class TestPosteriorSeparable:
         with pytest.raises(BadCostSpec, match=f"the potential is {5 - len(prior)}-state, the prior {len(prior)}-state"):
             build(np.array(prior), potential)
 
+    @pytest.mark.parametrize("transform", [None, "renyi_log", ic.ShannonEntropy()], ids=["none", "string", "potential"])
+    def test_convex_ps_rejects_an_unknown_transform(self, transform):
+        # built silently, None would price as the identity and the others fail only when priced
+        with pytest.raises(BadCostSpec, match="unknown transform"):
+            ic.ConvexPSCost(np.array([0.5, 0.5]), ic.ShannonEntropy(), transform)
+
     def test_shannon_product_subadditive(self):
         ps = ic.PosteriorSeparableCost(np.array([0.1, 0.9]), ic.ShannonEntropy())
         for seed in range(10):
@@ -858,6 +862,24 @@ def test_constructors_reject_non_finite_scales(build):
     # an infinite scale would cost NaN (Tsallis: 0) on an uninformative experiment
     with pytest.raises((BadCostSpec, BadPsi)):
         build()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec: ic.eval_costs(spec, np.full((1, 2, 2), 0.5)),
+        lambda spec: ic.eval_cost(spec, SYM75),
+        ic.spec_n_states,
+        lambda spec: ic.solve(ic.matching_problem(8.0, 5.0), spec),
+        lambda spec: ic.check_axiom(spec, ic.Axiom.ADDITIVITY),
+        ic.run_suite,
+    ],
+    ids=["eval_costs", "eval_cost", "spec_n_states", "solve", "check_axiom", "run_suite"],
+)
+def test_a_non_spec_is_a_bad_cost_spec(call):
+    # not an AttributeError from reaching for the plan
+    with pytest.raises(BadCostSpec, match="unknown cost specification"):
+        call(object())
 
 
 class TestSerialization:

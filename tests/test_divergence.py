@@ -16,8 +16,10 @@ from infocost.errors import (
     BadAlpha,
     BadPsi,
     GammaOutOfRange,
+    InfoCostError,
     LengthMismatch,
     NotBinary,
+    TooFewStates,
     TOutOfRange,
 )
 
@@ -704,3 +706,23 @@ class TestGridKernel:
     def test_unknown_parameter(self):
         with pytest.raises(BadPsi):
             divergence._Plan([ic.InteriorParam(np.array([0.5, 0.5])), "kl"])
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        ((1, 4), TooFewStates),
+        ((2.0, 4), TooFewStates),
+        ((2, 0), InfoCostError),
+        ((2, -1), InfoCostError),
+        ((2, 2.5), InfoCostError),
+        ((2, 4, -1), InfoCostError),
+        ((2, 4, 1.5), InfoCostError),
+    ],
+)
+def test_default_param_grid_checks_its_counts(args, error):
+    # a domain error, not an empty grid (which makes an empty sandwich
+    # report) or a bare TypeError or NumPy ValueError
+    with pytest.raises(InfoCostError) as caught:
+        ic.default_param_grid(*args)
+    assert caught.type is error

@@ -537,7 +537,7 @@ class TestPureCertificate:
     def test_property_no_ascent_beats_a_certified_pure_policy(self, m, q0, payoffs):
         problem = ic.RIProblem(np.array([q0, 1.0 - q0]), np.reshape(payoffs[: 2 * m], (m, 2)))
         for name, spec in every_family(problem.prior).items():
-            if not ri_solver._one_ascent(spec):
+            if not spec._plan.concave:
                 continue
             objective, gradient = ri_solver._objective_factory(problem, spec)
             pure = [objective(ri_solver._pure_policy(2, m, a)) for a in range(m)]
@@ -586,7 +586,7 @@ class TestPureCertificate:
     def test_certified_solve_builds_no_cost_or_plan(self, monkeypatch):
         # every cost builds its plan at construction, so no plan built means no cost built either
         problem = ic.matching_problem(8.0, 7.9)  # playing safe is optimal for every family
-        specs = {name: spec for name, spec in every_family(problem.prior).items() if ri_solver._one_ascent(spec)}
+        specs = {name: spec for name, spec in every_family(problem.prior).items() if spec._plan.concave}
         built = []
         for cls in (_MeasurePlan, _PosteriorPlan, _Plan):
 
@@ -621,7 +621,7 @@ def per_start_solve(problem, spec, options):
         pure = [objective(ri_solver._pure_policy(n, m, a)) for a in range(m)]
         a = pure.index(max(pure))
         best_p, best_f, best_conv = ri_solver._pure_policy(n, m, a), pure[a], True
-        concave = ri_solver._one_ascent(spec)
+        concave = spec._plan.concave
         if concave:
             bound = ri_solver._certify_pure(problem, spec, a, best_f)
             if bound is not None:
