@@ -118,10 +118,13 @@ def dominates(mu: FiniteExperiment, nu: FiniteExperiment, tol: float = DEFAULT_T
 
     Solves min eps over row-stochastic kernels psi subject to
     |sum_s psi[s, t] mu_i(s) - nu_i(t)| <= eps for every state and target
-    signal.  Verdicts whose best eps lies in (tol, 100 tol] carry a marginal
-    flag instead of being silently decided.  The constraints are passed as
-    sparse rows: a matching row holds the nonzero mu_i(s) of one kernel
-    column plus eps (at most ns + 1 entries), a row-sum row one kernel row.
+    signal.  eps (``max_violation``) is then measured on the solution's
+    kernel, clipped and its rows renormalized, as max |mu psi - nu|: the
+    kernel is the certificate when eps <= tol, and an eps in (tol, 100 tol]
+    sets a marginal flag instead of being silently decided.  The
+    constraints are passed as sparse rows: a matching row holds the nonzero
+    mu_i(s) of one kernel column plus eps (at most ns + 1 entries), a
+    row-sum row one kernel row.
     No dimension limit is enforced; the intended envelope is up to ~64
     signals per experiment.
     """
@@ -155,16 +158,14 @@ def dominates(mu: FiniteExperiment, nu: FiniteExperiment, tol: float = DEFAULT_T
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
     if not res.success:
         raise InfoCostError(f"feasibility solve failed: {res.message}")
-    eps = float(res.x[-1])
+    # HiGHS meets its constraints only to its feasibility tolerance (1e-7),
+    # looser than tol, so its own eps may understate the kernel's miss
+    psi = np.clip(res.x[:-1].reshape(ns, nt), 0.0, None)
+    kernel = GarblingKernel(psi / psi.sum(axis=1, keepdims=True))
+    eps = float(np.abs(mu.probs @ kernel.psi - nu.probs).max())
     ok = eps <= tol
     marginal = (not ok) and eps <= MARGINAL_FACTOR * tol
-    certificate = None
-    if ok:
-        # HiGHS meets the row sums only to its own feasibility tolerance,
-        # which clipping its small negative entries can widen
-        psi = np.clip(res.x[:-1].reshape(ns, nt), 0.0, None)
-        certificate = GarblingKernel(psi / psi.sum(axis=1, keepdims=True))
-    return DominanceResult(ok, certificate, eps, marginal)
+    return DominanceResult(ok, kernel if ok else None, eps, marginal)
 
 
 def _shortfall(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
@@ -237,9 +238,7 @@ def pairwise_dominates(mu: FiniteExperiment, nu: FiniteExperiment, tol: float = 
     covers the rounding in r and in the rows' sums.  Both keep a factor 2
     between the exact LP optimum and tol.  Only a near tie between the two
     runs the LP (:func:`dominates` on :func:`restrict_pair`); at tol = 0
-    that is every pair whose r is at rounding level.  HiGHS solves to a
-    feasibility tolerance of 1e-7, so for a pair failing by less than that
-    the LP alone may report eps 0; the screen's verdict is the exact one.
+    that is every pair whose r is at rounding level.
 
     Pairs are checked in `itertools.combinations` order and the call stops
     at the first pair that does not dominate; that pair is `failing_pair`.

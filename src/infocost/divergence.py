@@ -7,14 +7,16 @@ Chernoff information, and the two-sided sup-divergence privacy measure.
 
 Every branch is evaluated by one kernel in two steps.  ``_Plan(params)``
 does the work on a list of parameters alone, once: equal parameters merged,
-interior and sup parameters grouped by the row of their largest exponent and
-their zero weights, the interior denominators, the KL pairs the weighted-KL
+the pivot row k (largest exponent) and weights of each interior and sup
+parameter, the interior denominators, the KL pairs the weighted-KL
 parameters use, and those parameters grouped by their count of pairs.
 ``_divergences(plan, probs[B, n, s])`` then prices the plan on a stack as a
 ``[P, B]`` array, or, given the bounds of a ragged stack (matrices of
 different signal counts side by side along the signal axis), as
-``[P, B, M]``: the logs and other elementwise work run once over every
-signal, and the sums and maxima per matrix.  The sandwich prices its
+``[P, B, M]``.  An interior or sup value is a log-mean-exp or maximum over
+signals of L(s) = sum_{i != k} w_i log(p_i(s) / p_k(s)), whose terms are
+added state by state, elementwise (see ``_log_ratios``); only the sums and
+maxima over signals run per matrix.  The sandwich prices its
 parameter grid on the experiment and all its companions in one ragged call,
 each cost its atoms on a whole stack from a plan it made once, and every
 scalar function here one parameter on a stack of one.  Each value is
@@ -213,28 +215,23 @@ def _per_segment(ufunc, x: np.ndarray, bounds) -> np.ndarray:
 
 class _Cuts:
     """How :func:`_log_ratios` reads a list of weight vectors, worked out
-    once: the row k = argmax(w) of each, and its states of nonzero weight."""
+    once: the row k = argmax(w) of each, and for each state i that some w
+    weighs, (i, each w_i, whether each w weighs it or None when all do) as
+    ``[G, 1, 1]`` arrays.  Row k's own term, w_k log 1 = 0, is left out."""
 
-    __slots__ = ("pivots", "slots", "patterns", "vectors")
+    __slots__ = ("pivots", "slots", "terms")
 
     def __init__(self, ws):
-        pivots: dict = {}  # the distinct rows k, in order of first use -> position
-        slots = []  # each vector's position in pivots
-        patterns: dict = {}  # the distinct (position in pivots, kept states or () for all)
-        vectors = []  # (its pattern, its weights on the kept states) of each vector
-        for w in ws:
-            wl = w.tolist()
-            slot = pivots.setdefault(wl.index(max(wl)), len(pivots))
-            kept = tuple(i for i, wi in enumerate(wl) if wi != 0.0) if 0.0 in wl else ()
-            vectors.append((patterns.setdefault((slot, kept), len(patterns)), w.take(kept) if kept else w))
-            slots.append(slot)
-        self.pivots = list(pivots)
-        self.slots = slots if len(pivots) > 1 else None
-        self.patterns = list(patterns)
-        self.vectors = vectors
+        ks = [int(w.argmax()) for w in ws]
+        self.pivots = list(dict.fromkeys(ks))  # the distinct rows k, in order of first use
+        self.slots = [self.pivots.index(k) for k in ks] if len(self.pivots) > 1 else None
+        weights = np.array(ws)[:, :, None, None]
+        on = weights != 0.0
+        on[np.arange(len(ks)), ks] = False
+        self.terms = [(i, weights[:, i], None if on[:, i].all() else on[:, i]) for i in range(len(ws[0])) if on[:, i].any()]
 
 
-def _log_ratios(cuts: _Cuts, probs: np.ndarray, bounds=None) -> tuple[np.ndarray, np.ndarray]:
+def _log_ratios(cuts: _Cuts, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row k = argmax(w) of a stack ``probs[B, n, S]`` and L[b, s] = sum_{i != k}
     w_i log(p_i(s) / p_k(s)), for each weight vector w of :class:`_Cuts`: the
     rows stacked as ``pk[G, B, S]`` (``pk[1, B, S]`` when every w shares one)
@@ -250,17 +247,14 @@ def _log_ratios(cuts: _Cuts, probs: np.ndarray, bounds=None) -> tuple[np.ndarray
     overflow to +inf, so those signals take log p_i - log p_k instead; every
     other signal keeps the quotient.
 
-    The logs are taken once per pivot row over every signal, and cut to the
-    states of nonzero weight once per pattern of zeros.  Each L is its own
-    ``w @ logs`` on each segment of ``bounds`` (see :func:`_per_segment`),
-    from a contiguous copy of that segment: one product of the stacked
-    weights rounds differently beyond two states, and so does a product over
-    several segments, or over a segment's strided slice.
+    The logs are taken once per pivot row over every signal.  L adds its
+    terms state by state, in order, elementwise over every w and signal, and
+    a term left out adds -0.0, which changes no sum: each entry of L depends
+    on its own weights and signal alone, bit for bit, in any stack.
     """
     rows, logs = [], []
     for k in cuts.pivots:
         pk = np.ascontiguousarray(probs[:, k])  # a strided view slows every later use
-        # row k's own term is w_k log(1) = 0
         log = np.log(probs / pk[:, None])
         if pk.min(initial=1.0) < TINY:
             sub = (pk > 0.0) & (pk < TINY)
@@ -268,20 +262,13 @@ def _log_ratios(cuts: _Cuts, probs: np.ndarray, bounds=None) -> tuple[np.ndarray
                 log = np.where(sub[:, None], np.log(probs) - np.log(pk)[:, None], log)
         rows.append(pk)
         logs.append(log)
-    segments = None if bounds is None else list(zip(bounds, bounds[1:]))
-    blocks = []  # per pattern, its cut of the logs, whole or per segment
-    for slot, kept in cuts.patterns:
-        # contiguous, as take lays it out: fancy indexing lays it out state-major,
-        # where a matmul would round each matrix of a stack otherwise than alone
-        cut = logs[slot].take(kept, axis=1) if kept else logs[slot]
-        blocks.append([cut] if segments is None else [np.ascontiguousarray(cut[:, :, a:b]) for a, b in segments])
-    ratios = []
-    for pattern, w in cuts.vectors:
-        products = [w @ block for block in blocks[pattern]]
-        ratios.append(products[0] if len(products) == 1 else np.concatenate(products, axis=-1))
     # a shared row is broadcast; a stacked one would copy it per w
-    pk = rows[0][None] if cuts.slots is None else np.stack(rows).take(cuts.slots, axis=0)
-    return pk, np.stack(ratios) if len(ratios) > 1 else ratios[0][None]
+    pk, logs = (x[0][None] if cuts.slots is None else np.stack(x).take(cuts.slots, axis=0) for x in (rows, logs))
+    ratios = None
+    for i, w, on in cuts.terms:
+        term = w * logs[:, :, i] if on is None else np.where(on, w * logs[:, :, i], -0.0)
+        ratios = term if ratios is None else ratios + term
+    return pk, ratios
 
 
 def _log_sums(pk: np.ndarray, ratios: np.ndarray, above: bool, bounds=None) -> np.ndarray:
@@ -393,10 +380,9 @@ def _divergences(plan: _Plan, probs: np.ndarray, bounds=None) -> np.ndarray:
 
     With ``bounds``, the signal axis holds a ragged stack: the matrices
     ``probs[b, :, bounds[m]:bounds[m + 1]]`` side by side, which may differ in
-    signal count, priced as ``[P, B, M]``.  The logs, exponentials and
-    products are taken once over every signal; the sums, maxima and
-    products with a weight vector run per matrix (see :func:`_per_segment`
-    and :func:`_log_ratios`).
+    signal count, priced as ``[P, B, M]``.  The elementwise work runs once
+    over every signal; only the sums and maxima over signals run per matrix
+    (see :func:`_per_segment`).
 
     The one evaluator of each branch; entry (p, b[, m]) depends on its
     parameter and matrix alone, bit for bit.  Interior: log(sum) over
@@ -404,12 +390,12 @@ def _divergences(plan: _Plan, probs: np.ndarray, bounds=None) -> np.ndarray:
     Weighted-KL: the weighted KL divergences from the pivot, skipping zero
     weights.  Sup: the largest psi . log p(s), floored at 0, where a signal
     with a zero under a positive weight (one that never occurs, say) never
-    wins.  Callers silence floating-point warnings: zeros make infinities
-    and NaNs on the way.
+    wins; + 0.0 turns a floor of -0.0 (every term 0) into 0.0.  Callers
+    silence floating-point warnings: zeros make infinities and NaNs.
     """
     parts = []  # the distinct parameters' rows, group by group
     if plan.cuts:
-        pk, ratios = _log_ratios(plan.cuts, probs, bounds)
+        pk, ratios = _log_ratios(plan.cuts, probs)
         start = 0
         for above, denominators in plan.interiors:
             rows = slice(start, start + len(denominators))
@@ -418,7 +404,7 @@ def _divergences(plan: _Plan, probs: np.ndarray, bounds=None) -> np.ndarray:
             parts.append(log_sums / denominators + 0.0)
             start = rows.stop
         if plan.sups:
-            parts.append(np.fmax(_per_segment(np.fmax, ratios[start:], bounds), 0.0))
+            parts.append(np.fmax(_per_segment(np.fmax, ratios[start:], bounds), 0.0) + 0.0)
     if plan.kls:
         pivots, others = plan.pairs
         kls = _kls(probs.take(pivots, axis=1), probs.take(others, axis=1), bounds).swapaxes(-1, -2)  # [B, M, pair]

@@ -111,6 +111,11 @@ class SolveOptions:
 # ---------------------------------------------------------------------------
 
 
+def _payoff(problem: RIProblem) -> np.ndarray:
+    """The weighted payoffs q_x u(a, x) as [x, a]: the objective's linear part."""
+    return (problem.prior[None, :] * problem.utilities).T
+
+
 def _objective_factory(problem: RIProblem, spec: CostSpec):
     """The objective f(p) = sum q_x u(a, x) p(x, a) - C(p) and its gradient,
     priced through the plan the cost made at construction (``cost._costs``
@@ -119,7 +124,7 @@ def _objective_factory(problem: RIProblem, spec: CostSpec):
     matrix, equal to that matrix priced alone; a +inf cost gives -inf.
     Callers pass C-contiguous float arrays of the problem's shape and
     silence floating-point warnings, as ``solve`` does."""
-    payoff = (problem.prior[None, :] * problem.utilities).T  # [theta, a] weighted payoffs
+    payoff = _payoff(problem)
 
     def objective(p: np.ndarray):
         stack = p if p.ndim == 3 else p[None]
@@ -345,7 +350,7 @@ def _certify_pure(problem: RIProblem, spec: CostSpec, a: int, f_a: float) -> Opt
     pure = _pure_policy(2, m, a)
     others = np.array([b for b in range(m) if b != a], dtype=int)
     gain = problem.prior * (problem.utilities - problem.utilities[a])  # [b, x]: q_x (u_b(x) - u_a(x))
-    payoff = (problem.prior[None, :] * problem.utilities).T  # as in _objective_factory
+    payoff = _payoff(problem)
 
     def gains(s: np.ndarray) -> list:
         """f - f_a at p_a with t (s, 1 - s) moved to action b, for each row b of s, under each bounding cost."""

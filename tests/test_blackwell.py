@@ -104,18 +104,18 @@ def _stochastic(draw, rows, cols):
 
 
 @st.composite
-def dichotomies(draw):
-    """(mu, nu) on two states: a garbling, a reversed garbling, or a garbling
-    mixed with weight delta into another experiment, a near tie."""
+def garbling_pairs(draw, n_states):
+    """(mu, nu) on n_states states: a garbling, a reversed garbling, or a
+    garbling mixed with weight delta into another experiment, a near tie."""
     ns, nt = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    mu = ic.new_experiment(_stochastic(draw, 2, ns))
+    mu = ic.new_experiment(_stochastic(draw, n_states, ns))
     nu = ic.garble(mu, ic.GarblingKernel(_stochastic(draw, ns, nt)))
     kind = draw(st.sampled_from(["garbling", "reversed", "near_tie"]))
     if kind == "reversed":
         return nu, mu
     if kind == "near_tie":
         delta = 10.0 ** draw(st.floats(-11.0, -5.0))
-        nu = ic.new_experiment((1.0 - delta) * nu.probs + delta * _stochastic(draw, 2, nt))
+        nu = ic.new_experiment((1.0 - delta) * nu.probs + delta * _stochastic(draw, n_states, nt))
     return mu, nu
 
 
@@ -200,16 +200,17 @@ class TestDominates:
             dense = linprog(c, A_ub=a_ub, b_ub=kwargs["b_ub"], A_eq=a_eq, b_eq=kwargs["b_eq"],
                             bounds=[(0.0, 1.0)] * nk + [(0.0, None)], method="highs")
             assert dense.x.tobytes() == sparse.x.tobytes()
-            assert res.max_violation == dense.x[-1]
+            psi = np.clip(dense.x[:-1].reshape(source.n_signals, -1), 0.0, None)
+            kernel = ic.GarblingKernel(psi / psi.sum(axis=1, keepdims=True))
+            assert res.max_violation == np.abs(source.probs @ kernel.psi - target.probs).max()
             assert res.dominates == (source is mu)
             if res.dominates:
-                psi = np.clip(dense.x[:-1].reshape(source.n_signals, -1), 0.0, None)
-                psi /= psi.sum(axis=1, keepdims=True)
-                assert res.certificate.psi.tobytes() == ic.GarblingKernel(psi).psi.tobytes()
+                assert res.certificate.psi.tobytes() == kernel.psi.tobytes()
 
     def test_certificate_rows_off_by_more_than_the_kernel_check_are_renormalized(self):
         # HiGHS's kernel rows for this near tie (r = 5.6e-9) miss 1 by more
-        # than GarblingKernel's 1e-9, which raised RowNotStochastic
+        # than GarblingKernel's 1e-9, which raised RowNotStochastic.  That
+        # kernel misses nu by 1.5e-8, so it certifies at HiGHS's own 1e-7
         mu = ic.new_experiment([[0.2857142857142857, 0.7142857142857143], [0.5, 0.5]])
         nu = ic.new_experiment(
             [
@@ -217,11 +218,30 @@ class TestDominates:
                 [0.29166666105059297, 0.25000001752215, 0.4583333214272571],
             ]
         )
-        res = ic.dominates(mu, nu)
-        assert res.dominates and ic.pairwise_dominates(mu, nu).dominates
+        res = ic.dominates(mu, nu, tol=1e-7)
+        assert res.dominates and ic.pairwise_dominates(mu, nu, tol=1e-7).dominates
         kernel = res.certificate.psi
         assert np.all(kernel >= 0.0) and np.abs(kernel.sum(axis=1) - 1.0).max() <= 1e-15
-        assert np.abs(ic.garble(mu, res.certificate).probs - nu.probs).max() <= 1e-7
+        assert np.abs(ic.garble(mu, res.certificate).probs - nu.probs).max() <= res.max_violation
+
+    def test_a_near_tie_is_decided_on_its_kernel_miss(self):
+        # the best kernel misses nu by 1.5e-8, above tol but within HiGHS's
+        # feasibility tolerance of 1e-7, where HiGHS reported eps 0
+        mu = ic.new_experiment([[0.5, 0.5], [0.5, 0.5]])
+        nu = ic.new_experiment([[0.5, 0.5], [0.5 - 3e-8, 0.5 + 3e-8]])
+        res = ic.dominates(mu, nu)
+        assert not res.dominates and res.certificate is None and res.marginal
+        assert res.max_violation >= 1.5e-8 * (1.0 - 1e-6)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 4).flatmap(garbling_pairs), st.sampled_from([0.0, 1e-8, 1e-6]))
+    def test_every_certificate_rebuilds_its_target_within_the_reported_violation(self, pair, tol):
+        mu, nu = pair
+        res = ic.dominates(mu, nu, tol)
+        assert res.dominates == (res.max_violation <= tol) == (res.certificate is not None)
+        assert res.marginal == (tol < res.max_violation <= 100 * tol)
+        if res.dominates:
+            assert np.abs(ic.garble(mu, res.certificate).probs - nu.probs).max() <= res.max_violation
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
     def test_tolerance_must_be_finite_and_nonnegative(self, tol):
@@ -353,7 +373,7 @@ class TestDichotomyShortfall:
             ic.dichotomy_shortfall(WITNESS_MU, WITNESS_NU)
 
     @settings(max_examples=300, deadline=None)
-    @given(dichotomies())
+    @given(garbling_pairs(2))
     def test_sign_matches_the_bench_reference(self, pair):
         mu, nu = pair
         r, t = ic.dichotomy_shortfall(mu, nu)
@@ -362,7 +382,7 @@ class TestDichotomyShortfall:
         assert t in kinks
 
     @settings(max_examples=150, deadline=None)
-    @given(dichotomies(), st.sampled_from([1e-8, 1e-7, 1e-6, 1e-4]))
+    @given(garbling_pairs(2), st.sampled_from([1e-8, 1e-7, 1e-6, 1e-4]))
     def test_screen_agrees_with_the_lp(self, pair, tol):
         # the LP is solved to 1e-10, so its verdict is exact next to the
         # screen's factor-2 margins around tol
@@ -372,10 +392,7 @@ class TestDichotomyShortfall:
             plain = ic.dominates(mu, nu, tol)
             (_, _, lp), = lps
             res = ic.pairwise_dominates(mu, nu, tol)
-        eps = plain.max_violation
-        psi = np.clip(lp.x[:-1].reshape(mu.n_signals, nu.n_signals), 0.0, None)
-        psi /= psi.sum(axis=1, keepdims=True)
-        missed = float(np.max(np.abs(mu.probs @ psi - nu.probs)))
+        eps, missed = float(lp.x[-1]), plain.max_violation  # the LP's optimum, its kernel's miss
         lower = 2.0 * r / nu.n_signals
         assert eps <= r + 1e-12
         assert lower <= missed + 1e-12  # a bound on every kernel, not only the optimum
