@@ -29,6 +29,7 @@ from .experiment import FiniteExperiment, _freeze, _is_count, restrict_pair
 DEFAULT_TOL = 1e-8
 MARGINAL_FACTOR = 100.0
 ROUNDING_ULPS = 4  # rounding allowance of a dichotomy shortfall, in units of 2**-52 per signal
+MIN_TOL = 1e-9  # the finest tol the dominance LP decides: HiGHS solves to no finer than a tenth of it
 
 
 def linprog(*args, **kwargs):
@@ -118,13 +119,16 @@ def dominates(mu: FiniteExperiment, nu: FiniteExperiment, tol: float = DEFAULT_T
 
     Solves min eps over row-stochastic kernels psi subject to
     |sum_s psi[s, t] mu_i(s) - nu_i(t)| <= eps for every state and target
-    signal.  eps (``max_violation``) is then measured on the solution's
-    kernel, clipped and its rows renormalized, as max |mu psi - nu|: the
-    kernel is the certificate when eps <= tol, and an eps in (tol, 100 tol]
-    sets a marginal flag instead of being silently decided.  The
-    constraints are passed as sparse rows: a matching row holds the nonzero
-    mu_i(s) of one kernel column plus eps (at most ns + 1 entries), a
-    row-sum row one kernel row.
+    signal.  HiGHS meets the constraints only to its feasibility tolerances,
+    set to tol / 10 (at most its default 1e-7), so eps (``max_violation``)
+    is measured on its kernel, clipped and its rows renormalized, as
+    max |mu psi - nu|.  A tol below MIN_TOL = 1e-9 is decided at MIN_TOL, as
+    HiGHS solves to no finer than 1e-10: an exact garbling passes at tol 0.
+    The kernel is the certificate when eps <= tol, and an eps in
+    (tol, 100 tol] sets a marginal flag instead of being silently decided.
+    The constraints are passed as sparse rows: a matching row holds the
+    nonzero mu_i(s) of one kernel column plus eps (at most ns + 1 entries),
+    a row-sum row one kernel row.
     No dimension limit is enforced; the intended envelope is up to ~64
     signals per experiment.
     """
@@ -155,11 +159,12 @@ def dominates(mu: FiniteExperiment, nu: FiniteExperiment, tol: float = DEFAULT_T
 
     bounds = np.tile([0.0, 1.0], (nk + 1, 1))
     bounds[-1, 1] = math.inf
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    tol = max(tol, MIN_TOL)
+    ftol = min(tol / 10, 1e-7)  # at most HiGHS's default
+    options = {"primal_feasibility_tolerance": ftol, "dual_feasibility_tolerance": ftol}
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs", options=options)
     if not res.success:
         raise InfoCostError(f"feasibility solve failed: {res.message}")
-    # HiGHS meets its constraints only to its feasibility tolerance (1e-7),
-    # looser than tol, so its own eps may understate the kernel's miss
     psi = np.clip(res.x[:-1].reshape(ns, nt), 0.0, None)
     kernel = GarblingKernel(psi / psi.sum(axis=1, keepdims=True))
     eps = float(np.abs(mu.probs @ kernel.psi - nu.probs).max())
@@ -234,11 +239,12 @@ def pairwise_dominates(mu: FiniteExperiment, nu: FiniteExperiment, tol: float = 
       g_nu(t) by at most s_nu (1 + t) eps / 2.
 
     So the pair passes when r + slack <= tol / 2 and fails when
-    r - slack > s_nu tol, where slack = ROUNDING_ULPS (s_mu + s_nu) 2**-52
-    covers the rounding in r and in the rows' sums.  Both keep a factor 2
-    between the exact LP optimum and tol.  Only a near tie between the two
-    runs the LP (:func:`dominates` on :func:`restrict_pair`); at tol = 0
-    that is every pair whose r is at rounding level.
+    r - slack > s_nu max(tol, MIN_TOL), the tol the LP decides at, where
+    slack = ROUNDING_ULPS (s_mu + s_nu) 2**-52 covers the rounding in r and
+    in the rows' sums.  Both keep a factor 2 between the exact LP optimum
+    and tol.  Only a near tie between the two runs the LP (:func:`dominates`
+    on :func:`restrict_pair`); at tol = 0 that is every pair whose r is at
+    most about s_nu MIN_TOL.
 
     Pairs are checked in `itertools.combinations` order and the call stops
     at the first pair that does not dominate; that pair is `failing_pair`.
@@ -251,7 +257,7 @@ def pairwise_dominates(mu: FiniteExperiment, nu: FiniteExperiment, tol: float = 
         worst = max(worst, r)
         if r + slack <= tol / 2:
             continue
-        near_tie = r - slack <= nu.n_signals * tol
+        near_tie = r - slack <= nu.n_signals * max(tol, MIN_TOL)
         lp_pairs += near_tie
         if not (near_tie and dominates(restrict_pair(mu, i, j), restrict_pair(nu, i, j), tol).dominates):
             return PairwiseResult(False, (i, j), worst, lp_pairs)

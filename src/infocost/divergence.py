@@ -228,7 +228,10 @@ class _Cuts:
         weights = np.array(ws)[:, :, None, None]
         on = weights != 0.0
         on[np.arange(len(ks)), ks] = False
-        self.terms = [(i, weights[:, i], None if on[:, i].all() else on[:, i]) for i in range(len(ws[0])) if on[:, i].any()]
+        self.terms = []
+        for i in range(len(ws[0])):
+            if on[:, i].any():
+                self.terms.append((i, weights[:, i], None if on[:, i].all() else on[:, i]))
 
 
 def _log_ratios(cuts: _Cuts, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,11 +265,15 @@ def _log_ratios(cuts: _Cuts, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
                 log = np.where(sub[:, None], np.log(probs) - np.log(pk)[:, None], log)
         rows.append(pk)
         logs.append(log)
-    # a shared row is broadcast; a stacked one would copy it per w
-    pk, logs = (x[0][None] if cuts.slots is None else np.stack(x).take(cuts.slots, axis=0) for x in (rows, logs))
+
+    def per_w(xs):  # one x per pivot row as x[G, ...]; a shared one is broadcast, not copied per w
+        return xs[0][None] if cuts.slots is None else np.stack(xs).take(cuts.slots, axis=0)
+
+    pk = per_w(rows)
     ratios = None
     for i, w, on in cuts.terms:
-        term = w * logs[:, :, i] if on is None else np.where(on, w * logs[:, :, i], -0.0)
+        log_i = per_w([log[:, i] for log in logs])  # state i's logs alone, not every state's
+        term = w * log_i if on is None else np.where(on, w * log_i, -0.0)
         ratios = term if ratios is None else ratios + term
     return pk, ratios
 

@@ -61,12 +61,12 @@ def dense_constraints(mu, nu):
 @contextlib.contextmanager
 def recorded_lps(**options):
     """Record every blackwell.linprog call as (args, kwargs, result), solving
-    with the given HiGHS options added."""
+    with the given HiGHS options in place of the caller's."""
     calls = []
     original = blackwell.linprog
 
     def spy(*args, **kwargs):
-        res = original(*args, **kwargs, **({"options": options} if options else {}))
+        res = original(*args, **{**kwargs, "options": {**kwargs["options"], **options}})
         calls.append((args, kwargs, res))
         return res
 
@@ -198,7 +198,7 @@ class TestDominates:
             assert np.array_equal(kwargs["A_eq"].toarray(), a_eq)
             nk = source.n_signals * target.n_signals
             dense = linprog(c, A_ub=a_ub, b_ub=kwargs["b_ub"], A_eq=a_eq, b_eq=kwargs["b_eq"],
-                            bounds=[(0.0, 1.0)] * nk + [(0.0, None)], method="highs")
+                            bounds=[(0.0, 1.0)] * nk + [(0.0, None)], method="highs", options=kwargs["options"])
             assert dense.x.tobytes() == sparse.x.tobytes()
             psi = np.clip(dense.x[:-1].reshape(source.n_signals, -1), 0.0, None)
             kernel = ic.GarblingKernel(psi / psi.sum(axis=1, keepdims=True))
@@ -209,8 +209,9 @@ class TestDominates:
 
     def test_certificate_rows_off_by_more_than_the_kernel_check_are_renormalized(self):
         # HiGHS's kernel rows for this near tie (r = 5.6e-9) miss 1 by more
-        # than GarblingKernel's 1e-9, which raised RowNotStochastic.  That
-        # kernel misses nu by 1.5e-8, so it certifies at HiGHS's own 1e-7
+        # than GarblingKernel's 1e-9, which raised RowNotStochastic.  At
+        # HiGHS's default feasibility tolerance of 1e-7 that kernel missed nu
+        # by 1.5e-8, above tol though some kernel misses by at most r
         mu = ic.new_experiment([[0.2857142857142857, 0.7142857142857143], [0.5, 0.5]])
         nu = ic.new_experiment(
             [
@@ -218,15 +219,15 @@ class TestDominates:
                 [0.29166666105059297, 0.25000001752215, 0.4583333214272571],
             ]
         )
-        res = ic.dominates(mu, nu, tol=1e-7)
-        assert res.dominates and ic.pairwise_dominates(mu, nu, tol=1e-7).dominates
+        res = ic.dominates(mu, nu)
+        assert res.dominates and ic.pairwise_dominates(mu, nu).dominates
         kernel = res.certificate.psi
         assert np.all(kernel >= 0.0) and np.abs(kernel.sum(axis=1) - 1.0).max() <= 1e-15
-        assert np.abs(ic.garble(mu, res.certificate).probs - nu.probs).max() <= res.max_violation
+        assert np.abs(ic.garble(mu, res.certificate).probs - nu.probs).max() <= res.max_violation <= 1e-8
 
     def test_a_near_tie_is_decided_on_its_kernel_miss(self):
         # the best kernel misses nu by 1.5e-8, above tol but within HiGHS's
-        # feasibility tolerance of 1e-7, where HiGHS reported eps 0
+        # default feasibility tolerance of 1e-7, at which it reported eps 0
         mu = ic.new_experiment([[0.5, 0.5], [0.5, 0.5]])
         nu = ic.new_experiment([[0.5, 0.5], [0.5 - 3e-8, 0.5 + 3e-8]])
         res = ic.dominates(mu, nu)
@@ -238,10 +239,23 @@ class TestDominates:
     def test_every_certificate_rebuilds_its_target_within_the_reported_violation(self, pair, tol):
         mu, nu = pair
         res = ic.dominates(mu, nu, tol)
+        tol = max(tol, blackwell.MIN_TOL)
         assert res.dominates == (res.max_violation <= tol) == (res.certificate is not None)
         assert res.marginal == (tol < res.max_violation <= 100 * tol)
         if res.dominates:
             assert np.abs(ic.garble(mu, res.certificate).probs - nu.probs).max() <= res.max_violation
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 12), st.integers(1, 12), st.floats(-1.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_an_exact_garbling_dominates_at_zero_tolerance(self, n, ns, nt, log_alpha, seed):
+        # Dirichlet rows of concentration 0.1 to 10: HiGHS's kernel misses
+        # such a garbling by up to about 1e-9, decided at MIN_TOL
+        rng = np.random.default_rng(seed)
+        alpha = 10.0**log_alpha
+        mu = ic.new_experiment(rng.dirichlet(np.full(ns, alpha), size=n))
+        nu = ic.garble(mu, ic.GarblingKernel(rng.dirichlet(np.full(nt, alpha), size=ns)))
+        assert ic.dominates(mu, nu, 0.0).dominates
+        assert ic.pairwise_dominates(mu, nu, tol=0.0).dominates
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
     def test_tolerance_must_be_finite_and_nonnegative(self, tol):
@@ -354,6 +368,16 @@ class TestPairwise:
         assert ic.pairwise_dominates(mu, nu).lp_pairs == 0
         res = ic.pairwise_dominates(mu, nu, tol=0.0)
         assert res.lp_pairs == len(lp_calls) >= 1
+
+    @pytest.mark.parametrize("shift, lp_pairs", [(1e-9, 1), (1e-8, 0)])
+    def test_the_screen_fails_early_only_past_the_lp_floor(self, lp_calls, shift, lp_pairs):
+        # at tol 0 the LP decides at MIN_TOL = 1e-9, so the screen sends it
+        # a shortfall of 5e-10 rather than failing it, and both agree
+        mu = ic.new_experiment([[0.5, 0.5], [0.5, 0.5]])
+        nu = ic.new_experiment([[0.5, 0.5], [0.5 - shift, 0.5 + shift]])
+        plain, res = ic.dominates(mu, nu, 0.0), ic.pairwise_dominates(mu, nu, 0.0)
+        assert res.dominates == plain.dominates == (shift / 2 <= blackwell.MIN_TOL)
+        assert res.lp_pairs == lp_pairs and len(lp_calls) == 1 + lp_pairs
 
 
 class TestDichotomyShortfall:
