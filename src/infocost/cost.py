@@ -407,19 +407,17 @@ def _mean(grads: list) -> np.ndarray:
     return grads[0] if len(grads) == 1 else sum(grads) / len(grads)
 
 
-def _atom_terms(w: float, param, rows: dict):
+def _atom_terms(w: float, param):
     """What the gradient of an atom of weight w needs of it alone: a sup
     atom's cuts, a weighted-KL atom's ``_pairs`` scaled by w, or an interior
-    atom's kept states, exponents on them, denominator and position among
-    the distinct exponent vectors of ``rows``."""
+    atom's kept states, exponents on them and denominator."""
     if isinstance(param, SupParam):
         return _Cuts([param.psi])
     if isinstance(param, WeightedKLParam):
         return [(param.pivot, j, w * b) for j, b in enumerate(param.beta.tolist()) if b > 0.0]
     weights = param.alpha.tolist()
     on = param.alpha > 0 if 0.0 in weights else slice(None)
-    row = rows.setdefault(param.alpha.tobytes(), len(rows))
-    return on, param.alpha[on, None], _interior_denominator(weights), row
+    return on, param.alpha[on, None], _interior_denominator(weights)
 
 
 def _atoms_gradient(atoms: list, p: np.ndarray) -> np.ndarray:
@@ -428,14 +426,13 @@ def _atoms_gradient(atoms: list, p: np.ndarray) -> np.ndarray:
 
     Interior: D = log S / -sum_{i != k} alpha_i with S = sum_s T(s) and
     T(s) = prod_i p_i(s) ** alpha_i, so row i is alpha_i T / (p_i S) over
-    the same denominator; a zero exponent leaves its row out of T, and
-    equal exponent vectors share T and S.  Sup: D = max(0, max_s psi . log
-    p(s)) has the subgradient psi / p(s*) at the argmax signals s* (their
-    mean where tied), and 0 where the floor wins.  Weighted-KL: each pair's
-    terms, weight included, add straight into the gradient.
+    the same denominator; a zero exponent leaves its row out of T.  Sup:
+    D = max(0, max_s psi . log p(s)) has the subgradient psi / p(s*) at the
+    argmax signals s* (their mean where tied), and 0 where the floor wins.
+    Weighted-KL: each pair's terms, weight included, add straight into the
+    gradient.  Every atom is priced as given, repeats included.
     """
     grad = np.zeros_like(p)
-    powers: dict = {}  # position of an exponent vector -> (p on its states, T, S)
     log_p = None
     for w, param, terms in atoms:
         if isinstance(param, SupParam):
@@ -448,13 +445,10 @@ def _atoms_gradient(atoms: list, p: np.ndarray) -> np.ndarray:
             log_p = np.log(p) if log_p is None else log_p
             _kl_gradient(terms, p, log_p, grad)
         else:
-            on, alpha, denominator, row = terms
-            if row not in powers:
-                p_on = p[on]
-                t = np.exp((alpha * np.log(p_on)).sum(axis=0))
-                powers[row] = p_on, t, t.sum()
-            p_on, t, total = powers[row]
-            grad[on] += (w / (total * denominator) * alpha) * t / p_on
+            on, alpha, denominator = terms
+            p_on = p[on]
+            t = np.exp((alpha * np.log(p_on)).sum(axis=0))
+            grad[on] += (w / (t.sum() * denominator) * alpha) * t / p_on
     return grad
 
 
@@ -489,8 +483,7 @@ class _MeasurePlan:
         kept = [[(w, p) for w, p in atoms if w != 0.0] for atoms in measures]
         self.kernel = _Plan([p for atoms in kept for _, p in atoms])
         self.weights = [[w for w, _ in atoms] for atoms in kept]
-        rows: dict = {}
-        self.atoms = [[(w, p, _atom_terms(w, p, rows)) for w, p in atoms] for atoms in kept]
+        self.atoms = [[(w, p, _atom_terms(w, p)) for w, p in atoms] for atoms in kept]
 
     def _integrals(self, probs: np.ndarray) -> list:
         """sum_atoms w * D_param of each measure over a stack: one kernel
@@ -665,8 +658,8 @@ def eval_costs(spec: CostSpec, probs) -> np.ndarray:
     Entry b is the cost of the experiment ``probs[b]`` and depends on that
     matrix alone, so it equals ``eval_cost(spec, FiniteExperiment(probs[b]))``
     exactly.  Rows need not be stochastic, but every entry must be a
-    nonnegative number; a row that carries a transform's argument above its
-    domain costs +inf.
+    finite nonnegative number; a row that carries a transform's argument
+    above its domain costs +inf.
     The stack's shape and entries are checked here; the rest is the plan
     each specification makes once, at construction (``_MeasurePlan``,
     ``_PosteriorPlan``), which the solver also prices through.  Every
@@ -685,6 +678,9 @@ def eval_costs(spec: CostSpec, probs) -> np.ndarray:
     n = spec_n_states(spec)
     if probs.ndim != 3 or probs.shape[1] != n:
         raise DimensionMismatch(f"spec is {n}-state, stack has shape {probs.shape}")
+    # NaN is not < inf either; _costs rejects negative entries
+    if not probs.max(initial=0.0) < math.inf:
+        raise NotADistribution("signal probabilities must be finite")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return _costs(spec, probs)
 

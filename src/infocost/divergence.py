@@ -6,7 +6,7 @@ unified three-branch parameterization, the (gamma, psi) reparameterization,
 Chernoff information, and the two-sided sup-divergence privacy measure.
 
 Every branch is evaluated by one kernel in two steps.  ``_Plan(params)``
-does the work on a list of parameters alone, once: equal parameters merged,
+does the work on a list of parameters alone, once, each parameter as given:
 the pivot row k (largest exponent) and weights of each interior and sup
 parameter, the interior denominators, the KL pairs the weighted-KL
 parameters use, and those parameters grouped by their count of pairs.
@@ -40,7 +40,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, fields
-from itertools import accumulate
 from typing import Union
 
 import numpy as np
@@ -204,7 +203,7 @@ def _per_segment(ufunc, x: np.ndarray, bounds) -> np.ndarray:
 
     Each segment reduces as if it were alone.  A sum takes its segment as a
     slice, because ``np.add.reduceat`` adds in sequence where a slice's sum
-    adds pairwise; the maxima and logical reductions are exact in any order.
+    adds pairwise; the maxima are exact in any order.
     """
     if bounds is None:
         return ufunc.reduce(x, axis=-1, keepdims=True)
@@ -222,10 +221,11 @@ class _Cuts:
     __slots__ = ("pivots", "slots", "terms")
 
     def __init__(self, ws):
-        ks = [int(w.argmax()) for w in ws]
+        weights = np.array(ws)
+        ks = [w.index(max(w)) for w in weights.tolist()]  # the first largest entry, as argmax takes
         self.pivots = list(dict.fromkeys(ks))  # the distinct rows k, in order of first use
         self.slots = [self.pivots.index(k) for k in ks] if len(self.pivots) > 1 else None
-        weights = np.array(ws)[:, :, None, None]
+        weights = weights[:, :, None, None]
         on = weights != 0.0
         on[np.arange(len(ks)), ks] = False
         self.terms = []
@@ -304,11 +304,9 @@ def _log_sums(pk: np.ndarray, ratios: np.ndarray, above: bool, bounds=None) -> n
 
 def _kls(p: np.ndarray, q: np.ndarray, bounds=None) -> np.ndarray:
     """KL(p || q) over each segment of the last axis (see :func:`_per_segment`),
-    broadcasting the others; +inf where p > 0 = q."""
-    pos = p > 0
-    terms = np.where(pos, p * (np.log(p) - np.log(q)), 0.0)
-    infinite = _per_segment(np.logical_or, pos & (q == 0.0), bounds)
-    return np.where(infinite, np.inf, _per_segment(np.add, terms, bounds))
+    broadcasting the others.  Where p > 0 = q the term is +inf and no term is
+    -inf or NaN, so that segment sums to +inf."""
+    return _per_segment(np.add, np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0), bounds)
 
 
 def _interior_denominator(alpha: list) -> float:
@@ -319,66 +317,52 @@ def _interior_denominator(alpha: list) -> float:
 
 class _Plan:
     """The work :func:`_divergences` does on a list of parameters alone,
-    done once.  Equal parameters are priced once.  Interior and sup
-    parameters share one :func:`_log_ratios` pass, and the interior ones are
-    summed in two groups, largest exponent below and above 1.  Weighted-KL
-    parameters share the KL divergence of each pair (pivot, j) of positive
-    weight, and those with as many pairs are weighted and summed as one
-    array."""
+    done once.  Each parameter is priced as given, repeats included.
+    Interior and sup parameters share one :func:`_log_ratios` pass, and the
+    interior ones are summed in two groups, largest exponent below and above
+    1.  Weighted-KL parameters share the KL divergence of each pair
+    (pivot, j) of positive weight, and those with as many pairs are weighted
+    and summed as one array."""
 
     __slots__ = ("cuts", "interiors", "sups", "pairs", "kls", "order")
 
     def __init__(self, params):
-        # distinct parameters: interior below 1, interior above 1, sup, weighted-KL
+        # the positions in params of each group: interior below 1, interior above 1, sup, weighted-KL
         groups: tuple = ([], [], [], [])
         denominators: tuple = ([], [])
-        seen: dict = {}  # (branch, weights) -> (group, position in it)
-        slots = []
-        for param in params:
+        for k, param in enumerate(params):
             if isinstance(param, InteriorParam):
-                key = InteriorParam, param.alpha.tobytes()
+                alpha = param.alpha.tolist()
+                g = int(max(alpha) > 1.0)
+                denominators[g].append(_interior_denominator(alpha))
             elif isinstance(param, SupParam):
-                key = SupParam, param.psi.tobytes()
+                g = 2
             elif isinstance(param, WeightedKLParam):
-                key = WeightedKLParam, param.pivot, param.beta.tobytes()
+                g = 3
             else:
                 raise BadPsi(f"unknown divergence parameter {param!r}")
-            if key not in seen:
-                if key[0] is InteriorParam:
-                    alpha = param.alpha.tolist()
-                    g = int(max(alpha) > 1.0)
-                    denominators[g].append(_interior_denominator(alpha))
-                else:
-                    g = 2 if key[0] is SupParam else 3
-                seen[key] = g, len(groups[g])
-                groups[g].append(param)
-            slots.append(seen[key])
-        below, above, sup, kl = groups
+            groups[g].append(k)
         # the interior weight vectors, below 1 then above 1, then the sup ones
-        ws = [p.alpha for p in below + above] + [p.psi for p in sup]
+        ws = [params[k].alpha for k in groups[0] + groups[1]] + [params[k].psi for k in groups[2]]
         self.cuts = _Cuts(ws) if ws else None
         # (above 1, [G, 1, 1] _interior_denominator) of each nonempty interior group
         self.interiors = [(g == 1, np.array(d)[:, None, None]) for g, d in enumerate(denominators) if d]
-        self.sups = len(sup)
+        self.sups = len(groups[2])
         pairs: dict = {}  # (pivot, j) -> its position
-        counts: dict = {}  # c -> (pair positions, weights, index) of each weighted-KL parameter with c pairs
-        for k, param in enumerate(kl):
-            on = [j for j, b in enumerate(param.beta.tolist()) if b > 0.0]
+        counts: dict = {}  # c -> (pair positions, weights, position in params) of each parameter with c pairs
+        for k in groups[3]:
+            pivot, beta = params[k].pivot, params[k].beta.tolist()
+            on = [j for j, b in enumerate(beta) if b > 0.0]
             at, weights, ks = counts.setdefault(len(on), ([], [], []))
-            at.append([pairs.setdefault((param.pivot, j), len(pairs)) for j in on])
-            weights.append(param.beta.take(on))
+            at.append([pairs.setdefault((pivot, j), len(pairs)) for j in on])
+            weights.append([beta[j] for j in on])
             ks.append(k)
         self.kls = [(np.array(at), np.array(weights)) for at, weights, _ in counts.values()]  # [P, c] each
         self.pairs = [np.array(ends) for ends in zip(*pairs)]  # the pairs (i, j): [i of each, j of each]
-        # each weighted-KL parameter's row among them, as they come out grouped by pair count
-        rank = {k: r for r, k in enumerate(k for *_, ks in counts.values() for k in ks)}
-        slots = [(g, rank[i] if g == 3 else i) for g, i in slots]
-        # each parameter's row among the distinct ones; None when they are
-        # distinct and of one group, so in order
-        self.order = None
-        if len(seen) < len(slots) or sum(map(bool, groups)) > 1 or any(k != r for k, r in rank.items()):
-            starts = list(accumulate(map(len, groups), initial=0))
-            self.order = [starts[g] + i for g, i in slots]
+        # the position in params of each row, as the rows come out; each
+        # parameter's row is the inverse, None when the two are in order
+        rows = groups[0] + groups[1] + groups[2] + [k for *_, ks in counts.values() for k in ks]
+        self.order = None if rows == sorted(rows) else sorted(range(len(rows)), key=rows.__getitem__)
 
 
 def _divergences(plan: _Plan, probs: np.ndarray, bounds=None) -> np.ndarray:
@@ -400,7 +384,7 @@ def _divergences(plan: _Plan, probs: np.ndarray, bounds=None) -> np.ndarray:
     wins; + 0.0 turns a floor of -0.0 (every term 0) into 0.0.  Callers
     silence floating-point warnings: zeros make infinities and NaNs.
     """
-    parts = []  # the distinct parameters' rows, group by group
+    parts = []  # the parameters' rows, group by group
     if plan.cuts:
         pk, ratios = _log_ratios(plan.cuts, probs)
         start = 0

@@ -437,7 +437,9 @@ class TestEvalCosts:
             assert got[0] == math.inf or isinstance(spec, ic.PosteriorSeparableCost)
 
     def test_rejects_nan_and_negative_entries(self):
-        for bad in ([[math.nan, 0.5, 0.5], [0.2, 0.3, 0.5]], [[-0.1, 0.6, 0.5], [0.2, 0.3, 0.5]]):
+        # and infinite ones, which cost NaN, a finite number or +inf by family unchecked
+        bad_rows = ([math.nan, 0.5, 0.5], [-0.1, 0.6, 0.5], [math.inf, 0.0, 0.0])
+        for bad in ([row, [0.2, 0.3, 0.5]] for row in bad_rows):
             probs = np.array(bad)
             for name, spec in all_specs(np.random.default_rng(1), 2).items():
                 with pytest.raises(NotADistribution):

@@ -684,7 +684,8 @@ class TestGridKernel:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_weighted_kl_parameters_of_many_pairs_are_each_alone(self, seed):
-        # parameters of as many pairs are summed as one array, and from 8
+        # parameters of as many pairs (here two of 11 and two of 3) are summed
+        # as one array, and their rows put back in the order given; from 8
         # pairs on NumPy sums pairwise, so counts above 8 are checked too
         rng = np.random.default_rng(seed)
         n = 12
