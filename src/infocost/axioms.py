@@ -9,12 +9,15 @@ rather than adjudicated.
 A check runs in blocks of ``BLOCK`` samples and in three steps: draw the
 whole block from the check's one seeded stream in a few vectorized calls
 (see :func:`_draw_block` for the order), validate and renormalize each drawn
-equal-shape stack as a whole, then build each sample's derived experiments
-(mixtures, products, garblings, ...) and price every equal-shape stack of
-them with one :func:`eval_costs` call.  Each value equals the cost of that
-experiment evaluated alone.  Because a block is drawn as a whole, ``BLOCK``
-sets the stream once ``n_samples`` exceeds it, and the samples of a shorter
-run are not a prefix of a longer run's.
+equal-shape stack as a whole, then derive each sample's matrices (mixtures,
+products, powers, garblings, ...) with the experiment module's own
+combinator code and price every equal-shape stack of them with one
+:func:`eval_costs` call.  The harness passes plain ``[n, s]`` matrices
+throughout; only :func:`reevaluate_witness`, whose witness is outside input,
+builds experiments.  Each value equals the cost of that experiment built
+and evaluated alone.  Because a block is drawn as a whole, ``BLOCK`` sets
+the stream once ``n_samples`` exceeds it, and the samples of a shorter run
+are not a prefix of a longer run's.
 """
 
 from __future__ import annotations
@@ -29,21 +32,10 @@ from typing import Optional
 
 import numpy as np
 
-from .blackwell import GarblingKernel, garble
+from .blackwell import GarblingKernel
 from .cost import CostSpec, _plan_of, eval_costs, spec_n_states
 from .errors import BadAxiomProfile
-from .experiment import (
-    FiniteExperiment,
-    _freeze,
-    _is_count,
-    _jsonable,
-    mixture,
-    new_experiment,
-    normalized_rows,
-    power,
-    product,
-    uninformative,
-)
+from .experiment import _is_count, _jsonable, _mixed, _product, new_experiment, normalized_rows, uninformative
 
 
 MIN_PROB = 0.02  # floor of every sampled entry, which keeps log likelihood ratios bounded
@@ -166,18 +158,18 @@ def _draw_block(
     return samples, stacks
 
 
-def _build(samples: list[dict], stacks: list, count: int) -> list[list[FiniteExperiment]]:
+def _build(samples: list[dict], stacks: list, count: int) -> list[list[np.ndarray]]:
     """Validate and renormalize every drawn stack twice, as :func:`new_experiment`
     would each matrix: a sample's ``experiments`` become the once-normalized
-    matrices a witness stores, and the returned experiments hold them
-    normalized again, which is what :func:`reevaluate_witness` rebuilds from
-    the witness.  Each sample has ``count`` experiments."""
+    matrices a witness stores, and the returned matrices are those normalized
+    again, which is what :func:`reevaluate_witness` rebuilds from the witness.
+    Each sample has ``count`` matrices; no experiment is built."""
     once: list = [None] * (count * len(samples))
     twice: list = [None] * len(once)
     for idx, raw in stacks:
         rows = normalized_rows(raw)
-        for i, a, b in zip(idx.tolist(), rows, _freeze(normalized_rows(rows))):
-            once[i], twice[i] = a, FiniteExperiment(b)
+        for i, a, b in zip(idx.tolist(), rows, normalized_rows(rows)):
+            once[i], twice[i] = a, b
     built = []
     for k, s in enumerate(samples):
         s["experiments"] = once[k * count : (k + 1) * count]
@@ -185,34 +177,36 @@ def _build(samples: list[dict], stacks: list, count: int) -> list[list[FiniteExp
     return built
 
 
-def _derived(
-    axiom: Axiom, sample: dict, exps: list[FiniteExperiment], phi: FiniteExperiment
-) -> list[FiniteExperiment]:
-    """The experiments whose costs decide one sample, in the order :func:`_combine`
-    reads them; ``phi`` is the one-signal uninformative experiment."""
+def _derived(axiom: Axiom, sample: dict, mats: list[np.ndarray], phi: np.ndarray) -> list[np.ndarray]:
+    """The matrices whose costs decide one sample, in the order :func:`_combine`
+    reads them, derived by the matrix code of :func:`mixture`, :func:`product`,
+    :func:`power` and :func:`garble` with no experiment built; ``phi`` is the
+    one-signal uninformative matrix."""
     a = sample.get("weight")
     if axiom in (Axiom.MIXTURE_CONVEXITY, Axiom.MIXTURE_LINEARITY):
-        mu, nu = exps
-        return [mixture(mu, nu, a), mu, nu]
+        mu, nu = mats
+        return [_mixed(mu, nu, a), mu, nu]
     if axiom in (Axiom.SUB_ADDITIVITY, Axiom.ADDITIVITY):
-        mu, nu = exps
-        return [product(mu, nu), mu, nu]
+        mu, nu = mats
+        return [_product(mu, nu), mu, nu]
     if axiom is Axiom.IDENTITY_ADDITIVITY:
-        (mu,) = exps
-        return [mu, power(mu, 2), power(mu, 3)]
+        (mu,) = mats
+        mu2 = _product(mu, mu)
+        return [mu, mu2, _product(mu2, mu)]  # the matrices of power(mu, 2) and power(mu, 3)
     if axiom in (Axiom.DILUTION_LINEARITY, Axiom.MAXIMAL_DILUTION_CONCAVITY):
-        (mu,) = exps
-        return [mu, mixture(mu, phi, a), phi]  # mixing with phi is dilution
+        (mu,) = mats
+        return [mu, _mixed(mu, phi, a), phi]  # mixing with phi is dilution
     if axiom is Axiom.INDEPENDENCE:
-        mu, mu2, nu = exps
-        return [mu, mu2, mixture(mu, nu, a), mixture(mu2, nu, a)]
-    (mu,) = exps  # Blackwell monotonicity
-    return [mu, garble(mu, GarblingKernel(np.asarray(sample["kernel"], dtype=float)))]
+        mu, mu2, nu = mats
+        return [mu, mu2, _mixed(mu, nu, a), _mixed(mu2, nu, a)]
+    (mu,) = mats  # Blackwell monotonicity
+    # a checked, renormalized kernel applied to this sample alone, as garble does: a batched product may round otherwise
+    return [mu, mu @ GarblingKernel(np.asarray(sample["kernel"], dtype=float)).psi]
 
 
 def _combine(axiom: Axiom, sample: dict, costs: list[float]) -> tuple[float, float]:
     """Signed violation and its scale for one sample, from the costs of its
-    :func:`_derived` experiments.
+    :func:`_derived` matrices.
 
     Positive residuals are violations; equality axioms use the absolute
     deviation.  Returns (nan, nan) when the sample is uninformative for the
@@ -247,14 +241,15 @@ def _combine(axiom: Axiom, sample: dict, costs: list[float]) -> tuple[float, flo
     return cn - cm, max(1.0, abs(cm))
 
 
-def _price(spec: CostSpec, exps: list[FiniteExperiment]) -> list[float]:
-    """The cost of each experiment, one :func:`eval_costs` call per equal-shape stack."""
+def _price(spec: CostSpec, mats: list[np.ndarray]) -> list[float]:
+    """The cost of each ``[n, s]`` matrix, one :func:`eval_costs` call per
+    shape on the stack of the matrices of that shape."""
     groups: dict = {}
-    for i, e in enumerate(exps):
-        groups.setdefault(e.probs.shape, []).append(i)
-    costs: list = [None] * len(exps)
+    for i, m in enumerate(mats):
+        groups.setdefault(m.shape, []).append(i)
+    costs: list = [None] * len(mats)
     for idx in groups.values():
-        for i, value in zip(idx, eval_costs(spec, np.stack([exps[i].probs for i in idx])).tolist()):
+        for i, value in zip(idx, eval_costs(spec, np.stack([mats[i] for i in idx])).tolist()):
             costs[i] = value
     return costs
 
@@ -287,13 +282,13 @@ def check_axiom(spec: CostSpec, axiom: Axiom | str, profile: Optional[AxiomProfi
     n_states = spec_n_states(spec)
     rng = np.random.default_rng(profile.seed)
     count = _INPUTS[axiom][0]
-    phi = uninformative(n_states)
+    phi = uninformative(n_states).probs
     worst = -math.inf
     witness = None
     evaluated = 0
     for start in range(0, profile.n_samples, BLOCK):
         samples, stacks = _draw_block(axiom, rng, profile, n_states, min(BLOCK, profile.n_samples - start))
-        derived = [_derived(axiom, s, exps, phi) for s, exps in zip(samples, _build(samples, stacks, count))]
+        derived = [_derived(axiom, s, mats, phi) for s, mats in zip(samples, _build(samples, stacks, count))]
         costs = iter(_price(spec, [e for d in derived for e in d]))
         for sample, d in zip(samples, derived):
             res, scale = _combine(axiom, sample, list(islice(costs, len(d))))
@@ -318,12 +313,13 @@ def check_axiom(spec: CostSpec, axiom: Axiom | str, profile: Optional[AxiomProfi
 
 def reevaluate_witness(spec: CostSpec, axiom: Axiom | str, witness: dict) -> float:
     """Recompute the violation of a stored witness from its raw matrices, at
-    the tolerance it was found at."""
+    the tolerance it was found at.  The witness is outside input, so its
+    matrices are validated and renormalized as experiments."""
     axiom = Axiom(axiom)
     tol = witness["tol"]
-    exps = [new_experiment(m) for m in witness["experiments"]]
-    phi = uninformative(exps[0].n_states)
-    res, scale = _combine(axiom, witness, _price(spec, _derived(axiom, witness, exps, phi)))
+    mats = [new_experiment(m).probs for m in witness["experiments"]]
+    phi = uninformative(len(mats[0])).probs
+    res, scale = _combine(axiom, witness, _price(spec, _derived(axiom, witness, mats, phi)))
     if math.isnan(res):
         return -tol
     return res / scale - tol

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InfoCostError, NotBinary, RowNotStochastic, ShapeMismatch, StateMismatch
-from .experiment import FiniteExperiment, _freeze, _is_count, restrict_pair
+from .experiment import ROW_SUM_TOL, FiniteExperiment, _freeze, _is_count, restrict_pair
 
 DEFAULT_TOL = 1e-8
 MARGINAL_FACTOR = 100.0
@@ -56,7 +56,7 @@ class GarblingKernel:
         if not np.all(m >= 0):
             raise RowNotStochastic("kernel entries must be nonnegative")
         sums = m.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-9):
+        if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
             raise RowNotStochastic("kernel rows must sum to 1")
         object.__setattr__(self, "psi", _freeze(m / sums[:, None]))
 

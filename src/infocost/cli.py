@@ -297,9 +297,9 @@ def _dominate_args(p: argparse.ArgumentParser) -> None:
 def _axioms_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cost", required=True)
     p.add_argument("--seed", type=_at_least(0), required=True)
-    p.add_argument("--samples", type=_at_least(1), default=200)
-    p.add_argument("--signals", type=_at_least(1), default=3)
-    p.add_argument("--tol", type=_at_least(0.0, float), default=1e-9)
+    p.add_argument("--samples", type=_at_least(1), default=axioms.AxiomProfile.n_samples)
+    p.add_argument("--signals", type=_at_least(1), default=axioms.AxiomProfile.n_signals)
+    p.add_argument("--tol", type=_at_least(0.0, float), default=axioms.AxiomProfile.tol)
 
 
 def _solve_args(p: argparse.ArgumentParser) -> None:
@@ -309,10 +309,10 @@ def _solve_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--starts",
         type=_at_least(1),
-        default=16,
+        default=ri_solver.SolveOptions.starts,
         help="ascents for costs with sup atoms; every other built-in cost runs one ascent",
     )
-    p.add_argument("--max-iter", type=_at_least(1), default=2000)
+    p.add_argument("--max-iter", type=_at_least(1), default=ri_solver.SolveOptions.max_iter)
 
 
 def _claim1_args(p: argparse.ArgumentParser) -> None:

@@ -660,8 +660,9 @@ def eval_costs(spec: CostSpec, probs) -> np.ndarray:
     exactly.  Rows need not be stochastic, but every entry must be a
     finite nonnegative number; a row that carries a transform's argument
     above its domain costs +inf.
-    The stack's shape and entries are checked here; the rest is the plan
-    each specification makes once, at construction (``_MeasurePlan``,
+    The stack's shape (the spec's states and, as :func:`new_experiment`
+    requires, at least one signal) and entries are checked here; the rest is
+    the plan each specification makes once, at construction (``_MeasurePlan``,
     ``_PosteriorPlan``), which the solver also prices through.  Every
     built-in potential and every built-in transform takes one NumPy pass
     over the stack.  Divergences take one call of the divergence kernel,
@@ -676,7 +677,7 @@ def eval_costs(spec: CostSpec, probs) -> np.ndarray:
     # C order for every caller: a matmul's rounding can depend on the memory layout
     probs = np.ascontiguousarray(probs, dtype=float)
     n = spec_n_states(spec)
-    if probs.ndim != 3 or probs.shape[1] != n:
+    if probs.ndim != 3 or probs.shape[1] != n or probs.shape[2] == 0:
         raise DimensionMismatch(f"spec is {n}-state, stack has shape {probs.shape}")
     # NaN is not < inf either; _costs rejects negative entries
     if not probs.max(initial=0.0) < math.inf:

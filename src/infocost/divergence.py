@@ -56,7 +56,7 @@ from .errors import (
     TOutOfRange,
     TooFewStates,
 )
-from .experiment import FiniteExperiment, _freeze, _is_count
+from .experiment import ROW_SUM_TOL, FiniteExperiment, _freeze, _is_count
 
 PARAM_SUM_TOL = 1e-12
 TINY = np.finfo(float).tiny  # the smallest normal float
@@ -427,7 +427,7 @@ def _check_pair(p, q) -> np.ndarray:
     if pv.shape != qv.shape or pv.ndim != 1:
         raise LengthMismatch(f"shapes {pv.shape} vs {qv.shape}")
     for v in (pv, qv):
-        if not (np.all(v >= 0.0) and abs(v.sum() - 1.0) <= 1e-9):
+        if not (np.all(v >= 0.0) and abs(v.sum() - 1.0) <= ROW_SUM_TOL):
             raise NotADistribution("inputs must be probability vectors")
     return np.stack([pv, qv])
 
@@ -445,19 +445,14 @@ def renyi(t: float, p, q) -> float:
     return value * (min(t, 1.0 - t) / (1.0 - t))
 
 
-# the one parameter of each of kl and sup_divergence, planned once
-_KL_PLAN = _Plan((WeightedKLParam(0, np.array([0.0, 1.0])),))
-_SUP_PLAN = _Plan((SupParam(np.array([1.0, -1.0])),))
-
-
 def kl(p, q) -> float:
     """Kullback-Leibler divergence, +inf on absolute-continuity failure."""
-    return _divergence(_KL_PLAN, _check_pair(p, q))
+    return _divergence(_Plan((WeightedKLParam(0, np.array([0.0, 1.0])),)), _check_pair(p, q))
 
 
 def sup_divergence(p, q) -> float:
     """Log of the largest likelihood ratio p(s)/q(s) over signals with p(s) > 0."""
-    return _divergence(_SUP_PLAN, _check_pair(p, q))
+    return _divergence(_Plan((SupParam(np.array([1.0, -1.0])),)), _check_pair(p, q))
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,16 @@ def uninformative(n_states: int, n_signals: int = 1) -> FiniteExperiment:
     return FiniteExperiment(_freeze(np.tile(row, (n_states, 1))))
 
 
+def _mixed(p: np.ndarray, q: np.ndarray, a: float) -> np.ndarray:
+    """The matrix of :func:`mixture`: a * p beside (1 - a) * q on the signal axis."""
+    return np.hstack([a * p, (1.0 - a) * q])
+
+
+def _product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The matrix of :func:`product`: signal (s, t) is column s * q.shape[1] + t."""
+    return (p[:, :, None] * q[:, None, :]).reshape(len(p), -1)
+
+
 def mixture(mu: FiniteExperiment, nu: FiniteExperiment, a: float) -> FiniteExperiment:
     """Randomize over two experiments with the branch observable.
 
@@ -154,27 +164,24 @@ def mixture(mu: FiniteExperiment, nu: FiniteExperiment, a: float) -> FiniteExper
         raise StateMismatch(f"{mu.n_states} states vs {nu.n_states}")
     if not (0.0 < a < 1.0):
         raise WeightOutOfRange(f"mixture weight must lie in (0, 1), got {a!r}")
-    probs = np.hstack([a * mu.probs, (1.0 - a) * nu.probs])
-    return FiniteExperiment(_freeze(probs))
+    return FiniteExperiment(_freeze(_mixed(mu.probs, nu.probs, a)))
 
 
 def product(mu: FiniteExperiment, nu: FiniteExperiment) -> FiniteExperiment:
     """Observe independent draws from both experiments."""
     if mu.n_states != nu.n_states:
         raise StateMismatch(f"{mu.n_states} states vs {nu.n_states}")
-    n = mu.n_states
-    probs = (mu.probs[:, :, None] * nu.probs[:, None, :]).reshape(n, -1)
-    return FiniteExperiment(_freeze(probs))
+    return FiniteExperiment(_freeze(_product(mu.probs, nu.probs)))
 
 
 def power(mu: FiniteExperiment, k: int) -> FiniteExperiment:
-    """k independent draws from the same experiment."""
+    """k independent draws from the same experiment; ``mu`` itself when k = 1."""
     if not _is_count(k, 1):
         raise WeightOutOfRange(f"power exponent must be an integer >= 1, got {k!r}")
-    out = mu
+    probs = mu.probs
     for _ in range(k - 1):
-        out = product(out, mu)
-    return out
+        probs = _product(probs, mu.probs)
+    return mu if k == 1 else FiniteExperiment(_freeze(probs))
 
 
 def dilute(mu: FiniteExperiment, a: float) -> FiniteExperiment:

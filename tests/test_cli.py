@@ -548,6 +548,17 @@ def test_readme_examples_parse(line):
     assert _build_parser({argv[0]: _VERBS[argv[0]]}).parse_args(argv) == args
 
 
+def test_unset_flags_take_the_library_defaults():
+    solve = _build_parser().parse_args(["solve", "--problem", "p.json", "--cost", "c.json", "--seed", "0"])
+    options = ic.SolveOptions()
+    assert (solve.starts, solve.max_iter) == (options.starts, options.max_iter)
+    suite = _build_parser().parse_args(["axioms", "--cost", "c.json", "--seed", "0"])
+    profile = ic.AxiomProfile()
+    assert (suite.samples, suite.signals, suite.tol) == (profile.n_samples, profile.n_signals, profile.tol)
+    dominate = _build_parser().parse_args(["dominate", "--experiment", "a.json", "--experiment2", "b.json"])
+    assert dominate.tol == ic.blackwell.DEFAULT_TOL
+
+
 def test_readme_lists_every_verb():
     verbs = {shlex.split(line)[1] for line in readme_commands()}
     assert verbs == {"divergence", "cost", "dominate", "axioms", "solve", "claim1", "tsallis", "approx"}

@@ -148,6 +148,10 @@ class TestEvalCost:
             ic.eval_cost(kl_spec(), ic.uninformative(3, 2))
         with pytest.raises(DimensionMismatch):
             ic.eval_costs(kl_spec(), np.full((1, 3, 2), 0.5))
+        # a stack with no signals, which would cost 0, a negative number or a NumPy error by family
+        for spec in [*all_specs(np.random.default_rng(1), 2).values(), *every_family(np.array([0.4, 0.6])).values()]:
+            with pytest.raises(DimensionMismatch):
+                ic.eval_costs(spec, np.zeros((1, 2, 0)))
 
     def test_cost_rejects_exponents_above_one(self):
         with pytest.raises(BadCostSpec):
