@@ -18,7 +18,7 @@ from itertools import accumulate
 import numpy as np
 
 from .divergence import DivergenceParam, _Plan, _divergences
-from .errors import KTooSmall, NotBinary, StateMismatch, UnboundedExperiment
+from .errors import InfoCostError, KTooSmall, NotBinary, StateMismatch, UnboundedExperiment
 from .experiment import (
     FiniteExperiment,
     PosteriorDistribution,
@@ -100,20 +100,23 @@ def sandwich_report(mu: FiniteExperiment, q, k_list, param_grid) -> list[Sandwic
 
     The experiment must be bounded (no zero entries); for each k and each
     parameter the contraction is weakly cheaper and the spread weakly dearer,
-    and the worst gap shrinks as k grows.  ``param_grid`` is any iterable of
-    parameters, read once.  The whole grid is priced by one divergence kernel
-    call on a ragged stack of the experiment and each k's contraction and
-    spread; every value equals ``unified_divergence`` of its parameter and
-    experiment.  Rows run over k, then over the grid in order.
+    and the worst gap shrinks as k grows.  ``k_list`` and ``param_grid`` are
+    iterables, each read once, and neither may be empty.  The whole grid is
+    priced by one divergence kernel call on a ragged stack of the experiment
+    and each k's contraction and spread; every value equals
+    ``unified_divergence`` of its parameter and experiment.  Rows run over
+    k, then over the grid in order.
     """
     if np.any(mu.probs == 0.0):
         raise UnboundedExperiment("experiment has zero entries")
-    params = tuple(param_grid)
+    ks, params = tuple(k_list), tuple(param_grid)
+    if not ks or not params:
+        raise InfoCostError("a sandwich report needs at least one k and one parameter")
     for param in params:
         if param.n_states != mu.n_states:
             raise StateMismatch(f"parameter is {param.n_states}-state, experiment {mu.n_states}")
     pi = posteriors(mu, q)
-    pairs = [coarsen(pi, k) for k in k_list]
+    pairs = [coarsen(pi, k) for k in ks]
     experiments = [mu] + [experiment_from_posteriors(pd) for pair in pairs for pd in (pair.under, pair.over)]
     probs = np.concatenate([e.probs for e in experiments], axis=1)[None]
     bounds = tuple(accumulate((e.n_signals for e in experiments), initial=0))

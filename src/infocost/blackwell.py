@@ -238,26 +238,27 @@ def pairwise_dominates(mu: FiniteExperiment, nu: FiniteExperiment, tol: float = 
     - eps >= 2 r / s_nu, with s_nu = nu.n_signals: a kernel within eps moves
       g_nu(t) by at most s_nu (1 + t) eps / 2.
 
-    So the pair passes when r + slack <= tol / 2 and fails when
-    r - slack > s_nu max(tol, MIN_TOL), the tol the LP decides at, where
+    With T = max(tol, MIN_TOL), the tol the LP decides at, the pair passes
+    when r + slack <= T / 2 and fails when r - slack > s_nu T, where
     slack = ROUNDING_ULPS (s_mu + s_nu) 2**-52 covers the rounding in r and
     in the rows' sums.  Both keep a factor 2 between the exact LP optimum
-    and tol.  Only a near tie between the two runs the LP (:func:`dominates`
-    on :func:`restrict_pair`); at tol = 0 that is every pair whose r is at
-    most about s_nu MIN_TOL.
+    and T, so at tol = 0 an exact garbling's rounding-level shortfalls pass
+    without an LP.  Only a near tie between the two runs the LP
+    (:func:`dominates` on :func:`restrict_pair`).
 
     Pairs are checked in `itertools.combinations` order and the call stops
     at the first pair that does not dominate; that pair is `failing_pair`.
     """
     _check_comparable(mu, nu, tol)
     slack = ROUNDING_ULPS * (mu.n_signals + nu.n_signals) * 2.0**-52
+    lp_tol = max(tol, MIN_TOL)
     worst, lp_pairs = 0.0, 0
     for i, j in combinations(range(mu.n_states), 2):
         r, _ = _shortfall(mu.probs[[i, j]], nu.probs[[i, j]])
         worst = max(worst, r)
-        if r + slack <= tol / 2:
+        if r + slack <= lp_tol / 2:
             continue
-        near_tie = r - slack <= nu.n_signals * max(tol, MIN_TOL)
+        near_tie = r - slack <= nu.n_signals * lp_tol
         lp_pairs += near_tie
         if not (near_tie and dominates(restrict_pair(mu, i, j), restrict_pair(nu, i, j), tol).dominates):
             return PairwiseResult(False, (i, j), worst, lp_pairs)

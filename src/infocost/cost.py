@@ -15,12 +15,11 @@ over measures of divergences (Rényi and max-Rényi costs, and weighted-KL
 and max-KL costs, whose sum_ij beta_ij KL(mu_i || mu_j) is one order-1 atom
 ``WeightedKLParam(i, e_j)`` of weight beta_ij per pair), a ``_PosteriorPlan``
 for a posterior-separable cost or a transform of one.  Each family's
-values, gradient, solver-certificate bounds and rules exist once, in its
-plan: it checks the family's inputs and records its facts, the state count
-``n_states``, the ``prior`` (None for a measure plan), ``sup`` (any sup
-atom) and ``concave`` (convex in the choice matrix, so the solver's
-objective is concave), which the solver and the axiom harness read instead
-of telling the families apart.
+values, gradient and rules exist once, in its plan: it checks the family's
+inputs and records its facts, the state count ``n_states``, the ``prior``
+(None for a measure plan), ``sup`` (any sup atom) and ``concave`` (convex
+in the choice matrix, so the solver's objective is concave), which the
+solver and the axiom harness read instead of telling the families apart.
 Every family is priced on a stack of matrices ``probs[B, n, s]``:
 divergences through the one divergence kernel, potentials through
 ``_PosteriorPlan.phi`` and transforms through ``_transforms``, each one
@@ -402,11 +401,6 @@ def _tied(members: list, values: list) -> list:
     return [m for m, v in zip(members, values) if v >= top - 1e-12 * abs(top)]
 
 
-def _mean(grads: list) -> np.ndarray:
-    """The mean of the gradients of a maximum's tied members."""
-    return grads[0] if len(grads) == 1 else sum(grads) / len(grads)
-
-
 def _atom_terms(w: float, param):
     """What the gradient of an atom of weight w needs of it alone: a sup
     atom's cuts, a weighted-KL atom's ``_pairs`` scaled by w, or an interior
@@ -506,17 +500,8 @@ class _MeasurePlan:
         measures = self.atoms
         if len(measures) > 1:
             measures = _tied(measures, [v[0] for v in self._integrals(p[None])])
-        return _mean([_atoms_gradient(atoms, p) for atoms in measures])
-
-    def bounding(self, probs: np.ndarray) -> list:
-        """The solver certificate's bounding costs over a stack: the one
-        measure's integral, or the mean of several, then each (bounding cost
-        k >= 1 is measure k - 1)."""
-        rows = self._integrals(probs)
-        return rows if len(rows) == 1 else [sum(rows) / len(rows)] + rows
-
-    def bounding_gradient(self, k: int, p: np.ndarray) -> np.ndarray:
-        return _mean([_atoms_gradient(atoms, p) for atoms in (self.atoms[k - 1 : k] if k else self.atoms)])
+        grads = [_atoms_gradient(atoms, p) for atoms in measures]
+        return grads[0] if len(grads) == 1 else sum(grads) / len(grads)  # the tied members' mean
 
 
 class _PosteriorPlan:
@@ -617,12 +602,6 @@ class _PosteriorPlan:
     def values(self, probs: np.ndarray) -> np.ndarray:
         x = self._separable(probs)
         return x if self.transform is None else _transforms(self.transform, x)
-
-    def bounding(self, probs: np.ndarray) -> list:  # the certificate's one bounding cost: the cost itself
-        return [self.values(probs)]
-
-    def bounding_gradient(self, k: int, p: np.ndarray) -> np.ndarray:
-        return self.gradient(p)
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
         grad = self.column * self.slopes(_posterior_map(self.prior, p)[1])

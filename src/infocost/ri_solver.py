@@ -111,11 +111,6 @@ class SolveOptions:
 # ---------------------------------------------------------------------------
 
 
-def _payoff(problem: RIProblem) -> np.ndarray:
-    """The weighted payoffs q_x u(a, x) as [x, a]: the objective's linear part."""
-    return (problem.prior[None, :] * problem.utilities).T
-
-
 def _objective_factory(problem: RIProblem, spec: CostSpec):
     """The objective f(p) = sum q_x u(a, x) p(x, a) - C(p) and its gradient,
     priced through the plan the cost made at construction (``cost._costs``
@@ -124,7 +119,7 @@ def _objective_factory(problem: RIProblem, spec: CostSpec):
     matrix, equal to that matrix priced alone; a +inf cost gives -inf.
     Callers pass C-contiguous float arrays of the problem's shape and
     silence floating-point warnings, as ``solve`` does."""
-    payoff = _payoff(problem)
+    payoff = (problem.prior[None, :] * problem.utilities).T  # q_x u(a, x) as [x, a]: the linear part
 
     def objective(p: np.ndarray):
         stack = p if p.ndim == 3 else p[None]
@@ -321,39 +316,37 @@ def _face_start(p: np.ndarray, a: int) -> np.ndarray:
     return faced / faced.sum(axis=1, keepdims=True)
 
 
-def _certify_pure(problem: RIProblem, spec: CostSpec, a: int, f_a: float) -> Optional[float]:
+def _certify_pure(problem: RIProblem, objective, gradient, a: int, f_a: float) -> Optional[float]:
     """An upper bound on the optimal value within the ascent's margin of f_a,
-    the value of pure action a, or None.  The objective must be concave.
+    the value of pure action a, or None.  ``objective`` and ``gradient`` are
+    those of ``_objective_factory``, and the objective must be concave.
 
     For a concave f, f(p) plus the Frank-Wolfe gap over all entries bounds
-    f* at any p.  The certificate takes p = p_a + t sum_b D_b, with
-    t = ``CERTIFY_STEP``: D_b moves d_b(x) from action a to action b in each
-    row x, for a direction d_b in the state simplex.  The cost is 0 on every
-    uninformative experiment and, near p_a, 1-homogeneous in the mass moved,
-    so when each d_b maximizes the slope of f along D_b the bound's first-order
-    terms cancel (Euler's identity) and it is tight to O(t^2).  It then
-    certifies p_a whenever p_a is optimal with some slack.  The bound is
-    tried under each of the plan's ``bounding`` costs in turn (a maximum's
-    mean member, then each member): each lies below the cost and is 0 with
-    it on every uninformative experiment, so its optimum bounds the cost's.
+    f* at any p, under any supergradient; a maximum's gradient, the mean of
+    its tied members, is one up to its 1e-12 tie width.  The certificate
+    takes p = p_a + t sum_b D_b, with t = ``CERTIFY_STEP``: D_b moves d_b(x)
+    from action a to action b in each row x, for a direction d_b in the
+    state simplex.  The cost is 0 on every uninformative experiment and,
+    near p_a, 1-homogeneous in the mass moved, so when each d_b maximizes
+    the slope of f along D_b the bound's first-order terms cancel (Euler's
+    identity) and it is tight to O(t^2).  It then certifies p_a whenever p_a
+    is optimal with some slack.
 
     Two states only: d_b = (s, 1 - s) is picked on a 64-point grid of s in
-    (0, 1), priced as one stack over every b and bounding cost, and refined
-    by 33 points around its best.  A point that beats f_a by more than the
-    margin shows that that cost's bound cannot hold.  Three or more states,
-    and a single action, are not certified.
+    (0, 1), priced as one stack over every b, and refined by 33 points
+    around its best.  A point that beats f_a by more than the margin shows
+    that the bound cannot hold.  Three or more states, and a single action,
+    are not certified.
     """
     if problem.n_states != 2 or problem.n_actions == 1:
         return None
     margin = 1e-13 * max(1.0, abs(f_a))
-    plan, m = spec._plan, problem.n_actions
+    m = problem.n_actions
     pure = _pure_policy(2, m, a)
     others = np.array([b for b in range(m) if b != a], dtype=int)
-    gain = problem.prior * (problem.utilities - problem.utilities[a])  # [b, x]: q_x (u_b(x) - u_a(x))
-    payoff = _payoff(problem)
 
-    def gains(s: np.ndarray) -> list:
-        """f - f_a at p_a with t (s, 1 - s) moved to action b, for each row b of s, under each bounding cost."""
+    def gains(s: np.ndarray) -> np.ndarray:
+        """f - f_a at p_a with t (s, 1 - s) moved to action b, for each row b of s."""
         k, per = s.shape
         bs = np.repeat(others, per)
         d = CERTIFY_STEP * np.stack([s.ravel(), 1.0 - s.ravel()], axis=1)
@@ -361,33 +354,29 @@ def _certify_pure(problem: RIProblem, spec: CostSpec, a: int, f_a: float) -> Opt
         rows = np.arange(k * per)
         p[rows, :, bs] = d
         p[rows, :, a] = 1.0 - d
-        moved = np.sum(gain[bs] * d, axis=1)
-        return [(moved - cost).reshape(k, per) for cost in plan.bounding(p)]
+        return (objective(p) - f_a).reshape(k, per)
 
     nodes = (np.arange(64) + 0.5) / 64
     edges = np.concatenate([[0.0], nodes, [1.0]])  # node i lies between edges[i] and edges[i + 2]
     grid = np.tile(nodes, (len(others), 1))
-    for k, coarse in enumerate(gains(grid)):
-        if not np.all(coarse <= margin):
-            continue
-        i = coarse.argmax(axis=1)
-        fine = edges[i, None] + (edges[i + 2] - edges[i])[:, None] * np.linspace(0.0, 1.0, 35)[1:-1]
-        s, values = np.hstack([grid, fine]), np.hstack([coarse, gains(fine)[k]])
-        if not np.all(values <= margin):
-            continue
-        best = s[np.arange(len(others)), values.argmax(axis=1)]
-        d = CERTIFY_STEP * np.stack([best, 1.0 - best])  # [x, b]
-        p = pure.copy()
-        p[:, others] = d
-        p[:, a] = 1.0 - d.sum(axis=1)
-        grad = payoff - plan.bounding_gradient(k, p)
-        if not np.all(np.isfinite(grad)):  # the gap needs every entry's slope
-            continue
-        f = float(np.sum(payoff * p) - plan.bounding(p[None])[k][0])
-        bound = f + _face_gap(p, grad, np.ones(p.shape, dtype=bool))
-        if bound <= f_a + margin:
-            return bound
-    return None
+    coarse = gains(grid)
+    if not np.all(coarse <= margin):
+        return None
+    i = coarse.argmax(axis=1)
+    fine = edges[i, None] + (edges[i + 2] - edges[i])[:, None] * np.linspace(0.0, 1.0, 35)[1:-1]
+    s, values = np.hstack([grid, fine]), np.hstack([coarse, gains(fine)])
+    if not np.all(values <= margin):
+        return None
+    best = s[np.arange(len(others)), values.argmax(axis=1)]
+    d = CERTIFY_STEP * np.stack([best, 1.0 - best])  # [x, b]
+    p = pure.copy()
+    p[:, others] = d
+    p[:, a] = 1.0 - d.sum(axis=1)
+    grad = gradient(p)
+    if not np.all(np.isfinite(grad)):  # the gap needs every entry's slope
+        return None
+    bound = objective(p) + _face_gap(p, grad, np.ones(p.shape, dtype=bool))
+    return bound if bound <= f_a + margin else None
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -410,8 +399,9 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
     certify the first best pure policy: f(p) plus the Frank-Wolfe gap at a
     point p next to it bounds the optimum, and if that bound is within the
     ascent's margin (1e-13 max(1, |f|)) the pure policy is returned, with
-    the bound as ``upper_bound`` and no ascent or polish.  Its bounding
-    costs come from the cost's plan, so a solve builds no cost or plan.
+    the bound as ``upper_bound`` and no ascent or polish.  It prices
+    through the ascent's objective and gradient, so a solve builds no cost
+    or plan.
     Two-state problems only; a failed certificate costs time, never value.
 
     A polish pass then restarts from the incumbent with one action dropped,
@@ -448,7 +438,7 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
     a = pure.index(max(pure))
     best_p, best_f, best_conv = _pure_policy(n, m, a), pure[a], True
     if concave:
-        bound = _certify_pure(problem, spec, a, best_f)
+        bound = _certify_pure(problem, objective, gradient, a, best_f)
         if bound is not None:
             return _policy(problem, objective, best_p, True, bound)
 
@@ -720,8 +710,12 @@ def support_comparison(
     """Solve the matching problem on a payoff grid for several cost families.
 
     Cells with w >= v are skipped (the safe action would dominate trivially);
-    at least one cell must remain.
+    at least one cell must remain, and at least one family be given.
+    ``specs`` may be any iterable; it is read once.
     """
+    specs = list(specs)
+    if not specs:
+        raise InfoCostError("no cost specification to compare")
     cells = [(float(v), float(w)) for v in v_grid for w in w_grid if not w >= v]
     if not cells:
         raise InfoCostError("no payoff cell with w < v to compare")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import infocost as ic
 from infocost import approx
-from infocost.errors import KTooSmall, NotBinary, StateMismatch, UnboundedExperiment
+from infocost.errors import InfoCostError, KTooSmall, NotBinary, StateMismatch, UnboundedExperiment
 
 SYM75 = ic.new_experiment([[0.75, 0.25], [0.25, 0.75]])
 
@@ -205,6 +205,13 @@ class TestSandwichReport:
         with pytest.raises(StateMismatch):
             ic.sandwich_report(SYM75, [0.5, 0.5], [4], grid)
         assert calls == []
+
+    @pytest.mark.parametrize("k_list, n_params", [([], 4), ([4], 0)], ids=["no_k", "no_parameter"])
+    def test_no_k_or_no_parameter_raises(self, k_list, n_params):
+        # either used to return no rows
+        grid = ic.default_param_grid(2, 4, seed=0)[:n_params]
+        with pytest.raises(InfoCostError, match="at least one k and one parameter"):
+            ic.sandwich_report(SYM75, [0.5, 0.5], k_list, grid)
 
     def test_companions_priced_as_unified_divergence(self):
         # k = 2 puts spread atoms at beliefs 0 and 1, where KL and sup are +inf

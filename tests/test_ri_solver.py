@@ -385,9 +385,7 @@ class TestRestarts:
 def calls(monkeypatch):
     """Cost and gradient calls of every solve(), counted by wrapping the
     planned entries the solver prices through: ``_costs`` and
-    ``_cost_gradient``, and the plans' ``bounding`` and ``bounding_gradient``,
-    which the pure-policy certificate prices through.  A stack counts as one
-    call."""
+    ``_cost_gradient``.  A stack counts as one call."""
     seen = {"costs": 0, "gradient": 0}
 
     def counted(key, real):
@@ -399,9 +397,6 @@ def calls(monkeypatch):
 
     monkeypatch.setattr(ri_solver, "_costs", counted("costs", ri_solver._costs))
     monkeypatch.setattr(ri_solver, "_cost_gradient", counted("gradient", ri_solver._cost_gradient))
-    for plan in (_MeasurePlan, _PosteriorPlan):
-        monkeypatch.setattr(plan, "bounding", counted("costs", plan.bounding))
-        monkeypatch.setattr(plan, "bounding_gradient", counted("gradient", plan.bounding_gradient))
     return seen
 
 
@@ -542,7 +537,7 @@ class TestPureCertificate:
             objective, gradient = ri_solver._objective_factory(problem, spec)
             pure = [objective(ri_solver._pure_policy(2, m, a)) for a in range(m)]
             a = pure.index(max(pure))
-            bound = ri_solver._certify_pure(problem, spec, a, pure[a])
+            bound = ri_solver._certify_pure(problem, objective, gradient, a, pure[a])
             if bound is None:
                 continue
             margin = 1e-13 * max(1.0, abs(pure[a]))
@@ -575,9 +570,9 @@ class TestPureCertificate:
         tried = []
         real = ri_solver._certify_pure
 
-        def spy(problem, spec, a, f_a):
-            tried.append(spec)
-            return real(problem, spec, a, f_a)
+        def spy(problem, objective, gradient, a, f_a):
+            tried.append(a)
+            return real(problem, objective, gradient, a, f_a)
 
         monkeypatch.setattr(ri_solver, "_certify_pure", spy)
         problem = ic.matching_problem(8.0, 7.9)  # playing safe is optimal for every family
@@ -588,7 +583,7 @@ class TestPureCertificate:
             if name in ("sup", "custom_potential", "custom_transform"):
                 assert tried == [] and policy.upper_bound is None, name
             else:
-                assert tried == [spec] and policy.upper_bound is not None, name
+                assert tried == [2] and policy.upper_bound is not None, name
 
     def test_certified_solve_builds_no_cost_or_plan(self, monkeypatch):
         # every cost builds its plan at construction, so no plan built means no cost built either
@@ -630,7 +625,7 @@ def per_start_solve(problem, spec, options):
         best_p, best_f, best_conv = ri_solver._pure_policy(n, m, a), pure[a], True
         concave = spec._plan.concave
         if concave:
-            bound = ri_solver._certify_pure(problem, spec, a, best_f)
+            bound = ri_solver._certify_pure(problem, objective, gradient, a, best_f)
             if bound is not None:
                 return ri_solver._policy(problem, objective, best_p, True, bound)
         uniform = np.full((n, m), 1.0 / m)
@@ -885,12 +880,29 @@ class TestSupportComparison:
         )
         assert [r.w for r in rows] == [1.0]
 
-    @pytest.mark.parametrize("w_grid", [[6.0], [5.0, 7.5], []])
-    def test_no_cell_below_v_raises(self, w_grid):
-        # every cell skipped used to return no rows
-        shannon = ic.PosteriorSeparableCost(np.array([0.5, 0.5]), ic.ShannonEntropy())
-        with pytest.raises(InfoCostError, match="no payoff cell with w < v"):
-            ic.support_comparison([("shannon", shannon)], [5.0], w_grid)
+    SHANNON = [("shannon", ic.PosteriorSeparableCost(np.array([0.5, 0.5]), ic.ShannonEntropy()))]
+
+    def test_a_generator_of_specs_serves_every_cell(self):
+        # read once per cell, a generator used to give rows for the first cell only
+        options = ic.SolveOptions(starts=1, max_iter=50)
+        rows = ic.support_comparison(iter(self.SHANNON), [8.0], [6.0, 7.0], options)
+        assert [r.w for r in rows] == [6.0, 7.0]
+
+    @pytest.mark.parametrize(
+        "specs, v, w_grid, match",
+        [
+            (SHANNON, 5.0, [6.0], "no payoff cell with w < v"),
+            (SHANNON, 5.0, [5.0, 7.5], "no payoff cell with w < v"),
+            (SHANNON, 5.0, [], "no payoff cell with w < v"),
+            ([], 8.0, [6.0], "no cost specification"),
+            (iter([]), 8.0, [6.0], "no cost specification"),
+        ],
+        ids=["w_grid0", "w_grid1", "w_grid2", "no_specs", "no_specs_generator"],
+    )
+    def test_no_cell_below_v_raises(self, specs, v, w_grid, match):
+        # every cell skipped, or no family given, used to return no rows
+        with pytest.raises(InfoCostError, match=match):
+            ic.support_comparison(specs, [v], w_grid)
 
 
 def test_mixing_kernel_range():

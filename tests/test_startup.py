@@ -64,6 +64,8 @@ def files(tmp_path):
     return {
         "mu": write("mu.json", mu.to_json()),
         "nu": write("nu.json", nu.to_json()),
+        "flat": write("flat.json", json.dumps({"probs": [[0.5, 0.5], [0.5, 0.5]]})),
+        "shifted": write("shifted.json", json.dumps({"probs": [[0.5, 0.5], [0.5 - 1e-9, 0.5 + 1e-9]]})),
         "binary": write("binary.json", json.dumps({"probs": [[0.75, 0.25], [0.25, 0.75]]})),
         "kl": write("kl.json", ic.cost_to_json(ic.KLCost(np.array([[0.0, 1.0], [1.0, 0.0]])))),
         "problem": write("problem.json", json.dumps({"prior": [0.5, 0.5], "utilities": [[2, 0], [0, 2], [1, 1]]})),
@@ -98,8 +100,8 @@ def test_non_lp_verbs_leave_scipy_unloaded(capsys, files):
 
 def test_first_pairwise_call_loads_scipy(capsys, files):
     # the only call in a fresh interpreter, so it is the one that imports SciPy;
-    # at tol 0 the garbling's rounding-level shortfalls are near ties for the LP
-    argvs = [["dominate", "--experiment", files["mu"], "--experiment2", files["nu"], "--pairwise", "--tol", "0"]]
+    # at tol 0 the 1e-9 shift is a near tie that only the LP decides
+    argvs = [["dominate", "--experiment", files["flat"], "--experiment2", files["shifted"], "--pairwise", "--tol", "0"]]
     fresh = run_fresh(argvs)
     assert not fresh["before"] and fresh["after"]
     assert fresh["calls"] == [in_process(capsys, argv) for argv in argvs]
