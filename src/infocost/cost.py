@@ -17,9 +17,11 @@ and max-KL costs, whose sum_ij beta_ij KL(mu_i || mu_j) is one order-1 atom
 for a posterior-separable cost or a transform of one.  Each family's
 values, gradient and rules exist once, in its plan: it checks the family's
 inputs and records its facts, the state count ``n_states``, the ``prior``
-(None for a measure plan), ``sup`` (any sup atom) and ``concave`` (convex
-in the choice matrix, so the solver's objective is concave), which the
-solver and the axiom harness read instead of telling the families apart.
+(None for a measure plan), ``sup`` (any sup atom), ``concave`` (convex
+in the choice matrix, so the solver's objective is concave) and
+``mutual_information`` (the Shannon cost itself, whose optimal choice rule
+is logit in the action marginal), which the solver and the axiom harness
+read instead of telling the families apart.
 Every family is priced on a stack of matrices ``probs[B, n, s]``:
 divergences through the one divergence kernel, potentials through
 ``_PosteriorPlan.phi`` and transforms through ``_transforms``, each one
@@ -358,7 +360,7 @@ CostSpec = Union[KLCost, MaxKLCost, RenyiCost, MaxRenyiCost, PosteriorSeparableC
 def _plan_of(spec: CostSpec):
     """The plan a cost specification made at construction, which holds its
     family's facts: ``n_states``, ``prior`` (None for a measure plan),
-    ``sup`` and ``concave``."""
+    ``sup``, ``concave`` and ``mutual_information``."""
     if not isinstance(spec, CostSpec):
         raise BadCostSpec(f"unknown cost specification {spec!r}")
     return spec._plan
@@ -460,9 +462,9 @@ class _MeasurePlan:
     convex in the choice matrix (``concave``: the solver's objective is):
     KL is jointly convex, a nonnegative interior divergence is minus the log
     of a concave sum over a negative constant, and nonnegative mixtures and
-    maxima keep convexity."""
+    maxima keep convexity.  No measure plan is ``mutual_information``."""
 
-    __slots__ = ("n_states", "prior", "sup", "concave", "kernel", "weights", "atoms")
+    __slots__ = ("n_states", "prior", "sup", "concave", "mutual_information", "kernel", "weights", "atoms")
 
     def __init__(self, measures: list, n_states: int):
         for atoms in measures:
@@ -473,7 +475,7 @@ class _MeasurePlan:
                     raise BadCostSpec("all atoms must share the state count")
         self.n_states, self.prior = n_states, None
         self.sup = any(isinstance(p, SupParam) for atoms in measures for _, p in atoms)
-        self.concave = not self.sup
+        self.concave, self.mutual_information = not self.sup, False
         kept = [[(w, p) for w, p in atoms if w != 0.0] for atoms in measures]
         self.kernel = _Plan([p for atoms in kept for _, p in atoms])
         self.weights = [[w for w, _ in atoms] for atoms in kept]
@@ -515,10 +517,12 @@ class _PosteriorPlan:
     no sup atom, and the cost is convex in the choice matrix (``concave``)
     unless a custom potential or transform leaves that to the caller's
     word: a posterior-separable cost is a perspective of its convex
-    potential, and an increasing convex transform keeps convexity."""
+    potential, and an increasing convex transform keeps convexity.  The
+    Shannon potential without a transform is ``mutual_information``: the
+    cost is the mutual information of state and signal, in nats."""
 
     __slots__ = (
-        "n_states", "prior", "sup", "concave", "column", "potential",
+        "n_states", "prior", "sup", "concave", "mutual_information", "column", "potential",
         "pairs", "active", "exponents", "log_q", "at_prior", "transform",
     )
 
@@ -541,6 +545,7 @@ class _PosteriorPlan:
             raise BadCostSpec(f"unknown transform {transform!r}")
         self.transform = None if isinstance(transform, IdentityTransform) else transform
         self.concave = not isinstance(potential, CustomPotential) and not isinstance(transform, CustomTransform)
+        self.mutual_information = isinstance(potential, ShannonEntropy) and self.transform is None
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             self.at_prior = self.phi(self.column)[0]
 

@@ -4,9 +4,12 @@ The solver maximizes over stochastic choice functions (one signal per action).
 Each ascent takes entropic mirror (exponentiated-gradient) steps on the rows
 until the support settles, then a BFGS endgame on the row logits of the
 positive entries; both keep every matrix it prices on the simplex without a
-projection.  Every cost has a gradient (``cost._cost_gradient``); for a
-Shannon cost a unit mirror step is the Blahut-Arimoto / logit update.  The
-endgame is NumPy only, so solving loads no SciPy.
+projection.  Every cost has a gradient (``cost._cost_gradient``).  The
+endgame is NumPy only, so solving loads no SciPy.  A Shannon cost (mutual
+information, the plan's ``mutual_information``) is solved instead by the
+Blahut-Arimoto / logit fixed point on the action marginal, whose
+closed-form upper bound decides ``converged``; its ascent runs only when
+``max_iter`` updates leave that bound open.
 
 Each cost specification makes its evaluation plan once, at construction,
 and the solver prices through it (``cost._costs`` and
@@ -20,9 +23,9 @@ except sup atoms), which makes the objective concave: those families get
 one ascent from the uniform policy, and the others several starts.  On
 two states, a concave objective's best pure policy is first tested against
 a Frank-Wolfe duality bound taken next to it; when the bound is within the
-ascent's margin the ascent is skipped.  A binary symmetric matching
-instance admits a two-parameter closed form used as an independent
-cross-check.
+ascent's margin the ascent and the fixed point are skipped.  A binary
+symmetric matching instance admits a two-parameter closed form used as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ SUPPORT_EPS = 0.01  # an action whose marginal is at most this is outside the su
 CERTIFY_STEP = 1e-7  # how far from a pure policy the certificate's point lies
 HANDOFF = 10  # mirror steps with an unchanged support before the BFGS endgame
 BACKTRACKS = 40  # step halvings a line search tries
+ROUNDING = 16 * float(np.finfo(float).eps)  # the logit fixed point's rounding allowance, per unit of payoff scale
 
 
 # ---------------------------------------------------------------------------
@@ -77,10 +81,14 @@ class RIProblem:
 class Policy:
     """A stochastic choice function with its achieved objective value; the
     support lists the actions whose marginal exceeds ``SUPPORT_EPS``.
-    ``converged`` is False when the winning ascent ran out of ``max_iter``
-    steps before its stop test fired, True otherwise (an exact pure policy
-    included).  ``upper_bound`` is the certificate's bound on the optimal
-    value when a pure policy was certified without an ascent, else None."""
+
+    ``upper_bound`` bounds the optimal value when no ascent ran: a pure
+    policy certified on two states, or a Shannon cost whose logit fixed
+    point closed its bound.  It is never below ``value`` and lies within
+    the ascent's margin, 1e-13 max(1, |value|), of it, so ``converged`` is
+    True.  Otherwise ``upper_bound`` is None, and ``converged`` is False
+    when the winning ascent ran out of ``max_iter`` steps before its stop
+    test fired, True otherwise (an exact pure policy included)."""
 
     choice: FiniteExperiment
     value: float
@@ -92,8 +100,9 @@ class Policy:
 @dataclass(frozen=True)
 class SolveOptions:
     """Solver effort.  ``starts`` counts the ascents of the multi-start path
-    (sup atoms and custom callables), ``max_iter`` caps each ascent's steps
-    and ``seed`` draws the random starts of that path."""
+    (sup atoms and custom callables), ``max_iter`` caps each ascent's steps,
+    and a Shannon cost's fixed-point updates, and ``seed`` draws the random
+    starts of that path."""
 
     starts: int = 16
     max_iter: int = 2000
@@ -131,6 +140,11 @@ def _objective_factory(problem: RIProblem, spec: CostSpec):
         return payoff - _cost_gradient(spec, p)
 
     return objective, gradient
+
+
+def _margin(f: float) -> float:
+    """The ascent's margin at value f: gains and gaps within it do not count."""
+    return 1e-13 * max(1.0, abs(f))
 
 
 def _support(prior: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -273,7 +287,7 @@ def _ascend(
     grad = gradient(p)
     for _ in range(options.max_iter):
         on = (p > 0) & np.isfinite(grad)  # a slope lost to underflow drops its entry
-        margin = 1e-13 * max(1.0, abs(f))
+        margin = _margin(f)
         if _face_gap(p, grad, on) <= margin:
             return p, f, True
         mirror = endgame is None and steady < HANDOFF
@@ -340,7 +354,7 @@ def _certify_pure(problem: RIProblem, objective, gradient, a: int, f_a: float) -
     """
     if problem.n_states != 2 or problem.n_actions == 1:
         return None
-    margin = 1e-13 * max(1.0, abs(f_a))
+    margin = _margin(f_a)
     m = problem.n_actions
     pure = _pure_policy(2, m, a)
     others = np.array([b for b in range(m) if b != a], dtype=int)
@@ -379,6 +393,46 @@ def _certify_pure(problem: RIProblem, objective, gradient, a: int, f_a: float) -
     return bound if bound <= f_a + margin else None
 
 
+def _logit_fixed_point(problem: RIProblem, max_iter: int) -> Optional[tuple[np.ndarray, float]]:
+    """The logit choice rule at an action marginal whose Shannon bound has
+    closed, with that bound, or None when ``max_iter`` updates run out
+    first or the bound is not finite.  For a cost that is the mutual
+    information of state and signal (the plan's ``mutual_information``).
+
+    The optimal choice rule is logit in its action marginal P:
+    p(a|x) = P(a) e^{u(a,x)} / z_x with z_x = sum_b P(b) e^{u(b,x)}
+    (Matejka & McKay 2015).  At any P that rule attains at least
+    V(P) = sum_x q_x log z_x, and with c(a) = sum_x q_x e^{u(a,x)} / z_x the
+    optimum obeys V* <= V(P) + log max_a c(a) (Blahut 1972; Arimoto 1972).
+    The Blahut-Arimoto update P <- P c, the logit rule's own marginal, runs
+    until that bound, plus an allowance for rounding in V(P) and in the
+    value the caller prices, lies within the ascent's margin of V(P).  The
+    allowance is ``ROUNDING`` s, with s = 1 + sum_x q_x max_a |u(a, x)|;
+    s also bounds max(1, |V(P)|), so V(P) is formed only once the bound
+    might close.  u is shifted by its per-state maximum before taking
+    exponentials, so each z_x lies between the marginal of the state's best
+    action and 1."""
+    q, u = problem.prior, problem.utilities
+    top = u.max(axis=0)
+    e = np.exp(u - top)  # [a, x]
+    scale = 1.0 + float(q @ np.abs(u).max(axis=0))
+    allowance = ROUNDING * scale
+    marginal = np.full(len(u), 1.0 / len(u))
+    for _ in range(max_iter):
+        z = marginal @ e
+        c = e @ (q / z)
+        gap = math.log(c.max())  # c of a state's best action is at least q_x > 0
+        if not math.isfinite(gap):
+            return None
+        if gap + allowance <= _margin(scale):
+            value = float(q @ np.log(z)) + float(q @ top)
+            if gap + allowance <= _margin(value):
+                return (marginal[:, None] * e / z).T, value + gap + allowance
+        marginal = marginal * c
+        marginal /= marginal.sum()
+    return None
+
+
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = None) -> Policy:
     """Maximize expected utility minus cost over stochastic choice functions.
@@ -403,6 +457,17 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
     through the ascent's objective and gradient, so a solve builds no cost
     or plan.
     Two-state problems only; a failed certificate costs time, never value.
+
+    A Shannon cost (the plan's ``mutual_information``) that the certificate
+    did not settle then runs ``_logit_fixed_point``: at most
+    ``options.max_iter`` Blahut-Arimoto updates of the action marginal,
+    until its closed-form bound, with a rounding allowance, closes within
+    the ascent's margin.  The logit rule is returned with that bound as
+    ``upper_bound``, or the best pure policy if rounding puts it higher, and
+    ``converged`` says whether the bound lies within the ascent's margin of
+    the returned value.  When the updates run out, or the bound is not
+    finite or does not meet the returned value, the ascent and polish run
+    as for any other cost.
 
     A polish pass then restarts from the incumbent with one action dropped,
     so that face optima are reached exactly instead of approached by a slow
@@ -439,8 +504,17 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
     best_p, best_f, best_conv = _pure_policy(n, m, a), pure[a], True
     if concave:
         bound = _certify_pure(problem, objective, gradient, a, best_f)
-        if bound is not None:
-            return _policy(problem, objective, best_p, True, bound)
+        if bound is not None:  # best_f is attained: a bound that rounding put below it is raised to it
+            return _policy(problem, objective, best_p, bound=max(bound, best_f))
+    if plan.mutual_information:
+        found = _logit_fixed_point(problem, options.max_iter)
+        if found is not None:
+            p, bound = found
+            policy = _policy(problem, objective, p, bound=bound)
+            if policy.value < best_f:  # the logit rule never loses to an exact pure policy
+                policy = _policy(problem, objective, best_p, bound=bound)
+            if policy.converged:
+                return policy
 
     for p0, f0 in zip(starts, values[m:]):
         p, f, conv = _ascend(objective, gradient, problem.prior, p0, f0, options)
@@ -465,9 +539,16 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
     return _policy(problem, objective, best_p, best_conv)
 
 
-def _policy(problem: RIProblem, objective, p: np.ndarray, converged: bool, bound: Optional[float] = None) -> Policy:
+def _policy(
+    problem: RIProblem, objective, p: np.ndarray, converged: bool = True, bound: Optional[float] = None
+) -> Policy:
+    """p with its rows renormalized, priced.  Given an upper bound on the
+    optimum, ``converged`` is whether it lies within the ascent's margin of
+    the value."""
     probs = p / p.sum(axis=1, keepdims=True)
     value = objective(probs)
+    if bound is not None:
+        converged = bound - value <= _margin(value)
     probs.setflags(write=False)
     support = tuple(int(a) for a in np.flatnonzero(_support(problem.prior, probs)))
     return Policy(FiniteExperiment(probs), value, support, converged, bound)

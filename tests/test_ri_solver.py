@@ -604,9 +604,10 @@ class TestPureCertificate:
         assert built == ["_MeasurePlan", "_Plan"]
 
     def test_three_states_are_not_certified(self, ascents):
+        # a Tsallis cost: a Shannon one would take the logit fixed point instead
         prior = np.array([0.3, 0.3, 0.4])
         utilities = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.9, 0.9, 0.9]])
-        policy = ic.solve(ic.RIProblem(prior, utilities), ic.PosteriorSeparableCost(prior, ic.ShannonEntropy()))
+        policy = ic.solve(ic.RIProblem(prior, utilities), ic.PosteriorSeparableCost(prior, ic.Tsallis(0.5)))
         assert policy.support == (2,) and policy.upper_bound is None and len(ascents) >= 1
 
 
@@ -627,7 +628,7 @@ def per_start_solve(problem, spec, options):
         if concave:
             bound = ri_solver._certify_pure(problem, objective, gradient, a, best_f)
             if bound is not None:
-                return ri_solver._policy(problem, objective, best_p, True, bound)
+                return ri_solver._policy(problem, objective, best_p, bound=max(bound, best_f))
         uniform = np.full((n, m), 1.0 / m)
         starts = [uniform]
         if not concave:
@@ -652,12 +653,13 @@ def per_start_solve(problem, spec, options):
 
 def matching_three_states(m):
     """A three-state problem whose first three actions each match a state;
-    a fourth action pays 0.5 everywhere and is left unused."""
+    a fourth action pays 0.5 everywhere and is left unused.  Its Tsallis
+    cost is concave but not Shannon, so the solve runs the ascent."""
     prior = np.array([0.3, 0.3, 0.4])
     utilities = np.zeros((m, 3))
     utilities[np.arange(m), np.arange(m) % 3] = 2.0
     utilities[3:] = 0.5
-    return ic.RIProblem(prior, utilities), ic.PosteriorSeparableCost(prior, ic.ShannonEntropy())
+    return ic.RIProblem(prior, utilities), ic.PosteriorSeparableCost(prior, ic.Tsallis(0.5))
 
 
 class TestStackedCandidates:
@@ -681,7 +683,7 @@ class TestStackedCandidates:
 
         monkeypatch.setattr(ri_solver, "_costs", costs)
         monkeypatch.setattr(ri_solver, "_ascend", ascend)
-        problem, spec = matching_three_states(m)  # three states: no certificate
+        problem, spec = matching_three_states(m)  # three states and no Shannon cost: no certificate or fixed point
         ic.solve(problem, spec)
         first = np.stack([ri_solver._pure_policy(3, m, a) for a in range(m)] + [np.full((3, m), 1.0 / m)])
         np.testing.assert_array_equal(priced[0], first)
@@ -744,6 +746,77 @@ class TestStackedCandidates:
             objective = ri_solver._objective_factory(problem, spec)[0]
             alone = np.array([objective(p) for p in stack])
             assert objective(stack).tobytes() == alone.tobytes(), name
+
+
+def three_state_shannon(seed):
+    """The benchmark's 3-state, 4-action Shannon problem at a seed."""
+    rng = np.random.default_rng(seed)
+    rng.uniform(7.9, 8.1)  # the benchmark draws the matching payoff first
+    prior = np.array([0.45, 0.35, 0.2])
+    utilities = np.array([[3.0, 1.0, 0.0], [0.0, 3.0, 1.0], [1.0, 0.0, 3.0], [0.0, 0.0, 0.0]])
+    return ic.RIProblem(prior, utilities + rng.uniform(-0.05, 0.05, size=(4, 3)))
+
+
+def benchmark_shannon_solves():
+    """(problem, options) of the benchmark's Shannon solves that no
+    certificate settles: the edge and inside cells, and the 3-state problem."""
+    cells = [
+        pytest.param(ic.matching_problem(*c.values[:2]), ic.SolveOptions(starts=1, max_iter=300), id=c.id)
+        for c in matching_cells()
+    ]
+    three = [pytest.param(three_state_shannon(s), ic.SolveOptions(starts=1), id=f"three-state-{s}") for s in (20250901, 7)]
+    return cells + three
+
+
+class TestLogitFixedPoint:
+    """A Shannon cost is solved by the logit fixed point, whose bound decides
+    ``converged``."""
+
+    @pytest.mark.parametrize("problem, options", benchmark_shannon_solves())
+    def test_benchmark_shannon_solves_run_no_ascent(self, problem, options, ascents, calls):
+        policy = ic.solve(problem, ic.PosteriorSeparableCost(problem.prior, ic.ShannonEntropy()), options)
+        assert ascents == []
+        assert policy.converged
+        assert 0.0 <= policy.upper_bound - policy.value <= 1e-13 * max(1.0, abs(policy.value))
+        # the pure policies with the uniform start, the certificate's coarse
+        # grid on two states, and the reported value
+        assert calls == {"costs": 3 if problem.n_states == 2 else 2, "gradient": 0}
+
+    @pytest.mark.parametrize("problem", [pytest.param(c.values[0], id=c.id) for c in benchmark_shannon_solves()])
+    def test_a_capped_fixed_point_falls_back_to_the_ascent(self, problem):
+        spec = ic.PosteriorSeparableCost(problem.prior, ic.ShannonEntropy())
+        options = ic.SolveOptions(starts=1, max_iter=1)
+        got, ref = ic.solve(problem, spec, options), per_start_solve(problem, spec, options)
+        assert got.choice.probs.tobytes() == ref.choice.probs.tobytes()
+        for field in ("value", "support", "converged", "upper_bound"):
+            assert getattr(got, field) == getattr(ref, field), field
+        assert got.upper_bound is None
+
+    @given(
+        st.integers(2, 4),
+        st.integers(1, 6),
+        st.lists(st.floats(1e-3, 1.0), min_size=4, max_size=4),
+        st.floats(0.0, 2e3),
+        st.lists(st.floats(0.0, 1.0), min_size=24, max_size=24),
+    )
+    # FOUND 48's scale: a state of prior 0.001 and payoffs spread over 2e3
+    @example(2, 5, [0.001, 0.999, 1.0, 1.0], 2e3, [0.77, 0.44, 0.86, 0.7, 0.09, 0.98, 0.76, 0.79, 0.13, 0.45] + [0.0] * 14)
+    @settings(max_examples=40, deadline=None)
+    def test_property_bounded_above_every_pure_policy_and_as_the_ascent(self, n, m, weights, spread, payoffs):
+        prior = np.array(weights[:n]) / sum(weights[:n])
+        problem = ic.RIProblem(prior, spread * np.reshape(payoffs[: n * m], (m, n)))
+        spec = ic.PosteriorSeparableCost(problem.prior, ic.ShannonEntropy())
+        policy = ic.solve(problem, spec)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as solve() silences them
+            objective = ri_solver._objective_factory(problem, spec)[0]
+            pure = max(objective(ri_solver._pure_policy(n, m, a)) for a in range(m))
+        assert policy.value >= pure
+        if policy.upper_bound is not None:
+            assert policy.converged and policy.upper_bound >= policy.value
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spec._plan, "mutual_information", False)
+            ascent = ic.solve(problem, spec)
+        assert abs(policy.value - ascent.value) <= 1e-9 * max(1.0, abs(policy.value))
 
 
 class TestSolverSteps:

@@ -2,11 +2,12 @@
 
 A cost's plan prices values and gradients, and the solver reaches those
 through ``cost._costs`` and ``cost._cost_gradient`` alone; from the plan
-itself it reads only the facts ``n_states``, ``prior`` and ``concave``.  So
-no solver path prices through a second, private route into the plan.  This
-scan of ``ri_solver.py`` (no code runs) fails when the module reads a
-``_plan`` attribute, or reads any other attribute of a ``_plan_of(...)``
-result: on the call itself, on a name bound to it or through ``getattr``.
+itself it reads only the facts ``n_states``, ``prior``, ``concave`` and
+``mutual_information``.  So no solver path prices through a second, private
+route into the plan.  This scan of ``ri_solver.py`` (no code runs) fails
+when the module reads a ``_plan`` attribute, or reads any other attribute
+of a ``_plan_of(...)`` result: on the call itself, on a name bound to it or
+through ``getattr``.
 """
 
 import ast
@@ -14,7 +15,7 @@ from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "infocost" / "ri_solver.py"
 
-FACTS = {"n_states", "prior", "concave"}
+FACTS = {"n_states", "prior", "concave", "mutual_information"}
 
 
 def _plan_reads(tree: ast.Module) -> list[tuple[int, str]]:
@@ -69,5 +70,9 @@ def test_the_scan_sees_every_spelling():
         "    rows = plan.bounding(p), cost._plan_of(spec).gradient(p)\n"
         "    if (other := _plan_of(spec)).sup:\n"
         "        return getattr(plan, 'atoms'), getattr(other, 'prior')\n"
+        "    if plan.mutual_information or getattr(other, 'mutual_information'):\n"
+        "        return plan.transform, _plan_of(spec).potential\n"
     )
-    assert _plan_reads(tree) == [(5, "_plan"), (6, "bounding"), (6, "gradient"), (7, "sup"), (8, "atoms")]
+    assert _plan_reads(tree) == [
+        (5, "_plan"), (6, "bounding"), (6, "gradient"), (7, "sup"), (8, "atoms"), (10, "potential"), (10, "transform"),
+    ]
