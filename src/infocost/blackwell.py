@@ -11,7 +11,9 @@ nu iff g_mu(t) >= g_nu(t) for every t >= 0, where
 g(t) = sum_s (p_0(s) - t p_1(s))^+.  :func:`dichotomy_shortfall` measures how
 far that criterion fails, and :func:`pairwise_dominates` decides every
 two-state restriction by it first, solving the LP only for the near ties
-the criterion's bounds leave open.
+the criterion's bounds leave open.  Plain dominance implies dominance on
+every pair of states, so :func:`dominates` runs the same pair walk first and
+rejects, with no LP, a non-garbling that one pair's shortfall proves.
 """
 
 from __future__ import annotations
@@ -100,10 +102,26 @@ def garble(mu: FiniteExperiment, kernel: GarblingKernel) -> FiniteExperiment:
 
 @dataclass(frozen=True)
 class DominanceResult:
+    """Verdict of :func:`dominates`.
+
+    ``dominates`` is the verdict, and ``certificate`` the kernel that proves
+    a positive one (None otherwise).  ``marginal`` flags a negative verdict
+    whose ``max_violation`` is at most MARGINAL_FACTOR times
+    T = max(tol, MIN_TOL).  ``screened_pair`` says which route decided, and
+    so which number ``max_violation`` holds:
+
+    - None: the dominance LP decided, and ``max_violation`` is the measured
+      miss max |mu psi - nu| of its kernel psi;
+    - a state pair (i, j): that pair's dichotomy shortfall proved the
+      negative verdict with no LP, and ``max_violation`` is a certified
+      lower bound on the miss of every kernel.
+    """
+
     dominates: bool
     certificate: Optional[GarblingKernel]
     max_violation: float
     marginal: bool
+    screened_pair: Optional[tuple[int, int]] = None
 
 
 def _check_comparable(mu: FiniteExperiment, nu: FiniteExperiment, tol: float = 0.0) -> None:
@@ -116,6 +134,31 @@ def _check_comparable(mu: FiniteExperiment, nu: FiniteExperiment, tol: float = 0
 
 def dominates(mu: FiniteExperiment, nu: FiniteExperiment, tol: float = DEFAULT_TOL) -> DominanceResult:
     """Decide whether nu is a garbling of mu, within tolerance tol.
+
+    First a screen: the state pairs are walked in `itertools.combinations`
+    order, and each pair's dichotomy shortfall r bounds the LP optimum from
+    below by 2 (r - slack) / nu.n_signals (see :func:`pairwise_dominates`).
+    A kernel for all states is one for the pair, so that bound holds for
+    every kernel's miss.  At the first pair where it exceeds
+    MARGINAL_FACTOR max(tol, MIN_TOL), the call returns False, not marginal,
+    with that bound as ``max_violation`` and the pair as ``screened_pair``.
+    Such a call loads no SciPy.  Every other call, garblings included, is
+    decided by the dominance LP (:func:`_garbling_lp`): ``max_violation`` is
+    then its kernel's measured miss, the kernel is the certificate when that
+    miss is at most max(tol, MIN_TOL), and a miss up to MARGINAL_FACTOR
+    times that sets ``marginal``.
+    """
+    _check_comparable(mu, nu, tol)
+    floor = MARGINAL_FACTOR * max(tol, MIN_TOL)
+    for pair, r, slack in _pair_shortfalls(mu, nu):
+        bound = 2.0 * (r - slack) / nu.n_signals
+        if bound > floor:
+            return DominanceResult(False, None, bound, False, pair)
+    return _garbling_lp(mu, nu, tol)
+
+
+def _garbling_lp(mu: FiniteExperiment, nu: FiniteExperiment, tol: float) -> DominanceResult:
+    """The dominance LP: decide whether nu is a garbling of mu, within tol.
 
     Solves min eps over row-stochastic kernels psi subject to
     |sum_s psi[s, t] mu_i(s) - nu_i(t)| <= eps for every state and target
@@ -132,7 +175,6 @@ def dominates(mu: FiniteExperiment, nu: FiniteExperiment, tol: float = DEFAULT_T
     No dimension limit is enforced; the intended envelope is up to ~64
     signals per experiment.
     """
-    _check_comparable(mu, nu, tol)
     from scipy.sparse import csr_array
 
     n, ns, nt = mu.n_states, mu.n_signals, nu.n_signals
@@ -186,6 +228,17 @@ def _shortfall(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     r = (g(b) - g(a)) / (1.0 + t)
     k = int(np.argmax(r))
     return float(r[k]), float(t[k])
+
+
+def _pair_shortfalls(mu: FiniteExperiment, nu: FiniteExperiment):
+    """Yield ((i, j), r, slack) for each state pair in `itertools.combinations`
+    order: r is the pair's dichotomy shortfall, from rows i and j, and
+    slack = ROUNDING_ULPS (s_mu + s_nu) 2**-52 covers the rounding in r and
+    in the rows' sums."""
+    slack = ROUNDING_ULPS * (mu.n_signals + nu.n_signals) * 2.0**-52
+    for i, j in combinations(range(mu.n_states), 2):
+        r, _ = _shortfall(mu.probs[[i, j]], nu.probs[[i, j]])
+        yield (i, j), r, slack
 
 
 def dichotomy_shortfall(mu: FiniteExperiment, nu: FiniteExperiment) -> tuple[float, float]:
@@ -244,22 +297,20 @@ def pairwise_dominates(mu: FiniteExperiment, nu: FiniteExperiment, tol: float = 
     in the rows' sums.  Both keep a factor 2 between the exact LP optimum
     and T, so at tol = 0 an exact garbling's rounding-level shortfalls pass
     without an LP.  Only a near tie between the two runs the LP
-    (:func:`dominates` on :func:`restrict_pair`).
+    (:func:`_garbling_lp` on :func:`restrict_pair`, with no second screen).
 
     Pairs are checked in `itertools.combinations` order and the call stops
     at the first pair that does not dominate; that pair is `failing_pair`.
     """
     _check_comparable(mu, nu, tol)
-    slack = ROUNDING_ULPS * (mu.n_signals + nu.n_signals) * 2.0**-52
     lp_tol = max(tol, MIN_TOL)
     worst, lp_pairs = 0.0, 0
-    for i, j in combinations(range(mu.n_states), 2):
-        r, _ = _shortfall(mu.probs[[i, j]], nu.probs[[i, j]])
+    for (i, j), r, slack in _pair_shortfalls(mu, nu):
         worst = max(worst, r)
         if r + slack <= lp_tol / 2:
             continue
         near_tie = r - slack <= nu.n_signals * lp_tol
         lp_pairs += near_tie
-        if not (near_tie and dominates(restrict_pair(mu, i, j), restrict_pair(nu, i, j), tol).dominates):
+        if not (near_tie and _garbling_lp(restrict_pair(mu, i, j), restrict_pair(nu, i, j), tol).dominates):
             return PairwiseResult(False, (i, j), worst, lp_pairs)
     return PairwiseResult(True, None, worst, lp_pairs)

@@ -135,6 +135,7 @@ def _cmd_dominate(args) -> None:
             "marginal": res.marginal,
             "max_violation": res.max_violation,
             "certificate": res.certificate.psi.tolist() if res.certificate else None,
+            "screened_pair": list(res.screened_pair) if res.screened_pair else None,
         }
     _emit_json(payload, args.out)
 

@@ -58,6 +58,12 @@ def dense_constraints(mu, nu):
     return a_ub.reshape(-1, nvar), a_eq
 
 
+def lp_core(mu, nu, tol=blackwell.DEFAULT_TOL):
+    """The dominance LP with no pair screen in front: the only way a
+    reversed garbling, which the screen rejects, still reaches the LP."""
+    return blackwell._garbling_lp(mu, nu, tol)
+
+
 @contextlib.contextmanager
 def recorded_lps(**options):
     """Record every blackwell.linprog call as (args, kwargs, result), solving
@@ -117,6 +123,19 @@ def garbling_pairs(draw, n_states):
         delta = 10.0 ** draw(st.floats(-11.0, -5.0))
         nu = ic.new_experiment((1.0 - delta) * nu.probs + delta * _stochastic(draw, n_states, nt))
     return mu, nu
+
+
+@st.composite
+def screen_pairs(draw):
+    """(mu, nu) on 2-5 states with 2-32 signals each, Dirichlet rows of
+    concentration 0.1 to 10: a reversed garbling, or two independent draws."""
+    n, ns, nt = draw(st.integers(2, 5)), draw(st.integers(2, 32)), draw(st.integers(2, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alpha = 10.0 ** draw(st.floats(-1.0, 1.0))
+    mu = ic.new_experiment(rng.dirichlet(np.full(ns, alpha), size=n))
+    if draw(st.booleans()):
+        return ic.garble(mu, ic.GarblingKernel(rng.dirichlet(np.full(nt, alpha), size=ns))), mu
+    return mu, ic.new_experiment(rng.dirichlet(np.full(nt, alpha), size=n))
 
 
 class TestGarble:
@@ -188,8 +207,8 @@ class TestDominates:
         probs[0, seed % ns] = 0.0  # a zero entry, which the dense model drops
         mu = ic.new_experiment(probs / probs.sum(axis=1, keepdims=True))
         nu = ic.garble(mu, ic.random_kernel(ns, nt, seed=seed))
-        for source, target in ((mu, nu), (nu, mu)):
-            res = ic.dominates(source, target)
+        for source, target, decide in ((mu, nu, ic.dominates), (nu, mu, lp_core)):
+            res = decide(source, target)
             (c,), kwargs, sparse = lp_calls.pop()
             a_ub, a_eq = dense_constraints(source, target)
             assert kwargs["A_ub"].nnz <= a_ub.shape[0] * (source.n_signals + 1)
@@ -258,6 +277,26 @@ class TestDominates:
         nu = ic.garble(mu, ic.GarblingKernel(rng.dirichlet(np.full(nt, alpha), size=ns)))
         assert ic.dominates(mu, nu, 0.0).dominates
         assert ic.pairwise_dominates(mu, nu, tol=0.0).dominates
+
+    @settings(max_examples=100, deadline=None)
+    @given(screen_pairs(), st.sampled_from([0.0, 1e-8, 1e-5]))
+    # the coin flip misses full information by 1/2, and the bound is 1/2 less the slack
+    @example((ic.uninformative(2, 1), ic.new_experiment(np.eye(2))), 0.0)
+    def test_a_screened_verdict_is_the_lps(self, pair, tol):
+        mu, nu = pair
+        res = ic.dominates(mu, nu, tol)
+        if res.screened_pair is None:
+            lp = lp_core(mu, nu, tol)
+            assert (res.dominates, res.max_violation, res.marginal) == (lp.dominates, lp.max_violation, lp.marginal)
+            return
+        assert not res.dominates and not res.marginal and res.certificate is None
+        assert res.max_violation > blackwell.MARGINAL_FACTOR * max(tol, blackwell.MIN_TOL)
+        i, j = res.screened_pair
+        # the full LP, and the LP on the screened pair alone, which any full kernel also solves
+        for source, target in ((mu, nu), (ic.restrict_pair(mu, i, j), ic.restrict_pair(nu, i, j))):
+            lp = lp_core(source, target, tol)
+            assert not lp.dominates and not lp.marginal
+            assert lp.max_violation >= res.max_violation
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
     def test_tolerance_must_be_finite_and_nonnegative(self, tol):
@@ -390,7 +429,10 @@ class TestDichotomyShortfall:
         # kernel (the coin flip) misses by 1/2: both bounds are tight here
         mu, nu = ic.uninformative(2, 1), ic.new_experiment(np.eye(2))
         assert ic.dichotomy_shortfall(mu, nu) == (0.5, 1.0)
-        assert ic.dominates(mu, nu).max_violation == pytest.approx(0.5, abs=1e-12)
+        assert lp_core(mu, nu).max_violation == pytest.approx(0.5, abs=1e-12)
+        screened = ic.dominates(mu, nu)
+        assert screened.screened_pair == (0, 1)
+        assert screened.max_violation == pytest.approx(0.5, abs=1e-12)
         r, _ = ic.dichotomy_shortfall(nu, mu)
         assert r <= 0.0
 
@@ -417,7 +459,7 @@ class TestDichotomyShortfall:
         mu, nu = pair
         r, _ = ic.dichotomy_shortfall(mu, nu)
         with recorded_lps(**TIGHT_LP) as lps:
-            plain = ic.dominates(mu, nu, tol)
+            plain = lp_core(mu, nu, tol)
             (_, _, lp), = lps
             res = ic.pairwise_dominates(mu, nu, tol)
         eps, missed = float(lp.x[-1]), plain.max_violation  # the LP's optimum, its kernel's miss

@@ -178,6 +178,21 @@ class TestDominateCommand:
         cert = np.asarray(payload["certificate"])
         assert np.max(np.abs(ic.garble(mu, ic.GarblingKernel(cert)).probs - nu.probs)) < 1e-6
 
+    def test_plain_verdict_names_the_pair_that_screened_it(self, capsys, tmp_path):
+        mu = ic.random_experiment(3, 4, seed=4, min_prob=0.05)
+        nu = ic.garble(mu, ic.random_kernel(4, 2, seed=5))
+        mu_path, nu_path = tmp_path / "mu.json", tmp_path / "nu.json"
+        mu_path.write_text(mu.to_json())
+        nu_path.write_text(nu.to_json())
+        # the reversed direction: pair (0, 1)'s dichotomy shortfall rejects it with no LP
+        code, out, _ = run(capsys, ["dominate", "--experiment", str(nu_path), "--experiment2", str(mu_path)])
+        payload = json.loads(out)
+        assert code == 0 and payload["screened_pair"] == [0, 1]
+        assert payload["dominates"] is False and payload["marginal"] is False and payload["certificate"] is None
+        code, out, _ = run(capsys, ["dominate", "--experiment", str(mu_path), "--experiment2", str(nu_path)])
+        payload = json.loads(out)
+        assert code == 0 and payload["dominates"] is True and payload["screened_pair"] is None
+
     def test_pairwise_flag(self, capsys, tmp_path):
         mu = ic.new_experiment([[0.9, 0.1], [0.5, 0.5], [0.1, 0.9]])
         nu = ic.new_experiment([[0.7, 0.3], [0.52, 0.48], [0.3, 0.7]])

@@ -91,6 +91,8 @@ def test_non_lp_verbs_leave_scipy_unloaded(capsys, files):
         ["approx", "--experiment", files["binary"], "--k-list", "4", "--grid", "2", "--seed", "0"],
         # an exact garbling: every pair is decided by its dichotomy shortfall, with no LP
         ["dominate", "--experiment", files["mu"], "--experiment2", files["nu"], "--pairwise"],
+        # a reversed garbling: a pair's dichotomy shortfall rejects it before any LP
+        ["dominate", "--experiment", files["nu"], "--experiment2", files["mu"]],
     ]
     fresh = run_fresh(argvs)
     assert not fresh["before"] and not fresh["after"]
