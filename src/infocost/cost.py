@@ -26,7 +26,9 @@ Every family is priced on a stack of matrices ``probs[B, n, s]``:
 divergences through the one divergence kernel, potentials through
 ``_PosteriorPlan.phi`` and transforms through ``_transforms``, each one
 NumPy pass per built-in kind.  Only custom potentials and transforms are
-called value by value.
+called value by value.  The kernel also differentiates every atom
+(``divergence._gradients``), so a measure plan holds only the kernel's plan
+and the measures' weights, and adds up values and gradients alike.
 """
 
 from __future__ import annotations
@@ -45,11 +47,10 @@ from .divergence import (
     InteriorParam,
     SupParam,
     WeightedKLParam,
-    _Cuts,
     _divergences,
     _from_payload,
-    _interior_denominator,
-    _log_ratios,
+    _gradients,
+    _kl_gradient,
     _Plan,
     _to_payload,
     extended_divergence,
@@ -388,72 +389,18 @@ def _kl_atoms(beta: np.ndarray) -> list:
     return [(b, WeightedKLParam(i, e[j])) for i, j, b in _pairs(beta)]
 
 
-def _kl_gradient(pairs: list, p: np.ndarray, log_p: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """grad plus the gradient of sum_ij beta_ij KL(mu_i || mu_j) in the
-    entries of p[n, s], given the ``_pairs`` of beta and log_p = log(p)."""
-    for i, j, b in pairs:
-        grad[i] += b * (log_p[i] - log_p[j] + 1.0)
-        grad[j] -= b * p[i] / p[j]
-    return grad
-
-
 def _tied(members: list, values: list) -> list:
     """The members of a maximum whose values lie within 1e-12 (relative) of it."""
     top = max(values)
     return [m for m, v in zip(members, values) if v >= top - 1e-12 * abs(top)]
 
 
-def _atom_terms(w: float, param):
-    """What the gradient of an atom of weight w needs of it alone: a sup
-    atom's cuts, a weighted-KL atom's ``_pairs`` scaled by w, or an interior
-    atom's kept states, exponents on them and denominator."""
-    if isinstance(param, SupParam):
-        return _Cuts([param.psi])
-    if isinstance(param, WeightedKLParam):
-        return [(param.pivot, j, w * b) for j, b in enumerate(param.beta.tolist()) if b > 0.0]
-    weights = param.alpha.tolist()
-    on = param.alpha > 0 if 0.0 in weights else slice(None)
-    return on, param.alpha[on, None], _interior_denominator(weights)
-
-
-def _atoms_gradient(atoms: list, p: np.ndarray) -> np.ndarray:
-    """The gradient of sum w * D_param over the (w, param, terms) atoms of a
-    ``_MeasurePlan`` measure.
-
-    Interior: D = log S / -sum_{i != k} alpha_i with S = sum_s T(s) and
-    T(s) = prod_i p_i(s) ** alpha_i, so row i is alpha_i T / (p_i S) over
-    the same denominator; a zero exponent leaves its row out of T.  Sup:
-    D = max(0, max_s psi . log p(s)) has the subgradient psi / p(s*) at the
-    argmax signals s* (their mean where tied), and 0 where the floor wins.
-    Weighted-KL: each pair's terms, weight included, add straight into the
-    gradient.  Every atom is priced as given, repeats included.
-    """
-    grad = np.zeros_like(p)
-    log_p = None
-    for w, param, terms in atoms:
-        if isinstance(param, SupParam):
-            ratios = _log_ratios(terms, p[None])[1][0, 0]
-            top = np.fmax.reduce(ratios)
-            if top > 0:
-                at = ratios >= top * (1.0 - 1e-12)
-                grad[:, at] += w / at.sum() * param.psi[:, None] / p[:, at]
-        elif isinstance(param, WeightedKLParam):
-            log_p = np.log(p) if log_p is None else log_p
-            _kl_gradient(terms, p, log_p, grad)
-        else:
-            on, alpha, denominator = terms
-            p_on = p[on]
-            t = np.exp((alpha * np.log(p_on)).sum(axis=0))
-            grad[on] += (w / (t.sum() * denominator) * alpha) * t / p_on
-    return grad
-
-
 class _MeasurePlan:
     """How a maximum over measures of divergences is priced, worked out once:
     one divergence-kernel plan of every atom of nonzero weight, measure by
-    measure, their weights, and each atom's ``_atom_terms``.  A Rényi cost
-    is one measure of one atom, a weighted-KL cost one measure of one atom
-    per pair, and a max-KL or max-Rényi cost one measure per member.
+    measure, and their weights.  A Rényi cost is one measure of one atom, a
+    weighted-KL cost one measure of one atom per pair, and a max-KL or
+    max-Rényi cost one measure per member.
 
     Every atom, zero weights included, must be built for ``n_states``
     states, and an interior atom must have nonnegative exponents.  ``sup``
@@ -464,7 +411,7 @@ class _MeasurePlan:
     of a concave sum over a negative constant, and nonnegative mixtures and
     maxima keep convexity.  No measure plan is ``mutual_information``."""
 
-    __slots__ = ("n_states", "prior", "sup", "concave", "mutual_information", "kernel", "weights", "atoms")
+    __slots__ = ("n_states", "prior", "sup", "concave", "mutual_information", "kernel", "weights")
 
     def __init__(self, measures: list, n_states: int):
         for atoms in measures:
@@ -479,30 +426,27 @@ class _MeasurePlan:
         kept = [[(w, p) for w, p in atoms if w != 0.0] for atoms in measures]
         self.kernel = _Plan([p for atoms in kept for _, p in atoms])
         self.weights = [[w for w, _ in atoms] for atoms in kept]
-        self.atoms = [[(w, p, _atom_terms(w, p)) for w, p in atoms] for atoms in kept]
 
-    def _integrals(self, probs: np.ndarray) -> list:
-        """sum_atoms w * D_param of each measure over a stack: one kernel
-        call for every atom, then each measure adds its atoms in order,
-        starting from 0."""
-        divergences = iter(_divergences(self.kernel, probs))
-        zero = np.zeros(probs.shape[0])
+    def _integrals(self, values: np.ndarray, zero: np.ndarray) -> list:
+        """sum_atoms w * value of each measure, from the kernel's ``values``
+        of every atom (divergences or gradients): each measure adds its
+        atoms in order, starting from ``zero``."""
+        values = iter(values)
         integrals = []
         for ws in self.weights:
             total = zero
             for w in ws:
-                total = total + w * next(divergences)
+                total = total + w * next(values)
             integrals.append(total)
         return integrals
 
     def values(self, probs: np.ndarray) -> np.ndarray:
-        return reduce(np.maximum, self._integrals(probs))
+        return reduce(np.maximum, self._integrals(_divergences(self.kernel, probs), np.zeros(probs.shape[0])))
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
-        measures = self.atoms
-        if len(measures) > 1:
-            measures = _tied(measures, [v[0] for v in self._integrals(p[None])])
-        grads = [_atoms_gradient(atoms, p) for atoms in measures]
+        grads = self._integrals(_gradients(self.kernel, p), np.zeros_like(p))
+        if len(grads) > 1:
+            grads = _tied(grads, [v[0] for v in self._integrals(_divergences(self.kernel, p[None]), np.zeros(1))])
         return grads[0] if len(grads) == 1 else sum(grads) / len(grads)  # the tied members' mean
 
 

@@ -21,6 +21,9 @@ parameter grid on the experiment and all its companions in one ragged call,
 each cost its atoms on a whole stack from a plan it made once, and every
 scalar function here one parameter on a stack of one.  Each value is
 bit-identical to pricing its parameter and matrix alone.
+``_gradients(plan, p[n, s])`` differentiates the same plan at one matrix,
+``[P, n, s]``: each branch's derivative is written here alone, and the
+cost families' gradients go through it.
 
 The kernel's zero conventions: 0 ** 0 = 1, so a zero exponent drops its
 state; a zero under a positive exponent drops its signal, and wins over a
@@ -82,6 +85,8 @@ class InteriorParam:
         a = np.asarray(self.alpha, dtype=float)
         if a.ndim != 1 or a.shape[0] < 2:
             raise BadAlpha("alpha must be a vector of length >= 2")
+        if not np.all(np.isfinite(a)):  # before the sum, which is NaN for inf - inf
+            raise BadAlpha("alpha must be finite")
         if abs(a.sum() - 1.0) > PARAM_SUM_TOL:
             raise BadAlpha(f"alpha must sum to 1, got {a.sum()!r}")
         amax = a.max()
@@ -216,12 +221,14 @@ class _Cuts:
     """How :func:`_log_ratios` reads a list of weight vectors, worked out
     once: the row k = argmax(w) of each, and for each state i that some w
     weighs, (i, each w_i, whether each w weighs it or None when all do) as
-    ``[G, 1, 1]`` arrays.  Row k's own term, w_k log 1 = 0, is left out."""
+    ``[G, 1, 1]`` arrays.  Row k's own term, w_k log 1 = 0, is left out.
+    The vectors themselves are kept as ``weights[G, n, 1]``."""
 
-    __slots__ = ("pivots", "slots", "terms")
+    __slots__ = ("weights", "pivots", "slots", "terms")
 
     def __init__(self, ws):
         weights = np.array(ws)
+        self.weights = weights[:, :, None]
         ks = [w.index(max(w)) for w in weights.tolist()]  # the first largest entry, as argmax takes
         self.pivots = list(dict.fromkeys(ks))  # the distinct rows k, in order of first use
         self.slots = [self.pivots.index(k) for k in ks] if len(self.pivots) > 1 else None
@@ -296,7 +303,7 @@ def _log_sums(pk: np.ndarray, ratios: np.ndarray, above: bool, bounds=None) -> n
     if above:
         return np.log1p(np.maximum(excess, 0.0))
     log_sums = np.log1p(np.minimum(excess, 0.0))
-    if min(excess.ravel().tolist()) < -0.99:
+    if min(excess.ravel().tolist(), default=0.0) < -0.99:  # an empty stack has no sums
         direct = _per_segment(np.add, np.fmax(pk * np.exp(ratios), 0.0), bounds)
         log_sums = np.where(excess < -0.99, np.log(direct), log_sums)
     return log_sums
@@ -322,9 +329,10 @@ class _Plan:
     interior ones are summed in two groups, largest exponent below and above
     1.  Weighted-KL parameters share the KL divergence of each pair
     (pivot, j) of positive weight, and those with as many pairs are weighted
-    and summed as one array."""
+    and summed as one array.  :func:`_gradients` reads the same plan, with
+    each weighted-KL parameter's own (pivot, j, weight) terms."""
 
-    __slots__ = ("cuts", "interiors", "sups", "pairs", "kls", "order")
+    __slots__ = ("cuts", "denominators", "interiors", "sups", "pairs", "kls", "kl_terms", "order")
 
     def __init__(self, params):
         # the positions in params of each group: interior below 1, interior above 1, sup, weighted-KL
@@ -345,23 +353,28 @@ class _Plan:
         # the interior weight vectors, below 1 then above 1, then the sup ones
         ws = [params[k].alpha for k in groups[0] + groups[1]] + [params[k].psi for k in groups[2]]
         self.cuts = _Cuts(ws) if ws else None
-        # (above 1, [G, 1, 1] _interior_denominator) of each nonempty interior group
-        self.interiors = [(g == 1, np.array(d)[:, None, None]) for g, d in enumerate(denominators) if d]
+        # the _interior_denominator of each interior parameter as [G, 1, 1], and
+        # (above 1, its rows) of each nonempty interior group
+        self.denominators = np.array(denominators[0] + denominators[1])[:, None, None]
+        edges = [0, len(denominators[0]), len(self.denominators)]
+        self.interiors = [(g == 1, slice(edges[g], edges[g + 1])) for g in (0, 1) if denominators[g]]
         self.sups = len(groups[2])
         pairs: dict = {}  # (pivot, j) -> its position
-        counts: dict = {}  # c -> (pair positions, weights, position in params) of each parameter with c pairs
+        counts: dict = {}  # c -> (pair positions, weights, position in params, terms) of each parameter with c pairs
         for k in groups[3]:
             pivot, beta = params[k].pivot, params[k].beta.tolist()
             on = [j for j, b in enumerate(beta) if b > 0.0]
-            at, weights, ks = counts.setdefault(len(on), ([], [], []))
+            at, weights, ks, terms = counts.setdefault(len(on), ([], [], [], []))
             at.append([pairs.setdefault((pivot, j), len(pairs)) for j in on])
             weights.append([beta[j] for j in on])
             ks.append(k)
-        self.kls = [(np.array(at), np.array(weights)) for at, weights, _ in counts.values()]  # [P, c] each
+            terms.append([(pivot, j, beta[j]) for j in on])
+        self.kls = [(np.array(at), np.array(weights)) for at, weights, *_ in counts.values()]  # [P, c] each
+        self.kl_terms = [t for *_, terms in counts.values() for t in terms]  # as the rows come out
         self.pairs = [np.array(ends) for ends in zip(*pairs)]  # the pairs (i, j): [i of each, j of each]
         # the position in params of each row, as the rows come out; each
         # parameter's row is the inverse, None when the two are in order
-        rows = groups[0] + groups[1] + groups[2] + [k for *_, ks in counts.values() for k in ks]
+        rows = groups[0] + groups[1] + groups[2] + [k for _, _, ks, _ in counts.values() for k in ks]
         self.order = None if rows == sorted(rows) else sorted(range(len(rows)), key=rows.__getitem__)
 
 
@@ -387,15 +400,12 @@ def _divergences(plan: _Plan, probs: np.ndarray, bounds=None) -> np.ndarray:
     parts = []  # the parameters' rows, group by group
     if plan.cuts:
         pk, ratios = _log_ratios(plan.cuts, probs)
-        start = 0
-        for above, denominators in plan.interiors:
-            rows = slice(start, start + len(denominators))
+        for above, rows in plan.interiors:
             log_sums = _log_sums(pk if len(pk) == 1 else pk[rows], ratios[rows], above, bounds)
             # + 0.0 turns the -0.0 of log 1 over a negative denominator into 0.0
-            parts.append(log_sums / denominators + 0.0)
-            start = rows.stop
+            parts.append(log_sums / plan.denominators[rows] + 0.0)
         if plan.sups:
-            parts.append(np.fmax(_per_segment(np.fmax, ratios[start:], bounds), 0.0) + 0.0)
+            parts.append(np.fmax(_per_segment(np.fmax, ratios[len(plan.denominators) :], bounds), 0.0) + 0.0)
     if plan.kls:
         pivots, others = plan.pairs
         kls = _kls(probs.take(pivots, axis=1), probs.take(others, axis=1), bounds).swapaxes(-1, -2)  # [B, M, pair]
@@ -414,6 +424,52 @@ def _divergences(plan: _Plan, probs: np.ndarray, bounds=None) -> np.ndarray:
 def _divergence(plan: _Plan, probs: np.ndarray) -> float:
     """:func:`_divergences` of a plan of one parameter on a stack of one matrix."""
     return float(_divergences(plan, probs[None])[0, 0])
+
+
+def _kl_gradient(pairs: list, p: np.ndarray, log_p: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """grad plus the gradient of sum b KL(p_i || p_j) over the (i, j, b)
+    ``pairs`` in the entries of p[n, s], given log_p = log(p)."""
+    for i, j, b in pairs:
+        grad[i] += b * (log_p[i] - log_p[j] + 1.0)
+        grad[j] -= b * p[i] / p[j]
+    return grad
+
+
+def _gradients(plan: _Plan, p: np.ndarray) -> np.ndarray:
+    """The gradient in the entries of one matrix ``p[n, s]`` of its
+    divergence under every parameter of a :class:`_Plan`: ``[P, n, s]``.
+
+    Interior: row i is alpha_i T / (p_i S d), with T(s) = prod_i p_i(s) **
+    alpha_i, S = sum_s T(s) and d the :func:`_interior_denominator`; a zero
+    exponent drops its state from T and leaves its row 0.  Sup: psi / p(s*)
+    at the argmax signals s* of the plan's :func:`_log_ratios` (their mean
+    where tied), and 0 where the floor wins.  Weighted-KL: its pairs' terms
+    (:func:`_kl_gradient`).  Exact where p > 0; a zero entry may carry -inf
+    or NaN.  Callers silence floating-point warnings.
+    """
+    parts = []  # the parameters' rows, group by group, as in _divergences
+    log_p = np.log(p)
+    count = len(plan.denominators)
+    if count:
+        alpha = plan.cuts.weights[:count]
+        on = alpha != 0.0
+        t = np.exp(np.where(on, alpha * log_p, 0.0).sum(axis=1, keepdims=True))  # [G, 1, s]
+        parts.append(np.where(on, alpha * t / (p * (t.sum(axis=-1, keepdims=True) * plan.denominators)), 0.0))
+    if plan.sups:
+        ratios = _log_ratios(plan.cuts, p[None])[1][count:]  # [G, 1, s]
+        top = np.fmax.reduce(ratios, axis=-1, keepdims=True)
+        at = (ratios >= top * (1.0 - 1e-12)) & (top > 0)
+        tied = np.maximum(at.sum(axis=-1, keepdims=True), 1)  # 1 where the floor wins, which takes no signal
+        parts.append(np.where(at, plan.cuts.weights[count:] / (p * tied), 0.0))
+    if plan.kl_terms:
+        rows = np.zeros((len(plan.kl_terms),) + p.shape)
+        for row, pairs in zip(rows, plan.kl_terms):
+            _kl_gradient(pairs, p, log_p, row)
+        parts.append(rows)
+    if not parts:
+        return np.empty((0,) + p.shape)
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return out if plan.order is None else out.take(plan.order, axis=0)
 
 
 # ---------------------------------------------------------------------------

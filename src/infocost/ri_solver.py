@@ -87,8 +87,9 @@ class Policy:
     point closed its bound.  It is never below ``value`` and lies within
     the ascent's margin, 1e-13 max(1, |value|), of it, so ``converged`` is
     True.  Otherwise ``upper_bound`` is None, and ``converged`` is False
-    when the winning ascent ran out of ``max_iter`` steps before its stop
-    test fired, True otherwise (an exact pure policy included)."""
+    when the winning ascent, or any ascent from the starts, ran out of
+    ``max_iter`` steps before its stop test fired, True otherwise: a capped
+    ascent that loses to an exact pure policy says nothing of the optimum."""
 
     choice: FiniteExperiment
     value: float
@@ -516,8 +517,10 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
             if policy.converged:
                 return policy
 
+    capped = False  # whether an ascent from the starts ran out of max_iter steps
     for p0, f0 in zip(starts, values[m:]):
         p, f, conv = _ascend(objective, gradient, problem.prior, p0, f0, options)
+        capped = capped or not conv
         if f > best_f:
             best_p, best_f, best_conv = p, f, conv
 
@@ -536,7 +539,7 @@ def solve(problem: RIProblem, spec: CostSpec, options: Optional[SolveOptions] = 
                 p, f, conv = _ascend(objective, gradient, problem.prior, faces[a], f0, options)
                 if f > best_f:
                     best_p, best_f, best_conv = p, f, conv
-    return _policy(problem, objective, best_p, best_conv)
+    return _policy(problem, objective, best_p, best_conv and not capped)
 
 
 def _policy(

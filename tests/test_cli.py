@@ -93,6 +93,14 @@ class TestDivergenceCommand:
         )
         assert code == 1 and err
 
+    def test_overflowing_exponents_exit_1(self, capsys, exp_file):
+        # 1e309 parses to inf: an exponent vector (inf, -inf) is no parameter
+        code, out, err = run(
+            capsys,
+            ["divergence", "--experiment", exp_file, "--param", '{"kind":"interior","alpha":[1e309,-1e309]}'],
+        )
+        assert code == 1 and not out and err
+
     def test_infinite_value_serialized_as_string(self, capsys, tmp_path):
         path = tmp_path / "reveal.json"
         path.write_text(json.dumps({"probs": [[1.0, 0.0], [0.0, 1.0]]}))

@@ -336,8 +336,9 @@ class TestEvalCosts:
             ref = reference_cost(spec, p)
             assert value == (math.inf if math.isinf(ref) else pytest.approx(ref, rel=rounding_tol(spec)))
 
-    @given(st.integers(0, 10_000), st.integers(2, 4), st.integers(2, 64), st.integers(1, 24))
+    @given(st.integers(0, 10_000), st.integers(2, 4), st.integers(2, 64), st.integers(0, 24))
     @settings(max_examples=100, deadline=None)
+    @example(seed=0, n=3, s=3, b=0)  # an empty stack prices as empty
     def test_rows_are_independent(self, seed, n, s, b):
         # a stack prices each matrix as it would be priced alone
         rng = np.random.default_rng(seed)
@@ -628,12 +629,81 @@ def check_gradient(seed, n, s):
         np.testing.assert_allclose(slopes, fd, rtol=0, atol=1e-6, err_msg=name)
 
 
+def per_atom_gradient(measure, p):
+    """The gradient of sum w D_param over a measure's atoms at p[n, s],
+    atom by atom, with no divergence-kernel code: the reference for the
+    kernel's ``_gradients`` of every atom at once.
+
+    Interior: alpha_i T / (p_i S) over the denominator -sum_{i != k} alpha_i,
+    T formed over the states of positive exponent.  Sup: psi / p(s*) at the
+    signals s* within 1e-12 of the largest sum_{i != k} psi_i log(p_i / p_k),
+    their mean, or 0 where the floor at 0 wins.  Weighted-KL: each pair's
+    terms, weight included."""
+    grad = np.zeros_like(p)
+    log_p = np.log(p)
+    for w, param in measure.atoms:
+        if w == 0.0:
+            continue
+        if isinstance(param, ic.SupParam):
+            k = param.pivot
+            ratios = sum(param.psi[i] * np.log(p[i] / p[k]) for i in range(len(p)) if i != k and param.psi[i] != 0.0)
+            top = ratios.max()
+            if top > 0:
+                at = ratios >= top * (1.0 - 1e-12)
+                grad[:, at] += w / at.sum() * param.psi[:, None] / p[:, at]
+        elif isinstance(param, ic.WeightedKLParam):
+            i = param.pivot
+            for j in np.flatnonzero(param.beta > 0.0):
+                grad[i] += w * param.beta[j] * (log_p[i] - log_p[j] + 1.0)
+                grad[j] -= w * param.beta[j] * p[i] / p[j]
+        else:
+            on = param.alpha > 0.0
+            alpha = param.alpha[on, None]
+            t = np.exp((alpha * log_p[on]).sum(axis=0))
+            denominator = -math.fsum(sorted(param.alpha)[:-1])
+            grad[on] += (w / (t.sum() * denominator) * alpha) * t / p[on]
+    return grad
+
+
+def every_kind_of_atom(rng, n):
+    """A measure on n states, its atoms shuffled: two equal interior atoms,
+    an interior atom with a zero exponent (n > 2), a sup atom, a weighted-KL
+    atom with a pair per other state (several when n > 2), and an atom of
+    weight 0."""
+    alpha = rng.dirichlet(np.ones(n))
+    interior = ic.InteriorParam(alpha)
+    atoms = [(rng.uniform(0.1, 2.0), interior), (rng.uniform(0.1, 2.0), ic.InteriorParam(alpha.copy()))]
+    if n > 2:
+        zero = rng.dirichlet(np.ones(n))
+        zero[rng.integers(n)] = 0.0
+        atoms.append((rng.uniform(0.1, 2.0), ic.InteriorParam(zero / zero.sum())))
+    sup_pivot, kl_pivot = rng.integers(n, size=2).tolist()
+    psi = np.insert(-rng.dirichlet(np.ones(n - 1)), sup_pivot, 1.0)
+    beta = np.insert(rng.dirichlet(np.ones(n - 1)), kl_pivot, 0.0)
+    atoms += [
+        (rng.uniform(0.1, 2.0), ic.SupParam(psi)),
+        (rng.uniform(0.1, 2.0), ic.WeightedKLParam(kl_pivot, beta)),
+        (0.0, interior),
+    ]
+    return ic.DivergenceMeasure(tuple(atoms[k] for k in rng.permutation(len(atoms))))
+
+
 class TestCostGradient:
     @given(st.integers(0, 10_000), st.integers(2, 4), st.integers(2, 5))
     @example(seed=2728, n=2, s=2)  # a step off the simplex once halved this reference
     @settings(max_examples=100, deadline=None)
     def test_matches_central_differences(self, seed, n, s):
         check_gradient(seed, n, s)
+
+    @given(st.integers(0, 10_000), st.integers(2, 4), st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_per_atom_formula(self, seed, n, s):
+        rng = np.random.default_rng(seed)
+        measure = every_kind_of_atom(rng, n)
+        p = rng.dirichlet(np.ones(s), size=n)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            got = _cost_gradient(ic.MaxRenyiCost((measure,)), p)
+        np.testing.assert_allclose(got, per_atom_gradient(measure, p), rtol=1e-12)
 
     def test_tie_takes_the_mean_of_the_tied_gradients(self):
         betas = (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]]))

@@ -322,6 +322,8 @@ NAN_CASES = {
     "renyi_cost_lam": (lambda: ic.RenyiCost(NAN, HALF), BadCostSpec),
     "renyi_log_lam": (lambda: ic.RenyiLogTransform(NAN, 0.5), BadCostSpec),
     "interior_param": (lambda: ic.InteriorParam([NAN, 0.5]), BadAlpha),
+    # inf - inf sums to NaN, which no sum test rejects
+    "interior_param_infinite": (lambda: ic.InteriorParam([float("inf"), float("-inf")]), BadAlpha),
     "weighted_kl_param": (lambda: ic.WeightedKLParam(0, [0.0, NAN]), BadPsi),
     "sup_param": (lambda: ic.SupParam([1.0, NAN]), BadPsi),
     "measure_weight": (lambda: ic.DivergenceMeasure(((NAN, HALF),)), BadPsi),

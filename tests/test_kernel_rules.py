@@ -1,4 +1,5 @@
-"""The divergence kernel forms no matrix product.
+"""The divergence kernel forms no matrix product, and no other module
+reaches into it.
 
 A product of a weight vector with a block of logs rounds by the layout of
 its operands: the same matrix, alone, in a stack or in a ragged segment,
@@ -7,6 +8,12 @@ log-ratio terms elementwise, state by state (``divergence._log_ratios``).
 This scan of the source (no code runs) fails when the kernel's functions
 use ``@`` or a NumPy product routine, so a layout-dependent product cannot
 come back unnoticed.
+
+Each divergence branch is priced, and differentiated, in ``divergence.py``
+alone: other modules go through ``_Plan``, ``_divergences`` and
+``_gradients``.  A second scan fails when any other module of the library
+imports or reads the kernel's inner steps (``INTERNALS``), which is how a
+branch's rule came to be written twice.
 """
 
 import ast
@@ -14,7 +21,9 @@ from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "infocost" / "divergence.py"
 
-KERNEL = {"_Cuts", "_log_ratios", "_log_sums", "_Plan", "_divergences"}
+SRC = SOURCE.parent
+
+KERNEL = {"_Cuts", "_log_ratios", "_log_sums", "_Plan", "_divergences", "_gradients"}
 PRODUCTS = {"matmul", "dot", "einsum", "tensordot"}
 
 
@@ -57,3 +66,41 @@ def test_the_scan_sees_every_spelling():
         {"_log_ratios", "_Plan"},
         [(2, "@"), (3, "@"), (4, "einsum"), (5, "dot"), (8, "matmul"), (8, "tensordot")],
     )
+
+
+INTERNALS = {"_Cuts", "_log_ratios", "_log_sums", "_interior_denominator"}
+
+
+def _internal_uses(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) for each import of a kernel internal, under any alias,
+    and each attribute read of one (``divergence._log_ratios``)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [(alias.lineno, alias.name) for alias in node.names if alias.name in INTERNALS]
+        elif isinstance(node, ast.Attribute) and node.attr in INTERNALS:
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_no_other_module_reaches_into_the_kernel():
+    found = {
+        path.name: uses
+        for path in sorted(SRC.glob("*.py"))
+        if path != SOURCE and (uses := _internal_uses(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert not found, f"price and differentiate through _Plan, _divergences and _gradients instead: {found}"
+
+
+def test_the_boundary_scan_sees_every_spelling():
+    tree = ast.parse(
+        "from .divergence import _Cuts, _Plan\n"
+        "from .divergence import (\n"
+        "    _log_ratios as ratios,\n"
+        ")\n"
+        "from . import divergence\n"
+        "import infocost.divergence as d\n"
+        "def f(p):\n"
+        "    return divergence._log_sums(p), d._interior_denominator([p]), d._divergences\n"
+    )
+    assert _internal_uses(tree) == [(1, "_Cuts"), (3, "_log_ratios"), (8, "_interior_denominator"), (8, "_log_sums")]

@@ -442,6 +442,24 @@ class TestEndgame:
         composed = ic.solve(problem, ic.PosteriorSeparableCost(q, ic.KLPotential(beta)))
         assert abs(direct.value - composed.value) <= 1e-12
 
+    def test_sup_atom_solve_climbs_past_playing_safe(self):
+        # the pure safe action pays 6.1; ascents along the sup atom's kink
+        # reach 6.1016, using action 1 in state 1 now and then
+        sup = ic.SupParam(np.array([1.0, -1.0]))
+        measure = ic.DivergenceMeasure(((0.3, sup), (0.7, ic.InteriorParam(np.array([0.6, 0.4])))))
+        policy = ic.solve(ic.matching_problem(8.0, 6.1), ic.MaxRenyiCost((measure,)))
+        assert policy.value > 6.1 + 1e-3
+
+    @pytest.mark.parametrize("v, w, lam, t", [c for c in matching_cells() if c.id.startswith("edge")])
+    def test_a_capped_ascent_that_loses_to_a_pure_policy_is_not_converged(self, v, w, lam, t):
+        # one step leaves the ascent below playing safe, and the polish cannot
+        # move off a pure incumbent: about 0.22 short of the optimum
+        spec = ic.symmetric_renyi_cost_spec(lam, t)
+        policy = ic.solve(ic.matching_problem(v, w), spec, ic.SolveOptions(starts=1, max_iter=1))
+        ref = ic.maximize_symmetric_value(ic.SymmetricInstance(v, w, lam, t))[2]
+        assert policy.support == (2,) and ref - policy.value > 0.2
+        assert not policy.converged
+
     def test_exhausted_endgame_is_not_converged(self, capsys, tmp_path):
         v, w, lam, t = matching_cells()[0].values
         spec = ic.symmetric_renyi_cost_spec(lam, t)
@@ -636,8 +654,10 @@ def per_start_solve(problem, spec, options):
             rng = np.random.default_rng(options.seed)
             while len(starts) < options.starts:
                 starts.append(rng.dirichlet(np.ones(m), size=n))
+        capped = False
         for p0 in starts[: options.starts]:
             p, f, conv = ascend(p0)
+            capped = capped or not conv
             if f > best_f:
                 best_p, best_f, best_conv = p, f, conv
         incumbent, incumbent_f = best_p.copy(), best_f
@@ -648,7 +668,7 @@ def per_start_solve(problem, spec, options):
                 p, f, conv = ascend(faced)
                 if f > best_f:
                     best_p, best_f, best_conv = p, f, conv
-        return ri_solver._policy(problem, objective, best_p, best_conv)
+        return ri_solver._policy(problem, objective, best_p, best_conv and not capped)
 
 
 def matching_three_states(m):
